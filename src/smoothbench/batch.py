@@ -241,6 +241,9 @@ def solve_regularized_erm(
     )
 
 
+STABILITY_MIN_REPLICATES = 30
+
+
 @dataclass(frozen=True)
 class StabilityReport:
     """Monte Carlo estimate of the perturbed-sample stability inequality.
@@ -277,8 +280,8 @@ def stability_probe(
     per replicate), resolves, and scores the original instance under both
     minimizers. The rhs uses the distribution's exact risk.
     """
-    if replicates < 30:
-        raise ValueError("stability probe needs at least 30 replicates")
+    if replicates < STABILITY_MIN_REPLICATES:
+        raise ValueError(f"stability probe needs at least {STABILITY_MIN_REPLICATES} replicates")
     smoothness = loss.smoothness_H * dist.x_dual_bound(setup.geometry) ** 2
     factor = 32.0 * smoothness / (lam * n)
     rng = np.random.default_rng(seed)
@@ -297,13 +300,18 @@ def stability_probe(
             loss.value(x_i @ report.w, y_i)
         )
         rhs[j] = factor * dist.true_risk(report.w)
-    return StabilityReport(
-        lhs_mean=float(lhs.mean()),
-        lhs_stderr=float(lhs.std(ddof=1) / math.sqrt(replicates)),
-        rhs_mean=float(rhs.mean()),
-        rhs_stderr=float(rhs.std(ddof=1) / math.sqrt(replicates)),
-        replicates=replicates,
+    lhs_mean, lhs_stderr = mean_stderr(lhs)
+    rhs_mean, rhs_stderr = mean_stderr(rhs)
+    return StabilityReport(lhs_mean, lhs_stderr, rhs_mean, rhs_stderr, replicates)
+
+
+def mean_stderr(values) -> tuple[float, float]:
+    """Replicate mean and its standard error; a single replicate has stderr 0."""
+    values = np.asarray(values, dtype=float)
+    stderr = (
+        float(np.std(values, ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
     )
+    return float(np.mean(values)), stderr
 
 
 def excess_risk(dist, w: np.ndarray) -> float:

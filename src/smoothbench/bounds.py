@@ -146,6 +146,15 @@ def smooth_risk_bound(inputs: BoundInputs) -> float:
     return lhat + K * (sqrt_part + H * log_n**3 * r * r + conf)
 
 
+def margin_domain_error(gamma: float, b: float) -> str | None:
+    """Why gamma lies outside the margin bound's domain 0 < gamma < 4b/e, or None."""
+    if gamma <= 0:
+        return "margin must be positive"
+    if 4.0 * b / gamma <= math.e:
+        return "margin too large relative to b"
+    return None
+
+
 def margin_bound(inputs: BoundInputs, simplified: bool = False) -> float:
     """Zero-one risk bound from the gamma-margin empirical error, valid
     simultaneously for all margins:
@@ -159,10 +168,9 @@ def margin_bound(inputs: BoundInputs, simplified: bool = False) -> float:
     _require(inputs, "empirical_loss", "range_b", "rademacher", "n", "margin")
     _check_delta(inputs.delta)
     gamma, b = inputs.margin, inputs.range_b
-    if gamma <= 0:
-        raise ValueError("margin must be positive")
-    if 4.0 * b / gamma <= math.e:
-        raise ValueError("margin too large relative to b")
+    problem = margin_domain_error(gamma, b)
+    if problem:
+        raise ValueError(problem)
     err, r, n, K = inputs.empirical_loss, inputs.rademacher, inputs.n, inputs.bound_K
     log_n = math.log(n)
     conf = math.log(math.log(4.0 * b / gamma) / inputs.delta) / n

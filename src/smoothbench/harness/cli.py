@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .config import EXPERIMENTS, ConfigError, ExperimentConfig, apply_overrides, load_config, with_defaults
-from .experiments import check_result, run_and_emit, rows_as_records, _CSV_HEADERS
+from .experiments import check_result, csv_table, run_and_emit
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,9 +47,9 @@ def main(argv=None) -> int:
 
     result, wall = run_and_emit(cfg)
 
-    header = _CSV_HEADERS[cfg.experiment]
+    header, records = csv_table(cfg.experiment, result)
     print(" | ".join(header))
-    for record in rows_as_records(cfg.experiment, result):
+    for record in records:
         print(" | ".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in record))
     print(f"# wall time {wall:.2f}s", end="")
     if cfg.out:

@@ -8,13 +8,14 @@ independent streams and reruns are byte-identical.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
 import platform
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from ..batch import (
     Dataset,
     excess_risk,
     lambda_for,
+    mean_stderr,
     solve_regularized_erm,
     stability_probe,
 )
@@ -35,13 +37,9 @@ from ..bounds import (
 )
 from ..distributions import (
     erm_exact,
-    hard_absolute,
-    hard_gaussian,
-    hard_quadlin,
     lower_bound_applies,
     lower_bound_value,
     regime_generator,
-    separable_synthetic,
     sparse_generator,
 )
 from ..geometry import (
@@ -62,7 +60,7 @@ from ..online import (
     run_mirror_descent,
     stepsize_for,
 )
-from .config import ConfigError, ExperimentConfig
+from .config import ExperimentConfig, make_distribution
 
 REGRET_SLACK = 1e-9
 REGIME_ENVELOPE_FACTOR = 8.0
@@ -97,15 +95,20 @@ def fit_slope(ns, means) -> tuple[float, float, float]:
     return slope, intercept, float(np.sqrt(np.mean(resid**2)))
 
 
+def _column(name, **kwargs):
+    """A row field written as CSV column `name` (None: not written)."""
+    return field(metadata={"column": name}, **kwargs)
+
+
 @dataclass(frozen=True)
 class RateRow:
     n: int
-    mean: float
+    mean: float = _column("mean_excess")
     stderr: float
     bound: float
     lower_bound: float
-    # whether the design realises lower_bound at this n; not a CSV column
-    floor_applies: bool = True
+    # whether the design realises lower_bound at this n
+    floor_applies: bool = _column(None, default=True)
 
 
 @dataclass
@@ -119,37 +122,6 @@ class RateCurve:
         return fit_slope([r.n for r in self.rows], [r.mean for r in self.rows])
 
 
-def _resolve_distribution(name: str, n: int, dim: int, seed: int):
-    family, _, arg = name.partition(":")
-    if family == "separable":
-        return separable_synthetic(dim, seed)
-    if family == "hardA":
-        return hard_absolute(n, seed)
-    if family == "hardB":
-        return hard_gaussian(n, float(arg or 0.1), seed)
-    if family == "hardC":
-        return hard_quadlin(n, float(arg or 0.5))
-    raise ConfigError(f"unknown distribution: {name!r}")
-
-
-def _rate_setup(cfg: ExperimentConfig, dist):
-    """Euclidean setup whose ball contains the reference predictor."""
-    if cfg.budget:
-        return euclidean_setup(dist.dim, cfg.budget)
-    if dist.kind == "separable_smooth":
-        return euclidean_setup(dist.dim, 1.0)
-    # hard families use the unit ball ||w|| <= 1
-    return euclidean_setup(dist.dim, 1.0 / math.sqrt(2.0))
-
-
-def _check_loss_compatible(cfg: ExperimentConfig, dist) -> None:
-    if cfg.loss and cfg.loss != dist.loss.name:
-        raise ConfigError(
-            f"incompatible loss/distribution pair: {cfg.loss!r} vs "
-            f"{dist.loss.name!r} of {cfg.distribution!r}"
-        )
-
-
 def run_rate_experiment(cfg: ExperimentConfig) -> RateCurve:
     """Replicate-mean excess risk of the configured learner across n_grid."""
     rows = []
@@ -158,15 +130,14 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateCurve:
         bound = math.nan
         lower = math.nan
         for j in range(cfg.replicates):
-            dist = _resolve_distribution(
+            dist = make_distribution(
                 cfg.distribution, n, cfg.dim, seed_for(cfg.seed, "rate-dist", i, j)
             )
-            _check_loss_compatible(cfg, dist)
             data = dist.sample(n, seed_for(cfg.seed, "rate-data", i, j))
             if cfg.learner == "erm":
                 w = erm_exact(dist, data)
             else:
-                setup = _rate_setup(cfg, dist)
+                setup = euclidean_setup(dist.dim, cfg.budget)
                 smoothness = dist.loss.smoothness_H * dist.x_dual_bound(setup.geometry) ** 2
                 if cfg.learner == "regularized_erm":
                     lam = lambda_for(smoothness, setup.f_max, n, dist.l_star)
@@ -186,12 +157,7 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateCurve:
             lower = lower_bound_value(dist, n)
         except ValueError:
             lower = math.nan
-        mean = float(np.mean(excesses))
-        stderr = (
-            float(np.std(excesses, ddof=1) / math.sqrt(len(excesses)))
-            if len(excesses) > 1
-            else 0.0
-        )
+        mean, stderr = mean_stderr(excesses)
         rows.append(
             RateRow(
                 n=n, mean=mean, stderr=stderr, bound=bound, lower_bound=lower,
@@ -231,7 +197,6 @@ def run_regret_experiment(cfg: ExperimentConfig) -> list:
     loss = make_squared()
     dim = cfg.dim
     setup = euclidean_setup(dim, cfg.budget)
-    smoothness = 1.0  # squared loss with ||x||_2 = 1 rows
     kinds = cfg.methods
     rows = []
     for i, n in enumerate(cfg.n_grid):
@@ -242,49 +207,27 @@ def run_regret_experiment(cfg: ExperimentConfig) -> list:
             w_star = rng.standard_normal(dim)
             w_star /= float(np.linalg.norm(w_star))
 
+            def run(stream_kind, stream, comparator, lbar):
+                return _regret_row(stream_kind, setup, loss, stream, comparator, lbar, n, j)
+
             if "iid_separable" in kinds:
 
                 def sampler(rng2, m, w_star=w_star):
                     xs = _sphere_rows(rng2, m, dim)
                     return xs, xs @ w_star
 
-                eta = stepsize_for(smoothness, setup.f_max, n, 0.0)
-                trace = run_mirror_descent(
-                    setup,
-                    loss,
-                    iid_stream(sampler, n, seed_for(cfg.seed, "regret-iid", i, j)),
-                    eta,
-                )
-                rows.append(
-                    RegretRow(
-                        stream="iid_separable",
-                        n=n,
-                        seed_index=j,
-                        measured=average_regret(trace, w_star),
-                        bound=regret_bound(smoothness, setup.f_max, n, 0.0),
-                        lbar=0.0,
-                    )
-                )
+                stream = iid_stream(sampler, n, seed_for(cfg.seed, "regret-iid", i, j))
+                rows.append(run("iid_separable", stream, w_star, 0.0))
 
             if "fixed_adversarial" in kinds:
                 xs = _sphere_rows(rng, n, dim)
                 ys = rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.2, 1.0, size=n)
                 w_zero = np.zeros(dim)
-                lbar_exact = float(np.mean(loss.value(xs @ w_zero, ys)))
                 if cfg.lbar_mode == "auto":
-                    row = _doubling_lbar_run(setup, loss, xs, ys, w_zero, smoothness, n, j)
+                    rows.append(_doubling_lbar_run(run, loss, xs, ys, w_zero))
                 else:
-                    eta = stepsize_for(smoothness, setup.f_max, n, lbar_exact)
-                    trace = run_mirror_descent(setup, loss, fixed_stream(xs, ys), eta)
-                    row = RegretRow(
-                        stream="fixed_adversarial",
-                        n=n,
-                        seed_index=j,
-                        measured=average_regret(trace, w_zero),
-                        bound=regret_bound(smoothness, setup.f_max, n, lbar_exact),
-                        lbar=lbar_exact,
-                    )
-                rows.append(row)
+                    lbar_exact = float(np.mean(loss.value(xs @ w_zero, ys)))
+                    rows.append(run("fixed_adversarial", fixed_stream(xs, ys), w_zero, lbar_exact))
 
             if "adaptive" in kinds:
 
@@ -293,51 +236,45 @@ def run_regret_experiment(cfg: ExperimentConfig) -> list:
                     x[i_round % dim] = 1.0
                     return x, (-1.0 if w[i_round % dim] >= 0 else 1.0)
 
-                lbar_adaptive = 0.5  # zero vector pays y^2/2 = 1/2 every round
-                eta = stepsize_for(smoothness, setup.f_max, n, lbar_adaptive)
-                trace = run_mirror_descent(setup, loss, adaptive_stream(adversary, n), eta)
-                rows.append(
-                    RegretRow(
-                        stream="adaptive",
-                        n=n,
-                        seed_index=j,
-                        measured=average_regret(trace, np.zeros(dim)),
-                        bound=regret_bound(smoothness, setup.f_max, n, lbar_adaptive),
-                        lbar=lbar_adaptive,
-                    )
-                )
+                # the zero vector pays y^2/2 = 1/2 every round
+                rows.append(run("adaptive", adaptive_stream(adversary, n), np.zeros(dim), 0.5))
     return rows
 
 
-def _doubling_lbar_run(setup, loss, xs, ys, w_star, smoothness, n, j) -> RegretRow:
+def _regret_row(stream_kind, setup, loss, stream, comparator, lbar, n, j) -> RegretRow:
+    """One mirror-descent run at the theory step for Lbar, scored against
+    the comparator; the smoothness is 1 (squared loss, ||x||_2 = 1 rows)."""
+    eta = stepsize_for(1.0, setup.f_max, n, lbar)
+    trace = run_mirror_descent(setup, loss, stream, eta)
+    return RegretRow(
+        stream=stream_kind,
+        n=n,
+        seed_index=j,
+        measured=average_regret(trace, comparator),
+        bound=regret_bound(1.0, setup.f_max, n, lbar),
+        lbar=lbar,
+    )
+
+
+def _doubling_lbar_run(run, loss, xs, ys, w_star) -> RegretRow:
     """Doubling search over Lbar candidates for a fixed sequence; keeps the
     best run whose comparator hindsight loss actually fits the candidate."""
     hindsight = float(np.mean(loss.value(xs @ w_star, ys)))
     best = None
-    cand = float(loss.range_bound_b)
-    candidates = [cand / 2**k for k in range(12)]
+    candidates = [float(loss.range_bound_b) / 2**k for k in range(12)]
     for cand in candidates:
         if hindsight > cand:
             continue  # post-hoc infeasible
-        eta = stepsize_for(smoothness, setup.f_max, n, cand)
-        trace = run_mirror_descent(setup, loss, fixed_stream(xs, ys), eta)
-        measured = average_regret(trace, w_star)
-        if best is None or measured < best.measured:
-            best = RegretRow(
-                stream="fixed_adversarial:auto_lbar",
-                n=n,
-                seed_index=j,
-                measured=measured,
-                bound=regret_bound(smoothness, setup.f_max, n, cand),
-                lbar=cand,
-            )
+        row = run("fixed_adversarial:auto_lbar", fixed_stream(xs, ys), w_star, cand)
+        if best is None or row.measured < best.measured:
+            best = row
     return best
 
 
 @dataclass(frozen=True)
 class StabilityRow:
     n: int
-    lam: float
+    lam: float = _column("lambda")
     lhs_mean: float
     lhs_stderr: float
     rhs_mean: float
@@ -349,10 +286,9 @@ class StabilityRow:
 def run_stability_experiment(cfg: ExperimentConfig) -> list:
     rows = []
     for i, n in enumerate(cfg.n_grid):
-        dist = _resolve_distribution(
+        dist = make_distribution(
             cfg.distribution, n, cfg.dim, seed_for(cfg.seed, "stability-dist", i, 0)
         )
-        _check_loss_compatible(cfg, dist)
         setup = euclidean_setup(dist.dim, cfg.budget)
         smoothness = dist.loss.smoothness_H * dist.x_dual_bound(setup.geometry) ** 2
         lam = lambda_for(smoothness, setup.f_max, n, dist.l_star)
@@ -479,21 +415,16 @@ def run_sparse_experiment(cfg: ExperimentConfig) -> list:
                         setup, gen.loss, data, lam, tol=max(cfg.tol, 1e-8),
                         max_iters=1000,
                     ).w
-                elif method == "l1_erm":
+                else:  # l1_erm
                     signed = gen.sample_signed(
                         n, seed_for(cfg.seed, "sparse-data", i, j)
                     )
                     w = _l1_constrained_erm(signed, gen.loss, budget)
-                else:
-                    raise ConfigError(f"unknown sparse method: {method!r}")
                 per_method[method].append(gen.true_risk(w) - gen.l_star)
         ref = k * math.log(bound_dim) / n
         bound = ref + math.sqrt(k * l_w0 * math.log(bound_dim) / n)
         for method, ex in per_method.items():
-            mean = float(np.mean(ex))
-            stderr = (
-                float(np.std(ex, ddof=1) / math.sqrt(len(ex))) if len(ex) > 1 else 0.0
-            )
+            mean, stderr = mean_stderr(ex)
             rows.append(
                 SparseRow(
                     method=method, n=n, dim=d0, k=k,
@@ -519,7 +450,7 @@ class RegimeRow:
     stderr: float
     envelope: float
     active_term: str
-    lam: float
+    lam: float = _column("lambda")
 
 
 def run_regime_experiment(cfg: ExperimentConfig) -> list:
@@ -552,13 +483,8 @@ def run_regime_experiment(cfg: ExperimentConfig) -> list:
                     setup, gen.loss, data, lam, tol=max(cfg.tol, 1e-9), max_iters=4000
                 )
                 ex.append(gen.true_risk(rep.w) - gen.l_star)
-            mean = float(np.mean(ex))
+            mean, stderr = mean_stderr(ex)
             if best is None or mean < best[0]:
-                stderr = (
-                    float(np.std(ex, ddof=1) / math.sqrt(len(ex)))
-                    if len(ex) > 1
-                    else 0.0
-                )
                 best = (mean, stderr, lam)
         gen = regime_generator(d, xb, sigma, seed_for(cfg.seed, "regime-gen", i, 0))
         envelope, term = gen.envelope(n)
@@ -643,68 +569,39 @@ def run_margin_experiment(cfg: ExperimentConfig) -> list:
 # ---------------------------------------------------------------------------
 # emission and checks
 
-_CSV_HEADERS = {
-    "rate": ["n", "mean_excess", "stderr", "bound", "lower_bound"],
-    "regret": ["stream", "n", "seed_index", "measured", "bound", "lbar"],
-    "stability": [
-        "n", "lambda", "lhs_mean", "lhs_stderr", "rhs_mean", "rhs_stderr",
-        "combined_stderr", "replicates",
-    ],
-    "sparse": ["method", "n", "dim", "k", "mean_excess", "stderr", "bound"],
-    "regime": ["n", "mean_excess", "stderr", "envelope", "active_term", "lambda"],
-    "margin": ["gamma", "margin_error", "rhs", "rhs_simplified", "holdout_error"],
-}
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
 
 
-def rows_as_records(experiment: str, result) -> list:
-    if experiment == "rate":
-        return [[r.n, r.mean, r.stderr, r.bound, r.lower_bound] for r in result.rows]
-    if experiment == "regret":
-        return [[r.stream, r.n, r.seed_index, r.measured, r.bound, r.lbar] for r in result]
-    if experiment == "stability":
-        return [
-            [r.n, r.lam, r.lhs_mean, r.lhs_stderr, r.rhs_mean, r.rhs_stderr,
-             r.combined_stderr, r.replicates]
-            for r in result
-        ]
-    if experiment == "sparse":
-        return [
-            [r.method, r.n, r.dim, r.k, r.mean_excess, r.stderr, r.bound]
-            for r in result
-        ]
-    if experiment == "regime":
-        return [
-            [r.n, r.mean_excess, r.stderr, r.envelope, r.active_term, r.lam]
-            for r in result
-        ]
-    if experiment == "margin":
-        return [
-            [r.gamma, r.margin_error, r.rhs, r.rhs_simplified, r.holdout_error]
-            for r in result
-        ]
-    raise ConfigError(f"unknown experiment: {experiment!r}")
+def csv_table(experiment: str, result) -> tuple[list, list]:
+    """(header, records) of a result: one column per field of the
+    experiment's row type, named by the field's `column` metadata if any."""
+    columns = [
+        (f.name, f.metadata.get("column", f.name))
+        for f in dataclasses.fields(_EXPERIMENTS[experiment][1])
+        if f.metadata.get("column", f.name)
+    ]
+    rows = result.rows if isinstance(result, RateCurve) else result
+    return (
+        [column for _, column in columns],
+        [[getattr(r, name) for name, _ in columns] for r in rows],
+    )
 
 
 def write_csv(path: str, experiment: str, result) -> None:
     """Fixed, versioned CSV schema; floats at 17 significant digits so that
     identical configs reproduce byte-identical files."""
-    header = _CSV_HEADERS[experiment]
-    lines = [",".join(header)]
-    for record in rows_as_records(experiment, result):
-        lines.append(",".join(_fmt(v) for v in record))
+    header, records = csv_table(experiment, result)
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in record) for record in records]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def write_meta(path: str, cfg: ExperimentConfig, wall_time: float) -> None:
     meta = {
-        "config": cfg.as_dict(),
+        "config": dataclasses.asdict(cfg),
         "versions": {
             "smoothbench": _pkg_version,
             "numpy": np.__version__,
@@ -718,16 +615,19 @@ def write_meta(path: str, cfg: ExperimentConfig, wall_time: float) -> None:
         fh.write("\n")
 
 
+# experiment -> (runner, row type)
+_EXPERIMENTS = {
+    "rate": (run_rate_experiment, RateRow),
+    "regret": (run_regret_experiment, RegretRow),
+    "stability": (run_stability_experiment, StabilityRow),
+    "sparse": (run_sparse_experiment, SparseRow),
+    "regime": (run_regime_experiment, RegimeRow),
+    "margin": (run_margin_experiment, MarginRow),
+}
+
+
 def run_experiment(cfg: ExperimentConfig):
-    runners = {
-        "rate": run_rate_experiment,
-        "regret": run_regret_experiment,
-        "stability": run_stability_experiment,
-        "sparse": run_sparse_experiment,
-        "regime": run_regime_experiment,
-        "margin": run_margin_experiment,
-    }
-    return runners[cfg.experiment](cfg)
+    return _EXPERIMENTS[cfg.experiment][0](cfg)
 
 
 def check_result(cfg: ExperimentConfig, result) -> tuple[bool, list]:

@@ -161,9 +161,12 @@ def make_absolute() -> LossSpec:
 
 
 def loss_by_name(name: str) -> LossSpec:
-    """Resolve a config-file loss name: squared | ramp:<gamma> | quadlin | absolute."""
+    """Resolve a config-file loss name:
+    squared | squared2 | ramp:<gamma> | quadlin | absolute."""
     if name == "squared":
         return make_squared()
+    if name == "squared2":
+        return make_squared_unhalved()
     if name == "quadlin":
         return make_piecewise_quadlin()
     if name == "absolute":

@@ -33,6 +33,31 @@ def make_cfg(**kw) -> ExperimentConfig:
     return with_defaults(config_from_dict(kw))
 
 
+# (raw config, fragment of the ConfigError): each is rejected by
+# with_defaults before any work is done, and exits 2 on the CLI
+BAD_CONFIGS = [
+    ({"experiment": "rate", "geometry": "entropy"}, "unknown config key"),
+    ({"experiment": "regret", "lbar_mode": "atuo"}, "unknown lbar_mode"),
+    ({"experiment": "sparse", "methods": ["entropy_md", "foo"]}, "unknown sparse methods"),
+    ({"experiment": "stability", "distribution": "hardZ"}, "unknown distribution"),
+    ({"experiment": "rate", "distribution": "hardB:abc"}, "must be numeric"),
+    ({"experiment": "rate", "distribution": "hardA", "learner": "mirror_descent"},
+     "non-smooth loss"),
+    ({"experiment": "rate", "distribution": "hardA", "learner": "regularized_erm"},
+     "non-smooth loss"),
+    ({"experiment": "stability", "distribution": "hardA"}, "non-smooth loss"),
+    ({"experiment": "stability", "replicates": 10}, "replicates >= 30"),
+    ({"experiment": "rate", "distribution": "hardC:0.001"}, "bias p"),
+    ({"experiment": "regime", "sigma": -1}, "sigma >= 0"),
+    ({"experiment": "regret", "budget": -1}, "budget > 0"),
+    ({"experiment": "margin", "gamma_grid": 5}, "margin too large"),
+    ({"experiment": "regret", "loss": "squared"}, "fixes its own loss"),
+    ({"experiment": "sparse", "loss": "squared"}, "fixes its own loss"),
+    ({"experiment": "regime", "loss": "squared"}, "fixes its own loss"),
+    ({"experiment": "margin", "loss": "squared"}, "fixes its own loss"),
+]
+
+
 class TestConfig:
     def test_flat_grammar(self):
         text = """
@@ -88,14 +113,23 @@ class TestConfig:
             config_from_dict({"experiment": "rate", "mystery_knob": 3})
         with pytest.raises(ConfigError):
             parse_kv_text("just some words\n")
+        with pytest.raises(ConfigError, match="must be int"):
+            config_from_dict({"experiment": "rate", "replicates": "many"})
+        for raw, fragment in BAD_CONFIGS:
+            with pytest.raises(ConfigError, match=fragment):
+                make_cfg(**raw)
 
-    def test_incompatible_loss_distribution_pair(self):
-        cfg = make_cfg(
-            experiment="rate", distribution="hardA", loss="squared",
-            n_grid=[16, 32, 64], replicates=1,
-        )
+    def test_incompatible_loss_distribution_pair(self, tmp_path):
         with pytest.raises(ConfigError, match="incompatible"):
-            run_rate_experiment(cfg)
+            make_cfg(
+                experiment="rate", distribution="hardA", loss="squared",
+                n_grid=[16, 32, 64], replicates=1,
+            )
+        # a family's own loss name is accepted
+        own = tmp_path / "own.txt"
+        own.write_text("distribution = hardB:0.1\nloss = squared2\nn_grid = 64, 128\n"
+                       "replicates = 2\n")
+        assert cli_main(["rate", "--config", str(own)]) == 0
 
 
 class TestSeedDiscipline:
@@ -267,6 +301,9 @@ class TestStabilityExperiment:
         assert row.replicates == 40
         ok, _ = check_result(cfg, rows)
         assert ok
+        # separable reads `dim`, which stability defaults like rate does
+        cfg = make_cfg(experiment="stability", distribution="separable", replicates=30)
+        assert cfg.dim == 16 and len(run_stability_experiment(cfg)) == 1
 
 
 class TestSparseExperiment:
@@ -412,6 +449,13 @@ class TestCli:
         assert cli_main(["rate", "--config", str(bad)]) == 2
         assert "config error" in capsys.readouterr().err
         assert cli_main(["rate", "--config", str(tmp_path / "missing.txt")]) == 2
+        capsys.readouterr()
+        for raw, _ in BAD_CONFIGS:
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps({k: v for k, v in raw.items() if k != "experiment"}))
+            assert cli_main([raw["experiment"], "--config", str(path)]) == 2, raw
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and err.count("\n") == 1, err
 
     def test_check_failure_exit_three(self, tmp_path, capsys):
         # an impossible slope threshold forces the rate check to fail
