@@ -36,6 +36,7 @@ from .geometry import (
     regularizer_value,
 )
 from .online import (
+    BatchRun,
     InstanceStream,
     OnlineTrace,
     adaptive_stream,
@@ -47,6 +48,7 @@ from .online import (
     linear_smoothness,
     regret_bound,
     run_mirror_descent,
+    run_mirror_descent_batch,
     stepsize_for,
 )
 from .batch import (

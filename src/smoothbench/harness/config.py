@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from ..batch import STABILITY_MIN_REPLICATES
 from ..bounds import margin_domain_error
 from ..distributions import (
@@ -24,7 +26,7 @@ from ..distributions import (
     separable_synthetic,
     sparse_generator,
 )
-from ..geometry import ball_radius, entropy_setup, euclidean_setup
+from ..geometry import ball_radius, entropy_setup, euclidean_setup, is_feasible
 
 EXPERIMENTS = ("rate", "regret", "stability", "sparse", "regime", "margin")
 
@@ -278,6 +280,11 @@ def with_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"replicates must be >= 1, got {cfg.replicates}")
     if not 0 < cfg.delta < 1:
         raise ConfigError(f"delta must lie in (0, 1), got {cfg.delta}")
+    # `not x > 0` also rejects nan
+    if not cfg.tol > 0:
+        raise ConfigError(f"tol must be positive, got {cfg.tol}")
+    if not cfg.eta_scale > 0:
+        raise ConfigError(f"eta_scale must be positive, got {cfg.eta_scale}")
     try:
         _check_premises(cfg)
     except ValueError as exc:  # a constructor's own rule, or NonSmoothLossError
@@ -303,7 +310,14 @@ def _check_premises(cfg: ExperimentConfig) -> None:
         return
     elif exp == "regime":
         regime_generator(dim, cfg.x_scale, cfg.sigma, cfg.seed)
-    range_b = ball_radius(euclidean_setup(dim, cfg.budget))
+    setup = euclidean_setup(dim, cfg.budget)
+    range_b = ball_radius(setup)
+    if exp in ("regret", "margin") and not is_feasible(setup, np.eye(1, dim)[0]):
+        # regret's comparators and margin's start are unit vectors
+        raise ValueError(
+            f"budget {cfg.budget} gives a ball of radius {range_b:.6g} that "
+            f"excludes unit-norm vectors"
+        )
     if exp == "margin":
         for gamma in cfg.gamma_grid:
             problem = margin_domain_error(gamma, range_b)

@@ -55,9 +55,9 @@ from ..online import (
     average_regret,
     averaged_iterate,
     fixed_stream,
-    iid_stream,
     regret_bound,
     run_mirror_descent,
+    run_mirror_descent_batch,
     stepsize_for,
 )
 from .config import ExperimentConfig, make_distribution
@@ -123,36 +123,38 @@ class RateCurve:
 
 
 def run_rate_experiment(cfg: ExperimentConfig) -> RateCurve:
-    """Replicate-mean excess risk of the configured learner across n_grid."""
+    """Replicate-mean excess risk of the configured learner across n_grid;
+    the mirror-descent replicates of a grid point run as one batch."""
     rows = []
     for i, n in enumerate(cfg.n_grid):
-        excesses = []
-        bound = math.nan
-        lower = math.nan
-        for j in range(cfg.replicates):
+
+        def draw(j):
             dist = make_distribution(
                 cfg.distribution, n, cfg.dim, seed_for(cfg.seed, "rate-dist", i, j)
             )
-            data = dist.sample(n, seed_for(cfg.seed, "rate-data", i, j))
-            if cfg.learner == "erm":
-                w = erm_exact(dist, data)
-            else:
-                setup = euclidean_setup(dist.dim, cfg.budget)
-                smoothness = dist.loss.smoothness_H * dist.x_dual_bound(setup.geometry) ** 2
-                if cfg.learner == "regularized_erm":
+            return dist, dist.sample(n, seed_for(cfg.seed, "rate-data", i, j))
+
+        # lazily: the solvers hold one replicate's sample at a time
+        replicates = (draw(j) for j in range(cfg.replicates))
+        bound = math.nan
+        if cfg.learner == "mirror_descent":
+            dists, ws, bound = _batched_mirror_descent(cfg, n, replicates)
+            excesses = [excess_risk(d, w) for d, w in zip(dists, ws)]
+            dist = dists[-1]
+        else:
+            excesses = []
+            for dist, data in replicates:
+                if cfg.learner == "erm":
+                    w = erm_exact(dist, data)
+                else:
+                    setup = euclidean_setup(dist.dim, cfg.budget)
+                    smoothness = dist.loss.smoothness_H * dist.x_dual_bound(setup.geometry) ** 2
                     lam = lambda_for(smoothness, setup.f_max, n, dist.l_star)
                     bound = 256.0 * smoothness * setup.f_max / n + math.sqrt(
                         2048.0 * smoothness * setup.f_max * dist.l_star / n
                     )
                     w = solve_regularized_erm(setup, dist.loss, data, lam, tol=cfg.tol).w
-                else:
-                    eta = stepsize_for(smoothness, setup.f_max, n, dist.l_star)
-                    bound = regret_bound(smoothness, setup.f_max, n, dist.l_star)
-                    trace = run_mirror_descent(
-                        setup, dist.loss, fixed_stream(data.dense_xs(), data.ys), eta
-                    )
-                    w = averaged_iterate(trace)
-            excesses.append(excess_risk(dist, w))
+                excesses.append(excess_risk(dist, w))
         try:
             lower = lower_bound_value(dist, n)
         except ValueError:
@@ -167,6 +169,32 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateCurve:
     return RateCurve(rows)
 
 
+def _batched_mirror_descent(cfg, n, replicates) -> tuple[list, np.ndarray, float]:
+    """(distributions, averaged iterates, regret bound) of one mirror-descent
+    run per (distribution, sample) replicate, played as one batch. Basis
+    designs stay indices. The family's constants (dimension, loss, L*) do
+    not depend on the replicate's seed."""
+    dists, ys, design = [], np.empty((cfg.replicates, n)), None
+    for j, (dist, data) in enumerate(replicates):
+        dists.append(dist)
+        if data.basis_idx is None:
+            part, dtype = data.xs, float
+        else:  # the narrowest integer type that holds every index
+            part, dtype = data.basis_idx, np.min_scalar_type(dist.dim - 1)
+        if design is None:
+            design = np.empty((cfg.replicates,) + part.shape, dtype=dtype)
+        design[j] = part
+        ys[j] = data.ys
+    setup = euclidean_setup(dist.dim, cfg.budget)
+    smoothness = dist.loss.smoothness_H * dist.x_dual_bound(setup.geometry) ** 2
+    eta = stepsize_for(smoothness, setup.f_max, n, dist.l_star)
+    key = "xs" if data.basis_idx is None else "basis_idx"
+    run = run_mirror_descent_batch(
+        setup, dist.loss, ys, eta, **{key: design}, record_losses=False
+    )
+    return dists, run.averages, regret_bound(smoothness, setup.f_max, n, dist.l_star)
+
+
 @dataclass(frozen=True)
 class RegretRow:
     stream: str
@@ -177,9 +205,11 @@ class RegretRow:
     lbar: float
 
 
-def _sphere_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    xs = rng.standard_normal((n, dim))
-    return xs / np.linalg.norm(xs, axis=1, keepdims=True)
+def _sphere_rows(rng: np.random.Generator, n: int, dim: int, out=None) -> np.ndarray:
+    """n uniform unit vectors, written into `out` when given."""
+    xs = rng.standard_normal((n, dim), out=out)
+    xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+    return xs
 
 
 def run_regret_experiment(cfg: ExperimentConfig) -> list:
@@ -193,82 +223,130 @@ def run_regret_experiment(cfg: ExperimentConfig) -> list:
     Lbar of fixed streams with a doubling search over candidates, reporting
     the best post-hoc feasible run; that mode is a heuristic outside the
     guarantee's premises and is labeled in the stream column.
+
+    The replicates of the i.i.d. and fixed streams at one n run as one
+    batch each; the adaptive adversary sees one iterate at a time, so its
+    runs stay per-run. Rows come out per replicate, in stream order.
     """
     loss = make_squared()
-    dim = cfg.dim
+    dim, reps = cfg.dim, cfg.replicates
     setup = euclidean_setup(dim, cfg.budget)
     kinds = cfg.methods
     rows = []
     for i, n in enumerate(cfg.n_grid):
-        for j in range(cfg.replicates):
-            seed = seed_for(cfg.seed, "regret", i, j)
-            rng = np.random.default_rng(seed)
 
+        def draws(j):
+            """Replicate j's generator, after it has drawn the unit comparator."""
+            rng = np.random.default_rng(seed_for(cfg.seed, "regret", i, j))
             w_star = rng.standard_normal(dim)
-            w_star /= float(np.linalg.norm(w_star))
+            return rng, w_star / float(np.linalg.norm(w_star))
 
-            def run(stream_kind, stream, comparator, lbar):
-                return _regret_row(stream_kind, setup, loss, stream, comparator, lbar, n, j)
+        by_kind = []  # one list of replicate rows per stream kind
+        if "iid_separable" in kinds:
+            w_stars = np.array([draws(j)[1] for j in range(reps)])
+            xs, ys = np.empty((reps, n, dim)), np.empty((reps, n))
+            for j in range(reps):
+                rng = np.random.default_rng(seed_for(cfg.seed, "regret-iid", i, j))
+                _sphere_rows(rng, n, dim, out=xs[j])
+                ys[j] = xs[j] @ w_stars[j]
+            run = _regret_batch(setup, loss, xs, ys, [0.0] * reps)
+            by_kind.append(_regret_rows("iid_separable", setup, run, w_stars, [0.0] * reps))
+            del xs, ys, run  # one stacked design alive at a time
 
-            if "iid_separable" in kinds:
+        if "fixed_adversarial" in kinds:
+            xs, ys = np.empty((reps, n, dim)), np.empty((reps, n))
+            for j in range(reps):
+                rng, _ = draws(j)
+                _sphere_rows(rng, n, dim, out=xs[j])
+                ys[j] = rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.2, 1.0, size=n)
+            w_zero = np.zeros((reps, dim))
+            hindsight = [float(np.mean(loss.value(x @ w, y))) for x, y, w in zip(xs, ys, w_zero)]
+            if cfg.lbar_mode == "auto":
+                by_kind.append(_doubling_lbar_rows(setup, loss, xs, ys, hindsight))
+            else:
+                run = _regret_batch(setup, loss, xs, ys, hindsight)
+                by_kind.append(_regret_rows("fixed_adversarial", setup, run, w_zero, hindsight))
+                del run
+            del xs, ys
 
-                def sampler(rng2, m, w_star=w_star):
-                    xs = _sphere_rows(rng2, m, dim)
-                    return xs, xs @ w_star
+        if "adaptive" in kinds:
 
-                stream = iid_stream(sampler, n, seed_for(cfg.seed, "regret-iid", i, j))
-                rows.append(run("iid_separable", stream, w_star, 0.0))
+            def adversary(i_round, w):
+                x = np.zeros(dim)
+                x[i_round % dim] = 1.0
+                return x, (-1.0 if w[i_round % dim] >= 0 else 1.0)
 
-            if "fixed_adversarial" in kinds:
-                xs = _sphere_rows(rng, n, dim)
-                ys = rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.2, 1.0, size=n)
-                w_zero = np.zeros(dim)
-                if cfg.lbar_mode == "auto":
-                    rows.append(_doubling_lbar_run(run, loss, xs, ys, w_zero))
-                else:
-                    lbar_exact = float(np.mean(loss.value(xs @ w_zero, ys)))
-                    rows.append(run("fixed_adversarial", fixed_stream(xs, ys), w_zero, lbar_exact))
-
-            if "adaptive" in kinds:
-
-                def adversary(i_round, w):
-                    x = np.zeros(dim)
-                    x[i_round % dim] = 1.0
-                    return x, (-1.0 if w[i_round % dim] >= 0 else 1.0)
-
-                # the zero vector pays y^2/2 = 1/2 every round
-                rows.append(run("adaptive", adaptive_stream(adversary, n), np.zeros(dim), 0.5))
+            # the zero vector pays y^2/2 = 1/2 every round
+            eta = stepsize_for(1.0, setup.f_max, n, 0.5)
+            adaptive = []
+            for j in range(reps):
+                trace = run_mirror_descent(setup, loss, adaptive_stream(adversary, n), eta)
+                adaptive.append(
+                    _regret_row("adaptive", setup, n, j, average_regret(trace, np.zeros(dim)), 0.5)
+                )
+            by_kind.append(adaptive)
+        for j in range(reps):
+            rows.extend(kind_rows[j] for kind_rows in by_kind)
     return rows
 
 
-def _regret_row(stream_kind, setup, loss, stream, comparator, lbar, n, j) -> RegretRow:
-    """One mirror-descent run at the theory step for Lbar, scored against
-    the comparator; the smoothness is 1 (squared loss, ||x||_2 = 1 rows)."""
-    eta = stepsize_for(1.0, setup.f_max, n, lbar)
-    trace = run_mirror_descent(setup, loss, stream, eta)
+def _regret_batch(setup, loss, xs, ys, lbars):
+    """One mirror-descent run per stream at the theory step for its Lbar
+    (the Lbars broadcast against the streams' leading axes); the smoothness
+    is 1 (squared loss, ||x||_2 = 1 rows)."""
+    n = ys.shape[-1]
+    eta = [stepsize_for(1.0, setup.f_max, n, lbar) for lbar in lbars]
+    return run_mirror_descent_batch(setup, loss, ys, eta, xs=xs)
+
+
+def _regret_rows(stream_kind, setup, run, comparators, lbars) -> list:
+    n = run.losses.shape[-1]
+    return [
+        _regret_row(stream_kind, setup, n, j, average_regret(run[j], comparators[j]), lbar)
+        for j, lbar in enumerate(lbars)
+    ]
+
+
+def _regret_row(stream_kind, setup, n, j, measured, lbar) -> RegretRow:
     return RegretRow(
         stream=stream_kind,
         n=n,
         seed_index=j,
-        measured=average_regret(trace, comparator),
+        measured=float(measured),
         bound=regret_bound(1.0, setup.f_max, n, lbar),
         lbar=lbar,
     )
 
 
-def _doubling_lbar_run(run, loss, xs, ys, w_star) -> RegretRow:
-    """Doubling search over Lbar candidates for a fixed sequence; keeps the
-    best run whose comparator hindsight loss actually fits the candidate."""
-    hindsight = float(np.mean(loss.value(xs @ w_star, ys)))
-    best = None
+def _doubling_lbar_rows(setup, loss, xs, ys, hindsight) -> list:
+    """Doubling search over Lbar candidates for each fixed sequence (zero
+    comparator, hindsight loss `hindsight`); keeps the best run whose
+    comparator hindsight loss actually fits the candidate. The candidates
+    are the columns of one batch over all sequences."""
     candidates = [float(loss.range_bound_b) / 2**k for k in range(12)]
-    for cand in candidates:
-        if hindsight > cand:
-            continue  # post-hoc infeasible
-        row = run("fixed_adversarial:auto_lbar", fixed_stream(xs, ys), w_star, cand)
-        if best is None or row.measured < best.measured:
-            best = row
-    return best
+    fits = np.array(hindsight)[:, None] <= np.array(candidates)  # a prefix of each row
+    if not fits[:, 0].all():
+        raise ValueError("no Lbar candidate fits the hindsight loss")
+    width = int(fits.sum(axis=1).max())
+    reps, n, dim = xs.shape
+    run = _regret_batch(
+        setup, loss,
+        np.broadcast_to(xs[:, None], (reps, width, n, dim)),
+        np.broadcast_to(ys[:, None], (reps, width, n)),
+        candidates[:width],
+    )
+    rows = []
+    for j in range(reps):
+        best = None
+        for k in np.flatnonzero(fits[j]):
+            row = _regret_row(
+                "fixed_adversarial:auto_lbar", setup, n, j,
+                average_regret(run[j, k], np.zeros(dim)), candidates[k],
+            )
+            if best is None or row.measured < best.measured:
+                best = row
+        rows.append(best)
+    return rows
 
 
 @dataclass(frozen=True)

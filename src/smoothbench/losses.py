@@ -6,10 +6,14 @@ are always w.r.t. t). The declared smoothness constant H is the Lipschitz
 constant of the derivative in t and feeds the step-size and regularization
 formulas downstream, so it must be an honest upper bound: the residual
 probes in this module check that on grids.
+
+The factories build each spec once per process (per gamma for the ramp):
+a LossSpec is frozen, and its range bound costs a 201 x 201 grid.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -57,6 +61,7 @@ def _grid_max_abs(fn, t_domain, y_domain, points: int = 201) -> float:
     return float(np.max(np.abs(fn(tt, yy))))
 
 
+@functools.cache
 def make_squared() -> LossSpec:
     """Half squared difference (t - y)^2 / 2; 1-smooth, convex."""
 
@@ -71,6 +76,7 @@ def make_squared() -> LossSpec:
     return LossSpec("squared", value, derivative, b, smoothness=1.0)
 
 
+@functools.cache
 def make_squared_unhalved() -> LossSpec:
     """Plain squared difference (t - y)^2; 2-smooth, convex.
 
@@ -89,6 +95,7 @@ def make_squared_unhalved() -> LossSpec:
     return LossSpec("squared2", value, derivative, b, smoothness=2.0)
 
 
+@functools.cache
 def make_smooth_ramp(gamma: float) -> LossSpec:
     """Cosine ramp on the margin m = y*t.
 
@@ -122,6 +129,7 @@ def make_smooth_ramp(gamma: float) -> LossSpec:
     )
 
 
+@functools.cache
 def make_piecewise_quadlin() -> LossSpec:
     """Quadratic within 1/2 of the target, linear with slope 1 beyond.
 
@@ -143,6 +151,7 @@ def make_piecewise_quadlin() -> LossSpec:
     return LossSpec("quadlin", value, derivative, b, smoothness=2.0)
 
 
+@functools.cache
 def make_absolute() -> LossSpec:
     """Absolute difference |t - y|; convex but not smooth.
 

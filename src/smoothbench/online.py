@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import MirrorSetup, check_feasible, default_start, mirror_step
+from .geometry import MirrorSetup, _step_kernel, check_feasible, default_start, is_feasible
 from .losses import LossSpec
 
 FIXED = "fixed_sequence"
@@ -150,6 +150,8 @@ def run_mirror_descent(
 
     w_{i+1} depends only on (w_i, z_i, eta); the trace is deterministic
     given the stream and the start point (default: geometry's start).
+    This is the per-run path: adaptive streams need it, and it keeps every
+    iterate. run_mirror_descent_batch plays many fixed streams at once.
     """
     if eta <= 0:
         raise ValueError(f"step size must be positive, got {eta}")
@@ -176,6 +178,7 @@ def run_mirror_descent(
     else:
         raise ValueError(f"unknown stream mode: {stream.mode}")
 
+    step = _step_kernel(setup)
     iterates = np.empty((n, d))
     losses = np.empty(n)
     for i in range(n):
@@ -190,23 +193,128 @@ def run_mirror_descent(
         iterates[i] = w
         losses[i] = float(loss.value(pred, y))
         g = float(loss.derivative(pred, y)) * x
-        w = mirror_step(setup, w, g, eta)
+        w = step(w, g, eta)
     return OnlineTrace(iterates, xs, ys, losses, setup, loss, eta)
 
 
-def average_regret(trace: OnlineTrace, w_star: np.ndarray) -> float:
+@dataclass
+class BatchRun:
+    """R mirror-descent runs over fixed streams, played together.
+
+    Leading axes index the runs (shape B, usually (R,)): averages[r] is
+    run r's averaged iterate, losses[r, i] the loss it paid in round i
+    (None when not recorded), and xs/ys are the dense design and targets
+    it was given (xs is None for a basis design). run[r] is run r alone,
+    which average_regret accepts.
+    """
+
+    averages: np.ndarray
+    losses: np.ndarray | None
+    xs: np.ndarray | None
+    ys: np.ndarray
+    setup: MirrorSetup
+    loss: LossSpec
+
+    def __getitem__(self, index) -> "BatchRun":
+        """The runs at `index` of the leading axes, as views."""
+        return BatchRun(
+            self.averages[index],
+            None if self.losses is None else self.losses[index],
+            None if self.xs is None else self.xs[index],
+            self.ys[index],
+            self.setup,
+            self.loss,
+        )
+
+
+def run_mirror_descent_batch(
+    setup: MirrorSetup,
+    loss: LossSpec,
+    ys: np.ndarray,
+    eta: float | np.ndarray,
+    *,
+    xs: np.ndarray | None = None,
+    basis_idx: np.ndarray | None = None,
+    w_start: np.ndarray | None = None,
+    record_losses: bool = True,
+) -> BatchRun:
+    """Play fixed streams of equal length n with mirror descent, all at once.
+
+    ys has shape B + (n,). The design is dense, xs of shape B + (n, d), or
+    a basis design, basis_idx of shape B + (n,): round i of run r plays the
+    standard basis vector e_{basis_idx[r, i]}. eta is a scalar or has shape
+    B; w_start (default: the geometry's start for every run) has shape
+    B + (d,). Everything is validated here, once; the rounds are a few
+    vector operations for all runs. Each run's losses, and for d >= 2 its
+    averaged iterate, are bit-identical to run_mirror_descent on that run's
+    stream. The average is a running sum over the rounds divided by n,
+    which is how numpy's mean over an (n, d) array sums when d >= 2; at
+    d = 1 numpy sums pairwise, so the two averages may differ in the last
+    bits. record_losses=False skips the round losses (losses is then
+    None) for callers that read only the averages: an (R, n) array each.
+    """
+    ys = np.asarray(ys, dtype=float)
+    if ys.ndim < 1 or ys.size == 0:
+        raise ValueError("ys needs shape B + (n,) with at least one run and one round")
+    batch, n, d = ys.shape[:-1], ys.shape[-1], setup.dim
+    if (xs is None) == (basis_idx is None):
+        raise ValueError("exactly one of xs / basis_idx must be given")
+    if xs is not None:
+        xs = np.asarray(xs, dtype=float)
+        if xs.shape != batch + (n, d):
+            raise ValueError(f"xs has shape {xs.shape}, expected {batch + (n, d)}")
+    else:
+        basis_idx = np.asarray(basis_idx)
+        if basis_idx.shape != ys.shape or basis_idx.dtype.kind not in "iu":
+            raise ValueError(f"basis_idx needs integer entries of shape {ys.shape}")
+        if basis_idx.min() < 0 or basis_idx.max() >= d:
+            raise ValueError(f"basis_idx entries must lie in [0, {d})")
+    try:
+        eta = np.broadcast_to(np.asarray(eta, dtype=float), batch)
+    except ValueError:
+        raise ValueError(f"eta must be a scalar or of shape {batch}") from None
+    if not np.all(eta > 0):
+        raise ValueError(f"step sizes must be positive, got {eta.min()}")
+    if w_start is None:
+        w = np.broadcast_to(default_start(setup), batch + (d,)).copy()
+    else:
+        w = np.array(w_start, dtype=float)
+        if w.shape != batch + (d,):
+            raise ValueError(f"w_start has shape {w.shape}, expected {batch + (d,)}")
+    for r in np.ndindex(batch):
+        if not is_feasible(setup, w[r]):
+            raise ValueError(f"infeasible start point for run {r} of the {setup.geometry} setup")
+
+    step = _step_kernel(setup)
+    eta_col = eta[..., None]
+    basis = np.eye(d)  # row k is e_k: a round's one-hot rows are basis[idx]
+    losses = np.empty(ys.shape) if record_losses else None
+    total = w.copy()
+    for i in range(n):
+        x = xs[..., i, :] if xs is not None else basis[basis_idx[..., i]]
+        y = ys[..., i]
+        pred = np.vecdot(x, w)
+        if record_losses:
+            losses[..., i] = loss.value(pred, y)
+        if i + 1 < n:
+            w = step(w, loss.derivative(pred, y)[..., None] * x, eta_col)
+            total += w
+    return BatchRun(total / n, losses, xs, ys, setup, loss)
+
+
+def average_regret(trace, w_star: np.ndarray) -> float:
     """Player's average loss minus the fixed comparator's on the same
-    instances; may be negative."""
+    instances; may be negative. `trace` is an OnlineTrace or one run of a
+    BatchRun with a dense design."""
     w_star = np.asarray(w_star, dtype=float)
     try:
         check_feasible(trace.setup, w_star)
     except ValueError as exc:
         raise ValueError(f"infeasible comparator: {exc}") from exc
-    comparator = float(np.mean(trace.loss.value(trace.xs @ w_star, trace.ys)))
-    return float(np.mean(trace.losses)) - comparator
+    return float(np.mean(trace.losses)) - hindsight_average_loss(trace, w_star)
 
 
-def hindsight_average_loss(trace: OnlineTrace, w: np.ndarray) -> float:
+def hindsight_average_loss(trace, w: np.ndarray) -> float:
     """Average loss of a fixed vector on the realized instance sequence."""
     w = np.asarray(w, dtype=float)
     return float(np.mean(trace.loss.value(trace.xs @ w, trace.ys)))

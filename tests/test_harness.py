@@ -55,6 +55,11 @@ BAD_CONFIGS = [
     ({"experiment": "sparse", "loss": "squared"}, "fixes its own loss"),
     ({"experiment": "regime", "loss": "squared"}, "fixes its own loss"),
     ({"experiment": "margin", "loss": "squared"}, "fixes its own loss"),
+    ({"experiment": "rate", "learner": "regularized_erm", "distribution": "hardB:0.1",
+      "tol": -1}, "tol must be positive"),
+    ({"experiment": "sparse", "eta_scale": -1}, "eta_scale must be positive"),
+    ({"experiment": "regret", "budget": 0.001}, "excludes unit-norm"),
+    ({"experiment": "margin", "budget": 0.5}, "excludes unit-norm"),
 ]
 
 

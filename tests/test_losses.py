@@ -245,3 +245,10 @@ def test_loss_by_name():
     assert ramp.smoothness_H == pytest.approx(math.pi**2 / 0.5, rel=1e-15)
     with pytest.raises(ValueError):
         loss_by_name("hinge")
+
+
+def test_factories_build_each_spec_once():
+    assert make_squared() is make_squared()
+    assert make_smooth_ramp(0.5) is make_smooth_ramp(0.5)
+    assert make_smooth_ramp(0.5) is not make_smooth_ramp(0.25)
+    assert loss_by_name("quadlin") is loss_by_name("quadlin")
