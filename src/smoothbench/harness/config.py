@@ -312,8 +312,10 @@ def _check_premises(cfg: ExperimentConfig) -> None:
         regime_generator(dim, cfg.x_scale, cfg.sigma, cfg.seed)
     setup = euclidean_setup(dim, cfg.budget)
     range_b = ball_radius(setup)
-    if exp in ("regret", "margin") and not is_feasible(setup, np.eye(1, dim)[0]):
-        # regret's comparators and margin's start are unit vectors
+    # margin starts at a unit vector; so does the comparator of regret's
+    # i.i.d. stream (its other streams compare against, and start at, zero)
+    unit_needed = exp == "margin" or (exp == "regret" and "iid_separable" in cfg.methods)
+    if unit_needed and not is_feasible(setup, np.eye(1, dim)[0]):
         raise ValueError(
             f"budget {cfg.budget} gives a ball of radius {range_b:.6g} that "
             f"excludes unit-norm vectors"

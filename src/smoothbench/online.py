@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import MirrorSetup, _step_kernel, check_feasible, default_start, is_feasible
+from .geometry import MirrorSetup, _step_kernel, check_feasible, default_start
 from .losses import LossSpec
 
 FIXED = "fixed_sequence"
@@ -235,7 +235,6 @@ def run_mirror_descent_batch(
     *,
     xs: np.ndarray | None = None,
     basis_idx: np.ndarray | None = None,
-    w_start: np.ndarray | None = None,
     record_losses: bool = True,
 ) -> BatchRun:
     """Play fixed streams of equal length n with mirror descent, all at once.
@@ -243,14 +242,14 @@ def run_mirror_descent_batch(
     ys has shape B + (n,). The design is dense, xs of shape B + (n, d), or
     a basis design, basis_idx of shape B + (n,): round i of run r plays the
     standard basis vector e_{basis_idx[r, i]}. eta is a scalar or has shape
-    B; w_start (default: the geometry's start for every run) has shape
-    B + (d,). Everything is validated here, once; the rounds are a few
-    vector operations for all runs. Each run's losses, and for d >= 2 its
-    averaged iterate, are bit-identical to run_mirror_descent on that run's
-    stream. The average is a running sum over the rounds divided by n,
-    which is how numpy's mean over an (n, d) array sums when d >= 2; at
-    d = 1 numpy sums pairwise, so the two averages may differ in the last
-    bits. record_losses=False skips the round losses (losses is then
+    B. Every run starts at the geometry's default start. Everything is
+    validated here, once; the rounds are a few vector operations for all
+    runs. Each run's losses, and for d >= 2 its averaged iterate, are
+    bit-identical to run_mirror_descent on that run's stream. The average
+    is a running sum over the rounds divided by n, which is how numpy's
+    mean over an (n, d) array sums when d >= 2; at d = 1 numpy sums
+    pairwise, so the two averages may differ in the last bits.
+    record_losses=False skips the round losses (losses is then
     None) for callers that read only the averages: an (R, n) array each.
     """
     ys = np.asarray(ys, dtype=float)
@@ -275,15 +274,7 @@ def run_mirror_descent_batch(
         raise ValueError(f"eta must be a scalar or of shape {batch}") from None
     if not np.all(eta > 0):
         raise ValueError(f"step sizes must be positive, got {eta.min()}")
-    if w_start is None:
-        w = np.broadcast_to(default_start(setup), batch + (d,)).copy()
-    else:
-        w = np.array(w_start, dtype=float)
-        if w.shape != batch + (d,):
-            raise ValueError(f"w_start has shape {w.shape}, expected {batch + (d,)}")
-    for r in np.ndindex(batch):
-        if not is_feasible(setup, w[r]):
-            raise ValueError(f"infeasible start point for run {r} of the {setup.geometry} setup")
+    w = np.broadcast_to(default_start(setup), batch + (d,)).copy()
 
     step = _step_kernel(setup)
     eta_col = eta[..., None]

@@ -59,6 +59,8 @@ BAD_CONFIGS = [
       "tol": -1}, "tol must be positive"),
     ({"experiment": "sparse", "eta_scale": -1}, "eta_scale must be positive"),
     ({"experiment": "regret", "budget": 0.001}, "excludes unit-norm"),
+    ({"experiment": "regret", "methods": ["iid_separable"], "budget": 0.5},
+     "excludes unit-norm"),
     ({"experiment": "margin", "budget": 0.5}, "excludes unit-norm"),
 ]
 
@@ -123,6 +125,18 @@ class TestConfig:
         for raw, fragment in BAD_CONFIGS:
             with pytest.raises(ConfigError, match=fragment):
                 make_cfg(**raw)
+
+    @pytest.mark.parametrize("lbar_mode", ["exact", "auto"])
+    def test_regret_zero_comparator_streams_run_in_a_small_ball(self, lbar_mode):
+        # the fixed and adaptive streams compare against, and start at, zero:
+        # a ball that excludes unit vectors is no premise of theirs
+        cfg = make_cfg(
+            experiment="regret", methods=["fixed_adversarial", "adaptive"],
+            budget=0.5, lbar_mode=lbar_mode, n_grid=[50, 100], replicates=2,
+        )
+        rows = run_regret_experiment(cfg)
+        assert len(rows) == 8
+        assert all(math.isfinite(row.measured) for row in rows)
 
     def test_incompatible_loss_distribution_pair(self, tmp_path):
         with pytest.raises(ConfigError, match="incompatible"):

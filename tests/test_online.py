@@ -304,12 +304,10 @@ class TestBatchedRunner:
     the last bit."""
 
     @staticmethod
-    def assert_matches_per_run(setup, xs, ys, eta, w_start, run):
+    def assert_matches_per_run(setup, xs, ys, eta, run):
         eta = np.broadcast_to(eta, ys.shape[:-1])
         for r in np.ndindex(ys.shape[:-1]):
-            trace = run_mirror_descent(
-                setup, SQ, fixed_stream(xs[r], ys[r]), float(eta[r]), w_start[r]
-            )
+            trace = run_mirror_descent(setup, SQ, fixed_stream(xs[r], ys[r]), float(eta[r]))
             assert np.array_equal(run.averages[r], averaged_iterate(trace))
             assert np.array_equal(run.losses[r], trace.losses)
             assert np.mean(run.losses[r]) == np.mean(trace.losses)
@@ -325,58 +323,53 @@ class TestBatchedRunner:
             setup = entropy_setup(dim, budget)
             xs = rng.uniform(-1.0, 1.0, size=(reps, n, dim))
         ys = rng.uniform(-1.0, 1.0, size=(reps, n))
-        starts = np.array([random_feasible(setup, rng, positive=True) for _ in range(reps)])
         eta = rng.uniform(0.05, 0.8, size=reps)
-        return setup, xs, ys, starts, eta
+        return setup, xs, ys, eta
 
     @pytest.mark.parametrize("geometry", ["euclidean", "entropy"])
     @pytest.mark.parametrize("reps", [1, 7])
     def test_dense_design_per_row_eta(self, geometry, reps):
-        setup, xs, ys, starts, eta = self.problem(geometry, reps, 150, 6, seed=reps)
-        run = run_mirror_descent_batch(setup, SQ, ys, eta, xs=xs, w_start=starts)
-        self.assert_matches_per_run(setup, xs, ys, eta, starts, run)
+        setup, xs, ys, eta = self.problem(geometry, reps, 150, 6, seed=reps)
+        run = run_mirror_descent_batch(setup, SQ, ys, eta, xs=xs)
+        self.assert_matches_per_run(setup, xs, ys, eta, run)
 
     @pytest.mark.parametrize("geometry", ["euclidean", "entropy"])
     def test_basis_design(self, geometry):
-        setup, _, ys, starts, eta = self.problem(geometry, 5, 200, 8, seed=3)
+        setup, _, ys, eta = self.problem(geometry, 5, 200, 8, seed=3)
         idx = np.random.default_rng(4).integers(8, size=ys.shape).astype(np.uint8)
-        run = run_mirror_descent_batch(setup, SQ, ys * 3.0, eta, basis_idx=idx, w_start=starts)
+        run = run_mirror_descent_batch(setup, SQ, ys * 3.0, eta, basis_idx=idx)
         assert run.xs is None
-        self.assert_matches_per_run(setup, one_hot(idx, 8), ys * 3.0, eta, starts, run)
+        self.assert_matches_per_run(setup, one_hot(idx, 8), ys * 3.0, eta, run)
 
     def test_one_dimension(self):
         # numpy's mean over (n, 1) iterates sums pairwise, the batch sums in
         # order: the averages agree to n ulps, the losses exactly
-        setup, xs, ys, starts, eta = self.problem("euclidean", 4, 300, 1, seed=12)
-        run = run_mirror_descent_batch(setup, SQ, ys, eta, xs=xs, w_start=starts)
+        setup, xs, ys, eta = self.problem("euclidean", 4, 300, 1, seed=12)
+        run = run_mirror_descent_batch(setup, SQ, ys, eta, xs=xs)
         for r in range(4):
-            trace = run_mirror_descent(
-                setup, SQ, fixed_stream(xs[r], ys[r]), float(eta[r]), starts[r]
-            )
+            trace = run_mirror_descent(setup, SQ, fixed_stream(xs[r], ys[r]), float(eta[r]))
             assert np.array_equal(run.losses[r], trace.losses)
             np.testing.assert_allclose(
                 run.averages[r], averaged_iterate(trace), rtol=300 * np.finfo(float).eps
             )
 
-    def test_default_start_and_scalar_eta(self):
-        setup, xs, ys, _, _ = self.problem("euclidean", 4, 60, 5, seed=8)
+    def test_scalar_eta(self):
+        setup, xs, ys, _ = self.problem("euclidean", 4, 60, 5, seed=8)
         run = run_mirror_descent_batch(setup, SQ, ys, 0.3, xs=xs)
-        starts = np.zeros((4, 5))
-        self.assert_matches_per_run(setup, xs, ys, 0.3, starts, run)
+        self.assert_matches_per_run(setup, xs, ys, 0.3, run)
 
     def test_projection_active(self):
         # a small ball and far targets: the step leaves the ball every round
-        setup, xs, ys, _, eta = self.problem("euclidean", 6, 80, 4, seed=5, budget=0.05)
+        setup, xs, ys, eta = self.problem("euclidean", 6, 80, 4, seed=5, budget=0.05)
         ys = 20.0 * np.sign(ys)
-        starts = np.zeros((6, 4))
         run = run_mirror_descent_batch(setup, SQ, ys, eta, xs=xs)
-        self.assert_matches_per_run(setup, xs, ys, eta, starts, run)
+        self.assert_matches_per_run(setup, xs, ys, eta, run)
         trace = run_mirror_descent(setup, SQ, fixed_stream(xs[0], ys[0]), float(eta[0]))
         radii = np.linalg.norm(trace.iterates[1:], axis=1)
         assert np.mean(np.isclose(radii, ball_radius(setup), rtol=1e-12)) > 0.5
 
     def test_two_leading_axes_on_a_broadcast_design(self):
-        setup, xs, ys, _, _ = self.problem("euclidean", 3, 90, 5, seed=6)
+        setup, xs, ys, _ = self.problem("euclidean", 3, 90, 5, seed=6)
         eta = np.array([0.1, 0.3, 0.5, 0.9])
         shape = (3, 4)
         run = run_mirror_descent_batch(
@@ -392,32 +385,27 @@ class TestBatchedRunner:
             assert average_regret(run[j, k], np.zeros(5)) == average_regret(trace, np.zeros(5))
 
     def test_regret_of_one_run(self):
-        setup, xs, ys, starts, eta = self.problem("euclidean", 3, 40, 4, seed=9)
-        run = run_mirror_descent_batch(setup, SQ, ys, eta, xs=xs, w_start=starts)
+        setup, xs, ys, eta = self.problem("euclidean", 3, 40, 4, seed=9)
+        run = run_mirror_descent_batch(setup, SQ, ys, eta, xs=xs)
         w = np.full(4, 0.25)
         for r in range(3):
-            trace = run_mirror_descent(setup, SQ, fixed_stream(xs[r], ys[r]), float(eta[r]), starts[r])
+            trace = run_mirror_descent(setup, SQ, fixed_stream(xs[r], ys[r]), float(eta[r]))
             assert average_regret(run[r], w) == average_regret(trace, w)
 
     def test_skipping_losses_keeps_the_averages(self):
-        setup, xs, ys, starts, eta = self.problem("entropy", 3, 50, 4, seed=10)
-        full = run_mirror_descent_batch(setup, SQ, ys, eta, xs=xs, w_start=starts)
-        lean = run_mirror_descent_batch(
-            setup, SQ, ys, eta, xs=xs, w_start=starts, record_losses=False
-        )
+        setup, xs, ys, eta = self.problem("entropy", 3, 50, 4, seed=10)
+        full = run_mirror_descent_batch(setup, SQ, ys, eta, xs=xs)
+        lean = run_mirror_descent_batch(setup, SQ, ys, eta, xs=xs, record_losses=False)
         assert lean.losses is None
         assert np.array_equal(lean.averages, full.averages)
 
     def test_entry_validation(self):
-        setup, xs, ys, starts, eta = self.problem("euclidean", 3, 20, 4, seed=11)
+        setup, xs, ys, eta = self.problem("euclidean", 3, 20, 4, seed=11)
         idx = np.zeros((3, 20), dtype=int)
         with pytest.raises(ValueError, match="positive"):
             run_mirror_descent_batch(setup, SQ, ys, [0.1, 0.0, 0.2], xs=xs)
         with pytest.raises(ValueError, match="positive"):
             run_mirror_descent_batch(setup, SQ, ys, -0.1, xs=xs)
-        starts[1] = [3.0, 0.0, 0.0, 0.0]  # outside the ball of radius sqrt(2)
-        with pytest.raises(ValueError, match="infeasible"):
-            run_mirror_descent_batch(setup, SQ, ys, eta, xs=xs, w_start=starts)
         bad_shapes = [
             dict(xs=xs[:, :, :3]),  # design dimension != setup dimension
             dict(xs=xs[:2]),  # fewer design rows than target rows
@@ -427,7 +415,6 @@ class TestBatchedRunner:
             dict(basis_idx=idx + 4),  # out of range
             dict(xs=xs, basis_idx=idx),  # both designs
             dict(),  # neither
-            dict(xs=xs, w_start=np.zeros((3, 5))),
         ]
         for kwargs in bad_shapes:
             with pytest.raises(ValueError):
