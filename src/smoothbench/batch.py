@@ -17,12 +17,13 @@ import numpy as np
 
 from .geometry import (
     MirrorSetup,
-    bregman_divergence,
+    _bregman,
+    _regularizer_value,
+    check_feasible,
     default_start,
     dual_norm,
     mirror_step,
     regularizer_grad,
-    regularizer_value,
 )
 from .losses import LossSpec
 
@@ -80,6 +81,14 @@ class Dataset:
         if self.xs is not None:
             return self.xs.T @ v
         return np.bincount(self.basis_idx, weights=v, minlength=self.dim)
+
+    def row(self, i: int) -> np.ndarray:
+        """The dense instance x_i (a one-hot vector for a basis design)."""
+        if self.xs is not None:
+            return self.xs[i]
+        out = np.zeros(self.dim)
+        out[self.basis_idx[i]] = 1.0
+        return out
 
     def dense_xs(self) -> np.ndarray:
         if self.xs is not None:
@@ -158,7 +167,7 @@ class SolveReport:
 
 def _objective(setup, loss, data, lam, w) -> float:
     emp = float(np.mean(loss.value(data.predictions(w), data.ys)))
-    return emp + lam * regularizer_value(setup, w)
+    return emp + lam * _regularizer_value(setup, w)
 
 
 def _gradient(setup, loss, data, lam, w) -> np.ndarray:
@@ -182,6 +191,12 @@ def solve_regularized_erm(
     objective at the new iterate w+; the solve stops once that bound drops
     below tol, else reports termination="max_iters" and lets the caller
     decide.
+
+    Feasibility is checked where points enter and leave: `mirror_step`
+    checks the point it steps from (the start, on the first trial), and the
+    returned w is checked once. In between, the objective and the
+    sufficient-decrease margin use the unchecked geometry kernels, since a
+    mirror step from a feasible point is feasible by construction.
     """
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
@@ -208,7 +223,7 @@ def solve_regularized_erm(
             w_new = mirror_step(setup, w, g, step)
             obj_new = _objective(setup, loss, data, lam, w_new)
             linear = float(g @ (w_new - w))
-            margin = bregman_divergence(setup, w_new, w) / step
+            margin = _bregman(setup, w_new, w) / step
             if obj_new <= obj + linear + margin + 1e-15 * (1.0 + abs(obj)):
                 break
             step *= 0.5
@@ -229,6 +244,7 @@ def solve_regularized_erm(
             break
         step *= 2.0
 
+    check_feasible(setup, w)
     return SolveReport(
         w=w,
         objective=obj,
@@ -292,9 +308,9 @@ def stability_probe(
         report = solve_regularized_erm(setup, loss, data, lam, tol=tol)
         i = int(rng.integers(n))
         fresh = dist.sample(1, int(rng.integers(2**63)))
-        perturbed = data.replace_instance(i, fresh.dense_xs()[0], float(fresh.ys[0]))
+        perturbed = data.replace_instance(i, fresh.row(0), float(fresh.ys[0]))
         report_i = solve_regularized_erm(setup, loss, perturbed, lam, tol=tol)
-        x_i = data.dense_xs()[i]
+        x_i = data.row(i)
         y_i = float(data.ys[i])
         lhs[j] = float(loss.value(x_i @ report_i.w, y_i)) - float(
             loss.value(x_i @ report.w, y_i)

@@ -68,8 +68,8 @@ def is_feasible(setup: MirrorSetup, w: np.ndarray, tol: float = _FEAS_TOL) -> bo
     if w.shape != (setup.dim,):
         return False
     if setup.geometry == EUCLIDEAN:
-        r = ball_radius(setup)
-        return float(np.linalg.norm(w)) <= r * (1.0 + tol)
+        # the same number np.linalg.norm(w) gives for a 1-D float vector, at less cost
+        return math.sqrt(float(w @ w)) <= math.sqrt(2.0) * setup.budget * (1.0 + tol)
     if np.min(w) < -tol * setup.budget:
         return False
     return float(np.sum(w)) <= setup.budget * (1.0 + tol)
@@ -86,12 +86,17 @@ def check_feasible(setup: MirrorSetup, w: np.ndarray) -> None:
 def regularizer_value(setup: MirrorSetup, w: np.ndarray) -> float:
     """F(w); nonnegative on the constraint set."""
     w = np.asarray(w, dtype=float)
+    value = _regularizer_value(setup, w)  # a negative entropy coordinate raises first
+    check_feasible(setup, w)
+    return value
+
+
+def _regularizer_value(setup: MirrorSetup, w: np.ndarray) -> float:
+    """F(w) without the feasibility check (callers validate once)."""
     if setup.geometry == EUCLIDEAN:
-        check_feasible(setup, w)
         return 0.5 * float(w @ w)
     if np.any(w < 0):
         raise ValueError("negative coordinate in entropy geometry")
-    check_feasible(setup, w)
     b, d = setup.budget, setup.dim
     pos = w[w > 0]
     return b * float(np.sum(pos * np.log(d * pos))) + b * b / math.e
@@ -200,6 +205,11 @@ def bregman_divergence(setup: MirrorSetup, w: np.ndarray, wp: np.ndarray) -> flo
     wp = np.asarray(wp, dtype=float)
     check_feasible(setup, w)
     check_feasible(setup, wp)
+    return _bregman(setup, w, wp)
+
+
+def _bregman(setup: MirrorSetup, w: np.ndarray, wp: np.ndarray) -> float:
+    """D_F(w, wp) without the feasibility checks (callers validate once)."""
     if setup.geometry == EUCLIDEAN:
         d = w - wp
         return 0.5 * float(d @ d)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .. import __version__ as _pkg_version
 from ..batch import (
+    TERM_MAX_ITERS,
     Dataset,
     excess_risk,
     lambda_for,
@@ -404,6 +405,8 @@ class SparseRow:
     mean_excess: float
     stderr: float
     bound: float
+    # certified solves of this row that stopped at max_iters
+    max_iters_hits: int = _column(None)
 
 
 def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
@@ -425,16 +428,19 @@ def _l1_constrained_erm(data: Dataset, loss, radius: float, max_iters: int = 200
     w = np.zeros(data.dim)
 
     def objective(w):
-        return float(np.mean(loss.value(data.predictions(w), data.ys)))
+        """(mean loss, predictions) at w; the accepted point's predictions
+        feed the next iteration's derivative."""
+        preds = data.predictions(w)
+        return float(np.mean(loss.value(preds, data.ys))), preds
 
-    obj = objective(w)
+    obj, preds = objective(w)
     step = 1.0
     for _ in range(max_iters):
-        resid = np.asarray(loss.derivative(data.predictions(w), data.ys))
+        resid = np.asarray(loss.derivative(preds, data.ys))
         g = data.grad_combination(resid) / data.n
         while True:
             w_new = _project_l1_ball(w - step * g, radius)
-            obj_new = objective(w_new)
+            obj_new, preds_new = objective(w_new)
             d = w_new - w
             if obj_new <= obj + float(g @ d) + float(d @ d) / (2.0 * step) + 1e-15:
                 break
@@ -442,7 +448,7 @@ def _l1_constrained_erm(data: Dataset, loss, radius: float, max_iters: int = 200
             if step < 1e-18:
                 break
         moved = float(np.linalg.norm(w_new - w))
-        w, obj = w_new, obj_new
+        w, obj, preds = w_new, obj_new, preds_new
         step *= 2.0
         if moved <= 1e-12:
             break
@@ -465,6 +471,7 @@ def run_sparse_experiment(cfg: ExperimentConfig) -> list:
     rows = []
     for i, n in enumerate(cfg.n_grid):
         per_method = {m: [] for m in cfg.methods}
+        hits = dict.fromkeys(cfg.methods, 0)
         l_w0 = math.nan
         for j in range(cfg.replicates):
             gen = sparse_generator(
@@ -489,10 +496,12 @@ def run_sparse_experiment(cfg: ExperimentConfig) -> list:
                     w = averaged_iterate(trace)
                 elif method == "entropy_regerm":
                     lam = lambda_for(smoothness, setup.f_max, n, gen.l_star)
-                    w = solve_regularized_erm(
+                    report = solve_regularized_erm(
                         setup, gen.loss, data, lam, tol=max(cfg.tol, 1e-8),
                         max_iters=1000,
-                    ).w
+                    )
+                    hits[method] += report.termination == TERM_MAX_ITERS
+                    w = report.w
                 else:  # l1_erm
                     signed = gen.sample_signed(
                         n, seed_for(cfg.seed, "sparse-data", i, j)
@@ -507,6 +516,7 @@ def run_sparse_experiment(cfg: ExperimentConfig) -> list:
                 SparseRow(
                     method=method, n=n, dim=d0, k=k,
                     mean_excess=mean, stderr=stderr, bound=bound,
+                    max_iters_hits=hits[method],
                 )
             )
     return rows
@@ -529,6 +539,8 @@ class RegimeRow:
     envelope: float
     active_term: str
     lam: float = _column("lambda")
+    # solves at this n, over every lambda candidate, that stopped at max_iters
+    max_iters_hits: int = _column(None)
 
 
 def run_regime_experiment(cfg: ExperimentConfig) -> list:
@@ -538,6 +550,9 @@ def run_regime_experiment(cfg: ExperimentConfig) -> list:
     grid descending from the formula value, keeping the candidate with the
     best replicate-mean excess per n. "formula" uses the rule value
     alone (heavily over-regularized at small n; reported as-is).
+
+    Each (n, replicate) dataset is drawn once and solved for every
+    candidate; each candidate's excesses stay in replicate order.
     """
     d, xb, sigma = cfg.dim, cfg.x_scale, cfg.sigma
     rows = []
@@ -549,27 +564,28 @@ def run_regime_experiment(cfg: ExperimentConfig) -> list:
             candidates = [lam_theory]
         else:
             candidates = [lam_theory * 4.0 ** (-k) for k in range(12)]
-        best = None
-        for lam in candidates:
-            ex = []
-            for j in range(cfg.replicates):
-                gen = regime_generator(
-                    d, xb, sigma, seed_for(cfg.seed, "regime-gen", i, j)
-                )
-                data = gen.sample(n, seed_for(cfg.seed, "regime-data", i, j))
+        excesses = [[] for _ in candidates]
+        hits = 0
+        for j in range(cfg.replicates):
+            gen = regime_generator(d, xb, sigma, seed_for(cfg.seed, "regime-gen", i, j))
+            data = gen.sample(n, seed_for(cfg.seed, "regime-data", i, j))
+            for lam, ex in zip(candidates, excesses):
                 rep = solve_regularized_erm(
                     setup, gen.loss, data, lam, tol=max(cfg.tol, 1e-9), max_iters=4000
                 )
+                hits += rep.termination == TERM_MAX_ITERS
                 ex.append(gen.true_risk(rep.w) - gen.l_star)
+        best = None
+        for lam, ex in zip(candidates, excesses):
             mean, stderr = mean_stderr(ex)
             if best is None or mean < best[0]:
                 best = (mean, stderr, lam)
-        gen = regime_generator(d, xb, sigma, seed_for(cfg.seed, "regime-gen", i, 0))
-        envelope, term = gen.envelope(n)
+        envelope, term = gen.envelope(n)  # the same for every replicate's w*
         rows.append(
             RegimeRow(
                 n=n, mean_excess=best[0], stderr=best[1],
                 envelope=envelope, active_term=term, lam=best[2],
+                max_iters_hits=hits,
             )
         )
     return rows
@@ -746,6 +762,11 @@ def check_result(cfg: ExperimentConfig, result) -> tuple[bool, list]:
                     f"+ 2 stderres"
                 )
     elif exp == "sparse":
+        for r in result:
+            if r.max_iters_hits:
+                failures.append(
+                    f"{r.method} n={r.n}: {r.max_iters_hits} solves stopped at max_iters"
+                )
         slopes = sparse_slopes(result)
         if "entropy_md" in slopes and cfg.noise == 0:
             if slopes["entropy_md"] > cfg.check_slope_max:
@@ -754,6 +775,8 @@ def check_result(cfg: ExperimentConfig, result) -> tuple[bool, list]:
                 )
     elif exp == "regime":
         for r in result:
+            if r.max_iters_hits:
+                failures.append(f"n={r.n}: {r.max_iters_hits} solves stopped at max_iters")
             if r.mean_excess > REGIME_ENVELOPE_FACTOR * r.envelope:
                 failures.append(
                     f"n={r.n}: excess {r.mean_excess:.6g} > "

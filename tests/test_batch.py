@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from smoothbench import (
     Dataset,
+    bregman_divergence,
+    default_start,
+    dual_norm,
     entropy_setup,
     euclidean_setup,
     excess_risk,
@@ -17,6 +20,9 @@ from smoothbench import (
     make_absolute,
     make_smooth_ramp,
     make_squared,
+    mirror_step,
+    regularizer_grad,
+    regularizer_value,
     solve_regularized_erm,
     stability_probe,
 )
@@ -49,6 +55,92 @@ def ridge_ball_closed_form(xs, ys, lam, radius):
         else:
             hi = mid
     return solve(hi)
+
+
+def reference_solve(setup, loss, data, lam, tol, max_iters):
+    """The solver's loop written with the public, checked geometry calls
+    only: every trial checks the points it steps from, scores and compares."""
+
+    def objective(w):
+        emp = float(np.mean(loss.value(data.predictions(w), data.ys)))
+        return emp + lam * regularizer_value(setup, w)
+
+    def gradient(w):
+        resid = np.asarray(loss.derivative(data.predictions(w), data.ys), dtype=float)
+        return data.grad_combination(resid) / data.n + lam * regularizer_grad(setup, w)
+
+    w = default_start(setup)
+    obj = objective(w)
+    objectives, certificates = [obj], [None]
+    step, termination, iterations = 1.0, TERM_MAX_ITERS, 0
+    for iterations in range(1, max_iters + 1):
+        g = gradient(w)
+        stalled = False
+        while True:
+            w_new = mirror_step(setup, w, g, step)
+            obj_new = objective(w_new)
+            linear = float(g @ (w_new - w))
+            margin = bregman_divergence(setup, w_new, w) / step
+            if obj_new <= obj + linear + margin + 1e-15 * (1.0 + abs(obj)):
+                break
+            step *= 0.5
+            if step < 1e-18:
+                stalled = True
+                break
+        if stalled:
+            break
+        v = gradient(w_new) - g - (regularizer_grad(setup, w_new) - regularizer_grad(setup, w)) / step
+        cert = dual_norm(setup, v) ** 2 / (2.0 * lam)
+        w, obj = w_new, obj_new
+        objectives.append(obj)
+        certificates.append(cert)
+        if cert <= tol:
+            termination = TERM_TOLERANCE
+            break
+        step *= 2.0
+    return w, objectives, certificates, iterations, termination
+
+
+def _lean_solve_cases():
+    rng = np.random.default_rng(23)
+    xs = rng.standard_normal((40, 5)) / 2
+    ys = rng.uniform(-1, 1, 40)
+    yield "euclidean dense", euclidean_setup(5, 1.0), Dataset(ys=ys, xs=xs), 0.05, 1e-12
+    idx = rng.integers(0, 6, 50)
+    basis = Dataset(ys=rng.uniform(-1, 1, 50), basis_idx=idx, dim=6)
+    yield "euclidean basis", euclidean_setup(6, 1.0), basis, 0.02, 1e-12
+    signs = rng.choice([-1.0, 1.0], size=(60, 8))
+    dense_pm = Dataset(ys=signs[:, 0] * 0.8 + rng.normal(0, 0.1, 60), xs=signs)
+    yield "entropy dense", entropy_setup(8, 1.5), dense_pm, 0.05, 1e-10
+    # targets far outside the small ball, so the projection binds at the end
+    yield "active ball", euclidean_setup(5, 0.1), Dataset(ys=10 * ys, xs=xs), 0.01, 1e-12
+
+
+class TestLeanSolve:
+    """solve_regularized_erm checks feasibility at entry and exit only; its
+    iterates, histories and ending match the fully checked loop bit for bit."""
+
+    @pytest.mark.parametrize("max_iters", [3, 100_000])
+    @pytest.mark.parametrize("case", list(_lean_solve_cases()), ids=lambda c: c[0])
+    def test_matches_checked_reference(self, case, max_iters):
+        _, setup, data, lam, tol = case
+        report = solve_regularized_erm(setup, SQ, data, lam, tol=tol, max_iters=max_iters)
+        w, objectives, certificates, iterations, termination = reference_solve(
+            setup, SQ, data, lam, tol, max_iters
+        )
+        assert np.array_equal(report.w, w)
+        assert report.objectives == objectives
+        assert report.certificates == certificates
+        assert report.iterations == iterations
+        assert report.termination == termination
+        expected = TERM_MAX_ITERS if max_iters == 3 else TERM_TOLERANCE
+        assert termination == expected
+
+    def test_active_ball_case_ends_on_the_sphere(self):
+        (_, setup, data, lam, tol), = [c for c in _lean_solve_cases() if c[0] == "active ball"]
+        report = solve_regularized_erm(setup, SQ, data, lam, tol=tol)
+        radius = math.sqrt(2.0) * setup.budget
+        assert float(np.linalg.norm(report.w)) == pytest.approx(radius, rel=1e-12)
 
 
 class TestLambdaFor:
@@ -114,6 +206,15 @@ class TestDataset:
             Dataset(ys=np.ones(0), xs=np.ones((0, 2)))
         with pytest.raises(ValueError):
             Dataset(ys=np.ones(2), basis_idx=np.array([0, 1]))  # missing dim
+
+    def test_row_is_the_dense_row(self):
+        idx = np.array([0, 2, 2, 1])
+        basis = Dataset(ys=np.ones(4), basis_idx=idx, dim=3)
+        dense = Dataset(ys=np.ones(4), xs=basis.dense_xs() * 2.0)
+        for i in range(4):
+            assert np.array_equal(basis.row(i), basis.dense_xs()[i])
+            assert np.array_equal(dense.row(i), dense.xs[i])
+        assert basis.row(0).shape == (3,)
 
     def test_replace_instance(self):
         data = Dataset(ys=np.array([1.0, 2.0]), basis_idx=np.array([0, 1]), dim=3)

@@ -247,6 +247,16 @@ class TestBregman:
         val = bregman_divergence(setup, np.array([1.0, 0.0]), np.array([0.5, 0.5]))
         assert val == pytest.approx(math.log(2), rel=1e-12)
 
+    def test_infeasible_points_raise(self):
+        eu = euclidean_setup(2, 1.0)
+        with pytest.raises(ValueError, match="infeasible"):
+            bregman_divergence(eu, np.array([3.0, 4.0]), np.zeros(2))
+        with pytest.raises(ValueError, match="infeasible"):
+            bregman_divergence(eu, np.zeros(2), np.array([3.0, 4.0]))
+        ent = entropy_setup(2, 1.0)
+        with pytest.raises(ValueError, match="infeasible"):
+            bregman_divergence(ent, np.array([0.8, 0.8]), np.array([0.5, 0.5]))
+
     def test_entropy_boundary_error(self):
         setup = entropy_setup(2, 1.0)
         with pytest.raises(ValueError, match="boundary"):

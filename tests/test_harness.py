@@ -25,6 +25,8 @@ from smoothbench.harness import (
     sparse_slopes,
     with_defaults,
 )
+from smoothbench import RegimeGenerator
+from smoothbench.harness import experiments
 from smoothbench.harness.cli import main as cli_main
 from smoothbench.harness.experiments import _project_l1_ball
 
@@ -359,6 +361,21 @@ class TestSparseExperiment:
                 q /= float(np.sum(np.abs(q))) / float(rng.uniform(0, 1))
                 assert np.linalg.norm(v - p) <= np.linalg.norm(v - q) + 1e-9
 
+    def test_max_iters_hits_fail_the_check(self, monkeypatch):
+        cfg = make_cfg(
+            experiment="sparse", n_grid=[32, 64, 128], replicates=2, dim=16,
+            methods=["entropy_md", "entropy_regerm"],
+        )
+        assert all(r.max_iters_hits == 0 for r in run_sparse_experiment(cfg))
+        _cap_solver_iterations(monkeypatch)
+        rows = run_sparse_experiment(cfg)
+        hits = {(r.method, r.n): r.max_iters_hits for r in rows}
+        assert hits == {(m, n): 2 * (m == "entropy_regerm") for m in cfg.methods
+                        for n in cfg.n_grid}
+        ok, failures = check_result(cfg, rows)
+        assert not ok
+        assert "entropy_regerm n=32: 2 solves stopped at max_iters" in failures
+
     def test_methods_and_slopes(self):
         cfg = make_cfg(
             experiment="sparse", n_grid=[64, 128, 256], replicates=3, dim=32,
@@ -380,8 +397,45 @@ class TestRegimeExperiment:
         for r in rows:
             assert r.active_term in ("random", "low_noise", "asymptotic")
             assert r.mean_excess <= 8.0 * r.envelope
+            assert r.max_iters_hits == 0
         ok, _ = check_result(cfg, rows)
         assert ok
+
+    @pytest.mark.parametrize("policy", ["oracle", "formula"])
+    def test_each_dataset_is_drawn_once(self, policy, monkeypatch):
+        seeds = []
+        sample = RegimeGenerator.sample
+
+        def counted(self, n, seed):
+            seeds.append((n, seed))
+            return sample(self, n, seed)
+
+        monkeypatch.setattr(RegimeGenerator, "sample", counted)
+        cfg = make_cfg(
+            experiment="regime", n_grid=[8, 16], replicates=3, dim=10,
+            lambda_policy=policy,
+        )
+        run_regime_experiment(cfg)
+        assert len(seeds) == len(cfg.n_grid) * cfg.replicates
+        assert len(set(seeds)) == len(seeds)
+
+    def test_max_iters_hits_fail_the_check(self, monkeypatch):
+        _cap_solver_iterations(monkeypatch)
+        cfg = make_cfg(experiment="regime", n_grid=[8, 16], replicates=2, dim=10)
+        rows = run_regime_experiment(cfg)
+        assert [r.max_iters_hits for r in rows] == [12 * 2, 12 * 2]
+        ok, failures = check_result(cfg, rows)
+        assert not ok
+        assert "n=8: 24 solves stopped at max_iters" in failures
+
+
+def _cap_solver_iterations(monkeypatch):
+    """Make every certified solve of the runners stop after one iteration."""
+    solve = experiments.solve_regularized_erm
+    monkeypatch.setattr(
+        experiments, "solve_regularized_erm",
+        lambda *args, **kwargs: solve(*args, **{**kwargs, "max_iters": 1}),
+    )
 
     def test_formula_policy_reports_rule_lambda(self):
         cfg = make_cfg(
