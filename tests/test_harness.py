@@ -428,15 +428,6 @@ class TestRegimeExperiment:
         assert not ok
         assert "n=8: 24 solves stopped at max_iters" in failures
 
-
-def _cap_solver_iterations(monkeypatch):
-    """Make every certified solve of the runners stop after one iteration."""
-    solve = experiments.solve_regularized_erm
-    monkeypatch.setattr(
-        experiments, "solve_regularized_erm",
-        lambda *args, **kwargs: solve(*args, **{**kwargs, "max_iters": 1}),
-    )
-
     def test_formula_policy_reports_rule_lambda(self):
         cfg = make_cfg(
             experiment="regime", n_grid=[16], replicates=2, dim=10,
@@ -448,6 +439,15 @@ def _cap_solver_iterations(monkeypatch):
         assert row.lam == pytest.approx(
             lambda_for(2 * 4.0, 1.0, 16, 0.09), rel=1e-12
         )
+
+
+def _cap_solver_iterations(monkeypatch):
+    """Make every certified solve of the runners stop after one iteration."""
+    solve = experiments.solve_regularized_erm
+    monkeypatch.setattr(
+        experiments, "solve_regularized_erm",
+        lambda *args, **kwargs: solve(*args, **{**kwargs, "max_iters": 1}),
+    )
 
 
 class TestMarginExperiment:
