@@ -255,6 +255,11 @@ def with_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
         cfg.replicates = cfg.replicates or 1
         cfg.budget = cfg.budget or 1.0
         cfg.gamma_grid = cfg.gamma_grid or (0.05, 0.1, 0.2, 0.4, 0.8)
+        # margin trains one classifier on one sample
+        if len(cfg.n_grid) != 1:
+            raise ConfigError(f"margin n_grid must have one entry, got {cfg.n_grid}")
+        if cfg.replicates != 1:
+            raise ConfigError(f"margin replicates must be 1, got {cfg.replicates}")
     if exp in METHODS:
         what, choices = METHODS[exp]
         cfg.methods = cfg.methods or choices

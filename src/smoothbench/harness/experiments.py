@@ -65,6 +65,7 @@ from .config import ExperimentConfig, make_distribution
 
 REGRET_SLACK = 1e-9
 REGIME_ENVELOPE_FACTOR = 8.0
+_HOLDOUT_BLOCK = 8192  # margin's holdout rows drawn at a time
 
 
 def seed_for(master: int, experiment: str, grid_index: int, replicate: int) -> int:
@@ -226,8 +227,10 @@ def run_regret_experiment(cfg: ExperimentConfig) -> list:
     guarantee's premises and is labeled in the stream column.
 
     The replicates of the i.i.d. and fixed streams at one n run as one
-    batch each; the adaptive adversary sees one iterate at a time, so its
-    runs stay per-run. Rows come out per replicate, in stream order.
+    batch each. The adaptive adversary is deterministic (it has no seed),
+    so every replicate would play the same run: it is played once per n,
+    and each replicate's row carries that run's regret. Rows come out per
+    replicate, in stream order.
     """
     loss = make_squared()
     dim, reps = cfg.dim, cfg.replicates
@@ -279,13 +282,11 @@ def run_regret_experiment(cfg: ExperimentConfig) -> list:
 
             # the zero vector pays y^2/2 = 1/2 every round
             eta = stepsize_for(1.0, setup.f_max, n, 0.5)
-            adaptive = []
-            for j in range(reps):
-                trace = run_mirror_descent(setup, loss, adaptive_stream(adversary, n), eta)
-                adaptive.append(
-                    _regret_row("adaptive", setup, n, j, average_regret(trace, np.zeros(dim)), 0.5)
-                )
-            by_kind.append(adaptive)
+            trace = run_mirror_descent(setup, loss, adaptive_stream(adversary, n), eta)
+            measured = average_regret(trace, np.zeros(dim))
+            by_kind.append(
+                [_regret_row("adaptive", setup, n, j, measured, 0.5) for j in range(reps)]
+            )
         for j in range(reps):
             rows.extend(kind_rows[j] for kind_rows in by_kind)
     return rows
@@ -411,14 +412,15 @@ class SparseRow:
 
 def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection onto the l1 ball (sort-and-threshold)."""
-    if float(np.sum(np.abs(v))) <= radius:
+    mags = np.abs(v)
+    if float(np.add.reduce(mags)) <= radius:
         return v
-    u = np.sort(np.abs(v))[::-1]
+    u = np.sort(mags)[::-1]
     cumsum = np.cumsum(u)
     ranks = np.arange(1, u.size + 1)
     k = int(np.nonzero(u * ranks > cumsum - radius)[0][-1])
     tau = (cumsum[k] - radius) / (k + 1.0)
-    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+    return np.sign(v) * np.maximum(mags - tau, 0.0)
 
 
 def _l1_constrained_erm(data: Dataset, loss, radius: float, max_iters: int = 2000):
@@ -429,25 +431,26 @@ def _l1_constrained_erm(data: Dataset, loss, radius: float, max_iters: int = 200
 
     def objective(w):
         """(mean loss, predictions) at w; the accepted point's predictions
-        feed the next iteration's derivative."""
+        feed the next iteration's derivative. add.reduce / n is the sum
+        and division np.mean does, without its dispatch."""
         preds = data.predictions(w)
-        return float(np.mean(loss.value(preds, data.ys))), preds
+        return float(np.add.reduce(loss.value(preds, data.ys)) / data.n), preds
 
     obj, preds = objective(w)
     step = 1.0
     for _ in range(max_iters):
-        resid = np.asarray(loss.derivative(preds, data.ys))
-        g = data.grad_combination(resid) / data.n
+        g = data.grad_combination(loss.derivative(preds, data.ys)) / data.n
         while True:
             w_new = _project_l1_ball(w - step * g, radius)
             obj_new, preds_new = objective(w_new)
             d = w_new - w
-            if obj_new <= obj + float(g @ d) + float(d @ d) / (2.0 * step) + 1e-15:
+            dd = float(d @ d)
+            if obj_new <= obj + float(g @ d) + dd / (2.0 * step) + 1e-15:
                 break
             step *= 0.5
             if step < 1e-18:
                 break
-        moved = float(np.linalg.norm(w_new - w))
+        moved = math.sqrt(dd)  # np.linalg.norm(d) of a 1-D float vector
         w, obj, preds = w_new, obj_new, preds_new
         step *= 2.0
         if moved <= 1e-12:
@@ -609,14 +612,15 @@ def run_margin_experiment(cfg: ExperimentConfig) -> list:
     w_true = rng.standard_normal(dim)
     w_true /= float(np.linalg.norm(w_true))
 
-    def draw(rng2, m):
-        xs = _sphere_rows(rng2, m, dim)
-        ys = np.sign(xs @ w_true)
-        ys[ys == 0] = 1.0
-        flips = rng2.random(m) < cfg.label_noise
-        return xs, np.where(flips, -ys, ys)
+    def noisy_labels(signs):
+        """sign(<x, w_true>) with 0 read as +1, each flipped with
+        probability label_noise (overwrites `signs`)."""
+        signs[signs == 0] = 1.0
+        flips = rng.random(signs.size) < cfg.label_noise
+        return np.where(flips, -signs, signs)
 
-    xs, ys = draw(rng, n)
+    xs = _sphere_rows(rng, n, dim)
+    ys = noisy_labels(np.sign(xs @ w_true))
     setup = euclidean_setup(dim, cfg.budget)
     ramp = make_smooth_ramp(0.5)
     smoothness = ramp.smoothness_H  # ||x||_2 = 1
@@ -629,8 +633,16 @@ def run_margin_experiment(cfg: ExperimentConfig) -> list:
     w_hat = averaged_iterate(trace)
 
     scores = xs @ w_hat
-    xs_hold, ys_hold = draw(rng, 100_000)
-    holdout = float(np.mean(ys_hold * (xs_hold @ w_hat) <= 0.0))
+    # the holdout is drawn in row blocks, keeping only each row's sign and
+    # score; the draws come in the same order as one (m, dim) draw
+    m = 100_000
+    signs_hold, scores_hold = np.empty(m), np.empty(m)
+    for start in range(0, m, _HOLDOUT_BLOCK):
+        stop = min(start + _HOLDOUT_BLOCK, m)
+        block = _sphere_rows(rng, stop - start, dim)
+        signs_hold[start:stop] = np.sign(block @ w_true)
+        scores_hold[start:stop] = block @ w_hat
+    holdout = float(np.mean(noisy_labels(signs_hold) * scores_hold <= 0.0))
 
     range_b = ball_radius(setup)  # sup |<w, x>| over the class, ||x|| = 1
     cls = FunctionClassSpec("linear_l2_ball", range_b, dim)

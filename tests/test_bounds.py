@@ -91,6 +91,25 @@ class TestEmpiricalRademacher:
         with pytest.raises(ValueError):
             empirical_rademacher(cls, xs, draws=0, seed=8)
 
+    @pytest.mark.parametrize("kind", ["linear_l2_ball", "linear_l1_ball"])
+    @pytest.mark.parametrize("draws", [2000, 1000])  # last block 208 / 232 rows
+    def test_monte_carlo_blocks_match_one_shot_draw(self, kind, draws):
+        # the margin study's shape: n = 2048 unit rows in d = 10
+        n, d, budget, seed = 2048, 10, 1.4, 11
+        xs = np.random.default_rng(2).standard_normal((n, d))
+        xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+        signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=(draws, n))
+        combos = signs @ xs
+        norms = (
+            np.linalg.norm(combos, axis=1)
+            if kind == "linear_l2_ball"
+            else np.max(np.abs(combos), axis=1)
+        )
+        vals = budget * norms / n
+        est = empirical_rademacher(FunctionClassSpec(kind, budget, d), xs, draws=draws, seed=seed)
+        assert est.value == float(vals.mean())
+        assert est.stderr == float(vals.std(ddof=1) / math.sqrt(draws))
+
     def test_classical_norm_bound(self):
         # R-hat(l2 ball) <= B max||x|| / sqrt(n)
         rng = np.random.default_rng(9)

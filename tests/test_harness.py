@@ -64,6 +64,8 @@ BAD_CONFIGS = [
     ({"experiment": "regret", "methods": ["iid_separable"], "budget": 0.5},
      "excludes unit-norm"),
     ({"experiment": "margin", "budget": 0.5}, "excludes unit-norm"),
+    ({"experiment": "margin", "n_grid": [256, 512]}, "n_grid must have one entry"),
+    ({"experiment": "margin", "replicates": 5}, "replicates must be 1"),
 ]
 
 
@@ -224,6 +226,43 @@ class TestRegretExperiment:
         assert len(auto) == 1
         assert auto[0].lbar > 0
 
+    def test_adaptive_stream_is_played_once_per_n(self, monkeypatch):
+        from smoothbench import (
+            adaptive_stream, average_regret, euclidean_setup, make_squared,
+            run_mirror_descent, stepsize_for,
+        )
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2].length)
+            return run_mirror_descent(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_mirror_descent", counted)
+        cfg = make_cfg(
+            experiment="regret", n_grid=[20, 50], replicates=3, methods=["adaptive"]
+        )
+        rows = run_regret_experiment(cfg)
+        assert calls == [20, 50]
+        assert [(r.n, r.seed_index) for r in rows] == [
+            (n, j) for n in (20, 50) for j in range(3)
+        ]
+        dim = cfg.dim
+        setup = euclidean_setup(dim, cfg.budget)
+
+        def adversary(i, w):  # plays e_(i mod d) against the sign of w_i
+            x = np.zeros(dim)
+            x[i % dim] = 1.0
+            return x, (-1.0 if w[i % dim] >= 0 else 1.0)
+
+        for n in (20, 50):
+            trace = run_mirror_descent(
+                setup, make_squared(), adaptive_stream(adversary, n),
+                stepsize_for(1.0, setup.f_max, n, 0.5),
+            )
+            played = average_regret(trace, np.zeros(dim))
+            assert [r.measured for r in rows if r.n == n] == [played] * 3
+
     def test_stream_kind_selection(self):
         cfg = make_cfg(
             experiment="regret", n_grid=[20], replicates=2, methods=["adaptive"]
@@ -361,6 +400,57 @@ class TestSparseExperiment:
                 q /= float(np.sum(np.abs(q))) / float(rng.uniform(0, 1))
                 assert np.linalg.norm(v - p) <= np.linalg.norm(v - q) + 1e-9
 
+    @pytest.mark.parametrize(
+        "n, radius",
+        # n < d, n = d, n > d; an active ball; a ball so small the step stop fires
+        [(32, 4.0), (64, 4.0), (256, 4.0), (64, 0.1), (64, 1e-13)],
+    )
+    def test_l1_solve_matches_reference_loop(self, n, radius):
+        def project(v, radius):
+            if float(np.sum(np.abs(v))) <= radius:
+                return v
+            u = np.sort(np.abs(v))[::-1]
+            cumsum = np.cumsum(u)
+            k = int(np.nonzero(u * np.arange(1, u.size + 1) > cumsum - radius)[0][-1])
+            tau = (cumsum[k] - radius) / (k + 1.0)
+            return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+
+        def reference(data, loss, radius, max_iters):
+            """The loop with np.mean and np.linalg.norm, and |v| taken twice
+            in the projection."""
+            w = np.zeros(data.dim)
+            preds = data.predictions(w)
+            obj = float(np.mean(loss.value(preds, data.ys)))
+            step = 1.0
+            for _ in range(max_iters):
+                g = data.grad_combination(np.asarray(loss.derivative(preds, data.ys))) / data.n
+                while True:
+                    w_new = project(w - step * g, radius)
+                    preds_new = data.predictions(w_new)
+                    obj_new = float(np.mean(loss.value(preds_new, data.ys)))
+                    d = w_new - w
+                    if obj_new <= obj + float(g @ d) + float(d @ d) / (2.0 * step) + 1e-15:
+                        break
+                    step *= 0.5
+                    if step < 1e-18:
+                        break
+                moved = float(np.linalg.norm(w_new - w))
+                w, obj, preds = w_new, obj_new, preds_new
+                step *= 2.0
+                if moved <= 1e-12:
+                    break
+            return w
+
+        from smoothbench import sparse_generator
+
+        gen = sparse_generator(64, 4, seed=5, noise=0.1)
+        data = gen.sample_signed(n, seed=6)
+        got = experiments._l1_constrained_erm(data, gen.loss, radius, max_iters=300)
+        want = reference(data, gen.loss, radius, max_iters=300)
+        assert np.array_equal(got, want)
+        if radius < 1:
+            assert float(np.sum(np.abs(got))) == pytest.approx(radius, rel=1e-12)
+
     def test_max_iters_hits_fail_the_check(self, monkeypatch):
         cfg = make_cfg(
             experiment="sparse", n_grid=[32, 64, 128], replicates=2, dim=16,
@@ -463,6 +553,20 @@ class TestMarginExperiment:
         assert all(b >= a for a, b in zip(errs, errs[1:]))
         ok, _ = check_result(cfg, rows)
         assert ok
+
+    def test_default_run_holds_only_what_it_reads(self):
+        # the Rademacher signs and the holdout are drawn in row blocks; one
+        # (2000, 2048) sign matrix alone would be 31 MiB
+        import tracemalloc
+
+        cfg = make_cfg(experiment="margin")
+        tracemalloc.start()
+        try:
+            run_margin_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_gamma_exceeding_every_score(self):
         from smoothbench.bounds import BoundInputs, margin_bound, margin_empirical_error
