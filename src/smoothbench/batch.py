@@ -26,6 +26,7 @@ from .geometry import (
     regularizer_grad,
 )
 from .losses import LossSpec
+from .online import linear_smoothness
 
 TERM_TOLERANCE = "tolerance"
 TERM_MAX_ITERS = "max_iters"
@@ -267,6 +268,7 @@ class StabilityReport:
     lhs averages loss(perturbed minimizer, z_i) - loss(minimizer, z_i) at a
     uniformly random kept index i; rhs averages 32 H / (lambda n) times the
     true risk of the minimizer. Standard errors accompany both sides.
+    max_iters_hits counts the solves that stopped at max_iters.
     """
 
     lhs_mean: float
@@ -274,6 +276,7 @@ class StabilityReport:
     rhs_mean: float
     rhs_stderr: float
     replicates: int
+    max_iters_hits: int
 
     @property
     def combined_stderr(self) -> float:
@@ -298,11 +301,12 @@ def stability_probe(
     """
     if replicates < STABILITY_MIN_REPLICATES:
         raise ValueError(f"stability probe needs at least {STABILITY_MIN_REPLICATES} replicates")
-    smoothness = loss.smoothness_H * dist.x_dual_bound(setup.geometry) ** 2
+    smoothness = linear_smoothness(loss, dist.x_dual_bound(setup.geometry))
     factor = 32.0 * smoothness / (lam * n)
     rng = np.random.default_rng(seed)
     lhs = np.empty(replicates)
     rhs = np.empty(replicates)
+    hits = 0
     for j in range(replicates):
         data = dist.sample(n, int(rng.integers(2**63)))
         report = solve_regularized_erm(setup, loss, data, lam, tol=tol)
@@ -310,6 +314,7 @@ def stability_probe(
         fresh = dist.sample(1, int(rng.integers(2**63)))
         perturbed = data.replace_instance(i, fresh.row(0), float(fresh.ys[0]))
         report_i = solve_regularized_erm(setup, loss, perturbed, lam, tol=tol)
+        hits += sum(r.termination == TERM_MAX_ITERS for r in (report, report_i))
         x_i = data.row(i)
         y_i = float(data.ys[i])
         lhs[j] = float(loss.value(x_i @ report_i.w, y_i)) - float(
@@ -318,7 +323,7 @@ def stability_probe(
         rhs[j] = factor * dist.true_risk(report.w)
     lhs_mean, lhs_stderr = mean_stderr(lhs)
     rhs_mean, rhs_stderr = mean_stderr(rhs)
-    return StabilityReport(lhs_mean, lhs_stderr, rhs_mean, rhs_stderr, replicates)
+    return StabilityReport(lhs_mean, lhs_stderr, rhs_mean, rhs_stderr, replicates, hits)
 
 
 def mean_stderr(values) -> tuple[float, float]:

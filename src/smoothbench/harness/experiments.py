@@ -52,12 +52,9 @@ from ..geometry import (
 )
 from ..losses import make_smooth_ramp, make_squared
 from ..online import (
-    adaptive_stream,
     average_regret,
-    averaged_iterate,
-    fixed_stream,
+    linear_smoothness,
     regret_bound,
-    run_mirror_descent,
     run_mirror_descent_batch,
     stepsize_for,
 )
@@ -109,6 +106,8 @@ class RateRow:
     stderr: float
     bound: float
     lower_bound: float
+    # regularized-ERM solves at this n that stopped at max_iters
+    max_iters_hits: int = _column(None, default=0)
     # whether the design realises lower_bound at this n
     floor_applies: bool = _column(None, default=True)
 
@@ -138,7 +137,7 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateCurve:
 
         # lazily: the solvers hold one replicate's sample at a time
         replicates = (draw(j) for j in range(cfg.replicates))
-        bound = math.nan
+        bound, hits = math.nan, 0
         if cfg.learner == "mirror_descent":
             dists, ws, bound = _batched_mirror_descent(cfg, n, replicates)
             excesses = [excess_risk(d, w) for d, w in zip(dists, ws)]
@@ -150,12 +149,14 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateCurve:
                     w = erm_exact(dist, data)
                 else:
                     setup = euclidean_setup(dist.dim, cfg.budget)
-                    smoothness = dist.loss.smoothness_H * dist.x_dual_bound(setup.geometry) ** 2
+                    smoothness = linear_smoothness(dist.loss, dist.x_dual_bound(setup.geometry))
                     lam = lambda_for(smoothness, setup.f_max, n, dist.l_star)
                     bound = 256.0 * smoothness * setup.f_max / n + math.sqrt(
                         2048.0 * smoothness * setup.f_max * dist.l_star / n
                     )
-                    w = solve_regularized_erm(setup, dist.loss, data, lam, tol=cfg.tol).w
+                    report = solve_regularized_erm(setup, dist.loss, data, lam, tol=cfg.tol)
+                    hits += report.termination == TERM_MAX_ITERS
+                    w = report.w
                 excesses.append(excess_risk(dist, w))
         try:
             lower = lower_bound_value(dist, n)
@@ -165,7 +166,7 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateCurve:
         rows.append(
             RateRow(
                 n=n, mean=mean, stderr=stderr, bound=bound, lower_bound=lower,
-                floor_applies=lower_bound_applies(dist, n),
+                max_iters_hits=hits, floor_applies=lower_bound_applies(dist, n),
             )
         )
     return RateCurve(rows)
@@ -188,7 +189,7 @@ def _batched_mirror_descent(cfg, n, replicates) -> tuple[list, np.ndarray, float
         design[j] = part
         ys[j] = data.ys
     setup = euclidean_setup(dist.dim, cfg.budget)
-    smoothness = dist.loss.smoothness_H * dist.x_dual_bound(setup.geometry) ** 2
+    smoothness = linear_smoothness(dist.loss, dist.x_dual_bound(setup.geometry))
     eta = stepsize_for(smoothness, setup.f_max, n, dist.l_star)
     key = "xs" if data.basis_idx is None else "basis_idx"
     run = run_mirror_descent_batch(
@@ -274,16 +275,13 @@ def run_regret_experiment(cfg: ExperimentConfig) -> list:
             del xs, ys
 
         if "adaptive" in kinds:
-
-            def adversary(i_round, w):
-                x = np.zeros(dim)
-                x[i_round % dim] = 1.0
-                return x, (-1.0 if w[i_round % dim] >= 0 else 1.0)
-
-            # the zero vector pays y^2/2 = 1/2 every round
+            # e_(i mod d) against the sign of w_i[i mod d]; the zero vector pays 1/2 a round
             eta = stepsize_for(1.0, setup.f_max, n, 0.5)
-            trace = run_mirror_descent(setup, loss, adaptive_stream(adversary, n), eta)
-            measured = average_regret(trace, np.zeros(dim))
+            run = run_mirror_descent_batch(
+                setup, loss, lambda pred: np.where(pred >= 0, -1.0, 1.0), eta,
+                basis_idx=np.arange(n) % dim,
+            )
+            measured = average_regret(run, np.zeros(dim))
             by_kind.append(
                 [_regret_row("adaptive", setup, n, j, measured, 0.5) for j in range(reps)]
             )
@@ -361,6 +359,8 @@ class StabilityRow:
     rhs_stderr: float
     combined_stderr: float
     replicates: int
+    # probe solves at this n that stopped at max_iters
+    max_iters_hits: int = _column(None)
 
 
 def run_stability_experiment(cfg: ExperimentConfig) -> list:
@@ -370,7 +370,7 @@ def run_stability_experiment(cfg: ExperimentConfig) -> list:
             cfg.distribution, n, cfg.dim, seed_for(cfg.seed, "stability-dist", i, 0)
         )
         setup = euclidean_setup(dist.dim, cfg.budget)
-        smoothness = dist.loss.smoothness_H * dist.x_dual_bound(setup.geometry) ** 2
+        smoothness = linear_smoothness(dist.loss, dist.x_dual_bound(setup.geometry))
         lam = lambda_for(smoothness, setup.f_max, n, dist.l_star)
         report = stability_probe(
             setup,
@@ -384,14 +384,8 @@ def run_stability_experiment(cfg: ExperimentConfig) -> list:
         )
         rows.append(
             StabilityRow(
-                n=n,
-                lam=lam,
-                lhs_mean=report.lhs_mean,
-                lhs_stderr=report.lhs_stderr,
-                rhs_mean=report.rhs_mean,
-                rhs_stderr=report.rhs_stderr,
-                combined_stderr=report.combined_stderr,
-                replicates=report.replicates,
+                n=n, lam=lam, combined_stderr=report.combined_stderr,
+                **dataclasses.asdict(report),
             )
         )
     return rows
@@ -493,10 +487,9 @@ def run_sparse_experiment(cfg: ExperimentConfig) -> list:
                 if method == "entropy_md":
                     u1 = bregman_divergence(setup, w0_doubled, default_start(setup))
                     eta = cfg.eta_scale * stepsize_for(smoothness, u1, n, gen.l_star)
-                    trace = run_mirror_descent(
-                        setup, gen.loss, fixed_stream(data.xs, data.ys), eta
-                    )
-                    w = averaged_iterate(trace)
+                    w = run_mirror_descent_batch(
+                        setup, gen.loss, data.ys, eta, xs=data.xs, record_losses=False
+                    ).averages
                 elif method == "entropy_regerm":
                     lam = lambda_for(smoothness, setup.f_max, n, gen.l_star)
                     report = solve_regularized_erm(
@@ -629,8 +622,9 @@ def run_margin_experiment(cfg: ExperimentConfig) -> list:
     # stationary start; begin from a random unit vector instead
     w_start = rng.standard_normal(dim)
     w_start /= float(np.linalg.norm(w_start))
-    trace = run_mirror_descent(setup, ramp, fixed_stream(xs, ys), eta, w_start=w_start)
-    w_hat = averaged_iterate(trace)
+    w_hat = run_mirror_descent_batch(
+        setup, ramp, ys, eta, xs=xs, w_start=w_start, record_losses=False
+    ).averages
 
     scores = xs @ w_hat
     # the holdout is drawn in row blocks, keeping only each row's sign and
@@ -741,6 +735,10 @@ def check_result(cfg: ExperimentConfig, result) -> tuple[bool, list]:
     (passed, failure messages)."""
     failures = []
     exp = cfg.experiment
+    for r in result.rows if isinstance(result, RateCurve) else result:
+        if getattr(r, "max_iters_hits", 0):  # rate, stability, sparse, regime
+            where = f"{r.method} n={r.n}" if exp == "sparse" else f"n={r.n}"
+            failures.append(f"{where}: {r.max_iters_hits} solves stopped at max_iters")
     if exp == "rate":
         factor = cfg.check_floor_factor
         if not math.isnan(factor):
@@ -774,11 +772,6 @@ def check_result(cfg: ExperimentConfig, result) -> tuple[bool, list]:
                     f"+ 2 stderres"
                 )
     elif exp == "sparse":
-        for r in result:
-            if r.max_iters_hits:
-                failures.append(
-                    f"{r.method} n={r.n}: {r.max_iters_hits} solves stopped at max_iters"
-                )
         slopes = sparse_slopes(result)
         if "entropy_md" in slopes and cfg.noise == 0:
             if slopes["entropy_md"] > cfg.check_slope_max:
@@ -787,8 +780,6 @@ def check_result(cfg: ExperimentConfig, result) -> tuple[bool, list]:
                 )
     elif exp == "regime":
         for r in result:
-            if r.max_iters_hits:
-                failures.append(f"n={r.n}: {r.max_iters_hits} solves stopped at max_iters")
             if r.mean_excess > REGIME_ENVELOPE_FACTOR * r.envelope:
                 failures.append(
                     f"n={r.n}: excess {r.mean_excess:.6g} > "

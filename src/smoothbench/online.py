@@ -8,7 +8,6 @@ phi'(<w, x>, y) x, never finite differences, so runs are bit-reproducible.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -117,27 +116,6 @@ class OnlineTrace:
     def n(self) -> int:
         return self.iterates.shape[0]
 
-    def to_json(self) -> str:
-        """JSON debug dump: {"geometry", "loss", "eta", "rounds": [
-        {"w": [...], "x": [...], "y": float, "loss": float}, ...]}."""
-        rounds = [
-            {
-                "w": self.iterates[i].tolist(),
-                "x": self.xs[i].tolist(),
-                "y": float(self.ys[i]),
-                "loss": float(self.losses[i]),
-            }
-            for i in range(self.n)
-        ]
-        return json.dumps(
-            {
-                "geometry": self.setup.geometry,
-                "loss": self.loss.name,
-                "eta": self.eta,
-                "rounds": rounds,
-            }
-        )
-
 
 def run_mirror_descent(
     setup: MirrorSetup,
@@ -150,8 +128,9 @@ def run_mirror_descent(
 
     w_{i+1} depends only on (w_i, z_i, eta); the trace is deterministic
     given the stream and the start point (default: geometry's start).
-    This is the per-run path: adaptive streams need it, and it keeps every
-    iterate. run_mirror_descent_batch plays many fixed streams at once.
+    This is the single-game API, which keeps every iterate; the
+    experiments play run_mirror_descent_batch, which the tests check
+    against it.
     """
     if eta <= 0:
         raise ValueError(f"step size must be positive, got {eta}")
@@ -203,61 +182,70 @@ class BatchRun:
 
     Leading axes index the runs (shape B, usually (R,)): averages[r] is
     run r's averaged iterate, losses[r, i] the loss it paid in round i
-    (None when not recorded), and xs/ys are the dense design and targets
-    it was given (xs is None for a basis design). run[r] is run r alone,
-    which average_regret accepts.
+    (None when not recorded), and xs or basis_idx and ys are the design
+    and targets it played (the other design is None). run[r] is run r
+    alone, which average_regret accepts.
     """
 
     averages: np.ndarray
     losses: np.ndarray | None
     xs: np.ndarray | None
+    basis_idx: np.ndarray | None
     ys: np.ndarray
     setup: MirrorSetup
     loss: LossSpec
 
     def __getitem__(self, index) -> "BatchRun":
         """The runs at `index` of the leading axes, as views."""
+
+        def pick(a):
+            return None if a is None else a[index]
+
         return BatchRun(
-            self.averages[index],
-            None if self.losses is None else self.losses[index],
-            None if self.xs is None else self.xs[index],
-            self.ys[index],
-            self.setup,
-            self.loss,
+            pick(self.averages), pick(self.losses), pick(self.xs),
+            pick(self.basis_idx), pick(self.ys), self.setup, self.loss,
         )
 
 
 def run_mirror_descent_batch(
     setup: MirrorSetup,
     loss: LossSpec,
-    ys: np.ndarray,
+    ys: np.ndarray | Callable[[np.ndarray], np.ndarray],
     eta: float | np.ndarray,
     *,
     xs: np.ndarray | None = None,
     basis_idx: np.ndarray | None = None,
+    w_start: np.ndarray | None = None,
     record_losses: bool = True,
 ) -> BatchRun:
-    """Play fixed streams of equal length n with mirror descent, all at once.
+    """Play streams of equal length n with mirror descent, all at once.
 
     ys has shape B + (n,). The design is dense, xs of shape B + (n, d), or
     a basis design, basis_idx of shape B + (n,): round i of run r plays the
-    standard basis vector e_{basis_idx[r, i]}. eta is a scalar or has shape
-    B. Every run starts at the geometry's default start. Everything is
-    validated here, once; the rounds are a few vector operations for all
-    runs. Each run's losses, and for d >= 2 its averaged iterate, are
-    bit-identical to run_mirror_descent on that run's stream. The average
-    is a running sum over the rounds divided by n, which is how numpy's
-    mean over an (n, d) array sums when d >= 2; at d = 1 numpy sums
-    pairwise, so the two averages may differ in the last bits.
-    record_losses=False skips the round losses (losses is then
-    None) for callers that read only the averages: an (R, n) array each.
+    standard basis vector e_{basis_idx[r, i]}. ys may instead be a label
+    rule ys(pred) -> labels, called once per round on the predictions
+    <w_i, x_i> (an adaptive adversary); B and n then come from the design,
+    and the run's ys are the labels it gave. eta is a scalar or has shape
+    B. The runs start at w_start, which broadcasts to B + (d,), or at the
+    geometry's default start. Everything is validated here, once; the
+    rounds are a few vector operations for all runs. Each run's losses,
+    and for d >= 2 its averaged iterate, are bit-identical to
+    run_mirror_descent on that run's stream. The average is a running sum
+    over the rounds divided by n, which is how numpy's mean over an (n, d)
+    array sums when d >= 2; at d = 1 numpy sums pairwise, so the two
+    averages may differ in the last bits. record_losses=False skips the
+    round losses (losses is then None) for callers that read only the
+    averages: an (R, n) array each.
     """
+    if (xs is None) == (basis_idx is None):
+        raise ValueError("exactly one of xs / basis_idx must be given")
+    rule = ys if callable(ys) else None
+    if rule is not None:  # written as the rounds are played
+        ys = np.empty(np.shape(basis_idx) if xs is None else np.shape(xs)[:-1])
     ys = np.asarray(ys, dtype=float)
     if ys.ndim < 1 or ys.size == 0:
         raise ValueError("ys needs shape B + (n,) with at least one run and one round")
     batch, n, d = ys.shape[:-1], ys.shape[-1], setup.dim
-    if (xs is None) == (basis_idx is None):
-        raise ValueError("exactly one of xs / basis_idx must be given")
     if xs is not None:
         xs = np.asarray(xs, dtype=float)
         if xs.shape != batch + (n, d):
@@ -274,7 +262,14 @@ def run_mirror_descent_batch(
         raise ValueError(f"eta must be a scalar or of shape {batch}") from None
     if not np.all(eta > 0):
         raise ValueError(f"step sizes must be positive, got {eta.min()}")
-    w = np.broadcast_to(default_start(setup), batch + (d,)).copy()
+    start = default_start(setup) if w_start is None else np.asarray(w_start, dtype=float)
+    try:
+        w = np.broadcast_to(start, batch + (d,)).copy()
+    except ValueError:
+        raise ValueError(f"w_start has shape {start.shape}, expected {batch + (d,)}") from None
+    if w_start is not None:  # the default start is feasible by construction
+        for r in np.ndindex(batch):
+            check_feasible(setup, w[r])
 
     step = _step_kernel(setup)
     eta_col = eta[..., None]
@@ -283,20 +278,22 @@ def run_mirror_descent_batch(
     total = w.copy()
     for i in range(n):
         x = xs[..., i, :] if xs is not None else basis[basis_idx[..., i]]
-        y = ys[..., i]
         pred = np.vecdot(x, w)
+        if rule is not None:
+            ys[..., i] = rule(pred)
+        y = ys[..., i]
         if record_losses:
             losses[..., i] = loss.value(pred, y)
         if i + 1 < n:
             w = step(w, loss.derivative(pred, y)[..., None] * x, eta_col)
             total += w
-    return BatchRun(total / n, losses, xs, ys, setup, loss)
+    return BatchRun(total / n, losses, xs, basis_idx, ys, setup, loss)
 
 
 def average_regret(trace, w_star: np.ndarray) -> float:
     """Player's average loss minus the fixed comparator's on the same
     instances; may be negative. `trace` is an OnlineTrace or one run of a
-    BatchRun with a dense design."""
+    BatchRun."""
     w_star = np.asarray(w_star, dtype=float)
     try:
         check_feasible(trace.setup, w_star)
@@ -306,9 +303,11 @@ def average_regret(trace, w_star: np.ndarray) -> float:
 
 
 def hindsight_average_loss(trace, w: np.ndarray) -> float:
-    """Average loss of a fixed vector on the realized instance sequence."""
+    """Average loss of a fixed vector on the realized instance sequence
+    (a basis design predicts w[basis_idx], as Dataset.predictions does)."""
     w = np.asarray(w, dtype=float)
-    return float(np.mean(trace.loss.value(trace.xs @ w, trace.ys)))
+    preds = trace.xs @ w if trace.xs is not None else w[trace.basis_idx]
+    return float(np.mean(trace.loss.value(preds, trace.ys)))
 
 
 def averaged_iterate(trace: OnlineTrace) -> np.ndarray:

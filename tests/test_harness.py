@@ -229,21 +229,22 @@ class TestRegretExperiment:
     def test_adaptive_stream_is_played_once_per_n(self, monkeypatch):
         from smoothbench import (
             adaptive_stream, average_regret, euclidean_setup, make_squared,
-            run_mirror_descent, stepsize_for,
+            run_mirror_descent, run_mirror_descent_batch, stepsize_for,
         )
 
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(args[2].length)
-            return run_mirror_descent(*args, **kwargs)
+            run = run_mirror_descent_batch(*args, **kwargs)
+            calls.append(run.ys.shape)  # one run of n rounds: shape (n,)
+            return run
 
-        monkeypatch.setattr(experiments, "run_mirror_descent", counted)
+        monkeypatch.setattr(experiments, "run_mirror_descent_batch", counted)
         cfg = make_cfg(
             experiment="regret", n_grid=[20, 50], replicates=3, methods=["adaptive"]
         )
         rows = run_regret_experiment(cfg)
-        assert calls == [20, 50]
+        assert calls == [(20,), (50,)]
         assert [(r.n, r.seed_index) for r in rows] == [
             (n, j) for n in (20, 50) for j in range(3)
         ]
@@ -341,6 +342,19 @@ class TestRateExperiment:
         curve = run_rate_experiment(cfg)
         for row in curve.rows:
             assert row.mean <= row.bound
+            assert row.max_iters_hits == 0
+
+    def test_regularized_erm_max_iters_hits_fail_the_check(self, monkeypatch):
+        cfg = make_cfg(
+            experiment="rate", distribution="separable", learner="regularized_erm",
+            n_grid=[32, 64, 128], replicates=3,
+        )
+        _cap_solver_iterations(monkeypatch)
+        curve = run_rate_experiment(cfg)
+        assert [r.max_iters_hits for r in curve.rows] == [3, 3, 3]
+        ok, failures = check_result(cfg, curve)
+        assert not ok
+        assert "n=32: 3 solves stopped at max_iters" in failures
 
     def test_degenerate_single_row_grid(self):
         cfg = make_cfg(
@@ -359,11 +373,23 @@ class TestStabilityExperiment:
         (row,) = rows
         assert row.lhs_mean <= row.rhs_mean + 2 * row.combined_stderr
         assert row.replicates == 40
+        assert row.max_iters_hits == 0
         ok, _ = check_result(cfg, rows)
         assert ok
         # separable reads `dim`, which stability defaults like rate does
         cfg = make_cfg(experiment="stability", distribution="separable", replicates=30)
         assert cfg.dim == 16 and len(run_stability_experiment(cfg)) == 1
+
+    def test_max_iters_hits_fail_the_check(self, monkeypatch):
+        from smoothbench import batch
+
+        cfg = make_cfg(experiment="stability", n_grid=[32], replicates=30)
+        _cap_solver_iterations(monkeypatch, batch)
+        (row,) = rows = run_stability_experiment(cfg)
+        assert row.max_iters_hits == 2 * 30  # each replicate solves twice
+        ok, failures = check_result(cfg, rows)
+        assert not ok
+        assert "n=32: 60 solves stopped at max_iters" in failures
 
 
 class TestSparseExperiment:
@@ -531,11 +557,12 @@ class TestRegimeExperiment:
         )
 
 
-def _cap_solver_iterations(monkeypatch):
-    """Make every certified solve of the runners stop after one iteration."""
-    solve = experiments.solve_regularized_erm
+def _cap_solver_iterations(monkeypatch, module=experiments):
+    """Make every certified solve that `module` calls stop after one
+    iteration (the runners by default; `batch` for the stability probe)."""
+    solve = module.solve_regularized_erm
     monkeypatch.setattr(
-        experiments, "solve_regularized_erm",
+        module, "solve_regularized_erm",
         lambda *args, **kwargs: solve(*args, **{**kwargs, "max_iters": 1}),
     )
 

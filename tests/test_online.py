@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -152,18 +151,6 @@ class TestRunMirrorDescent:
         assert len(seen) == 4
         assert np.allclose(np.array(seen), trace.iterates)
 
-    def test_trace_json_shape(self):
-        setup = euclidean_setup(2, 1.0)
-        trace = run_mirror_descent(
-            setup, SQ, fixed_stream(np.array([[1.0, 0.0]] * 2), np.ones(2)), 0.5
-        )
-        payload = json.loads(trace.to_json())
-        assert payload["geometry"] == "euclidean"
-        assert payload["loss"] == "squared"
-        assert payload["eta"] == 0.5
-        assert len(payload["rounds"]) == 2
-        assert set(payload["rounds"][0]) == {"w", "x", "y", "loss"}
-
 
 class TestAverageRegret:
     def test_hand_value(self):
@@ -304,10 +291,13 @@ class TestBatchedRunner:
     the last bit."""
 
     @staticmethod
-    def assert_matches_per_run(setup, xs, ys, eta, run):
+    def assert_matches_per_run(setup, xs, ys, eta, run, w_start=None):
         eta = np.broadcast_to(eta, ys.shape[:-1])
         for r in np.ndindex(ys.shape[:-1]):
-            trace = run_mirror_descent(setup, SQ, fixed_stream(xs[r], ys[r]), float(eta[r]))
+            start = None if w_start is None else w_start[r]
+            trace = run_mirror_descent(
+                setup, SQ, fixed_stream(xs[r], ys[r]), float(eta[r]), start
+            )
             assert np.array_equal(run.averages[r], averaged_iterate(trace))
             assert np.array_equal(run.losses[r], trace.losses)
             assert np.mean(run.losses[r]) == np.mean(trace.losses)
@@ -398,6 +388,75 @@ class TestBatchedRunner:
         lean = run_mirror_descent_batch(setup, SQ, ys, eta, xs=xs, record_losses=False)
         assert lean.losses is None
         assert np.array_equal(lean.averages, full.averages)
+
+    def test_regret_of_a_basis_run(self):
+        # the comparator predicts w[basis_idx] on a basis run, as it
+        # predicts one_hot @ w on the same run's dense rows
+        setup, _, ys, eta = self.problem("euclidean", 3, 60, 5, seed=13)
+        idx = np.random.default_rng(14).integers(5, size=ys.shape)
+        basis = run_mirror_descent_batch(setup, SQ, ys, eta, basis_idx=idx)
+        dense = run_mirror_descent_batch(setup, SQ, ys, eta, xs=one_hot(idx, 5))
+        w = np.array([0.5, -0.25, 0.0, 0.125, 0.3])
+        for r in range(3):
+            assert basis[r].basis_idx is not None and basis[r].xs is None
+            assert average_regret(basis[r], w) == average_regret(dense[r], w)
+
+    @pytest.mark.parametrize("geometry", ["euclidean", "entropy"])
+    def test_start_point_per_run(self, geometry):
+        setup, xs, ys, eta = self.problem(geometry, 4, 70, 6, seed=15)
+        rng = np.random.default_rng(16)
+        w_start = np.array([random_feasible(setup, rng) for _ in range(4)])
+        run = run_mirror_descent_batch(setup, SQ, ys, eta, xs=xs, w_start=w_start)
+        self.assert_matches_per_run(setup, xs, ys, eta, run, w_start)
+        # one start broadcasts to every run
+        run = run_mirror_descent_batch(setup, SQ, ys, eta, xs=xs, w_start=w_start[1])
+        self.assert_matches_per_run(setup, xs, ys, eta, run, np.broadcast_to(w_start[1], (4, 6)))
+
+    @pytest.mark.parametrize("geometry", ["euclidean", "entropy"])
+    def test_start_point_validation(self, geometry):
+        setup, xs, ys, eta = self.problem(geometry, 3, 20, 4, seed=17)
+        w_start = np.array([random_feasible(setup, np.random.default_rng(r)) for r in range(3)])
+        w_start[2] *= 10.0 * setup.budget  # outside the ball or the budget
+        with pytest.raises(ValueError, match="infeasible"):
+            run_mirror_descent_batch(setup, SQ, ys, eta, xs=xs, w_start=w_start)
+        for shape in [(2, 4), (3, 5), (3, 1, 4)]:
+            with pytest.raises(ValueError, match="w_start"):
+                run_mirror_descent_batch(setup, SQ, ys, eta, xs=xs, w_start=np.zeros(shape))
+
+    @pytest.mark.parametrize("dim", [1, 8])
+    def test_adaptive_label_rule(self, dim):
+        # the sign-flipping adversary of the regret experiment, played both ways
+        setup, n, eta = euclidean_setup(dim, 1.0), 300, 0.37
+
+        def adversary(i, w):
+            x = np.zeros(dim)
+            x[i % dim] = 1.0
+            return x, (-1.0 if w[i % dim] >= 0 else 1.0)
+
+        trace = run_mirror_descent(setup, SQ, adaptive_stream(adversary, n), eta)
+        run = run_mirror_descent_batch(
+            setup, SQ, lambda pred: np.where(pred >= 0, -1.0, 1.0), eta,
+            basis_idx=np.arange(n) % dim,
+        )
+        assert run.ys.shape == run.losses.shape == (n,)
+        assert np.array_equal(run.ys, trace.ys)
+        assert np.array_equal(run.losses, trace.losses)
+        assert average_regret(run, np.zeros(dim)) == average_regret(trace, np.zeros(dim))
+        if dim > 1:  # at d = 1 numpy's mean sums pairwise (test_one_dimension)
+            assert np.array_equal(run.averages, averaged_iterate(trace))
+
+    def test_label_rule_on_a_stack(self):
+        # one call per round, with the (R,) predictions of that round
+        setup, xs, ys, eta = self.problem("entropy", 3, 40, 4, seed=18)
+        calls = []
+
+        def rule(pred):
+            calls.append(pred.shape)
+            return np.tanh(pred) - 0.5
+
+        run = run_mirror_descent_batch(setup, SQ, rule, eta, xs=xs)
+        assert calls == [(3,)] * 40
+        self.assert_matches_per_run(setup, xs, run.ys, eta, run)
 
     def test_entry_validation(self):
         setup, xs, ys, eta = self.problem("euclidean", 3, 20, 4, seed=11)
