@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
+    EUCLIDEAN,
     MirrorSetup,
     _bregman,
     _regularizer_value,
@@ -166,14 +167,22 @@ class SolveReport:
         )
 
 
-def _objective(setup, loss, data, lam, w) -> float:
-    emp = float(np.mean(loss.value(data.predictions(w), data.ys)))
-    return emp + lam * _regularizer_value(setup, w)
+def _objective(setup, loss, data, lam, w) -> tuple[float, np.ndarray]:
+    """The objective at w, and the predictions <w, x_i> it scored.
+
+    add.reduce / n is the sum and division np.mean does, without its
+    dispatch.
+    """
+    preds = data.predictions(w)
+    emp = float(np.add.reduce(loss.value(preds, data.ys)) / data.n)
+    return emp + lam * _regularizer_value(setup, w), preds
 
 
-def _gradient(setup, loss, data, lam, w) -> np.ndarray:
-    resid = np.asarray(loss.derivative(data.predictions(w), data.ys), dtype=float)
-    return data.grad_combination(resid) / data.n + lam * regularizer_grad(setup, w)
+def _gradient(loss, data, lam, preds, reg_grad) -> np.ndarray:
+    """The objective's gradient at the point that scored `preds`, whose
+    regularizer gradient is `reg_grad`."""
+    resid = np.asarray(loss.derivative(preds, data.ys), dtype=float)
+    return data.grad_combination(resid) / data.n + lam * reg_grad
 
 
 def solve_regularized_erm(
@@ -198,6 +207,10 @@ def solve_regularized_erm(
     returned w is checked once. In between, the objective and the
     sufficient-decrease margin use the unchecked geometry kernels, since a
     mirror step from a feasible point is feasible by construction.
+
+    Each trial computes its predictions once, in `_objective`. The accepted
+    trial's predictions and regularizer gradient are carried forward: they
+    give both the gradient after the step and the next iteration's.
     """
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
@@ -206,8 +219,10 @@ def solve_regularized_erm(
     if not loss.is_convex:
         raise ValueError(f"solver requires convex loss, got {loss.name}")
 
+    euclidean = setup.geometry == EUCLIDEAN
     w = default_start(setup)
-    obj = _objective(setup, loss, data, lam, w)
+    obj, preds = _objective(setup, loss, data, lam, w)
+    reg_grad = regularizer_grad(setup, w)
     objectives = [obj]
     certificates = [None]
     step = 1.0
@@ -217,14 +232,19 @@ def solve_regularized_erm(
     iterations = 0
 
     for iterations in range(1, max_iters + 1):
-        g = _gradient(setup, loss, data, lam, w)
+        g = _gradient(loss, data, lam, preds, reg_grad)
         # halve the step until the Bregman sufficient-decrease test passes
         stalled = False
         while True:
             w_new = mirror_step(setup, w, g, step)
-            obj_new = _objective(setup, loss, data, lam, w_new)
-            linear = float(g @ (w_new - w))
-            margin = _bregman(setup, w_new, w) / step
+            obj_new, preds_new = _objective(setup, loss, data, lam, w_new)
+            if euclidean:  # one difference gives both terms; _bregman's own value
+                dw = w_new - w
+                linear = float(g @ dw)
+                margin = 0.5 * float(dw @ dw) / step
+            else:
+                linear = float(g @ (w_new - w))
+                margin = _bregman(setup, w_new, w) / step
             if obj_new <= obj + linear + margin + 1e-15 * (1.0 + abs(obj)):
                 break
             step *= 0.5
@@ -233,11 +253,12 @@ def solve_regularized_erm(
                 break
         if stalled:
             break
-        g_new = _gradient(setup, loss, data, lam, w_new)
-        v = g_new - g - (regularizer_grad(setup, w_new) - regularizer_grad(setup, w)) / step
+        reg_grad_new = regularizer_grad(setup, w_new)
+        g_new = _gradient(loss, data, lam, preds_new, reg_grad_new)
+        v = g_new - g - (reg_grad_new - reg_grad) / step
         grad_map = dual_norm(setup, v)
         cert = grad_map * grad_map / (2.0 * lam)
-        w, obj = w_new, obj_new
+        w, obj, preds, reg_grad = w_new, obj_new, preds_new, reg_grad_new
         objectives.append(obj)
         certificates.append(cert)
         if cert <= tol:

@@ -236,9 +236,11 @@ def erm_exact(dist: HardDistribution, data: Dataset) -> np.ndarray:
         if float(np.linalg.norm(ybar)) <= 1.0:
             return ybar
         n = float(data.n)
+        cy = counts * ybar
 
         def norm_at(mu):
-            return float(np.linalg.norm(counts * ybar / (counts + mu * n)))
+            v = cy / (counts + mu * n)
+            return math.sqrt(float(v @ v))  # np.linalg.norm(v), at less cost
 
         hi = 1.0
         while norm_at(hi) > 1.0:
@@ -251,7 +253,7 @@ def erm_exact(dist: HardDistribution, data: Dataset) -> np.ndarray:
             else:
                 hi = mid
         mu = 0.5 * (lo + hi)
-        return counts * ybar / (counts + mu * n)
+        return cy / (counts + mu * n)
     if dist.kind == ONEDIM_QUADLIN:
         on = data.xs[:, 0] > 0
         n_pos = float(np.sum(data.ys[on] > 0))
@@ -388,6 +390,15 @@ class SparseGenerator:
 
     def sample(self, n: int, seed: int) -> Dataset:
         return self.sample_doubled(n, seed)
+
+    def signed_part(self, doubled: Dataset) -> Dataset:
+        """The signed sample a doubled one was built from (its first dim0
+        columns, copied contiguous), without drawing it again."""
+        return Dataset(
+            ys=doubled.ys,
+            xs=np.ascontiguousarray(doubled.xs[:, : self.dim0]),
+            provenance=doubled.provenance.replace(":doubled", ""),
+        )
 
     def fold(self, w_doubled: np.ndarray) -> np.ndarray:
         """Collapse a doubled-feature weight vector back to signed space."""

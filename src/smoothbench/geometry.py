@@ -115,7 +115,8 @@ def dual_norm(setup: MirrorSetup, v: np.ndarray) -> float:
     """l2 for the euclidean geometry, l-infinity for the entropy (l1) one."""
     v = np.asarray(v, dtype=float)
     if setup.geometry == EUCLIDEAN:
-        return float(np.linalg.norm(v))
+        # the same number np.linalg.norm(v) gives for a 1-D float vector, at less cost
+        return math.sqrt(float(v @ v))
     return float(np.max(np.abs(v))) if v.size else 0.0
 
 
@@ -151,7 +152,9 @@ def mirror_step(setup: MirrorSetup, w: np.ndarray, g: np.ndarray, eta: float) ->
     w = np.asarray(w, dtype=float)
     g = np.asarray(g, dtype=float)
     check_feasible(setup, w)
-    return _step_kernel(setup)(w, g, eta)
+    if setup.geometry == EUCLIDEAN:
+        return _euclidean_step(w, g, eta, ball_radius(setup))
+    return _entropy_step(w, g, eta, setup.budget)
 
 
 def _step_kernel(setup: MirrorSetup):

@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import platform
 import time
 import warnings
@@ -499,10 +500,7 @@ def run_sparse_experiment(cfg: ExperimentConfig) -> list:
                     hits[method] += report.termination == TERM_MAX_ITERS
                     w = report.w
                 else:  # l1_erm
-                    signed = gen.sample_signed(
-                        n, seed_for(cfg.seed, "sparse-data", i, j)
-                    )
-                    w = _l1_constrained_erm(signed, gen.loss, budget)
+                    w = _l1_constrained_erm(gen.signed_part(data), gen.loss, budget)
                 per_method[method].append(gen.true_risk(w) - gen.l_star)
         ref = k * math.log(bound_dim) / n
         bound = ref + math.sqrt(k * l_w0 * math.log(bound_dim) / n)
@@ -700,12 +698,18 @@ def write_csv(path: str, experiment: str, result) -> None:
 
 
 def write_meta(path: str, cfg: ExperimentConfig, wall_time: float) -> None:
+    # read here, not at import, so the build query stays out of start-up time
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     meta = {
         "config": dataclasses.asdict(cfg),
         "versions": {
             "smoothbench": _pkg_version,
             "numpy": np.__version__,
             "python": platform.python_version(),
+            "blas": {"name": blas["name"], "version": blas["version"]},
+            "num_threads": {
+                k: v for k, v in sorted(os.environ.items()) if k.endswith("_NUM_THREADS")
+            },
         },
         "wall_time_s": wall_time,
         "csv_schema_version": 1,

@@ -26,6 +26,7 @@ from smoothbench import (
     solve_regularized_erm,
     stability_probe,
 )
+from smoothbench import batch
 from smoothbench.batch import TERM_MAX_ITERS, TERM_TOLERANCE
 
 SQ = make_squared()
@@ -135,6 +136,31 @@ class TestLeanSolve:
         assert report.termination == termination
         expected = TERM_MAX_ITERS if max_iters == 3 else TERM_TOLERANCE
         assert termination == expected
+
+    @pytest.mark.parametrize("case", list(_lean_solve_cases()), ids=lambda c: c[0])
+    def test_work_per_iteration(self, case, monkeypatch):
+        """One prediction matvec per trial; the accepted trial's predictions
+        and regularizer gradient are carried, not recomputed."""
+        _, setup, data, lam, tol = case
+        calls = dict.fromkeys(["predictions", "_objective", "_gradient", "regularizer_grad"], 0)
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(Dataset, "predictions")
+        for name in ("_objective", "_gradient", "regularizer_grad"):
+            count(batch, name)
+        report = solve_regularized_erm(setup, SQ, data, lam, tol=tol)
+        assert report.termination == TERM_TOLERANCE
+        assert calls["predictions"] == calls["_objective"] > report.iterations
+        assert calls["_gradient"] == 2 * report.iterations  # the benchmark's pinned count
+        assert calls["regularizer_grad"] == report.iterations + 1
 
     def test_active_ball_case_ends_on_the_sphere(self):
         (_, setup, data, lam, tol), = [c for c in _lean_solve_cases() if c[0] == "active ball"]

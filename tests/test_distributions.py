@@ -272,6 +272,14 @@ class TestSparseGenerator:
         data = gen.sample_doubled(50, seed=44)
         assert np.allclose(data.xs[:, :16], -data.xs[:, 16:])
 
+    def test_signed_part_is_the_signed_sample(self):
+        gen = sparse_generator(16, 2, seed=43, noise=0.1)
+        part = gen.signed_part(gen.sample_doubled(50, seed=44))
+        drawn = gen.sample_signed(50, seed=44)
+        assert np.array_equal(part.xs, drawn.xs) and np.array_equal(part.ys, drawn.ys)
+        assert part.xs.flags.c_contiguous
+        assert part.provenance == drawn.provenance
+
     def test_fold_roundtrip_risk(self):
         gen = sparse_generator(16, 2, seed=45)
         doubled = np.concatenate([np.maximum(gen.w0, 0), np.maximum(-gen.w0, 0)])

@@ -25,7 +25,7 @@ from smoothbench.harness import (
     sparse_slopes,
     with_defaults,
 )
-from smoothbench import RegimeGenerator
+from smoothbench import RegimeGenerator, SparseGenerator
 from smoothbench.harness import experiments
 from smoothbench.harness.cli import main as cli_main
 from smoothbench.harness.experiments import _project_l1_ball
@@ -404,6 +404,20 @@ class TestSparseExperiment:
         for r in rows:
             assert r.mean_excess >= -1e-12
 
+    def test_each_design_is_drawn_once(self, monkeypatch):
+        draws = []
+        draw = SparseGenerator._draw
+
+        def counted(self, n, seed):
+            draws.append((n, seed))
+            return draw(self, n, seed)
+
+        monkeypatch.setattr(SparseGenerator, "_draw", counted)
+        cfg = make_cfg(experiment="sparse", n_grid=[32, 64], replicates=2, dim=16)
+        assert set(cfg.methods) == {"entropy_md", "entropy_regerm", "l1_erm"}
+        run_sparse_experiment(cfg)
+        assert len(draws) == len(set(draws)) == len(cfg.n_grid) * cfg.replicates
+
     def test_l1_feasibility_and_projection(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
@@ -612,7 +626,8 @@ class TestMarginExperiment:
 
 
 class TestEmission:
-    def test_csv_reproducibility(self, tmp_path):
+    def test_csv_reproducibility(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         out1 = tmp_path / "a"
         out2 = tmp_path / "b"
         for out in (out1, out2):
@@ -625,6 +640,11 @@ class TestEmission:
         meta = json.loads((out1.with_suffix(".meta.json")).read_text())
         assert meta["config"]["seed"] == 5
         assert "wall_time_s" in meta and "versions" in meta
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        versions = meta["versions"]
+        assert versions["blas"] == {"name": blas["name"], "version": blas["version"]}
+        assert versions["num_threads"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert all(k.endswith("_NUM_THREADS") for k in versions["num_threads"])
 
     def test_different_seed_changes_csv(self, tmp_path):
         blobs = []
