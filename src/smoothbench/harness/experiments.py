@@ -109,7 +109,8 @@ class RateRow:
     lower_bound: float
     # regularized-ERM solves at this n that stopped at max_iters
     max_iters_hits: int = _column(None, default=0)
-    # whether the design realises lower_bound at this n
+    # whether lower_bound holds this row: it is the exact ERM's floor, so
+    # only for learner = erm, and only where the design realises it at n
     floor_applies: bool = _column(None, default=True)
 
 
@@ -167,7 +168,8 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateCurve:
         rows.append(
             RateRow(
                 n=n, mean=mean, stderr=stderr, bound=bound, lower_bound=lower,
-                max_iters_hits=hits, floor_applies=lower_bound_applies(dist, n),
+                max_iters_hits=hits,
+                floor_applies=cfg.learner == "erm" and lower_bound_applies(dist, n),
             )
         )
     return RateCurve(rows)
@@ -406,7 +408,8 @@ class SparseRow:
 
 
 def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto the l1 ball (sort-and-threshold)."""
+    """Euclidean projection onto the l1 ball (sort-and-threshold). A `v`
+    inside the ball is returned itself, not a copy."""
     mags = np.abs(v)
     if float(np.add.reduce(mags)) <= radius:
         return v
@@ -421,31 +424,40 @@ def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
 def _l1_constrained_erm(data: Dataset, loss, radius: float, max_iters: int = 2000):
     """Projected gradient on the l1 ball with backtracking; comparison
     method for the sparse study (no certificate: the objective is not
-    strongly convex)."""
+    strongly convex).
+
+    A trial point inside the ball is w - step·g, so its predictions are
+    preds - step·(X g) and its line-search terms follow from g·g: one
+    design product for X g per iteration, one more for the accepted
+    point's gradient, and none for a rejected interior trial. Only a trial
+    that the projection moves pays its own predictions. add.reduce / n is
+    the sum and division np.mean does, without its dispatch."""
+    ys, n = data.ys, data.n
     w = np.zeros(data.dim)
-
-    def objective(w):
-        """(mean loss, predictions) at w; the accepted point's predictions
-        feed the next iteration's derivative. add.reduce / n is the sum
-        and division np.mean does, without its dispatch."""
-        preds = data.predictions(w)
-        return float(np.add.reduce(loss.value(preds, data.ys)) / data.n), preds
-
-    obj, preds = objective(w)
+    preds = data.predictions(w)
+    obj = float(np.add.reduce(loss.value(preds, ys)) / n)
     step = 1.0
     for _ in range(max_iters):
-        g = data.grad_combination(loss.derivative(preds, data.ys)) / data.n
+        g = data.grad_combination(loss.derivative(preds, ys)) / n
+        xg = data.predictions(g)
+        gg = float(g @ g)
         while True:
-            w_new = _project_l1_ball(w - step * g, radius)
-            obj_new, preds_new = objective(w_new)
-            d = w_new - w
-            dd = float(d @ d)
-            if obj_new <= obj + float(g @ d) + dd / (2.0 * step) + 1e-15:
+            v = w - step * g
+            w_new = _project_l1_ball(v, radius)
+            if w_new is v:
+                preds_new = preds - step * xg
+                gd, dd = -step * gg, step * step * gg
+            else:
+                preds_new = data.predictions(w_new)
+                d = w_new - w
+                gd, dd = float(g @ d), float(d @ d)
+            obj_new = float(np.add.reduce(loss.value(preds_new, ys)) / n)
+            if obj_new <= obj + gd + dd / (2.0 * step) + 1e-15:
                 break
             step *= 0.5
             if step < 1e-18:
                 break
-        moved = math.sqrt(dd)  # np.linalg.norm(d) of a 1-D float vector
+        moved = math.sqrt(dd)  # ||w_new - w||
         w, obj, preds = w_new, obj_new, preds_new
         step *= 2.0
         if moved <= 1e-12:

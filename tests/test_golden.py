@@ -5,9 +5,13 @@ files exactly. A change that moves a number regenerates them on purpose:
 
     PYTHONPATH=src python tests/test_golden.py
 
-and states in CHANGES.md which numbers moved, why, and by how much.
+which prints, for each file, `unchanged` or every cell that moved, and
+states in CHANGES.md which numbers moved, why, and by how much.
 """
 
+import csv
+import io
+import math
 from pathlib import Path
 
 import pytest
@@ -48,6 +52,46 @@ def generate(name: str, path: Path) -> None:
     write_csv(str(path), cfg.experiment, run_experiment(cfg))
 
 
+def moved_cells(old: str, new: str) -> list:
+    """(row, column, old, new, relative deviation) for every cell that
+    differs between two CSV texts with the same header and row count; rows
+    count from 1 after the header. The deviation is |new - old| / |old|
+    (inf from 0, nan for a cell that is not a number)."""
+    old_rows = list(csv.reader(io.StringIO(old)))
+    new_rows = list(csv.reader(io.StringIO(new)))
+    if old_rows[:1] != new_rows[:1] or len(old_rows) != len(new_rows):
+        raise ValueError("the header or the row count changed")
+    moved = []
+    for i, (old_row, new_row) in enumerate(zip(old_rows[1:], new_rows[1:]), start=1):
+        for column, a, b in zip(new_rows[0], old_row, new_row):
+            if a != b:
+                moved.append((i, column, a, b, _rel_dev(a, b)))
+    return moved
+
+
+def _rel_dev(a: str, b: str) -> float:
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return math.nan
+    return abs(y - x) / abs(x) if x else math.inf
+
+
+def report(name: str, old: str, new: str) -> list:
+    """Lines saying how a regenerated file differs from its old text."""
+    if old == new:
+        return [f"{name}: unchanged"]
+    try:
+        moved = moved_cells(old, new)
+    except ValueError as exc:
+        return [f"{name}: {exc}"]
+    rows = list(csv.reader(io.StringIO(old)))
+    return [f"{name}: {len(moved)} cells moved"] + [
+        f"  row {i} ({','.join(rows[i][:2])}) {column}: {a} -> {b} (rel {rel:.2g})"
+        for i, column, a, b, rel in moved
+    ]
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_csv_matches_golden(name, tmp_path):
     path = tmp_path / f"{name}.csv"
@@ -55,8 +99,24 @@ def test_csv_matches_golden(name, tmp_path):
     assert path.read_bytes() == (GOLDEN_DIR / f"{name}.csv").read_bytes()
 
 
+def test_moved_cells_names_each_changed_cell():
+    old = "method,n,mean\na,32,0.5\nb,32,0\nc,64,nan\n"
+    new = "method,n,mean\na,32,0.25\nb,32,1e-17\nc,64,nan\n"
+    assert moved_cells(old, old) == []
+    assert moved_cells(old, new) == [
+        (1, "mean", "0.5", "0.25", 0.5),
+        (2, "mean", "0", "1e-17", math.inf),
+    ]
+    assert report("f", old, old) == ["f: unchanged"]
+    assert report("f", old, new)[1] == "  row 1 (a,32) mean: 0.5 -> 0.25 (rel 0.5)"
+    with pytest.raises(ValueError):
+        moved_cells(old, old + "d,128,0.1\n")
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for golden_name in sorted(GOLDEN):
-        generate(golden_name, GOLDEN_DIR / f"{golden_name}.csv")
-        print(f"wrote {GOLDEN_DIR / golden_name}.csv")
+        golden = GOLDEN_DIR / f"{golden_name}.csv"
+        before = golden.read_text() if golden.exists() else ""
+        generate(golden_name, golden)
+        print("\n".join(report(golden_name, before, golden.read_text())))

@@ -25,7 +25,7 @@ from smoothbench.harness import (
     sparse_slopes,
     with_defaults,
 )
-from smoothbench import RegimeGenerator, SparseGenerator
+from smoothbench import Dataset, RegimeGenerator, SparseGenerator
 from smoothbench.harness import experiments
 from smoothbench.harness.cli import main as cli_main
 from smoothbench.harness.experiments import _project_l1_ball
@@ -334,6 +334,20 @@ class TestRateExperiment:
         floor = [f.split(":")[0] for f in failures if "lower bound" in f]
         assert floor == ["n=128"]
 
+    def test_hard_b_floor_is_not_held_against_regularized_erm(self):
+        # sqrt(L*/n) is the exact ERM's floor; the regularized solution
+        # shrinks toward 0 and lands under it (about 4x at n >= 128)
+        cfg = make_cfg(
+            experiment="rate", distribution="hardB:0.1", learner="regularized_erm",
+            n_grid=[64, 128, 256, 512], replicates=3,
+        )
+        curve = run_rate_experiment(cfg)
+        assert cfg.check_floor_factor == 0.5
+        assert all(r.mean < 0.5 * r.lower_bound for r in curve.rows)
+        ok, failures = check_result(cfg, curve)
+        assert ok, failures
+        assert not any(r.floor_applies for r in curve.rows)
+
     def test_regularized_erm_learner_path(self):
         cfg = make_cfg(
             experiment="rate", distribution="separable", learner="regularized_erm",
@@ -427,7 +441,7 @@ class TestSparseExperiment:
             assert float(np.sum(np.abs(p))) <= radius * (1 + 1e-9)
             inside = rng.standard_normal(20)
             inside *= radius / (2 * float(np.sum(np.abs(inside))))
-            assert np.allclose(_project_l1_ball(inside, radius), inside)
+            assert _project_l1_ball(inside, radius) is inside  # the l1 solve relies on it
 
     def test_projection_is_euclidean_nearest_point(self):
         rng = np.random.default_rng(5)
@@ -440,56 +454,109 @@ class TestSparseExperiment:
                 q /= float(np.sum(np.abs(q))) / float(rng.uniform(0, 1))
                 assert np.linalg.norm(v - p) <= np.linalg.norm(v - q) + 1e-9
 
-    @pytest.mark.parametrize(
-        "n, radius",
-        # n < d, n = d, n > d; an active ball; a ball so small the step stop fires
-        [(32, 4.0), (64, 4.0), (256, 4.0), (64, 0.1), (64, 1e-13)],
-    )
-    def test_l1_solve_matches_reference_loop(self, n, radius):
-        def project(v, radius):
-            if float(np.sum(np.abs(v))) <= radius:
-                return v
-            u = np.sort(np.abs(v))[::-1]
-            cumsum = np.cumsum(u)
-            k = int(np.nonzero(u * np.arange(1, u.size + 1) > cumsum - radius)[0][-1])
-            tau = (cumsum[k] - radius) / (k + 1.0)
-            return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+    @staticmethod
+    def _project(v, radius):
+        if float(np.sum(np.abs(v))) <= radius:
+            return v
+        u = np.sort(np.abs(v))[::-1]
+        cumsum = np.cumsum(u)
+        k = int(np.nonzero(u * np.arange(1, u.size + 1) > cumsum - radius)[0][-1])
+        tau = (cumsum[k] - radius) / (k + 1.0)
+        return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
-        def reference(data, loss, radius, max_iters):
-            """The loop with np.mean and np.linalg.norm, and |v| taken twice
-            in the projection."""
-            w = np.zeros(data.dim)
-            preds = data.predictions(w)
-            obj = float(np.mean(loss.value(preds, data.ys)))
-            step = 1.0
-            for _ in range(max_iters):
-                g = data.grad_combination(np.asarray(loss.derivative(preds, data.ys))) / data.n
-                while True:
-                    w_new = project(w - step * g, radius)
+    @classmethod
+    def _reference_l1(cls, data, loss, radius, max_iters, along_xg):
+        """The l1 loop with np.mean and |v| taken twice in the projection.
+        along_xg: an interior trial takes its predictions as preds - step·Xg
+        and its line-search terms from g·g, as the solve does; otherwise
+        every trial pays its own matvec and d = w_new - w terms."""
+        w = np.zeros(data.dim)
+        preds = data.predictions(w)
+        obj = float(np.mean(loss.value(preds, data.ys)))
+        step = 1.0
+        for _ in range(max_iters):
+            g = data.grad_combination(np.asarray(loss.derivative(preds, data.ys))) / data.n
+            xg, gg = data.predictions(g), float(g @ g)
+            while True:
+                v = w - step * g
+                w_new = cls._project(v, radius)
+                if along_xg and float(np.sum(np.abs(v))) <= radius:
+                    preds_new = preds - step * xg
+                    gd, dd = -step * gg, step * step * gg
+                else:
                     preds_new = data.predictions(w_new)
-                    obj_new = float(np.mean(loss.value(preds_new, data.ys)))
                     d = w_new - w
-                    if obj_new <= obj + float(g @ d) + float(d @ d) / (2.0 * step) + 1e-15:
-                        break
-                    step *= 0.5
-                    if step < 1e-18:
-                        break
-                moved = float(np.linalg.norm(w_new - w))
-                w, obj, preds = w_new, obj_new, preds_new
-                step *= 2.0
-                if moved <= 1e-12:
+                    gd, dd = float(g @ d), float(d @ d)
+                obj_new = float(np.mean(loss.value(preds_new, data.ys)))
+                if obj_new <= obj + gd + dd / (2.0 * step) + 1e-15:
                     break
-            return w
+                step *= 0.5
+                if step < 1e-18:
+                    break
+            moved = math.sqrt(dd)
+            w, obj, preds = w_new, obj_new, preds_new
+            step *= 2.0
+            if moved <= 1e-12:
+                break
+        return w
 
+    # n < d, n = d, n > d; an active ball; a ball so small the step stop fires
+    L1_CASES = [(32, 4.0), (64, 4.0), (256, 4.0), (64, 0.1), (64, 1e-13)]
+
+    @staticmethod
+    def _l1_problem(n):
         from smoothbench import sparse_generator
 
         gen = sparse_generator(64, 4, seed=5, noise=0.1)
-        data = gen.sample_signed(n, seed=6)
+        return gen, gen.sample_signed(n, seed=6)
+
+    @pytest.mark.parametrize("n, radius", L1_CASES)
+    def test_l1_solve_matches_reference_loop(self, n, radius):
+        gen, data = self._l1_problem(n)
         got = experiments._l1_constrained_erm(data, gen.loss, radius, max_iters=300)
-        want = reference(data, gen.loss, radius, max_iters=300)
+        want = self._reference_l1(data, gen.loss, radius, 300, along_xg=True)
         assert np.array_equal(got, want)
         if radius < 1:
             assert float(np.sum(np.abs(got))) == pytest.approx(radius, rel=1e-12)
+
+    @pytest.mark.parametrize("n, radius", L1_CASES)
+    def test_l1_solve_stays_on_the_matvec_per_trial_loop(self, n, radius):
+        # scoring interior trials along X g reorders the rounding only
+        gen, data = self._l1_problem(n)
+        got = experiments._l1_constrained_erm(data, gen.loss, radius, max_iters=300)
+        want = self._reference_l1(data, gen.loss, radius, 300, along_xg=False)
+        assert float(np.max(np.abs(got - want))) <= 1e-12
+
+    @pytest.mark.parametrize("radius", [4.0, 0.1])
+    def test_l1_solve_design_products(self, monkeypatch, radius):
+        gen, data = self._l1_problem(64)
+        calls = {"predictions": 0, "derivative": 0, "projected": 0}
+
+        def predictions(self, w):
+            calls["predictions"] += 1
+            return self.xs @ w
+
+        def project(v, r):
+            p = _project_l1_ball(v, r)
+            calls["projected"] += p is not v
+            return p
+
+        class CountingLoss:
+            def value(self, preds, ys):
+                return gen.loss.value(preds, ys)
+
+            def derivative(self, preds, ys):
+                calls["derivative"] += 1
+                return gen.loss.derivative(preds, ys)
+
+        monkeypatch.setattr(Dataset, "predictions", predictions)
+        monkeypatch.setattr(experiments, "_project_l1_ball", project)
+        experiments._l1_constrained_erm(data, CountingLoss(), radius, max_iters=300)
+        # one product for the start, one for X g per iteration; an interior
+        # trial needs none, a projected trial its own
+        assert calls["derivative"] > 100
+        assert calls["predictions"] == calls["derivative"] + 1 + calls["projected"]
+        assert (calls["projected"] > 0) == (radius < 1)
 
     def test_max_iters_hits_fail_the_check(self, monkeypatch):
         cfg = make_cfg(
