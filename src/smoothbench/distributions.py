@@ -2,8 +2,9 @@
 
 Three lower-bound families over basis-vector designs, plus the synthetic
 generators the harness uses for fast-rate, sparse, and ridge-regime runs.
-All expose the same duck-typed surface: .sample(n, seed) -> Dataset,
-.true_risk(w), .l_star, .w_star, .loss, .x_dual_bound(geometry).
+All are classes with the same duck-typed surface: .sample(n, seed) ->
+Dataset, .true_risk(w), .l_star, .w_star, .loss, .kind,
+.x_dual_bound(geometry).
 
 Family overview (d standard basis vectors, Y conditioned on X = e_i):
 
@@ -35,11 +36,6 @@ from .losses import (
     make_squared_unhalved,
 )
 
-ABSOLUTE_SEPARABLE = "absolute_separable"
-GAUSSIAN_SQUARED = "gaussian_squared"
-ONEDIM_QUADLIN = "onedim_quadlin"
-
-
 def golden_section(f, lo: float, hi: float, tol: float = 1e-10) -> float:
     """Minimize a unimodal scalar function on [lo, hi] to bracket width tol."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -61,178 +57,81 @@ def golden_section(f, lo: float, hi: float, tol: float = 1e-10) -> float:
 
 @dataclass(frozen=True)
 class HardDistribution:
-    kind: str
+    """A lower-bound family over a basis (or scalar {0,1}) design. Each
+    subclass holds its own constants and implements _draw, _risk, _erm and
+    _floor; sample and true_risk are defined here only."""
+
     dim: int
     loss: LossSpec
     w_star: np.ndarray
     l_star: float
-    signs: np.ndarray | None = None
-    sigma: float | None = None
-    n_design: int | None = None
-    q: float | None = None
-    p: float | None = None
 
     def x_dual_bound(self, geometry: str) -> float:
         # basis vectors (and the scalar {0,1} design) have unit dual norm
         return 1.0
 
     def sample(self, n: int, seed: int) -> Dataset:
-        return sample(self, n, seed)
+        """n i.i.d. draws; deterministic per seed."""
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        return self._draw(n, np.random.default_rng(seed), f"{self.kind}:seed={seed}")
 
     def true_risk(self, w: np.ndarray) -> float:
-        return true_risk(self, w)
+        """Exact risk of a fixed predictor; no sampling."""
+        return self._risk(np.asarray(w, dtype=float))
+
+    def _floor_applies(self, n: int) -> bool:
+        return True
 
 
-def hard_absolute(n_design: int, seed: int) -> HardDistribution:
-    """Separable absolute-loss family; the hidden-sign vector is drawn once
-    from the seed and then treated as fixed by nature."""
-    if n_design < 1:
-        raise ValueError("n_design must be >= 1")
-    d = 2 * n_design
-    rng = np.random.default_rng(seed)
-    signs = rng.choice([-1.0, 1.0], size=d)
-    w_star = signs / math.sqrt(n_design)
-    return HardDistribution(
-        kind=ABSOLUTE_SEPARABLE,
-        dim=d,
-        loss=make_absolute(),
-        w_star=w_star,
-        l_star=0.0,
-        signs=signs,
-        n_design=n_design,
-    )
+@dataclass(frozen=True)
+class AbsoluteSeparable(HardDistribution):
+    n_design: int
+    signs: np.ndarray
+    kind = "absolute_separable"
 
+    def _draw(self, n: int, rng: np.random.Generator, tag: str) -> Dataset:
+        idx = rng.integers(self.dim, size=n)
+        ys = self.signs[idx] / math.sqrt(self.n_design)
+        return Dataset(ys=ys, basis_idx=idx, dim=self.dim, provenance=tag)
 
-def hard_gaussian(
-    n_design: int, sigma: float, seed: int, dim: int | None = None
-) -> HardDistribution:
-    """Noisy orthogonal-design squared-loss family.
-
-    dim defaults to ceil(sqrt(n_design)/sigma); sigma = 0 is allowed only
-    with an explicit dim (the default would be undefined).
-    """
-    if n_design < 1:
-        raise ValueError("n_design must be >= 1")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    if dim is None:
-        if sigma == 0:
-            raise ValueError("sigma = 0 needs an explicit dim")
-        dim = math.ceil(math.sqrt(n_design) / sigma)
-    rng = np.random.default_rng(seed)
-    signs = rng.choice([-1.0, 1.0], size=dim)
-    w_star = signs / (2.0 * math.sqrt(dim))
-    return HardDistribution(
-        kind=GAUSSIAN_SQUARED,
-        dim=dim,
-        loss=make_squared_unhalved(),
-        w_star=w_star,
-        l_star=sigma**2,
-        signs=signs,
-        sigma=sigma,
-        n_design=n_design,
-    )
-
-
-def hard_quadlin(n_design: int, q: float) -> HardDistribution:
-    """Scalar quadratic-then-linear family with label bias p = 1/2
-    + 0.2/sqrt(q n). The population minimizer and L* come from a golden-
-    section oracle on the exact risk (the closed form 3/2 - 1/(2p) is
-    cross-checked in tests, not assumed)."""
-    if not 0 < q <= 1:
-        raise ValueError("q must lie in (0, 1]")
-    if n_design < 1:
-        raise ValueError("n_design must be >= 1")
-    p = 0.5 + 0.2 / math.sqrt(q * n_design)
-    if p > 1:
-        raise ValueError(f"bias p = {p:.4f} > 1; increase q*n (needs q n >= 0.16)")
-    loss = make_piecewise_quadlin()
-
-    def risk(w):
-        return q * (
-            p * float(loss.value(w, 1.0)) + (1.0 - p) * float(loss.value(w, -1.0))
-        )
-
-    w_opt = golden_section(risk, -1.0, 1.0, tol=1e-12)
-    return HardDistribution(
-        kind=ONEDIM_QUADLIN,
-        dim=1,
-        loss=loss,
-        w_star=np.array([w_opt]),
-        l_star=risk(w_opt),
-        n_design=n_design,
-        q=q,
-        p=p,
-    )
-
-
-def quadlin_minimizer_closed_form(p: float) -> float:
-    """The candidate population minimizer 3/2 - 1/(2p) for label bias p."""
-    return 1.5 - 1.0 / (2.0 * p)
-
-
-def sample(dist: HardDistribution, n: int, seed: int) -> Dataset:
-    """n i.i.d. draws; deterministic per seed."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    tag = f"{dist.kind}:seed={seed}"
-    if dist.kind == ABSOLUTE_SEPARABLE:
-        idx = rng.integers(dist.dim, size=n)
-        ys = dist.signs[idx] / math.sqrt(dist.n_design)
-        return Dataset(ys=ys, basis_idx=idx, dim=dist.dim, provenance=tag)
-    if dist.kind == GAUSSIAN_SQUARED:
-        idx = rng.integers(dist.dim, size=n)
-        means = dist.signs[idx] / (2.0 * math.sqrt(dist.dim))
-        ys = means if dist.sigma == 0 else rng.normal(means, dist.sigma)
-        return Dataset(ys=ys, basis_idx=idx, dim=dist.dim, provenance=tag)
-    if dist.kind == ONEDIM_QUADLIN:
-        xs = (rng.random(n) < dist.q).astype(float)
-        flips = rng.random(n)
-        ys = np.where(xs > 0, np.where(flips < dist.p, 1.0, -1.0), 0.0)
-        return Dataset(ys=ys, xs=xs[:, None], provenance=tag)
-    raise ValueError(f"unknown distribution kind: {dist.kind}")
-
-
-def true_risk(dist: HardDistribution, w: np.ndarray) -> float:
-    """Exact risk of a fixed predictor; no sampling."""
-    w = np.asarray(w, dtype=float)
-    if dist.kind == ABSOLUTE_SEPARABLE:
-        targets = dist.signs / math.sqrt(dist.n_design)
+    def _risk(self, w: np.ndarray) -> float:
+        targets = self.signs / math.sqrt(self.n_design)
         return float(np.mean(np.abs(w - targets)))
-    if dist.kind == GAUSSIAN_SQUARED:
-        diff = w - dist.w_star
-        return dist.sigma**2 + float(diff @ diff) / dist.dim
-    if dist.kind == ONEDIM_QUADLIN:
-        wv = float(w[0]) if w.ndim else float(w)
-        return dist.q * (
-            dist.p * float(dist.loss.value(wv, 1.0))
-            + (1.0 - dist.p) * float(dist.loss.value(wv, -1.0))
-        )
-    raise ValueError(f"unknown distribution kind: {dist.kind}")
 
-
-def erm_exact(dist: HardDistribution, data: Dataset) -> np.ndarray:
-    """An exact empirical minimizer, specialized per family.
-
-    absolute_separable: match every seen coordinate (observations agree),
-    leave unseen coordinates at zero — the minimal-support minimizer, with
-    empirical loss exactly 0 and norm at most 1.
-    gaussian_squared: per-coordinate sample means, radially corrected by a
-    Lagrangian bisection when the unit-ball constraint binds.
-    onedim_quadlin: golden-section search on the empirical objective over
-    [-1, 1].
-    """
-    if data.n < 1:
-        raise ValueError("empty dataset")
-    if dist.kind == ABSOLUTE_SEPARABLE:
-        w = np.zeros(dist.dim)
+    def _erm(self, data: Dataset) -> np.ndarray:
+        # match every seen coordinate, leave unseen ones at zero: the minimal-
+        # support minimizer, empirical loss exactly 0 and norm at most 1
+        w = np.zeros(self.dim)
         w[data.basis_idx] = data.ys
         return w
-    if dist.kind == GAUSSIAN_SQUARED:
-        counts = np.bincount(data.basis_idx, minlength=dist.dim).astype(float)
-        sums = np.bincount(data.basis_idx, weights=data.ys, minlength=dist.dim)
-        ybar = np.divide(sums, counts, out=np.zeros(dist.dim), where=counts > 0)
+
+    def _floor(self, n: int) -> float:
+        return 0.5 / math.sqrt(n)
+
+
+@dataclass(frozen=True)
+class GaussianSquared(HardDistribution):
+    signs: np.ndarray
+    sigma: float
+    kind = "gaussian_squared"
+
+    def _draw(self, n: int, rng: np.random.Generator, tag: str) -> Dataset:
+        idx = rng.integers(self.dim, size=n)
+        means = self.signs[idx] / (2.0 * math.sqrt(self.dim))
+        ys = means if self.sigma == 0 else rng.normal(means, self.sigma)
+        return Dataset(ys=ys, basis_idx=idx, dim=self.dim, provenance=tag)
+
+    def _risk(self, w: np.ndarray) -> float:
+        diff = w - self.w_star
+        return self.sigma**2 + float(diff @ diff) / self.dim
+
+    def _erm(self, data: Dataset) -> np.ndarray:
+        # per-coordinate sample means, radially corrected by a Lagrangian
+        # bisection when the unit-ball constraint binds
+        counts = np.bincount(data.basis_idx, minlength=self.dim).astype(float)
+        sums = np.bincount(data.basis_idx, weights=data.ys, minlength=self.dim)
+        ybar = np.divide(sums, counts, out=np.zeros(self.dim), where=counts > 0)
         if float(np.linalg.norm(ybar)) <= 1.0:
             return ybar
         n = float(data.n)
@@ -254,7 +153,35 @@ def erm_exact(dist: HardDistribution, data: Dataset) -> np.ndarray:
                 hi = mid
         mu = 0.5 * (lo + hi)
         return cy / (counts + mu * n)
-    if dist.kind == ONEDIM_QUADLIN:
+
+    def _floor(self, n: int) -> float:
+        return math.sqrt(self.l_star / n)
+
+    def _floor_applies(self, n: int) -> bool:
+        # sqrt(L*/n) is reached only once every coordinate is sampled,
+        # n >= dim (about n L* >= 1, where sqrt(L*/n) leads the rate). Below
+        # that, unseen coordinates pull the exact ERM's expected excess under
+        # the floor: at n = 64, dim = 80 it is 0.942 * sqrt(L*/n) / 2.
+        return n >= self.dim
+
+
+@dataclass(frozen=True)
+class OnedimQuadlin(HardDistribution):
+    q: float
+    p: float
+    kind = "onedim_quadlin"
+
+    def _draw(self, n: int, rng: np.random.Generator, tag: str) -> Dataset:
+        xs = (rng.random(n) < self.q).astype(float)
+        flips = rng.random(n)
+        ys = np.where(xs > 0, np.where(flips < self.p, 1.0, -1.0), 0.0)
+        return Dataset(ys=ys, xs=xs[:, None], provenance=tag)
+
+    def _risk(self, w: np.ndarray) -> float:
+        return _quadlin_risk(self.loss, self.q, self.p, float(w[0]) if w.ndim else float(w))
+
+    def _erm(self, data: Dataset) -> np.ndarray:
+        # golden-section search on the empirical objective over [-1, 1]
         on = data.xs[:, 0] > 0
         n_pos = float(np.sum(data.ys[on] > 0))
         n_neg = float(np.sum(on) - n_pos)
@@ -262,41 +189,110 @@ def erm_exact(dist: HardDistribution, data: Dataset) -> np.ndarray:
 
         def emp(w):
             return (
-                n_pos * float(dist.loss.value(w, 1.0))
-                + n_neg * float(dist.loss.value(w, -1.0))
+                n_pos * float(self.loss.value(w, 1.0))
+                + n_neg * float(self.loss.value(w, -1.0))
             ) / n
 
         return np.array([golden_section(emp, -1.0, 1.0, tol=1e-10)])
-    raise ValueError(f"unknown distribution kind: {dist.kind}")
+
+    def _floor(self, n: int) -> float:
+        return math.sqrt(0.32 * self.l_star / n)
+
+
+def _quadlin_risk(loss: LossSpec, q: float, p: float, w: float) -> float:
+    return q * (p * float(loss.value(w, 1.0)) + (1.0 - p) * float(loss.value(w, -1.0)))
+
+
+def hard_absolute(n_design: int, seed: int) -> AbsoluteSeparable:
+    """Separable absolute-loss family; the hidden-sign vector is drawn once
+    from the seed and then treated as fixed by nature."""
+    if n_design < 1:
+        raise ValueError("n_design must be >= 1")
+    d = 2 * n_design
+    rng = np.random.default_rng(seed)
+    signs = rng.choice([-1.0, 1.0], size=d)
+    w_star = signs / math.sqrt(n_design)
+    return AbsoluteSeparable(
+        dim=d, loss=make_absolute(), w_star=w_star, l_star=0.0,
+        n_design=n_design, signs=signs,
+    )
+
+
+def hard_gaussian(
+    n_design: int, sigma: float, seed: int, dim: int | None = None
+) -> GaussianSquared:
+    """Noisy orthogonal-design squared-loss family.
+
+    dim defaults to ceil(sqrt(n_design)/sigma); sigma = 0 is allowed only
+    with an explicit dim (the default would be undefined).
+    """
+    if n_design < 1:
+        raise ValueError("n_design must be >= 1")
+    if sigma < 0:
+        raise ValueError("sigma must be nonnegative")
+    if dim is None:
+        if sigma == 0:
+            raise ValueError("sigma = 0 needs an explicit dim")
+        dim = math.ceil(math.sqrt(n_design) / sigma)
+    rng = np.random.default_rng(seed)
+    signs = rng.choice([-1.0, 1.0], size=dim)
+    w_star = signs / (2.0 * math.sqrt(dim))
+    return GaussianSquared(
+        dim=dim, loss=make_squared_unhalved(), w_star=w_star, l_star=sigma**2,
+        signs=signs, sigma=sigma,
+    )
+
+
+def hard_quadlin(n_design: int, q: float) -> OnedimQuadlin:
+    """Scalar quadratic-then-linear family with label bias p = 1/2
+    + 0.2/sqrt(q n). The population minimizer and L* come from a golden-
+    section oracle on the exact risk (the closed form 3/2 - 1/(2p) is
+    cross-checked in tests, not assumed)."""
+    if not 0 < q <= 1:
+        raise ValueError("q must lie in (0, 1]")
+    if n_design < 1:
+        raise ValueError("n_design must be >= 1")
+    p = 0.5 + 0.2 / math.sqrt(q * n_design)
+    if p > 1:
+        raise ValueError(f"bias p = {p:.4f} > 1; increase q*n (needs q n >= 0.16)")
+    loss = make_piecewise_quadlin()
+    w_opt = golden_section(lambda w: _quadlin_risk(loss, q, p, w), -1.0, 1.0, tol=1e-12)
+    return OnedimQuadlin(
+        dim=1, loss=loss, w_star=np.array([w_opt]), l_star=_quadlin_risk(loss, q, p, w_opt),
+        q=q, p=p,
+    )
+
+
+def quadlin_minimizer_closed_form(p: float) -> float:
+    """The candidate population minimizer 3/2 - 1/(2p) for label bias p."""
+    return 1.5 - 1.0 / (2.0 * p)
+
+
+def _hard(dist) -> HardDistribution:
+    if not isinstance(dist, HardDistribution):
+        raise ValueError(f"{type(dist).__name__} is not a hard family")
+    return dist
+
+
+def erm_exact(dist: HardDistribution, data: Dataset) -> np.ndarray:
+    """An exact empirical minimizer, specialized per family."""
+    if data.n < 1:
+        raise ValueError("empty dataset")
+    return _hard(dist)._erm(data)
 
 
 def lower_bound_value(dist: HardDistribution, n: int) -> float:
     """The theoretical risk floor quoted for each family, for report columns."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if dist.kind == ABSOLUTE_SEPARABLE:
-        return 0.5 / math.sqrt(n)
-    if dist.kind == GAUSSIAN_SQUARED:
-        return math.sqrt(dist.l_star / n)
-    if dist.kind == ONEDIM_QUADLIN:
-        return math.sqrt(0.32 * dist.l_star / n)
-    raise ValueError(f"unknown distribution kind: {dist.kind}")
+    return _hard(dist)._floor(n)
 
 
 def lower_bound_applies(dist: HardDistribution, n: int) -> bool:
-    """Whether the family realises its lower_bound_value floor at sample size n.
-
-    gaussian_squared reaches sqrt(L*/n) only once every coordinate is
-    sampled, n >= dim (about n L* >= 1, where sqrt(L*/n) leads the rate).
-    Below that, unseen coordinates pull the exact ERM's expected excess
-    under the floor: at n = 64, dim = 80 it is 0.942 * sqrt(L*/n) / 2.
-    The other families' floors hold at every n.
-    """
+    """Whether the family realises its lower_bound_value floor at size n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if dist.kind == GAUSSIAN_SQUARED:
-        return n >= dist.dim
-    return True
+    return _hard(dist)._floor_applies(n)
 
 
 @dataclass(frozen=True)
@@ -309,7 +305,7 @@ class SeparableSynthetic:
     w_star: np.ndarray
     loss: LossSpec
     l_star: float = 0.0
-    kind: str = "separable_smooth"
+    kind = "separable_smooth"
 
     def x_dual_bound(self, geometry: str) -> float:
         return 1.0
@@ -352,7 +348,7 @@ class SparseGenerator:
     w0: np.ndarray
     noise: float
     loss: LossSpec
-    kind: str = "sparse_linear"
+    kind = "sparse_linear"
 
     @property
     def l_star(self) -> float:
@@ -441,7 +437,7 @@ class RegimeGenerator:
     sigma: float
     w_star: np.ndarray
     loss: LossSpec
-    kind: str = "gaussian_regime"
+    kind = "gaussian_regime"
 
     @property
     def l_star(self) -> float:

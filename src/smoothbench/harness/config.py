@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -19,6 +20,7 @@ import numpy as np
 from ..batch import STABILITY_MIN_REPLICATES
 from ..bounds import margin_domain_error
 from ..distributions import (
+    HardDistribution,
     hard_absolute,
     hard_gaussian,
     hard_quadlin,
@@ -290,6 +292,9 @@ def with_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"tol must be positive, got {cfg.tol}")
     if not cfg.eta_scale > 0:
         raise ConfigError(f"eta_scale must be positive, got {cfg.eta_scale}")
+    out_dir = os.path.dirname(cfg.out)
+    if out_dir and not os.path.isdir(out_dir):
+        raise ConfigError(f"out: directory {out_dir!r} does not exist")
     try:
         _check_premises(cfg)
     except ValueError as exc:  # a constructor's own rule, or NonSmoothLossError
@@ -309,6 +314,8 @@ def _check_premises(cfg: ExperimentConfig) -> None:
             raise ValueError(f"incompatible loss {cfg.loss!r}; the family's is {dist.loss.name!r}")
         if exp == "stability" or cfg.learner != "erm":
             dist.loss.smoothness_H  # raises for a non-smooth loss
+        elif not isinstance(dist, HardDistribution):
+            raise ValueError("the family has no exact ERM; use regularized_erm or mirror_descent")
     elif exp == "sparse":
         sparse_generator(dim, cfg.sparsity_k, cfg.seed, noise=cfg.noise)
         entropy_setup(2 * dim, cfg.budget)

@@ -1,9 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from smoothbench import (
+    HardDistribution,
+    RegimeGenerator,
+    SeparableSynthetic,
+    SparseGenerator,
     erm_exact,
     excess_risk,
     golden_section,
@@ -18,6 +23,7 @@ from smoothbench import (
     sparse_generator,
 )
 from smoothbench.batch import Dataset
+from smoothbench.distributions import AbsoluteSeparable, GaussianSquared, OnedimQuadlin
 
 
 def projected_gradient_oracle(xs_idx, ys, dim, iters=200_000, step=2e-3):
@@ -329,3 +335,41 @@ def test_sampling_is_deterministic_per_seed():
     c = dist.sample(100, seed=63)
     assert np.array_equal(a.ys, b.ys) and np.array_equal(a.basis_idx, b.basis_idx)
     assert not np.array_equal(a.ys, c.ys)
+
+
+class TestHardFamilyClasses:
+    FAMILIES = [
+        (AbsoluteSeparable, lambda: hard_absolute(4, seed=1), "absolute_separable"),
+        (GaussianSquared, lambda: hard_gaussian(16, 0.5, seed=1), "gaussian_squared"),
+        (OnedimQuadlin, lambda: hard_quadlin(64, 0.5), "onedim_quadlin"),
+    ]
+
+    @pytest.mark.parametrize("cls, build, kind", FAMILIES)
+    def test_constructor_class_and_provenance(self, cls, build, kind):
+        dist = build()
+        assert type(dist) is cls and isinstance(dist, HardDistribution)
+        assert dist.sample(3, seed=7).provenance == f"{kind}:seed=7"
+
+    @pytest.mark.parametrize("cls", [f[0] for f in FAMILIES])
+    def test_sample_and_true_risk_are_not_overridden(self, cls):
+        # the benchmark tracer wraps HardDistribution.sample and .true_risk;
+        # a subclass override would bypass it while the name still resolves
+        assert "sample" not in vars(cls) and "true_risk" not in vars(cls)
+
+    @pytest.mark.parametrize(
+        "cls", [AbsoluteSeparable, GaussianSquared, OnedimQuadlin,
+                SeparableSynthetic, SparseGenerator, RegimeGenerator],
+    )
+    def test_kind_is_a_class_constant(self, cls):
+        assert isinstance(cls.kind, str)
+        assert "kind" not in {f.name for f in dataclasses.fields(cls)}
+
+    def test_module_functions_reject_other_distributions(self):
+        dist = separable_synthetic(8, 1)
+        data = dist.sample(16, seed=2)
+        with pytest.raises(ValueError, match="not a hard family"):
+            erm_exact(dist, data)
+        with pytest.raises(ValueError, match="not a hard family"):
+            lower_bound_value(dist, 16)
+        with pytest.raises(ValueError, match="not a hard family"):
+            lower_bound_applies(dist, 16)

@@ -66,6 +66,7 @@ BAD_CONFIGS = [
     ({"experiment": "margin", "budget": 0.5}, "excludes unit-norm"),
     ({"experiment": "margin", "n_grid": [256, 512]}, "n_grid must have one entry"),
     ({"experiment": "margin", "replicates": 5}, "replicates must be 1"),
+    ({"experiment": "rate", "distribution": "separable", "learner": "erm"}, "no exact ERM"),
 ]
 
 
@@ -747,6 +748,14 @@ class TestCli:
             assert cli_main([raw["experiment"], "--config", str(path)]) == 2, raw
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+    def test_out_in_missing_directory_exits_two_before_any_work(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(experiments, "run_experiment", lambda cfg: pytest.fail("ran"))
+        assert cli_main(["regime", "--out", str(tmp_path / "missing" / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "does not exist" in err
 
     def test_check_failure_exit_three(self, tmp_path, capsys):
         # an impossible slope threshold forces the rate check to fail
