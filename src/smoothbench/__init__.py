@@ -9,7 +9,6 @@ Rademacher/bound calculators, and a CLI experiment harness.
 from .losses import (
     LossSpec,
     NonSmoothLossError,
-    loss_by_name,
     make_absolute,
     make_piecewise_quadlin,
     make_smooth_ramp,

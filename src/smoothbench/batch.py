@@ -9,7 +9,6 @@ into an objective-gap bound, so `tol` means what it says.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -153,18 +152,6 @@ class SolveReport:
     certificate: float
     objectives: list = field(default_factory=list)
     certificates: list = field(default_factory=list)
-
-    def diagnostics_json(self) -> str:
-        return json.dumps(
-            {
-                "termination": self.termination,
-                "iterations": self.iterations,
-                "history": [
-                    {"iteration": k, "objective": o, "certificate": c}
-                    for k, (o, c) in enumerate(zip(self.objectives, self.certificates))
-                ],
-            }
-        )
 
 
 def _objective(setup, loss, data, lam, w) -> tuple[float, np.ndarray]:

@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import EXPERIMENTS, ConfigError, ExperimentConfig, apply_overrides, load_config, with_defaults
-from .experiments import check_result, csv_table, run_and_emit
+from .config import ConfigError, ExperimentConfig, apply_overrides, load_config, with_defaults
+from .experiments import EXPERIMENTS, check_result, csv_table, run_and_emit
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -6,38 +6,14 @@ ints/floats (used for n_grid and gamma_grid). The JSON alternative is an
 object with the same keys. CLI flags override file values.
 """
 
-from __future__ import annotations
-
 import dataclasses
 import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, get_args
 
-import numpy as np
-
-from ..batch import STABILITY_MIN_REPLICATES
-from ..bounds import margin_domain_error
-from ..distributions import (
-    HardDistribution,
-    hard_absolute,
-    hard_gaussian,
-    hard_quadlin,
-    regime_generator,
-    separable_synthetic,
-    sparse_generator,
-)
-from ..geometry import ball_radius, entropy_setup, euclidean_setup, is_feasible
-
-EXPERIMENTS = ("rate", "regret", "stability", "sparse", "regime", "margin")
-
-RATE_LEARNERS = ("erm", "regularized_erm", "mirror_descent")
-# experiment -> (what its `methods` name, the choices)
-METHODS = {
-    "regret": ("stream kinds", ("iid_separable", "fixed_adversarial", "adaptive")),
-    "sparse": ("methods", ("entropy_md", "entropy_regerm", "l1_erm")),
-}
+from ..distributions import hard_absolute, hard_gaussian, hard_quadlin, separable_synthetic
 
 
 class ConfigError(ValueError):
@@ -46,19 +22,22 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
+    """An experiment's settings. None marks a field the config left unset;
+    `with_defaults` fills it from the experiment's declaration."""
+
     experiment: str = ""
-    distribution: str = ""
-    learner: str = ""
+    distribution: str | None = None
+    learner: str | None = None
     loss: str = ""
-    n_grid: tuple = ()
-    replicates: int = 0
+    n_grid: tuple | None = None
+    replicates: int | None = None
     seed: int = 1234
     out: str = ""
     tol: float = 1e-10
     delta: float = 0.05
     bound_k: float = 1e5
-    dim: int = 0
-    budget: float = 0.0
+    dim: int | None = None
+    budget: float | None = None
     sigma: float = 0.5
     x_scale: float = 5.0
     sparsity_k: int = 4
@@ -66,12 +45,12 @@ class ExperimentConfig:
     eta_scale: float = 8.0
     lambda_policy: str = "oracle"
     lbar_mode: str = "exact"
-    methods: tuple = ()
-    gamma_grid: tuple = ()
+    methods: tuple | None = None
+    gamma_grid: tuple | None = None
     label_noise: float = 0.05
-    check_floor_factor: float = math.nan
-    check_slope_min: float = math.nan
-    check_slope_max: float = math.nan
+    check_floor_factor: float | None = None
+    check_slope_min: float | None = None
+    check_slope_max: float | None = None
 
 
 @dataclass(frozen=True)
@@ -83,10 +62,7 @@ class Family:
     build: Callable  # (n, arg, dim, seed) -> distribution
     arg: float | None
     budget: float
-    learner: str
-    n_grid: tuple
-    floor_factor: float
-    slope_window: tuple
+    rate: dict  # learner, n_grid and the check_* thresholds
 
 
 # the lambdas look the constructors up when called, so wrappers installed on
@@ -94,16 +70,20 @@ class Family:
 FAMILIES = {
     "separable": Family(
         lambda n, arg, dim, seed: separable_synthetic(dim, seed), None, 1.0,
-        "mirror_descent", tuple(2**k for k in range(5, 13)), math.nan, (math.nan, -0.85)),
+        {"learner": "mirror_descent", "n_grid": tuple(2**k for k in range(5, 13)),
+         "check_floor_factor": math.nan, "check_slope_min": math.nan, "check_slope_max": -0.85}),
     "hardA": Family(
         lambda n, arg, dim, seed: hard_absolute(n, seed), None, 1.0 / math.sqrt(2.0),
-        "erm", tuple(2**k for k in range(4, 11)), 1.0, (-0.65, -0.35)),
+        {"learner": "erm", "n_grid": tuple(2**k for k in range(4, 11)),
+         "check_floor_factor": 1.0, "check_slope_min": -0.65, "check_slope_max": -0.35}),
     "hardB": Family(
         lambda n, arg, dim, seed: hard_gaussian(n, arg, seed), 0.1, 1.0 / math.sqrt(2.0),
-        "erm", tuple(2**k for k in range(6, 14)), 0.5, (-0.65, -0.35)),
+        {"learner": "erm", "n_grid": tuple(2**k for k in range(6, 14)),
+         "check_floor_factor": 0.5, "check_slope_min": -0.65, "check_slope_max": -0.35}),
     "hardC": Family(
         lambda n, arg, dim, seed: hard_quadlin(n, arg), 0.5, 1.0 / math.sqrt(2.0),
-        "erm", tuple(2**k for k in range(6, 14)), math.nan, (math.nan, math.nan)),
+        {"learner": "erm", "n_grid": tuple(2**k for k in range(6, 14)),
+         "check_floor_factor": math.nan, "check_slope_min": math.nan, "check_slope_max": math.nan}),
 }
 
 
@@ -159,7 +139,7 @@ def parse_kv_text(text: str) -> dict:
 
 
 def _coerce(key: str, kind: type, value):
-    """`value` as the type of the field's default."""
+    """`value` as the field's type."""
     if kind is tuple:
         return tuple(value) if isinstance(value, (list, tuple)) else (value,)
     if kind is str:
@@ -173,7 +153,8 @@ def _coerce(key: str, kind: type, value):
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    kinds = {f.name: type(f.default) for f in dataclasses.fields(ExperimentConfig)}
+    # a field's type: its annotation's first member ("int | None" -> int)
+    kinds = {f.name: (get_args(f.type) or (f.type,))[0] for f in dataclasses.fields(ExperimentConfig)}
     cfg = ExperimentConfig()
     for key, value in raw.items():
         if key not in kinds:
@@ -204,78 +185,43 @@ def apply_overrides(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:
     return cfg
 
 
-def _require_choice(key: str, value, choices) -> None:
+def require_choice(key: str, value, choices) -> None:
     if value not in choices:
         raise ConfigError(f"unknown {key}: {value!r}; expected one of {tuple(choices)}")
 
 
+def fill_unset(cfg: ExperimentConfig, defaults: dict) -> None:
+    """Give each field that the config left unset (None) its default."""
+    for key, value in defaults.items():
+        if getattr(cfg, key) is None:
+            setattr(cfg, key, value)
+
+
 def with_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Fill experiment-specific defaults into unset fields, then validate."""
-    _require_choice("experiment", cfg.experiment, EXPERIMENTS)
-    exp = cfg.experiment
-    if exp in ("rate", "stability"):
-        cfg.distribution = cfg.distribution or ("separable" if exp == "rate" else "hardB:0.1")
-        family, _ = parse_distribution(cfg.distribution)
-        cfg.budget = cfg.budget or family.budget
-        cfg.dim = cfg.dim or 16  # read by separable only
-    if exp == "rate":
-        cfg.learner = cfg.learner or family.learner
-        _require_choice("learner", cfg.learner, RATE_LEARNERS)
-        cfg.n_grid = cfg.n_grid or family.n_grid
-        cfg.replicates = cfg.replicates or 50
-        if math.isnan(cfg.check_floor_factor):
-            cfg.check_floor_factor = family.floor_factor
-        if math.isnan(cfg.check_slope_min):
-            cfg.check_slope_min = family.slope_window[0]
-        if math.isnan(cfg.check_slope_max):
-            cfg.check_slope_max = family.slope_window[1]
-    elif exp == "regret":
-        cfg.n_grid = cfg.n_grid or (10, 100, 1000, 10000)
-        cfg.replicates = cfg.replicates or 10
-        cfg.dim = cfg.dim or 8
-        cfg.budget = cfg.budget or 1.0
-    elif exp == "stability":
-        cfg.n_grid = cfg.n_grid or (64,)
-        cfg.replicates = cfg.replicates or 200
-        if cfg.replicates < STABILITY_MIN_REPLICATES:
-            raise ConfigError(f"stability needs replicates >= {STABILITY_MIN_REPLICATES}")
-    elif exp == "sparse":
-        cfg.dim = cfg.dim or 256
-        cfg.n_grid = cfg.n_grid or tuple(2**k for k in range(7, 13))
-        cfg.replicates = cfg.replicates or 20
-        cfg.budget = cfg.budget or 2.0 * math.sqrt(cfg.sparsity_k)
-        if math.isnan(cfg.check_slope_max):
-            cfg.check_slope_max = -0.85
-    elif exp == "regime":
-        cfg.dim = cfg.dim or 50
-        cfg.n_grid = cfg.n_grid or tuple(2**k for k in range(3, 13))
-        cfg.replicates = cfg.replicates or 12
-        cfg.budget = cfg.budget or 1.0
-    elif exp == "margin":
-        cfg.dim = cfg.dim or 10
-        cfg.n_grid = cfg.n_grid or (2048,)
-        cfg.replicates = cfg.replicates or 1
-        cfg.budget = cfg.budget or 1.0
-        cfg.gamma_grid = cfg.gamma_grid or (0.05, 0.1, 0.2, 0.4, 0.8)
-        # margin trains one classifier on one sample
-        if len(cfg.n_grid) != 1:
-            raise ConfigError(f"margin n_grid must have one entry, got {cfg.n_grid}")
-        if cfg.replicates != 1:
-            raise ConfigError(f"margin replicates must be 1, got {cfg.replicates}")
-    if exp in METHODS:
-        what, choices = METHODS[exp]
-        cfg.methods = cfg.methods or choices
+    """Fill the experiment's defaults into the fields the config left unset,
+    then validate."""
+    from .experiments import EXPERIMENTS  # here: experiments imports this module
+
+    require_choice("experiment", cfg.experiment, EXPERIMENTS)
+    name, spec = cfg.experiment, EXPERIMENTS[cfg.experiment]
+    fill_unset(cfg, spec.defaults)
+    spec.prepare(cfg)
+    if spec.methods:
+        what, choices = spec.methods
+        fill_unset(cfg, {"methods": choices})
         bad = set(cfg.methods) - set(choices)
         if bad:
-            raise ConfigError(f"unknown {exp} {what}: {sorted(bad)}; expected {choices}")
-    _require_choice("lbar_mode", cfg.lbar_mode, ("exact", "auto"))
-    _require_choice("lambda_policy", cfg.lambda_policy, ("oracle", "formula"))
+            raise ConfigError(f"unknown {name} {what}: {sorted(bad)}; expected {choices}")
+    require_choice("lbar_mode", cfg.lbar_mode, ("exact", "auto"))
+    require_choice("lambda_policy", cfg.lambda_policy, ("oracle", "formula"))
 
     # only the experiments that draw from a named distribution read `loss`
-    if cfg.loss and exp not in ("rate", "stability"):
-        raise ConfigError(f"{exp} fixes its own loss; only rate and stability read 'loss'")
-    if not all(isinstance(v, (int, float)) for v in cfg.n_grid + cfg.gamma_grid):
-        raise ConfigError(f"grid entries must be numbers, got {cfg.n_grid} and {cfg.gamma_grid}")
+    if cfg.loss and "distribution" not in spec.defaults:
+        readers = " and ".join(k for k, e in EXPERIMENTS.items() if "distribution" in e.defaults)
+        raise ConfigError(f"{name} fixes its own loss; only {readers} read 'loss'")
+    gammas = cfg.gamma_grid or ()
+    if not all(isinstance(v, (int, float)) for v in cfg.n_grid + gammas):
+        raise ConfigError(f"grid entries must be numbers, got {cfg.n_grid} and {gammas}")
     if not cfg.n_grid or any(
         b <= a for a, b in zip(cfg.n_grid, cfg.n_grid[1:])
     ):
@@ -283,6 +229,9 @@ def with_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
     if any(int(n) != n or n < 1 for n in cfg.n_grid):
         raise ConfigError(f"n_grid entries must be positive integers, got {cfg.n_grid}")
     cfg.n_grid = tuple(int(n) for n in cfg.n_grid)
+    empty = [key for key, value in vars(cfg).items() if value == ()]
+    if empty:
+        raise ConfigError(f"{empty[0]} must not be empty")
     if cfg.replicates < 1:
         raise ConfigError(f"replicates must be >= 1, got {cfg.replicates}")
     if not 0 < cfg.delta < 1:
@@ -296,44 +245,8 @@ def with_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
     if out_dir and not os.path.isdir(out_dir):
         raise ConfigError(f"out: directory {out_dir!r} does not exist")
     try:
-        _check_premises(cfg)
+        spec.premises(cfg)
     except ValueError as exc:  # a constructor's own rule, or NonSmoothLossError
-        where = " ".join(filter(None, (exp, cfg.distribution, cfg.learner)))
+        where = " ".join(filter(None, (name, cfg.distribution, cfg.learner)))
         raise ConfigError(f"{where}: {exc}") from exc
     return cfg
-
-
-def _check_premises(cfg: ExperimentConfig) -> None:
-    """Build what the run builds, once, at the smallest n, so that the
-    constructors' own rules reject a bad config before any work is done."""
-    exp, dim = cfg.experiment, cfg.dim
-    if exp in ("rate", "stability"):
-        dist = make_distribution(cfg.distribution, cfg.n_grid[0], dim, cfg.seed)
-        dim = dist.dim
-        if cfg.loss and cfg.loss != dist.loss.name:
-            raise ValueError(f"incompatible loss {cfg.loss!r}; the family's is {dist.loss.name!r}")
-        if exp == "stability" or cfg.learner != "erm":
-            dist.loss.smoothness_H  # raises for a non-smooth loss
-        elif not isinstance(dist, HardDistribution):
-            raise ValueError("the family has no exact ERM; use regularized_erm or mirror_descent")
-    elif exp == "sparse":
-        sparse_generator(dim, cfg.sparsity_k, cfg.seed, noise=cfg.noise)
-        entropy_setup(2 * dim, cfg.budget)
-        return
-    elif exp == "regime":
-        regime_generator(dim, cfg.x_scale, cfg.sigma, cfg.seed)
-    setup = euclidean_setup(dim, cfg.budget)
-    range_b = ball_radius(setup)
-    # margin starts at a unit vector; so does the comparator of regret's
-    # i.i.d. stream (its other streams compare against, and start at, zero)
-    unit_needed = exp == "margin" or (exp == "regret" and "iid_separable" in cfg.methods)
-    if unit_needed and not is_feasible(setup, np.eye(1, dim)[0]):
-        raise ValueError(
-            f"budget {cfg.budget} gives a ball of radius {range_b:.6g} that "
-            f"excludes unit-norm vectors"
-        )
-    if exp == "margin":
-        for gamma in cfg.gamma_grid:
-            problem = margin_domain_error(gamma, range_b)
-            if problem:
-                raise ValueError(f"gamma_grid entry {gamma}: {problem} = {range_b:.6g}")

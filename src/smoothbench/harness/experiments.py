@@ -17,11 +17,13 @@ import platform
 import time
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .. import __version__ as _pkg_version
 from ..batch import (
+    STABILITY_MIN_REPLICATES,
     TERM_MAX_ITERS,
     Dataset,
     excess_risk,
@@ -35,9 +37,11 @@ from ..bounds import (
     FunctionClassSpec,
     empirical_rademacher,
     margin_bound,
+    margin_domain_error,
     margin_empirical_error,
 )
 from ..distributions import (
+    HardDistribution,
     erm_exact,
     lower_bound_applies,
     lower_bound_value,
@@ -50,6 +54,7 @@ from ..geometry import (
     default_start,
     entropy_setup,
     euclidean_setup,
+    is_feasible,
 )
 from ..losses import make_smooth_ramp, make_squared
 from ..online import (
@@ -59,7 +64,14 @@ from ..online import (
     run_mirror_descent_batch,
     stepsize_for,
 )
-from .config import ExperimentConfig, make_distribution
+from .config import (
+    ConfigError,
+    ExperimentConfig,
+    fill_unset,
+    make_distribution,
+    parse_distribution,
+    require_choice,
+)
 
 REGRET_SLACK = 1e-9
 REGIME_ENVELOPE_FACTOR = 8.0
@@ -114,18 +126,7 @@ class RateRow:
     floor_applies: bool = _column(None, default=True)
 
 
-@dataclass
-class RateCurve:
-    rows: list
-
-    def __post_init__(self):
-        self.rows = sorted(self.rows, key=lambda r: r.n)
-
-    def slope(self) -> tuple[float, float, float]:
-        return fit_slope([r.n for r in self.rows], [r.mean for r in self.rows])
-
-
-def run_rate_experiment(cfg: ExperimentConfig) -> RateCurve:
+def run_rate_experiment(cfg: ExperimentConfig) -> list:
     """Replicate-mean excess risk of the configured learner across n_grid;
     the mirror-descent replicates of a grid point run as one batch."""
     rows = []
@@ -172,7 +173,51 @@ def run_rate_experiment(cfg: ExperimentConfig) -> RateCurve:
                 floor_applies=cfg.learner == "erm" and lower_bound_applies(dist, n),
             )
         )
-    return RateCurve(rows)
+    return rows
+
+
+def rate_slope(rows) -> float:
+    """Log-log slope of the rate rows' mean excess over n."""
+    return fit_slope([r.n for r in rows], [r.mean for r in rows])[0]
+
+
+def _rate_defaults(cfg: ExperimentConfig) -> None:
+    family, _ = parse_distribution(cfg.distribution)
+    fill_unset(cfg, {"budget": family.budget, **family.rate})
+    require_choice("learner", cfg.learner, ("erm", "regularized_erm", "mirror_descent"))
+
+
+def _family_premises(cfg: ExperimentConfig, exact_erm: bool) -> None:
+    """The premises of a run on the configured family (rate, stability);
+    `exact_erm`: the run solves the exact ERM, not a smooth-loss learner."""
+    dist = make_distribution(cfg.distribution, cfg.n_grid[0], cfg.dim, cfg.seed)
+    if cfg.loss and cfg.loss != dist.loss.name:
+        raise ValueError(f"incompatible loss {cfg.loss!r}; the family's is {dist.loss.name!r}")
+    if not exact_erm:
+        dist.loss.smoothness_H  # raises for a non-smooth loss
+    elif not isinstance(dist, HardDistribution):
+        raise ValueError("the family has no exact ERM; use regularized_erm or mirror_descent")
+    euclidean_setup(dist.dim, cfg.budget)
+
+
+def _check_rate(cfg: ExperimentConfig, rows) -> list:
+    # a nan threshold or bound compares false: that check is off
+    failures = _max_iters_failures(rows)
+    factor = cfg.check_floor_factor
+    failures += [
+        f"n={r.n}: mean {r.mean:.6g} < {factor} * lower bound {r.lower_bound:.6g}"
+        for r in rows if r.floor_applies and r.mean < factor * r.lower_bound
+    ]
+    failures += [
+        f"n={r.n}: mean {r.mean:.6g} above bound {r.bound:.6g}"
+        for r in rows if r.mean > r.bound + REGRET_SLACK
+    ]
+    slope = rate_slope(rows)
+    if slope > cfg.check_slope_max:
+        failures.append(f"slope {slope:.3f} > {cfg.check_slope_max}")
+    if slope < cfg.check_slope_min:
+        failures.append(f"slope {slope:.3f} < {cfg.check_slope_min}")
+    return failures
 
 
 def _batched_mirror_descent(cfg, n, replicates) -> tuple[list, np.ndarray, float]:
@@ -321,6 +366,22 @@ def _regret_row(stream_kind, setup, n, j, measured, lbar) -> RegretRow:
     )
 
 
+def _regret_premises(cfg: ExperimentConfig) -> None:
+    setup = euclidean_setup(cfg.dim, cfg.budget)
+    # the i.i.d. stream compares against a unit vector; the others against zero
+    if "iid_separable" in cfg.methods:
+        _unit_vectors_fit(cfg, setup)
+
+
+def _unit_vectors_fit(cfg: ExperimentConfig, setup) -> None:
+    """Reject a budget whose ball excludes unit-norm vectors."""
+    if not is_feasible(setup, np.eye(1, setup.dim)[0]):
+        raise ValueError(
+            f"budget {cfg.budget} gives a ball of radius {ball_radius(setup):.6g} that "
+            f"excludes unit-norm vectors"
+        )
+
+
 def _doubling_lbar_rows(setup, loss, xs, ys, hindsight) -> list:
     """Doubling search over Lbar candidates for each fixed sequence (zero
     comparator, hindsight loss `hindsight`); keeps the best run whose
@@ -392,6 +453,12 @@ def run_stability_experiment(cfg: ExperimentConfig) -> list:
             )
         )
     return rows
+
+
+def _stability_rules(cfg: ExperimentConfig) -> None:
+    fill_unset(cfg, {"budget": parse_distribution(cfg.distribution)[0].budget})
+    if cfg.replicates < STABILITY_MIN_REPLICATES:
+        raise ConfigError(f"stability needs replicates >= {STABILITY_MIN_REPLICATES}")
 
 
 @dataclass(frozen=True)
@@ -537,6 +604,19 @@ def sparse_slopes(rows) -> dict:
     return out
 
 
+def _sparse_premises(cfg: ExperimentConfig) -> None:
+    sparse_generator(cfg.dim, cfg.sparsity_k, cfg.seed, noise=cfg.noise)
+    entropy_setup(2 * cfg.dim, cfg.budget)
+
+
+def _check_sparse(cfg: ExperimentConfig, rows) -> list:
+    failures = _max_iters_failures(rows, lambda r: f"{r.method} n={r.n}")
+    slope = sparse_slopes(rows).get("entropy_md", math.nan)
+    if cfg.noise == 0 and slope > cfg.check_slope_max:
+        failures.append(f"entropy_md slope {slope:.3f} > {cfg.check_slope_max}")
+    return failures
+
+
 @dataclass(frozen=True)
 class RegimeRow:
     n: int
@@ -595,6 +675,11 @@ def run_regime_experiment(cfg: ExperimentConfig) -> list:
             )
         )
     return rows
+
+
+def _regime_premises(cfg: ExperimentConfig) -> None:
+    regime_generator(cfg.dim, cfg.x_scale, cfg.sigma, cfg.seed)
+    euclidean_setup(cfg.dim, cfg.budget)
 
 
 @dataclass(frozen=True)
@@ -676,8 +761,107 @@ def run_margin_experiment(cfg: ExperimentConfig) -> list:
     return rows
 
 
+def _margin_rules(cfg: ExperimentConfig) -> None:
+    # margin trains one classifier on one sample
+    if len(cfg.n_grid) != 1:
+        raise ConfigError(f"margin n_grid must have one entry, got {cfg.n_grid}")
+    if cfg.replicates != 1:
+        raise ConfigError(f"margin replicates must be 1, got {cfg.replicates}")
+
+
+def _margin_premises(cfg: ExperimentConfig) -> None:
+    setup = euclidean_setup(cfg.dim, cfg.budget)
+    range_b = ball_radius(setup)
+    _unit_vectors_fit(cfg, setup)  # the classifier starts at a unit vector
+    for gamma in cfg.gamma_grid:
+        problem = margin_domain_error(gamma, range_b)
+        if problem:
+            raise ValueError(f"gamma_grid entry {gamma}: {problem} = {range_b:.6g}")
+
+
 # ---------------------------------------------------------------------------
-# emission and checks
+# the experiments, emission and checks
+
+def _max_iters_failures(rows, where=lambda r: f"n={r.n}") -> list:
+    """A failure for each row whose certified solves stopped at max_iters."""
+    return [
+        f"{where(r)}: {r.max_iters_hits} solves stopped at max_iters"
+        for r in rows if r.max_iters_hits
+    ]
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One CLI experiment, declared once: adding an experiment is adding
+    one record to EXPERIMENTS."""
+
+    run: Callable  # cfg -> list of rows
+    row: type  # the row type; its fields are the CSV columns (see `_column`)
+    # cfg -> None: builds what the run builds, once, at the smallest n, so
+    # that the constructors' own rules (ValueError) reject a bad config
+    premises: Callable
+    defaults: dict  # the values of the fields the config leaves unset
+    check: Callable  # (cfg, rows) -> the `--check` failure messages
+    # cfg -> None: fills the defaults that depend on other fields and
+    # enforces the experiment's own config rules (ConfigError)
+    prepare: Callable = lambda cfg: None
+    methods: tuple = ()  # (what the `methods` key names, its choices), if read
+
+
+# the CLI's experiments, in its order; the hooks look the constructors up
+# when called, so wrappers installed on their names (profilers, tracers)
+# see each construction
+EXPERIMENTS = {
+    "rate": Experiment(
+        run_rate_experiment, RateRow,
+        lambda cfg: _family_premises(cfg, exact_erm=cfg.learner == "erm"),
+        {"distribution": "separable", "dim": 16, "replicates": 50},  # dim: separable only
+        check=_check_rate, prepare=_rate_defaults),
+    "regret": Experiment(
+        run_regret_experiment, RegretRow, _regret_premises,
+        {"n_grid": (10, 100, 1000, 10000), "replicates": 10, "dim": 8, "budget": 1.0},
+        check=lambda cfg, rows: [
+            f"{r.stream} n={r.n} seed={r.seed_index}: measured {r.measured:.6g} > "
+            f"bound {r.bound:.6g}"
+            for r in rows if r.measured > r.bound + REGRET_SLACK
+        ],
+        methods=("stream kinds", ("iid_separable", "fixed_adversarial", "adaptive"))),
+    "stability": Experiment(
+        run_stability_experiment, StabilityRow,
+        lambda cfg: _family_premises(cfg, exact_erm=False),
+        {"distribution": "hardB:0.1", "dim": 16, "n_grid": (64,), "replicates": 200},
+        check=lambda cfg, rows: _max_iters_failures(rows) + [
+            f"n={r.n}: lhs {r.lhs_mean:.6g} > rhs {r.rhs_mean:.6g} + 2 stderres"
+            for r in rows if r.lhs_mean > r.rhs_mean + 2.0 * r.combined_stderr
+        ],
+        prepare=_stability_rules),
+    "sparse": Experiment(
+        run_sparse_experiment, SparseRow, _sparse_premises,
+        {"dim": 256, "n_grid": tuple(2**k for k in range(7, 13)), "replicates": 20,
+         "check_slope_max": -0.85},
+        check=_check_sparse,
+        prepare=lambda cfg: fill_unset(cfg, {"budget": 2.0 * math.sqrt(cfg.sparsity_k)}),
+        methods=("methods", ("entropy_md", "entropy_regerm", "l1_erm"))),
+    "regime": Experiment(
+        run_regime_experiment, RegimeRow, _regime_premises,
+        {"dim": 50, "n_grid": tuple(2**k for k in range(3, 13)), "replicates": 12,
+         "budget": 1.0},
+        check=lambda cfg, rows: _max_iters_failures(rows) + [
+            f"n={r.n}: excess {r.mean_excess:.6g} > "
+            f"{REGIME_ENVELOPE_FACTOR} * envelope {r.envelope:.6g}"
+            for r in rows if r.mean_excess > REGIME_ENVELOPE_FACTOR * r.envelope
+        ]),
+    "margin": Experiment(
+        run_margin_experiment, MarginRow, _margin_premises,
+        {"dim": 10, "n_grid": (2048,), "replicates": 1, "budget": 1.0,
+         "gamma_grid": (0.05, 0.1, 0.2, 0.4, 0.8)},
+        check=lambda cfg, rows: [
+            f"gamma={r.gamma}: rhs {r.rhs:.6g} < holdout {r.holdout_error:.6g}"
+            for r in rows if r.rhs < r.holdout_error
+        ],
+        prepare=_margin_rules),
+}
+
 
 def _fmt(value) -> str:
     if isinstance(value, float):
@@ -690,13 +874,12 @@ def csv_table(experiment: str, result) -> tuple[list, list]:
     experiment's row type, named by the field's `column` metadata if any."""
     columns = [
         (f.name, f.metadata.get("column", f.name))
-        for f in dataclasses.fields(_EXPERIMENTS[experiment][1])
+        for f in dataclasses.fields(EXPERIMENTS[experiment].row)
         if f.metadata.get("column", f.name)
     ]
-    rows = result.rows if isinstance(result, RateCurve) else result
     return (
         [column for _, column in columns],
-        [[getattr(r, name) for name, _ in columns] for r in rows],
+        [[getattr(r, name) for name, _ in columns] for r in result],
     )
 
 
@@ -731,82 +914,14 @@ def write_meta(path: str, cfg: ExperimentConfig, wall_time: float) -> None:
         fh.write("\n")
 
 
-# experiment -> (runner, row type)
-_EXPERIMENTS = {
-    "rate": (run_rate_experiment, RateRow),
-    "regret": (run_regret_experiment, RegretRow),
-    "stability": (run_stability_experiment, StabilityRow),
-    "sparse": (run_sparse_experiment, SparseRow),
-    "regime": (run_regime_experiment, RegimeRow),
-    "margin": (run_margin_experiment, MarginRow),
-}
-
-
-def run_experiment(cfg: ExperimentConfig):
-    return _EXPERIMENTS[cfg.experiment][0](cfg)
+def run_experiment(cfg: ExperimentConfig) -> list:
+    return EXPERIMENTS[cfg.experiment].run(cfg)
 
 
 def check_result(cfg: ExperimentConfig, result) -> tuple[bool, list]:
-    """Experiment-specific acceptance checks for --check; returns
+    """The experiment's acceptance checks for --check; returns
     (passed, failure messages)."""
-    failures = []
-    exp = cfg.experiment
-    for r in result.rows if isinstance(result, RateCurve) else result:
-        if getattr(r, "max_iters_hits", 0):  # rate, stability, sparse, regime
-            where = f"{r.method} n={r.n}" if exp == "sparse" else f"n={r.n}"
-            failures.append(f"{where}: {r.max_iters_hits} solves stopped at max_iters")
-    if exp == "rate":
-        factor = cfg.check_floor_factor
-        if not math.isnan(factor):
-            for r in result.rows:
-                if r.floor_applies and r.mean < factor * r.lower_bound:
-                    failures.append(
-                        f"n={r.n}: mean {r.mean:.6g} < {factor} * lower bound "
-                        f"{r.lower_bound:.6g}"
-                    )
-        bound_rows = [r for r in result.rows if not math.isnan(r.bound)]
-        for r in bound_rows:
-            if r.mean > r.bound + REGRET_SLACK:
-                failures.append(f"n={r.n}: mean {r.mean:.6g} above bound {r.bound:.6g}")
-        slope = result.slope()[0]
-        if not math.isnan(cfg.check_slope_max) and slope > cfg.check_slope_max:
-            failures.append(f"slope {slope:.3f} > {cfg.check_slope_max}")
-        if not math.isnan(cfg.check_slope_min) and slope < cfg.check_slope_min:
-            failures.append(f"slope {slope:.3f} < {cfg.check_slope_min}")
-    elif exp == "regret":
-        for r in result:
-            if r.measured > r.bound + REGRET_SLACK:
-                failures.append(
-                    f"{r.stream} n={r.n} seed={r.seed_index}: measured "
-                    f"{r.measured:.6g} > bound {r.bound:.6g}"
-                )
-    elif exp == "stability":
-        for r in result:
-            if r.lhs_mean > r.rhs_mean + 2.0 * r.combined_stderr:
-                failures.append(
-                    f"n={r.n}: lhs {r.lhs_mean:.6g} > rhs {r.rhs_mean:.6g} "
-                    f"+ 2 stderres"
-                )
-    elif exp == "sparse":
-        slopes = sparse_slopes(result)
-        if "entropy_md" in slopes and cfg.noise == 0:
-            if slopes["entropy_md"] > cfg.check_slope_max:
-                failures.append(
-                    f"entropy_md slope {slopes['entropy_md']:.3f} > {cfg.check_slope_max}"
-                )
-    elif exp == "regime":
-        for r in result:
-            if r.mean_excess > REGIME_ENVELOPE_FACTOR * r.envelope:
-                failures.append(
-                    f"n={r.n}: excess {r.mean_excess:.6g} > "
-                    f"{REGIME_ENVELOPE_FACTOR} * envelope {r.envelope:.6g}"
-                )
-    elif exp == "margin":
-        for r in result:
-            if r.rhs < r.holdout_error:
-                failures.append(
-                    f"gamma={r.gamma}: rhs {r.rhs:.6g} < holdout {r.holdout_error:.6g}"
-                )
+    failures = EXPERIMENTS[cfg.experiment].check(cfg, result)
     return (not failures, failures)
 
 

@@ -169,22 +169,6 @@ def make_absolute() -> LossSpec:
     return LossSpec("absolute", value, derivative, b, is_smooth=False)
 
 
-def loss_by_name(name: str) -> LossSpec:
-    """Resolve a config-file loss name:
-    squared | squared2 | ramp:<gamma> | quadlin | absolute."""
-    if name == "squared":
-        return make_squared()
-    if name == "squared2":
-        return make_squared_unhalved()
-    if name == "quadlin":
-        return make_piecewise_quadlin()
-    if name == "absolute":
-        return make_absolute()
-    if name.startswith("ramp:"):
-        return make_smooth_ramp(float(name.split(":", 1)[1]))
-    raise ValueError(f"unknown loss: {name!r}")
-
-
 def self_bound_residual(loss: LossSpec, t, y):
     """sqrt(4 H phi(t, y)) - |phi'(t, y)|.
 

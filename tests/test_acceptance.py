@@ -12,6 +12,7 @@ import numpy as np
 import smoothbench as sb
 from smoothbench.harness import (
     config_from_dict,
+    rate_slope,
     run_margin_experiment,
     run_rate_experiment,
     run_regret_experiment,
@@ -81,9 +82,9 @@ def test_criterion_03_separable_fast_rate():
         experiment="rate", distribution="separable",
         n_grid=[2**k for k in range(5, 13)], replicates=50,
     )
-    curve = run_rate_experiment(cfg)
-    slope = curve.slope()[0]
-    above_bound = [r.n for r in curve.rows if r.mean > r.bound]
+    rows = run_rate_experiment(cfg)
+    slope = rate_slope(rows)
+    above_bound = [r.n for r in rows if r.mean > r.bound]
     elapsed = time.perf_counter() - start
     ok = slope <= -0.85 and not above_bound and elapsed < 120.0
     report(3, ok, f"log-log slope {slope:.3f} (need <= -0.85)", elapsed, 120)
@@ -95,13 +96,13 @@ def test_criterion_03_separable_fast_rate():
 def test_criterion_04_nonsmooth_separable_slow_rate():
     start = time.perf_counter()
     cfg = make_cfg(experiment="rate", distribution="hardA")
-    curve = run_rate_experiment(cfg)
+    rows = run_rate_experiment(cfg)
     repeat = run_rate_experiment(make_cfg(experiment="rate", distribution="hardA"))
     deterministic = all(
-        a.mean == b.mean for a, b in zip(curve.rows, repeat.rows)
+        a.mean == b.mean for a, b in zip(rows, repeat)
     )
-    floor_failures = [r.n for r in curve.rows if r.mean < r.lower_bound]
-    slope = curve.slope()[0]
+    floor_failures = [r.n for r in rows if r.mean < r.lower_bound]
+    slope = rate_slope(rows)
     elapsed = time.perf_counter() - start
     ok = (
         not floor_failures and -0.65 <= slope <= -0.35 and deterministic and elapsed < 10.0
@@ -144,9 +145,9 @@ def test_criterion_05_smooth_nonseparable_slow_rate():
     start = time.perf_counter()
     sigma = 0.1
     cfg = make_cfg(experiment="rate", distribution=f"hardB:{sigma}")
-    curve = run_rate_experiment(cfg)
+    rows = run_rate_experiment(cfg)
     floor_ns, floor_failures, exact_failures = [], [], []
-    for r in curve.rows:
+    for r in rows:
         d = sb.hard_gaussian(r.n, sigma, seed=MASTER_SEED).dim
         if r.n >= d:
             floor_ns.append(r.n)
@@ -157,7 +158,7 @@ def test_criterion_05_smooth_nonseparable_slow_rate():
             if abs(r.mean - exact) > 3.0 * r.stderr:
                 exact_failures.append((r.n, r.mean, exact, r.stderr))
     floor_grid_ok = floor_ns == [2**k for k in range(7, 14)]
-    slope = curve.slope()[0]
+    slope = rate_slope(rows)
     slope_ok = -0.65 <= slope <= -0.35
     elapsed = time.perf_counter() - start
     ok = (

@@ -339,16 +339,6 @@ class TestSolver:
         with pytest.raises(ValueError):
             solve_regularized_erm(setup, SQ, data, 0.0)
 
-    def test_diagnostics_json(self):
-        import json
-
-        setup = euclidean_setup(2, 1.0)
-        data = Dataset(ys=np.array([1.0]), xs=np.array([[1.0, 0.0]]))
-        report = solve_regularized_erm(setup, SQ, data, 1.0)
-        payload = json.loads(report.diagnostics_json())
-        assert payload["termination"] == TERM_TOLERANCE
-        assert payload["history"][0]["iteration"] == 0
-
 
 class TestStabilityProbe:
     def test_requires_30_replicates(self):

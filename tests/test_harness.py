@@ -1,11 +1,14 @@
+import ast
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from smoothbench.harness import (
+    EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
     apply_overrides,
@@ -14,6 +17,7 @@ from smoothbench.harness import (
     fit_slope,
     load_config,
     parse_kv_text,
+    rate_slope,
     run_and_emit,
     run_margin_experiment,
     run_rate_experiment,
@@ -27,7 +31,7 @@ from smoothbench.harness import (
 )
 from smoothbench import Dataset, RegimeGenerator, SparseGenerator
 from smoothbench.harness import experiments
-from smoothbench.harness.cli import main as cli_main
+from smoothbench.harness.cli import build_parser, main as cli_main
 from smoothbench.harness.experiments import _project_l1_ball
 
 
@@ -67,6 +71,13 @@ BAD_CONFIGS = [
     ({"experiment": "margin", "n_grid": [256, 512]}, "n_grid must have one entry"),
     ({"experiment": "margin", "replicates": 5}, "replicates must be 1"),
     ({"experiment": "rate", "distribution": "separable", "learner": "erm"}, "no exact ERM"),
+    # an explicit zero or empty value is the config's, not a request for the default
+    ({"experiment": "regret", "replicates": 0}, "replicates must be >= 1"),
+    ({"experiment": "regret", "budget": 0}, "budget > 0"),
+    ({"experiment": "regime", "dim": 0}, "dim >= 1"),
+    ({"experiment": "margin", "replicates": 0}, "replicates must be 1"),
+    ({"experiment": "sparse", "methods": []}, "methods must not be empty"),
+    ({"experiment": "margin", "gamma_grid": []}, "gamma_grid must not be empty"),
 ]
 
 
@@ -154,6 +165,75 @@ class TestConfig:
         own.write_text("distribution = hardB:0.1\nloss = squared2\nn_grid = 64, 128\n"
                        "replicates = 2\n")
         assert cli_main(["rate", "--config", str(own)]) == 0
+
+
+class TestCheckMessages:
+    """Every `--check` message, pinned: each experiment's check is fed
+    doctored failing rows and must return exactly these lines."""
+
+    def test_rate(self, monkeypatch):
+        # every replicate's excess is doctored; the bounds are the runner's
+        monkeypatch.setattr(experiments, "excess_risk", lambda dist, w: 1.0)
+        cfg = make_cfg(experiment="rate", distribution="separable", n_grid=[32, 64, 128],
+                       replicates=2, check_slope_min=1.0)
+        assert check_result(cfg, run_rate_experiment(cfg)) == (False, [
+            "n=32: mean 1 above bound 0.125",
+            "n=64: mean 1 above bound 0.0625",
+            "n=128: mean 1 above bound 0.03125",
+            "slope 0.000 > -0.85",
+            "slope 0.000 < 1.0",
+        ])
+        monkeypatch.setattr(experiments, "excess_risk", lambda dist, w: 0.01)
+        cfg = make_cfg(experiment="rate", distribution="hardA", n_grid=[16, 32, 64],
+                       replicates=2)
+        assert check_result(cfg, run_rate_experiment(cfg)) == (False, [
+            "n=16: mean 0.01 < 1.0 * lower bound 0.125",
+            "n=32: mean 0.01 < 1.0 * lower bound 0.0883883",
+            "n=64: mean 0.01 < 1.0 * lower bound 0.0625",
+            "slope 0.000 > -0.35",
+        ])
+
+    def test_regret(self):
+        row = experiments.RegretRow(stream="iid_separable", n=10, seed_index=3,
+                                    measured=1.0, bound=0.5, lbar=0.0)
+        assert check_result(make_cfg(experiment="regret"), [row]) == (False, [
+            "iid_separable n=10 seed=3: measured 1 > bound 0.5",
+        ])
+
+    def test_stability(self):
+        row = experiments.StabilityRow(n=64, lam=0.1, lhs_mean=1.0, lhs_stderr=0.01,
+                                       rhs_mean=0.5, rhs_stderr=0.01, combined_stderr=0.1,
+                                       replicates=30, max_iters_hits=2)
+        assert check_result(make_cfg(experiment="stability"), [row]) == (False, [
+            "n=64: 2 solves stopped at max_iters",
+            "n=64: lhs 1 > rhs 0.5 + 2 stderres",
+        ])
+
+    def test_sparse(self):
+        rows = [
+            experiments.SparseRow(method="entropy_md", n=n, dim=32, k=4, mean_excess=1.0,
+                                  stderr=0.0, bound=0.5, max_iters_hits=2 * (n == 64))
+            for n in (64, 128, 256)
+        ]
+        assert check_result(make_cfg(experiment="sparse"), rows) == (False, [
+            "entropy_md n=64: 2 solves stopped at max_iters",
+            "entropy_md slope 0.000 > -0.85",
+        ])
+
+    def test_regime(self):
+        row = experiments.RegimeRow(n=8, mean_excess=1.0, stderr=0.0, envelope=0.1,
+                                    active_term="random", lam=0.5, max_iters_hits=3)
+        assert check_result(make_cfg(experiment="regime"), [row]) == (False, [
+            "n=8: 3 solves stopped at max_iters",
+            "n=8: excess 1 > 8.0 * envelope 0.1",
+        ])
+
+    def test_margin(self):
+        row = experiments.MarginRow(gamma=0.1, margin_error=0.2, rhs=0.3,
+                                    rhs_simplified=0.3, holdout_error=0.4)
+        assert check_result(make_cfg(experiment="margin"), [row]) == (False, [
+            "gamma=0.1: rhs 0.3 < holdout 0.4",
+        ])
 
 
 class TestSeedDiscipline:
@@ -281,21 +361,21 @@ class TestRateExperiment:
             experiment="rate", distribution="separable",
             n_grid=[32, 64, 128, 256], replicates=5,
         )
-        curve = run_rate_experiment(cfg)
-        for row in curve.rows:
+        rows = run_rate_experiment(cfg)
+        for row in rows:
             assert row.mean <= row.bound  # 4 H F / n with Lbar = 0
             assert math.isnan(row.lower_bound)
-        assert curve.slope()[0] < -0.8
+        assert rate_slope(rows) < -0.8
 
     def test_hard_a_rows_exact_floor(self):
         cfg = make_cfg(
             experiment="rate", distribution="hardA",
             n_grid=[16, 32, 64, 128], replicates=3,
         )
-        curve = run_rate_experiment(cfg)
-        for row in curve.rows:
+        rows = run_rate_experiment(cfg)
+        for row in rows:
             assert row.mean >= row.lower_bound  # 1/(2 sqrt(n)), exactly
-        ok, failures = check_result(cfg, curve)
+        ok, failures = check_result(cfg, rows)
         assert ok, failures
 
     def test_hard_a_floor_checked_at_every_n(self):
@@ -303,10 +383,10 @@ class TestRateExperiment:
             experiment="rate", distribution="hardA",
             n_grid=[16, 32, 64, 128], replicates=3,
         )
-        curve = run_rate_experiment(cfg)
-        assert all(r.floor_applies for r in curve.rows)
-        curve.rows = [dataclasses.replace(r, mean=0.9 * r.lower_bound) for r in curve.rows]
-        ok, failures = check_result(cfg, curve)
+        rows = run_rate_experiment(cfg)
+        assert all(r.floor_applies for r in rows)
+        rows = [dataclasses.replace(r, mean=0.9 * r.lower_bound) for r in rows]
+        ok, failures = check_result(cfg, rows)
         assert not ok
         floor = [f.split(":")[0] for f in failures if "lower bound" in f]
         assert floor == ["n=16", "n=32", "n=64", "n=128"]
@@ -315,9 +395,9 @@ class TestRateExperiment:
         # n = 64 < d = 80: the design leaves coordinates unseen, so the floor
         # is not promised there; every larger grid point has n >= d
         cfg = make_cfg(experiment="rate", distribution="hardB:0.1")
-        curve = run_rate_experiment(cfg)
-        assert [r.n for r in curve.rows if not r.floor_applies] == [64]
-        ok, failures = check_result(cfg, curve)
+        rows = run_rate_experiment(cfg)
+        assert [r.n for r in rows if not r.floor_applies] == [64]
+        ok, failures = check_result(cfg, rows)
         assert ok, failures
 
     def test_hard_b_floor_still_checked_from_n_128(self):
@@ -325,12 +405,11 @@ class TestRateExperiment:
             experiment="rate", distribution="hardB:0.1",
             n_grid=[64, 128, 256], replicates=5,
         )
-        curve = run_rate_experiment(cfg)
-        curve.rows = [
+        rows = [
             dataclasses.replace(r, mean=0.4 * r.lower_bound) if r.n == 128 else r
-            for r in curve.rows
+            for r in run_rate_experiment(cfg)
         ]
-        ok, failures = check_result(cfg, curve)
+        ok, failures = check_result(cfg, rows)
         assert not ok
         floor = [f.split(":")[0] for f in failures if "lower bound" in f]
         assert floor == ["n=128"]
@@ -342,20 +421,19 @@ class TestRateExperiment:
             experiment="rate", distribution="hardB:0.1", learner="regularized_erm",
             n_grid=[64, 128, 256, 512], replicates=3,
         )
-        curve = run_rate_experiment(cfg)
+        rows = run_rate_experiment(cfg)
         assert cfg.check_floor_factor == 0.5
-        assert all(r.mean < 0.5 * r.lower_bound for r in curve.rows)
-        ok, failures = check_result(cfg, curve)
+        assert all(r.mean < 0.5 * r.lower_bound for r in rows)
+        ok, failures = check_result(cfg, rows)
         assert ok, failures
-        assert not any(r.floor_applies for r in curve.rows)
+        assert not any(r.floor_applies for r in rows)
 
     def test_regularized_erm_learner_path(self):
         cfg = make_cfg(
             experiment="rate", distribution="separable", learner="regularized_erm",
             n_grid=[32, 64, 128], replicates=3,
         )
-        curve = run_rate_experiment(cfg)
-        for row in curve.rows:
+        for row in run_rate_experiment(cfg):
             assert row.mean <= row.bound
             assert row.max_iters_hits == 0
 
@@ -365,9 +443,9 @@ class TestRateExperiment:
             n_grid=[32, 64, 128], replicates=3,
         )
         _cap_solver_iterations(monkeypatch)
-        curve = run_rate_experiment(cfg)
-        assert [r.max_iters_hits for r in curve.rows] == [3, 3, 3]
-        ok, failures = check_result(cfg, curve)
+        rows = run_rate_experiment(cfg)
+        assert [r.max_iters_hits for r in rows] == [3, 3, 3]
+        ok, failures = check_result(cfg, rows)
         assert not ok
         assert "n=32: 3 solves stopped at max_iters" in failures
 
@@ -375,10 +453,10 @@ class TestRateExperiment:
         cfg = make_cfg(
             experiment="rate", distribution="hardA", n_grid=[64], replicates=2,
         )
-        curve = run_rate_experiment(cfg)
-        assert len(curve.rows) == 1
+        rows = run_rate_experiment(cfg)
+        assert len(rows) == 1
         with pytest.raises(ValueError):
-            curve.slope()
+            rate_slope(rows)
 
 
 class TestStabilityExperiment:
@@ -742,6 +820,8 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert cli_main(["rate", "--config", str(tmp_path / "missing.txt")]) == 2
         capsys.readouterr()
+        assert cli_main(["regret", "--replicates", "0"]) == 2
+        assert "replicates must be >= 1" in capsys.readouterr().err
         for raw, _ in BAD_CONFIGS:
             path = tmp_path / "bad.json"
             path.write_text(json.dumps({k: v for k, v in raw.items() if k != "experiment"}))
@@ -771,3 +851,41 @@ class TestCli:
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("n_grid = 10, 100\nreplicates = 2\n")
         assert cli_main(["regret", "--config", str(cfg), "--check"]) == 0
+
+
+def _names_the_experiment(node) -> bool:
+    """`<anything>.experiment`, or a name `exp`."""
+    return (isinstance(node, ast.Attribute) and node.attr == "experiment") or (
+        isinstance(node, ast.Name) and node.id == "exp"
+    )
+
+
+def _holds_a_string(node) -> bool:
+    return any(
+        isinstance(n, ast.Constant) and isinstance(n.value, str) for n in ast.walk(node)
+    )
+
+
+class TestExperimentTable:
+    """Each experiment is declared once, as one record of EXPERIMENTS."""
+
+    def test_no_experiment_name_dispatch_in_the_harness(self):
+        found = []
+        for path in sorted(Path(experiments.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Compare):
+                    continue
+                operands = [node.left, *node.comparators]
+                if any(map(_names_the_experiment, operands)) and any(
+                    map(_holds_a_string, operands)
+                ):
+                    found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+        assert found == []
+
+    def test_records_cli_choices_and_golden_files_agree(self):
+        from test_golden import GOLDEN
+
+        (choices,) = [a.choices for a in build_parser()._actions if a.dest == "experiment"]
+        assert set(EXPERIMENTS) == set(choices)
+        # a new record without a golden CSV fails here
+        assert set(EXPERIMENTS) == {raw["experiment"] for raw in GOLDEN.values()}

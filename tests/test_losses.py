@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from smoothbench import (
     NonSmoothLossError,
-    loss_by_name,
     make_absolute,
     make_piecewise_quadlin,
     make_smooth_ramp,
@@ -218,10 +217,11 @@ def test_values_nonnegative_and_bounded(loss):
 @given(
     t=st.floats(-4.0, 4.0),
     y=st.floats(-1.0, 1.0),
-    which=st.sampled_from(["squared", "quadlin", "ramp:1", "ramp:0.25"]),
+    loss=st.sampled_from(
+        [make_squared(), make_piecewise_quadlin(), make_smooth_ramp(1.0), make_smooth_ramp(0.25)]
+    ),
 )
-def test_self_bound_property(t, y, which):
-    loss = loss_by_name(which)
+def test_self_bound_property(t, y, loss):
     assert float(self_bound_residual(loss, t, y)) >= -1e-9
 
 
@@ -230,25 +230,14 @@ def test_self_bound_property(t, y, which):
     t=st.floats(-4.0, 4.0),
     r=st.floats(-4.0, 4.0),
     y=st.floats(-1.0, 1.0),
-    which=st.sampled_from(["squared", "quadlin", "ramp:1"]),
+    loss=st.sampled_from([make_squared(), make_piecewise_quadlin(), make_smooth_ramp(1.0)]),
 )
-def test_pair_bound_property(t, r, y, which):
-    loss = loss_by_name(which)
+def test_pair_bound_property(t, r, y, loss):
     assert float(pair_bound_residual(loss, t, r, y)) >= -1e-9
-
-
-def test_loss_by_name():
-    assert loss_by_name("squared").name == "squared"
-    assert loss_by_name("quadlin").name == "quadlin"
-    assert loss_by_name("absolute").name == "absolute"
-    ramp = loss_by_name("ramp:0.5")
-    assert ramp.smoothness_H == pytest.approx(math.pi**2 / 0.5, rel=1e-15)
-    with pytest.raises(ValueError):
-        loss_by_name("hinge")
 
 
 def test_factories_build_each_spec_once():
     assert make_squared() is make_squared()
     assert make_smooth_ramp(0.5) is make_smooth_ramp(0.5)
     assert make_smooth_ramp(0.5) is not make_smooth_ramp(0.25)
-    assert loss_by_name("quadlin") is loss_by_name("quadlin")
+    assert make_piecewise_quadlin() is make_piecewise_quadlin()
