@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .config import ConfigError, ExperimentConfig, apply_overrides, load_config, with_defaults
-from .experiments import EXPERIMENTS, check_result, csv_table, run_and_emit
+from .experiments import EXPERIMENTS, check_result, csv_table, require_checkable, run_and_emit
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,6 +41,8 @@ def main(argv=None) -> int:
         cfg.experiment = args.experiment
         apply_overrides(cfg, seed=args.seed, out=args.out, replicates=args.replicates)
         cfg = with_defaults(cfg)
+        if args.check:
+            require_checkable(cfg)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -76,6 +76,9 @@ from .config import (
 REGRET_SLACK = 1e-9
 REGIME_ENVELOPE_FACTOR = 8.0
 _HOLDOUT_BLOCK = 8192  # margin's holdout rows drawn at a time
+_SLOPE_MIN_ROWS = 3  # fit_slope's least number of usable rows
+_L1_FLOOR = 1e-15  # the l1 line search's slack, and its self-certifying objective
+_L1_PATIENCE = 50  # accepted l1 iterations without a new low before a floor stop
 
 
 def seed_for(master: int, experiment: str, grid_index: int, replicate: int) -> int:
@@ -96,8 +99,10 @@ def fit_slope(ns, means) -> tuple[float, float, float]:
     dropped = len(list(ns)) - len(pts)
     if dropped:
         warnings.warn(f"fit_slope dropped {dropped} non-positive rows", stacklevel=2)
-    if len(pts) < 3:
-        raise ValueError(f"need at least 3 rows with positive means, have {len(pts)}")
+    if len(pts) < _SLOPE_MIN_ROWS:
+        raise ValueError(
+            f"need at least {_SLOPE_MIN_ROWS} rows with positive means, have {len(pts)}"
+        )
     x = np.array([p[0] for p in pts])
     y = np.array([p[1] for p in pts])
     xc = x - x.mean()
@@ -490,8 +495,15 @@ def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
 
 def _l1_constrained_erm(data: Dataset, loss, radius: float, max_iters: int = 2000):
     """Projected gradient on the l1 ball with backtracking; comparison
-    method for the sparse study (no certificate: the objective is not
-    strongly convex).
+    method for the sparse study.
+
+    The loss is non-negative, so f(w) - f* <= f(w): once the objective is
+    at the line search's own slack (_L1_FLOOR) it certifies itself, and the
+    solve stops when it has also set no new low in _L1_PATIENCE accepted
+    iterations (past that point it only jitters at the rounding level).
+    When f* > 0 the objective never reaches the floor, and near n = d it is
+    still far above it at max_iters: those solves have no certificate and
+    run to the step stop or max_iters.
 
     A trial point inside the ball is w - step·g, so its predictions are
     preds - step·(X g) and its line-search terms follow from g·g: one
@@ -503,6 +515,7 @@ def _l1_constrained_erm(data: Dataset, loss, radius: float, max_iters: int = 200
     w = np.zeros(data.dim)
     preds = data.predictions(w)
     obj = float(np.add.reduce(loss.value(preds, ys)) / n)
+    best, since_best = obj, 0
     step = 1.0
     for _ in range(max_iters):
         g = data.grad_combination(loss.derivative(preds, ys)) / n
@@ -519,7 +532,7 @@ def _l1_constrained_erm(data: Dataset, loss, radius: float, max_iters: int = 200
                 d = w_new - w
                 gd, dd = float(g @ d), float(d @ d)
             obj_new = float(np.add.reduce(loss.value(preds_new, ys)) / n)
-            if obj_new <= obj + gd + dd / (2.0 * step) + 1e-15:
+            if obj_new <= obj + gd + dd / (2.0 * step) + _L1_FLOOR:
                 break
             step *= 0.5
             if step < 1e-18:
@@ -527,7 +540,11 @@ def _l1_constrained_erm(data: Dataset, loss, radius: float, max_iters: int = 200
         moved = math.sqrt(dd)  # ||w_new - w||
         w, obj, preds = w_new, obj_new, preds_new
         step *= 2.0
-        if moved <= 1e-12:
+        if obj < best:
+            best, since_best = obj, 0
+        else:
+            since_best += 1
+        if moved <= 1e-12 or obj <= _L1_FLOOR and since_best >= _L1_PATIENCE:
             break
     return w
 
@@ -806,6 +823,7 @@ class Experiment:
     # enforces the experiment's own config rules (ConfigError)
     prepare: Callable = lambda cfg: None
     methods: tuple = ()  # (what the `methods` key names, its choices), if read
+    fits_slope: bool = False  # whether `check` fits a log-log slope over n_grid
 
 
 # the CLI's experiments, in its order; the hooks look the constructors up
@@ -816,7 +834,7 @@ EXPERIMENTS = {
         run_rate_experiment, RateRow,
         lambda cfg: _family_premises(cfg, exact_erm=cfg.learner == "erm"),
         {"distribution": "separable", "dim": 16, "replicates": 50},  # dim: separable only
-        check=_check_rate, prepare=_rate_defaults),
+        check=_check_rate, prepare=_rate_defaults, fits_slope=True),
     "regret": Experiment(
         run_regret_experiment, RegretRow, _regret_premises,
         {"n_grid": (10, 100, 1000, 10000), "replicates": 10, "dim": 8, "budget": 1.0},
@@ -841,7 +859,7 @@ EXPERIMENTS = {
          "check_slope_max": -0.85},
         check=_check_sparse,
         prepare=lambda cfg: fill_unset(cfg, {"budget": 2.0 * math.sqrt(cfg.sparsity_k)}),
-        methods=("methods", ("entropy_md", "entropy_regerm", "l1_erm"))),
+        methods=("methods", ("entropy_md", "entropy_regerm", "l1_erm")), fits_slope=True),
     "regime": Experiment(
         run_regime_experiment, RegimeRow, _regime_premises,
         {"dim": 50, "n_grid": tuple(2**k for k in range(3, 13)), "replicates": 12,
@@ -892,11 +910,19 @@ def write_csv(path: str, experiment: str, result) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _json_value(value):
+    """A config value as strict JSON holds it: a non-finite float (a
+    disabled threshold) as None, a tuple as a list."""
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def write_meta(path: str, cfg: ExperimentConfig, wall_time: float) -> None:
     # read here, not at import, so the build query stays out of start-up time
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     meta = {
-        "config": dataclasses.asdict(cfg),
+        "config": {k: _json_value(v) for k, v in dataclasses.asdict(cfg).items()},
         "versions": {
             "smoothbench": _pkg_version,
             "numpy": np.__version__,
@@ -910,12 +936,22 @@ def write_meta(path: str, cfg: ExperimentConfig, wall_time: float) -> None:
         "csv_schema_version": 1,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+        json.dump(meta, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
 def run_experiment(cfg: ExperimentConfig) -> list:
     return EXPERIMENTS[cfg.experiment].run(cfg)
+
+
+def require_checkable(cfg: ExperimentConfig) -> None:
+    """Raise ConfigError when `check_result` could not judge the rows of
+    this (defaulted) config, before anything runs."""
+    if EXPERIMENTS[cfg.experiment].fits_slope and len(cfg.n_grid) < _SLOPE_MIN_ROWS:
+        raise ConfigError(
+            f"--check fits a slope over n_grid and needs at least {_SLOPE_MIN_ROWS} "
+            f"grid points, got {len(cfg.n_grid)}"
+        )
 
 
 def check_result(cfg: ExperimentConfig, result) -> tuple[bool, list]:

@@ -288,27 +288,50 @@ class TestSolver:
             oracle = ridge_ball_closed_form(xs, ys, lam, math.sqrt(2) * budget)
             assert float(np.max(np.abs(report.w - oracle))) <= 1e-6
 
-    def test_entropy_geometry_against_grid_oracle(self):
-        setup = entropy_setup(2, 1.0)
+    @staticmethod
+    def _entropy_problem():
         rng = np.random.default_rng(13)
         xs = rng.uniform(-1, 1, size=(12, 2))
-        ys = rng.uniform(-1, 1, size=12)
+        return entropy_setup(2, 1.0), xs, rng.uniform(-1, 1, size=12)
+
+    def test_entropy_geometry_against_grid_oracle(self):
+        setup, xs, ys = self._entropy_problem()
         data = Dataset(ys=ys, xs=xs)
         lam = 0.3
         report = solve_regularized_erm(setup, SQ, data, lam, tol=1e-12)
 
         # dense grid over the interior of the positive l1 ball
+        best = self._grid_min(setup, xs, ys, lam, np.linspace(1e-6, 1.0 - 1e-6, 500))
+        assert report.objective <= best + 1e-5
+        assert is_feasible(setup, report.w)
+
+    @staticmethod
+    def _grid_min(setup, xs, ys, lam, grid):
+        """The least regularized objective over the (a, b) of the grid with
+        b <= 1 - a, all grid points scored at once."""
+        a, b = np.meshgrid(grid, grid, indexing="ij")
+        inside = b <= 1.0 - a
+        ws = np.stack([a[inside], b[inside]], axis=1)
+        losses = np.mean(SQ.value(ws @ xs.T, ys), axis=1)
+        # the entropy regularizer on the interior (every coordinate > 0)
+        reg = setup.budget * np.sum(ws * np.log(setup.dim * ws), axis=1)
+        return float(np.min(losses + lam * (reg + setup.budget**2 / math.e)))
+
+    def test_vectorized_grid_oracle_matches_the_loop(self):
         from smoothbench import regularizer_value
 
+        setup, xs, ys = self._entropy_problem()
+        grid = np.linspace(1e-6, 1.0 - 1e-6, 40)
         best = math.inf
-        grid = np.linspace(1e-6, 1.0 - 1e-6, 500)
         for a in grid:
             for b in grid[grid <= 1.0 - a]:
                 w = np.array([a, b])
-                obj = float(np.mean(SQ.value(xs @ w, ys))) + lam * regularizer_value(setup, w)
+                obj = float(np.mean(SQ.value(xs @ w, ys))) + 0.3 * regularizer_value(setup, w)
                 best = min(best, obj)
-        assert report.objective <= best + 1e-5
-        assert is_feasible(setup, report.w)
+        # scoring all points with one matrix product may reorder the rounding
+        assert self._grid_min(setup, xs, ys, 0.3, grid) == pytest.approx(
+            best, rel=4 * np.finfo(float).eps, abs=0.0
+        )
 
     def test_objective_history_non_increasing(self):
         setup = euclidean_setup(4, 1.0)

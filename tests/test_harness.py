@@ -583,11 +583,26 @@ class TestSparseExperiment:
     L1_CASES = [(32, 4.0), (64, 4.0), (256, 4.0), (64, 0.1), (64, 1e-13)]
 
     @staticmethod
-    def _l1_problem(n):
+    def _l1_problem(n, noise=0.1):
         from smoothbench import sparse_generator
 
-        gen = sparse_generator(64, 4, seed=5, noise=0.1)
+        gen = sparse_generator(64, 4, seed=5, noise=noise)
         return gen, gen.sample_signed(n, seed=6)
+
+    @staticmethod
+    def _l1_iterations(gen, data, radius, max_iters):
+        """(w, iterations) of the solve: one loss derivative per iteration."""
+        calls = []
+
+        class CountingLoss:
+            value = staticmethod(gen.loss.value)
+
+            def derivative(self, preds, ys):
+                calls.append(1)
+                return gen.loss.derivative(preds, ys)
+
+        w = experiments._l1_constrained_erm(data, CountingLoss(), radius, max_iters)
+        return w, len(calls)
 
     @pytest.mark.parametrize("n, radius", L1_CASES)
     def test_l1_solve_matches_reference_loop(self, n, radius):
@@ -605,6 +620,23 @@ class TestSparseExperiment:
         got = experiments._l1_constrained_erm(data, gen.loss, radius, max_iters=300)
         want = self._reference_l1(data, gen.loss, radius, 300, along_xg=False)
         assert float(np.max(np.abs(got - want))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_l1_noise_free_solve_stops_at_the_rounding_floor(self, n):
+        # n >= 2d, L* = 0: the non-negative objective certifies itself
+        gen, data = self._l1_problem(n, noise=0.0)
+        got, iterations = self._l1_iterations(gen, data, 4.0, 2000)
+        want = self._reference_l1(data, gen.loss, 4.0, 2000, along_xg=True)
+        assert iterations < 2000
+        excess = gen.true_risk(got) - gen.l_star
+        assert abs(excess - (gen.true_risk(want) - gen.l_star)) <= 1e-15
+
+    def test_l1_noise_free_solve_above_the_floor_runs_to_max_iters(self):
+        # n = d: the objective is still far above the floor at max_iters
+        gen, data = self._l1_problem(64, noise=0.0)
+        got, iterations = self._l1_iterations(gen, data, 4.0, 2000)
+        assert iterations == 2000
+        assert np.array_equal(got, self._reference_l1(data, gen.loss, 4.0, 2000, along_xg=True))
 
     @pytest.mark.parametrize("radius", [4.0, 0.1])
     def test_l1_solve_design_products(self, monkeypatch, radius):
@@ -792,6 +824,24 @@ class TestEmission:
         assert versions["num_threads"]["OPENBLAS_NUM_THREADS"] == "1"
         assert all(k.endswith("_NUM_THREADS") for k in versions["num_threads"])
 
+    def test_meta_json_is_strict_json(self, tmp_path):
+        # separable's floor and slope-min thresholds are disabled (nan)
+        cfg = make_cfg(
+            experiment="rate", distribution="separable", n_grid=[16, 32],
+            replicates=2, out=str(tmp_path / "r"),
+        )
+        run_and_emit(cfg)
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        text = (tmp_path / "r.meta.json").read_text()
+        meta = json.loads(text, parse_constant=reject)
+        assert meta["config"]["check_floor_factor"] is None
+        assert meta["config"]["check_slope_min"] is None
+        assert meta["config"]["check_slope_max"] == -0.85
+        assert meta["config"]["n_grid"] == [16, 32]
+
     def test_different_seed_changes_csv(self, tmp_path):
         blobs = []
         for seed in (5, 6):
@@ -836,6 +886,18 @@ class TestCli:
         assert cli_main(["regime", "--out", str(tmp_path / "missing" / "x")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "does not exist" in err
+
+    @pytest.mark.parametrize("exp", ["rate", "sparse"])
+    def test_check_with_too_few_grid_points_exits_two_before_any_work(
+        self, exp, tmp_path, capsys, monkeypatch
+    ):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n_grid = 16, 32\nreplicates = 2\n")
+        monkeypatch.setattr(experiments, "run_experiment", lambda cfg: pytest.fail("ran"))
+        assert cli_main([exp, "--config", str(cfg), "--check"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert "at least 3 grid points, got 2" in err
 
     def test_check_failure_exit_three(self, tmp_path, capsys):
         # an impossible slope threshold forces the rate check to fail
