@@ -19,6 +19,7 @@ from .geometry import (
     MirrorSetup,
     _bregman,
     _regularizer_value,
+    _step_kernel,
     check_feasible,
     default_start,
     dual_norm,
@@ -189,11 +190,12 @@ def solve_regularized_erm(
     below tol, else reports termination="max_iters" and lets the caller
     decide.
 
-    Feasibility is checked where points enter and leave: `mirror_step`
-    checks the point it steps from (the start, on the first trial), and the
-    returned w is checked once. In between, the objective and the
-    sufficient-decrease margin use the unchecked geometry kernels, since a
-    mirror step from a feasible point is feasible by construction.
+    Feasibility is checked once per iteration and at exit: each
+    iteration's first trial goes through `mirror_step`, which checks the
+    point it steps from, and the returned w is checked once. The
+    backtracking retrials, the objective and the sufficient-decrease margin
+    use the unchecked geometry kernels, since a mirror step from a feasible
+    point is feasible by construction.
 
     Each trial computes its predictions once, in `_objective`. The accepted
     trial's predictions and regularizer gradient are carried forward: they
@@ -207,6 +209,7 @@ def solve_regularized_erm(
         raise ValueError(f"solver requires convex loss, got {loss.name}")
 
     euclidean = setup.geometry == EUCLIDEAN
+    retrial = _step_kernel(setup)
     w = default_start(setup)
     obj, preds = _objective(setup, loss, data, lam, w)
     reg_grad = regularizer_grad(setup, w)
@@ -222,8 +225,8 @@ def solve_regularized_erm(
         g = _gradient(loss, data, lam, preds, reg_grad)
         # halve the step until the Bregman sufficient-decrease test passes
         stalled = False
+        w_new = mirror_step(setup, w, g, step)
         while True:
-            w_new = mirror_step(setup, w, g, step)
             obj_new, preds_new = _objective(setup, loss, data, lam, w_new)
             if euclidean:  # one difference gives both terms; _bregman's own value
                 dw = w_new - w
@@ -238,6 +241,7 @@ def solve_regularized_erm(
             if step < 1e-18:
                 stalled = True
                 break
+            w_new = retrial(w, g, step)
         if stalled:
             break
         reg_grad_new = regularizer_grad(setup, w_new)

@@ -22,12 +22,15 @@ LINEAR_L1_BALL = "linear_l1_ball"
 
 _EXACT_LIMIT = 20
 _ENUM_CHUNK = 1 << 14
-# Monte Carlo sign rows drawn at a time (4 MiB at n = 2048). The blocked
-# `signs @ xs` is the one-shot product bit for bit at the margin study's
-# default shape (n = 2048, d = 10) when every block has 100 rows or more.
-# At other shapes OpenBLAS may pick another kernel for a block than for the
-# whole matrix, which moves the estimate in its last bits (a few ulps).
-_SIGN_BLOCK = 256
+# Monte Carlo sign rows drawn at a time (1 MiB of signs at n = 2048); a
+# remainder shorter than one block joins the last block, so every block has
+# at least _SIGN_BLOCK rows. The blocked `signs @ xs` is then the one-shot
+# product bit for bit at the margin study's default shape (n = 2048, d = 10):
+# OpenBLAS 0.3.31 multiplies blocks of 64 rows or more with the kernel it
+# uses for the whole matrix, but 16- to 48-row blocks with another, which
+# moves the margin study's rhs by 1 ulp. At other shapes a block may still
+# take another kernel than the whole matrix (a few ulps in the estimate).
+_SIGN_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,13 @@ def _sup_values(cls: FunctionClassSpec, signs: np.ndarray, xs: np.ndarray) -> np
     return cls.budget * norms / n
 
 
+def _sign_blocks(draws: int) -> list[tuple[int, int]]:
+    """(start, stop) row ranges of the Monte Carlo sign blocks: _SIGN_BLOCK
+    rows each, a remainder shorter than one block joining the last."""
+    cuts = [k * _SIGN_BLOCK for k in range(max(draws // _SIGN_BLOCK, 1))] + [draws]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
 def empirical_rademacher(
     cls: FunctionClassSpec,
     xs: np.ndarray,
@@ -74,9 +84,12 @@ def empirical_rademacher(
 
     Exact enumeration over all 2^n sign vectors when n <= 20 (stderr 0);
     Monte Carlo with a standard error otherwise, which then requires
-    draws >= 1. The Monte Carlo signs are drawn in row blocks of at most
-    _SIGN_BLOCK rows, and only each row's supremum is kept; consecutive
-    blocks draw the same signs as one (draws, n) draw.
+    draws >= 1. The Monte Carlo signs are drawn in row blocks of
+    _SIGN_BLOCK = 64 rows, a shorter remainder joining the last block
+    (2,000 draws: 30 blocks of 64 and one of 80), and only each row's
+    supremum is kept; consecutive blocks draw the same signs as one
+    (draws, n) draw. No block is shorter than 64 rows unless draws is:
+    shorter blocks may take another BLAS kernel than the one-shot product.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[0] < 1:
@@ -95,8 +108,7 @@ def empirical_rademacher(
         raise ValueError("Monte Carlo estimation needs draws >= 1 when n > 20")
     rng = np.random.default_rng(seed)
     vals = np.empty(draws)
-    for start in range(0, draws, _SIGN_BLOCK):
-        stop = min(start + _SIGN_BLOCK, draws)
+    for start, stop in _sign_blocks(draws):
         # no name holds the block, so it is freed before the next is drawn
         vals[start:stop] = _sup_values(cls, rng.choice([-1.0, 1.0], size=(stop - start, n)), xs)
     stderr = float(vals.std(ddof=1) / math.sqrt(draws)) if draws > 1 else math.inf

@@ -36,6 +36,9 @@ from .losses import (
     make_squared_unhalved,
 )
 
+_DRAW_ROWS = 64  # sparse design rows drawn at a time
+
+
 def golden_section(f, lo: float, hi: float, tol: float = 1e-10) -> float:
     """Minimize a unimodal scalar function on [lo, hi] to bracket width tol."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -364,9 +367,15 @@ class SparseGenerator:
             return 1.0
         return math.sqrt(self.dim0)
 
-    def _draw(self, n: int, seed: int):
+    def _draw(self, n: int, seed: int, out: np.ndarray | None = None):
+        """n rows of +-1 features, written into `out` when given, and their
+        targets. The rows are drawn _DRAW_ROWS at a time, which draws the
+        same signs as one (n, dim0) draw without its full-size index array."""
         rng = np.random.default_rng(seed)
-        xs = rng.choice([-1.0, 1.0], size=(n, self.dim0))
+        xs = np.empty((n, self.dim0)) if out is None else out
+        for start in range(0, n, _DRAW_ROWS):
+            stop = min(start + _DRAW_ROWS, n)
+            xs[start:stop] = rng.choice([-1.0, 1.0], size=(stop - start, self.dim0))
         ys = xs @ self.w0
         if self.noise > 0:
             ys = ys + rng.uniform(-self.noise, self.noise, size=n)
@@ -377,12 +386,10 @@ class SparseGenerator:
         return Dataset(ys=ys, xs=xs, provenance=f"{self.kind}:seed={seed}")
 
     def sample_doubled(self, n: int, seed: int) -> Dataset:
-        xs, ys = self._draw(n, seed)
-        return Dataset(
-            ys=ys,
-            xs=np.hstack([xs, -xs]),
-            provenance=f"{self.kind}:doubled:seed={seed}",
-        )
+        doubled = np.empty((n, 2 * self.dim0))  # [xs, -xs], with no stacked temporaries
+        xs, ys = self._draw(n, seed, out=doubled[:, : self.dim0])
+        np.negative(xs, out=doubled[:, self.dim0 :])
+        return Dataset(ys=ys, xs=doubled, provenance=f"{self.kind}:doubled:seed={seed}")
 
     def sample(self, n: int, seed: int) -> Dataset:
         return self.sample_doubled(n, seed)

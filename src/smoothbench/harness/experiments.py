@@ -14,6 +14,8 @@ import json
 import math
 import os
 import platform
+import resource
+import sys
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -598,6 +600,7 @@ def run_sparse_experiment(cfg: ExperimentConfig) -> list:
                 else:  # l1_erm
                     w = _l1_constrained_erm(gen.signed_part(data), gen.loss, budget)
                 per_method[method].append(gen.true_risk(w) - gen.l_star)
+            del data  # one replicate's dataset alive at a time
         ref = k * math.log(bound_dim) / n
         bound = ref + math.sqrt(k * l_w0 * math.log(bound_dim) / n)
         for method, ex in per_method.items():
@@ -678,6 +681,7 @@ def run_regime_experiment(cfg: ExperimentConfig) -> list:
                 )
                 hits += rep.termination == TERM_MAX_ITERS
                 ex.append(gen.true_risk(rep.w) - gen.l_star)
+            del data  # one replicate's dataset alive at a time
         best = None
         for lam, ex in zip(candidates, excesses):
             mean, stderr = mean_stderr(ex)
@@ -717,15 +721,18 @@ def run_margin_experiment(cfg: ExperimentConfig) -> list:
     w_true = rng.standard_normal(dim)
     w_true /= float(np.linalg.norm(w_true))
 
-    def noisy_labels(signs):
-        """sign(<x, w_true>) with 0 read as +1, each flipped with
-        probability label_noise (overwrites `signs`)."""
+    def clean_labels(rows):
+        """sign(<x, w_true>) with 0 read as +1."""
+        signs = np.sign(rows @ w_true)
         signs[signs == 0] = 1.0
-        flips = rng.random(signs.size) < cfg.label_noise
-        return np.where(flips, -signs, signs)
+        return signs
+
+    def flipped(values):
+        """values, each negated with probability label_noise."""
+        return np.where(rng.random(values.size) < cfg.label_noise, -values, values)
 
     xs = _sphere_rows(rng, n, dim)
-    ys = noisy_labels(np.sign(xs @ w_true))
+    ys = flipped(clean_labels(xs))
     setup = euclidean_setup(dim, cfg.budget)
     ramp = make_smooth_ramp(0.5)
     smoothness = ramp.smoothness_H  # ||x||_2 = 1
@@ -739,16 +746,20 @@ def run_margin_experiment(cfg: ExperimentConfig) -> list:
     ).averages
 
     scores = xs @ w_hat
-    # the holdout is drawn in row blocks, keeping only each row's sign and
-    # score; the draws come in the same order as one (m, dim) draw
+    # the holdout is drawn in row blocks, keeping only each row's clean
+    # margin y <x, w_hat>; the draws come in the same order as one (m, dim)
+    # draw. The label flips follow every row, as one m-long draw would, and
+    # are drawn and counted block by block too. With labels of +-1, flipping
+    # the margin is flipping the label, exactly
     m = 100_000
-    signs_hold, scores_hold = np.empty(m), np.empty(m)
-    for start in range(0, m, _HOLDOUT_BLOCK):
-        stop = min(start + _HOLDOUT_BLOCK, m)
+    blocks = [(start, min(start + _HOLDOUT_BLOCK, m)) for start in range(0, m, _HOLDOUT_BLOCK)]
+    margins = np.empty(m)
+    for start, stop in blocks:
         block = _sphere_rows(rng, stop - start, dim)
-        signs_hold[start:stop] = np.sign(block @ w_true)
-        scores_hold[start:stop] = block @ w_hat
-    holdout = float(np.mean(noisy_labels(signs_hold) * scores_hold <= 0.0))
+        margins[start:stop] = clean_labels(block) * (block @ w_hat)
+    wrong = sum(int(np.count_nonzero(flipped(margins[a:b]) <= 0.0)) for a, b in blocks)
+    holdout = wrong / m  # np.mean of the 0/1 errors, exactly
+    del margins
 
     range_b = ball_radius(setup)  # sup |<w, x>| over the class, ||x|| = 1
     cls = FunctionClassSpec("linear_l2_ball", range_b, dim)
@@ -918,6 +929,13 @@ def _json_value(value):
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
+def _peak_rss_mb() -> float:
+    """The process's peak resident set size so far, in MiB (ru_maxrss counts
+    KiB on Linux and bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
+
+
 def write_meta(path: str, cfg: ExperimentConfig, wall_time: float) -> None:
     # read here, not at import, so the build query stays out of start-up time
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -933,6 +951,7 @@ def write_meta(path: str, cfg: ExperimentConfig, wall_time: float) -> None:
             },
         },
         "wall_time_s": wall_time,
+        "peak_rss_mb": _peak_rss_mb(),
         "csv_schema_version": 1,
     }
     with open(path, "w", encoding="utf-8") as fh:

@@ -273,7 +273,8 @@ def run_mirror_descent_batch(
 
     step = _step_kernel(setup)
     eta_col = eta[..., None]
-    basis = np.eye(d)  # row k is e_k: a round's one-hot rows are basis[idx]
+    # row k is e_k: a round's one-hot rows are basis[idx] (basis designs only)
+    basis = np.eye(d) if xs is None else None
     losses = np.empty(ys.shape) if record_losses else None
     total = w.copy()
     for i in range(n):

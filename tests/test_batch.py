@@ -118,8 +118,9 @@ def _lean_solve_cases():
 
 
 class TestLeanSolve:
-    """solve_regularized_erm checks feasibility at entry and exit only; its
-    iterates, histories and ending match the fully checked loop bit for bit."""
+    """solve_regularized_erm checks feasibility once per iteration and at
+    exit; its iterates, histories and ending match the fully checked loop
+    bit for bit."""
 
     @pytest.mark.parametrize("max_iters", [3, 100_000])
     @pytest.mark.parametrize("case", list(_lean_solve_cases()), ids=lambda c: c[0])

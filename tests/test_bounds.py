@@ -15,6 +15,7 @@ from smoothbench import (
     margin_empirical_error,
     smooth_risk_bound,
 )
+from smoothbench.bounds import _sign_blocks
 
 
 def rademacher_bruteforce(cls, xs):
@@ -109,6 +110,24 @@ class TestEmpiricalRademacher:
         est = empirical_rademacher(FunctionClassSpec(kind, budget, d), xs, draws=draws, seed=seed)
         assert est.value == float(vals.mean())
         assert est.stderr == float(vals.std(ddof=1) / math.sqrt(draws))
+
+    @pytest.mark.parametrize("draws", [1, 63, 64, 127, 128, 129, 2000])
+    def test_sign_blocks_cover_every_draw_once(self, draws):
+        blocks = _sign_blocks(draws)
+        assert [r for start, stop in blocks for r in range(start, stop)] == list(range(draws))
+        # 64-row blocks, a shorter remainder joining the last (2000: 30 x 64 + 80)
+        assert len(blocks) == max(draws // 64, 1)
+        assert all(stop - start == 64 for start, stop in blocks[:-1])
+        assert min(draws, 64) <= blocks[-1][1] - blocks[-1][0] < 128
+
+    def test_monte_carlo_signs_are_held_one_block_at_a_time(self, traced_peak):
+        # the margin study's shape; one (2000, 2048) sign matrix is 31 MiB,
+        # a 64-row block of signs and their draw indices 2 MiB
+        xs = np.random.default_rng(2).standard_normal((2048, 10))
+        cls = FunctionClassSpec("linear_l2_ball", 1.0, 10)
+        est, peak = traced_peak(empirical_rademacher, cls, xs, draws=2000, seed=3)
+        assert est.draws == 2000 and not est.exact
+        assert peak <= 3 * 2**20
 
     def test_classical_norm_bound(self):
         # R-hat(l2 ball) <= B max||x|| / sqrt(n)

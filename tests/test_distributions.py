@@ -278,6 +278,13 @@ class TestSparseGenerator:
         data = gen.sample_doubled(50, seed=44)
         assert np.allclose(data.xs[:, :16], -data.xs[:, 16:])
 
+    def test_doubled_sample_holds_no_stacked_copies(self, traced_peak):
+        # np.hstack([xs, -xs]) holds xs, -xs and the result: twice the output
+        gen = sparse_generator(256, 8, seed=49, noise=0.1)
+        data, peak = traced_peak(gen.sample_doubled, 512, 50)
+        assert data.xs.shape == (512, 512)
+        assert peak <= 1.5 * data.xs.nbytes
+
     def test_signed_part_is_the_signed_sample(self):
         gen = sparse_generator(16, 2, seed=43, noise=0.1)
         part = gen.signed_part(gen.sample_doubled(50, seed=44))

@@ -501,9 +501,9 @@ class TestSparseExperiment:
         draws = []
         draw = SparseGenerator._draw
 
-        def counted(self, n, seed):
+        def counted(self, n, seed, **kwargs):  # sample_doubled passes out=
             draws.append((n, seed))
-            return draw(self, n, seed)
+            return draw(self, n, seed, **kwargs)
 
         monkeypatch.setattr(SparseGenerator, "_draw", counted)
         cfg = make_cfg(experiment="sparse", n_grid=[32, 64], replicates=2, dim=16)
@@ -773,19 +773,13 @@ class TestMarginExperiment:
         ok, _ = check_result(cfg, rows)
         assert ok
 
-    def test_default_run_holds_only_what_it_reads(self):
-        # the Rademacher signs and the holdout are drawn in row blocks; one
-        # (2000, 2048) sign matrix alone would be 31 MiB
-        import tracemalloc
-
-        cfg = make_cfg(experiment="margin")
-        tracemalloc.start()
-        try:
-            run_margin_experiment(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
+    def test_default_run_holds_only_what_it_reads(self, traced_peak):
+        # the Rademacher signs are drawn in 64-row blocks (1 MiB each) and
+        # the holdout in row blocks, keeping one 100,000-row margin array
+        # that is freed before the signs; one (2000, 2048) sign matrix alone
+        # would be 31 MiB, and 256-row sign blocks peak at about 10 MiB
+        _, peak = traced_peak(run_margin_experiment, make_cfg(experiment="margin"))
+        assert peak < 5 * 2**20
 
     def test_gamma_exceeding_every_score(self):
         from smoothbench.bounds import BoundInputs, margin_bound, margin_empirical_error
@@ -818,6 +812,7 @@ class TestEmission:
         meta = json.loads((out1.with_suffix(".meta.json")).read_text())
         assert meta["config"]["seed"] == 5
         assert "wall_time_s" in meta and "versions" in meta
+        assert isinstance(meta["peak_rss_mb"], float) and meta["peak_rss_mb"] > 0
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         versions = meta["versions"]
         assert versions["blas"] == {"name": blas["name"], "version": blas["version"]}

@@ -331,6 +331,15 @@ class TestBatchedRunner:
         assert run.xs is None
         self.assert_matches_per_run(setup, one_hot(idx, 8), ys * 3.0, eta, run)
 
+    def test_dense_design_builds_no_identity(self, traced_peak):
+        # an identity at d = 512 is 2 MiB; only a basis design reads one
+        d = 512
+        setup, xs, ys, eta = self.problem("euclidean", 2, 4, d, seed=15)
+        idx = np.random.default_rng(16).integers(d, size=ys.shape)
+        _, dense = traced_peak(run_mirror_descent_batch, setup, SQ, ys, eta, xs=xs)
+        _, basis = traced_peak(run_mirror_descent_batch, setup, SQ, ys, eta, basis_idx=idx)
+        assert dense < d * d * 8 <= basis
+
     def test_one_dimension(self):
         # numpy's mean over (n, 1) iterates sums pairwise, the batch sums in
         # order: the averages agree to n ulps, the losses exactly
