@@ -47,7 +47,6 @@ class Dataset:
     xs: np.ndarray | None = None
     basis_idx: np.ndarray | None = None
     dim: int = 0
-    provenance: str = ""
 
     def __post_init__(self):
         ys = np.asarray(self.ys, dtype=float)
@@ -113,10 +112,10 @@ class Dataset:
         if self.xs is not None:
             xs = self.xs.copy()
             xs[i] = x
-            return Dataset(ys=ys, xs=xs, provenance=self.provenance)
+            return Dataset(ys=ys, xs=xs)
         idx = self.basis_idx.copy()
         idx[i] = int(np.argmax(x))
-        return Dataset(ys=ys, basis_idx=idx, dim=self.dim, provenance=self.provenance)
+        return Dataset(ys=ys, basis_idx=idx, dim=self.dim)
 
 
 def lambda_for(smoothness_H: float, f_max: float, n: int, lbar: float) -> float:

@@ -3,8 +3,7 @@
 Three lower-bound families over basis-vector designs, plus the synthetic
 generators the harness uses for fast-rate, sparse, and ridge-regime runs.
 All are classes with the same duck-typed surface: .sample(n, seed) ->
-Dataset, .true_risk(w), .l_star, .w_star, .loss, .kind,
-.x_dual_bound(geometry).
+Dataset, .true_risk(w), .l_star, .w_star, .loss and .x_dual_bound(geometry).
 
 Family overview (d standard basis vectors, Y conditioned on X = e_i):
 
@@ -77,7 +76,7 @@ class HardDistribution:
         """n i.i.d. draws; deterministic per seed."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        return self._draw(n, np.random.default_rng(seed), f"{self.kind}:seed={seed}")
+        return self._draw(n, np.random.default_rng(seed))
 
     def true_risk(self, w: np.ndarray) -> float:
         """Exact risk of a fixed predictor; no sampling."""
@@ -91,12 +90,11 @@ class HardDistribution:
 class AbsoluteSeparable(HardDistribution):
     n_design: int
     signs: np.ndarray
-    kind = "absolute_separable"
 
-    def _draw(self, n: int, rng: np.random.Generator, tag: str) -> Dataset:
+    def _draw(self, n: int, rng: np.random.Generator) -> Dataset:
         idx = rng.integers(self.dim, size=n)
         ys = self.signs[idx] / math.sqrt(self.n_design)
-        return Dataset(ys=ys, basis_idx=idx, dim=self.dim, provenance=tag)
+        return Dataset(ys=ys, basis_idx=idx, dim=self.dim)
 
     def _risk(self, w: np.ndarray) -> float:
         targets = self.signs / math.sqrt(self.n_design)
@@ -117,13 +115,12 @@ class AbsoluteSeparable(HardDistribution):
 class GaussianSquared(HardDistribution):
     signs: np.ndarray
     sigma: float
-    kind = "gaussian_squared"
 
-    def _draw(self, n: int, rng: np.random.Generator, tag: str) -> Dataset:
+    def _draw(self, n: int, rng: np.random.Generator) -> Dataset:
         idx = rng.integers(self.dim, size=n)
         means = self.signs[idx] / (2.0 * math.sqrt(self.dim))
         ys = means if self.sigma == 0 else rng.normal(means, self.sigma)
-        return Dataset(ys=ys, basis_idx=idx, dim=self.dim, provenance=tag)
+        return Dataset(ys=ys, basis_idx=idx, dim=self.dim)
 
     def _risk(self, w: np.ndarray) -> float:
         diff = w - self.w_star
@@ -172,13 +169,12 @@ class GaussianSquared(HardDistribution):
 class OnedimQuadlin(HardDistribution):
     q: float
     p: float
-    kind = "onedim_quadlin"
 
-    def _draw(self, n: int, rng: np.random.Generator, tag: str) -> Dataset:
+    def _draw(self, n: int, rng: np.random.Generator) -> Dataset:
         xs = (rng.random(n) < self.q).astype(float)
         flips = rng.random(n)
         ys = np.where(xs > 0, np.where(flips < self.p, 1.0, -1.0), 0.0)
-        return Dataset(ys=ys, xs=xs[:, None], provenance=tag)
+        return Dataset(ys=ys, xs=xs[:, None])
 
     def _risk(self, w: np.ndarray) -> float:
         return _quadlin_risk(self.loss, self.q, self.p, float(w[0]) if w.ndim else float(w))
@@ -308,7 +304,6 @@ class SeparableSynthetic:
     w_star: np.ndarray
     loss: LossSpec
     l_star: float = 0.0
-    kind = "separable_smooth"
 
     def x_dual_bound(self, geometry: str) -> float:
         return 1.0
@@ -316,12 +311,7 @@ class SeparableSynthetic:
     def sample(self, n: int, seed: int) -> Dataset:
         rng = np.random.default_rng(seed)
         idx = rng.integers(self.dim, size=n)
-        return Dataset(
-            ys=self.w_star[idx],
-            basis_idx=idx,
-            dim=self.dim,
-            provenance=f"{self.kind}:seed={seed}",
-        )
+        return Dataset(ys=self.w_star[idx], basis_idx=idx, dim=self.dim)
 
     def true_risk(self, w: np.ndarray) -> float:
         diff = np.asarray(w, dtype=float) - self.w_star
@@ -351,7 +341,6 @@ class SparseGenerator:
     w0: np.ndarray
     noise: float
     loss: LossSpec
-    kind = "sparse_linear"
 
     @property
     def l_star(self) -> float:
@@ -383,13 +372,13 @@ class SparseGenerator:
 
     def sample_signed(self, n: int, seed: int) -> Dataset:
         xs, ys = self._draw(n, seed)
-        return Dataset(ys=ys, xs=xs, provenance=f"{self.kind}:seed={seed}")
+        return Dataset(ys=ys, xs=xs)
 
     def sample_doubled(self, n: int, seed: int) -> Dataset:
         doubled = np.empty((n, 2 * self.dim0))  # [xs, -xs], with no stacked temporaries
         xs, ys = self._draw(n, seed, out=doubled[:, : self.dim0])
         np.negative(xs, out=doubled[:, self.dim0 :])
-        return Dataset(ys=ys, xs=doubled, provenance=f"{self.kind}:doubled:seed={seed}")
+        return Dataset(ys=ys, xs=doubled)
 
     def sample(self, n: int, seed: int) -> Dataset:
         return self.sample_doubled(n, seed)
@@ -397,11 +386,7 @@ class SparseGenerator:
     def signed_part(self, doubled: Dataset) -> Dataset:
         """The signed sample a doubled one was built from (its first dim0
         columns, copied contiguous), without drawing it again."""
-        return Dataset(
-            ys=doubled.ys,
-            xs=np.ascontiguousarray(doubled.xs[:, : self.dim0]),
-            provenance=doubled.provenance.replace(":doubled", ""),
-        )
+        return Dataset(ys=doubled.ys, xs=np.ascontiguousarray(doubled.xs[:, : self.dim0]))
 
     def fold(self, w_doubled: np.ndarray) -> np.ndarray:
         """Collapse a doubled-feature weight vector back to signed space."""
@@ -444,7 +429,6 @@ class RegimeGenerator:
     sigma: float
     w_star: np.ndarray
     loss: LossSpec
-    kind = "gaussian_regime"
 
     @property
     def l_star(self) -> float:
@@ -454,7 +438,7 @@ class RegimeGenerator:
         rng = np.random.default_rng(seed)
         xs = rng.normal(0.0, self.x_scale / math.sqrt(self.dim), size=(n, self.dim))
         ys = xs @ self.w_star + rng.normal(0.0, self.sigma, size=n)
-        return Dataset(ys=ys, xs=xs, provenance=f"{self.kind}:seed={seed}")
+        return Dataset(ys=ys, xs=xs)
 
     def true_risk(self, w: np.ndarray) -> float:
         diff = np.asarray(w, dtype=float) - self.w_star

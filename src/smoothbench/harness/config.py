@@ -22,32 +22,33 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    """An experiment's settings. None marks a field the config left unset;
-    `with_defaults` fills it from the experiment's declaration."""
+    """An experiment's settings. None marks a field the config left unset.
+    Besides experiment, seed and out, an experiment reads only the fields
+    its declaration lists; `with_defaults` rejects any other that is set."""
 
     experiment: str = ""
     distribution: str | None = None
     learner: str | None = None
-    loss: str = ""
+    loss: str | None = None
     n_grid: tuple | None = None
     replicates: int | None = None
     seed: int = 1234
     out: str = ""
-    tol: float = 1e-10
-    delta: float = 0.05
-    bound_k: float = 1e5
+    tol: float | None = None
+    delta: float | None = None
+    bound_k: float | None = None
     dim: int | None = None
     budget: float | None = None
-    sigma: float = 0.5
-    x_scale: float = 5.0
-    sparsity_k: int = 4
-    noise: float = 0.0
-    eta_scale: float = 8.0
-    lambda_policy: str = "oracle"
-    lbar_mode: str = "exact"
+    sigma: float | None = None
+    x_scale: float | None = None
+    sparsity_k: int | None = None
+    noise: float | None = None
+    eta_scale: float | None = None
+    lambda_policy: str | None = None
+    lbar_mode: str | None = None
     methods: tuple | None = None
     gamma_grid: tuple | None = None
-    label_noise: float = 0.05
+    label_noise: float | None = None
     check_floor_factor: float | None = None
     check_slope_min: float | None = None
     check_slope_max: float | None = None
@@ -198,27 +199,25 @@ def fill_unset(cfg: ExperimentConfig, defaults: dict) -> None:
 
 
 def with_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Fill the experiment's defaults into the fields the config left unset,
-    then validate."""
+    """Reject the fields the experiment does not read, fill its defaults
+    into the fields the config left unset, then validate."""
     from .experiments import EXPERIMENTS  # here: experiments imports this module
 
     require_choice("experiment", cfg.experiment, EXPERIMENTS)
     name, spec = cfg.experiment, EXPERIMENTS[cfg.experiment]
+    for key, value in vars(cfg).items():
+        if value is None or key in spec.defaults or key in ("experiment", "seed", "out"):
+            continue
+        *others, last = [k for k, e in EXPERIMENTS.items() if key in e.defaults]
+        readers = f"{', '.join(others)} and {last} read" if others else f"{last} reads"
+        raise ConfigError(f"{name} does not read {key!r}; only {readers} it")
     fill_unset(cfg, spec.defaults)
     spec.prepare(cfg)
     if spec.methods:
-        what, choices = spec.methods
-        fill_unset(cfg, {"methods": choices})
+        choices = spec.defaults["methods"]
         bad = set(cfg.methods) - set(choices)
         if bad:
-            raise ConfigError(f"unknown {name} {what}: {sorted(bad)}; expected {choices}")
-    require_choice("lbar_mode", cfg.lbar_mode, ("exact", "auto"))
-    require_choice("lambda_policy", cfg.lambda_policy, ("oracle", "formula"))
-
-    # only the experiments that draw from a named distribution read `loss`
-    if cfg.loss and "distribution" not in spec.defaults:
-        readers = " and ".join(k for k, e in EXPERIMENTS.items() if "distribution" in e.defaults)
-        raise ConfigError(f"{name} fixes its own loss; only {readers} read 'loss'")
+            raise ConfigError(f"unknown {name} {spec.methods}: {sorted(bad)}; expected {choices}")
     gammas = cfg.gamma_grid or ()
     if not all(isinstance(v, (int, float)) for v in cfg.n_grid + gammas):
         raise ConfigError(f"grid entries must be numbers, got {cfg.n_grid} and {gammas}")
@@ -234,13 +233,10 @@ def with_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"{empty[0]} must not be empty")
     if cfg.replicates < 1:
         raise ConfigError(f"replicates must be >= 1, got {cfg.replicates}")
-    if not 0 < cfg.delta < 1:
-        raise ConfigError(f"delta must lie in (0, 1), got {cfg.delta}")
     # `not x > 0` also rejects nan
-    if not cfg.tol > 0:
-        raise ConfigError(f"tol must be positive, got {cfg.tol}")
-    if not cfg.eta_scale > 0:
-        raise ConfigError(f"eta_scale must be positive, got {cfg.eta_scale}")
+    for key in ("tol", "eta_scale"):
+        if key in spec.defaults and not getattr(cfg, key) > 0:
+            raise ConfigError(f"{key} must be positive, got {getattr(cfg, key)}")
     out_dir = os.path.dirname(cfg.out)
     if out_dir and not os.path.isdir(out_dir):
         raise ConfigError(f"out: directory {out_dir!r} does not exist")

@@ -795,6 +795,8 @@ def _margin_rules(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"margin n_grid must have one entry, got {cfg.n_grid}")
     if cfg.replicates != 1:
         raise ConfigError(f"margin replicates must be 1, got {cfg.replicates}")
+    if not 0 < cfg.delta < 1:
+        raise ConfigError(f"delta must lie in (0, 1), got {cfg.delta}")
 
 
 def _margin_premises(cfg: ExperimentConfig) -> None:
@@ -828,12 +830,15 @@ class Experiment:
     # cfg -> None: builds what the run builds, once, at the smallest n, so
     # that the constructors' own rules (ValueError) reject a bad config
     premises: Callable
-    defaults: dict  # the values of the fields the config leaves unset
+    # every field the experiment reads besides experiment, seed and out,
+    # with the value it takes when the config leaves it unset (None: none,
+    # or one that `prepare` derives from other fields)
+    defaults: dict
     check: Callable  # (cfg, rows) -> the `--check` failure messages
     # cfg -> None: fills the defaults that depend on other fields and
     # enforces the experiment's own config rules (ConfigError)
     prepare: Callable = lambda cfg: None
-    methods: tuple = ()  # (what the `methods` key names, its choices), if read
+    methods: str = ""  # what the `methods` key names, if read; its choices are its default
     fits_slope: bool = False  # whether `check` fits a log-log slope over n_grid
 
 
@@ -844,21 +849,28 @@ EXPERIMENTS = {
     "rate": Experiment(
         run_rate_experiment, RateRow,
         lambda cfg: _family_premises(cfg, exact_erm=cfg.learner == "erm"),
-        {"distribution": "separable", "dim": 16, "replicates": 50},  # dim: separable only
+        # the family gives learner, n_grid, budget and check_*; loss is only
+        # compared with the family's own, and dim is read by separable only
+        {"distribution": "separable", "learner": None, "loss": None, "n_grid": None,
+         "replicates": 50, "dim": 16, "budget": None, "tol": 1e-10,
+         "check_floor_factor": None, "check_slope_min": None, "check_slope_max": None},
         check=_check_rate, prepare=_rate_defaults, fits_slope=True),
     "regret": Experiment(
         run_regret_experiment, RegretRow, _regret_premises,
-        {"n_grid": (10, 100, 1000, 10000), "replicates": 10, "dim": 8, "budget": 1.0},
+        {"n_grid": (10, 100, 1000, 10000), "replicates": 10, "dim": 8, "budget": 1.0,
+         "methods": ("iid_separable", "fixed_adversarial", "adaptive"), "lbar_mode": "exact"},
         check=lambda cfg, rows: [
             f"{r.stream} n={r.n} seed={r.seed_index}: measured {r.measured:.6g} > "
             f"bound {r.bound:.6g}"
             for r in rows if r.measured > r.bound + REGRET_SLACK
         ],
-        methods=("stream kinds", ("iid_separable", "fixed_adversarial", "adaptive"))),
+        prepare=lambda cfg: require_choice("lbar_mode", cfg.lbar_mode, ("exact", "auto")),
+        methods="stream kinds"),
     "stability": Experiment(
         run_stability_experiment, StabilityRow,
         lambda cfg: _family_premises(cfg, exact_erm=False),
-        {"distribution": "hardB:0.1", "dim": 16, "n_grid": (64,), "replicates": 200},
+        {"distribution": "hardB:0.1", "loss": None, "dim": 16, "n_grid": (64,),
+         "replicates": 200, "budget": None, "tol": 1e-10},
         check=lambda cfg, rows: _max_iters_failures(rows) + [
             f"n={r.n}: lhs {r.lhs_mean:.6g} > rhs {r.rhs_mean:.6g} + 2 stderres"
             for r in rows if r.lhs_mean > r.rhs_mean + 2.0 * r.combined_stderr
@@ -866,24 +878,28 @@ EXPERIMENTS = {
         prepare=_stability_rules),
     "sparse": Experiment(
         run_sparse_experiment, SparseRow, _sparse_premises,
-        {"dim": 256, "n_grid": tuple(2**k for k in range(7, 13)), "replicates": 20,
-         "check_slope_max": -0.85},
+        {"dim": 256, "sparsity_k": 4, "noise": 0.0, "n_grid": tuple(2**k for k in range(7, 13)),
+         "replicates": 20, "budget": None, "methods": ("entropy_md", "entropy_regerm", "l1_erm"),
+         "tol": 1e-10, "eta_scale": 8.0, "check_slope_max": -0.85},
         check=_check_sparse,
         prepare=lambda cfg: fill_unset(cfg, {"budget": 2.0 * math.sqrt(cfg.sparsity_k)}),
-        methods=("methods", ("entropy_md", "entropy_regerm", "l1_erm")), fits_slope=True),
+        methods="methods", fits_slope=True),
     "regime": Experiment(
         run_regime_experiment, RegimeRow, _regime_premises,
-        {"dim": 50, "n_grid": tuple(2**k for k in range(3, 13)), "replicates": 12,
-         "budget": 1.0},
+        {"dim": 50, "x_scale": 5.0, "sigma": 0.5, "n_grid": tuple(2**k for k in range(3, 13)),
+         "replicates": 12, "budget": 1.0, "tol": 1e-10, "lambda_policy": "oracle"},
         check=lambda cfg, rows: _max_iters_failures(rows) + [
             f"n={r.n}: excess {r.mean_excess:.6g} > "
             f"{REGIME_ENVELOPE_FACTOR} * envelope {r.envelope:.6g}"
             for r in rows if r.mean_excess > REGIME_ENVELOPE_FACTOR * r.envelope
-        ]),
+        ],
+        prepare=lambda cfg: require_choice(
+            "lambda_policy", cfg.lambda_policy, ("oracle", "formula"))),
     "margin": Experiment(
         run_margin_experiment, MarginRow, _margin_premises,
         {"dim": 10, "n_grid": (2048,), "replicates": 1, "budget": 1.0,
-         "gamma_grid": (0.05, 0.1, 0.2, 0.4, 0.8)},
+         "gamma_grid": (0.05, 0.1, 0.2, 0.4, 0.8), "label_noise": 0.05, "delta": 0.05,
+         "bound_k": 1e5},
         check=lambda cfg, rows: [
             f"gamma={r.gamma}: rhs {r.rhs:.6g} < holdout {r.holdout_error:.6g}"
             for r in rows if r.rhs < r.holdout_error

@@ -57,10 +57,18 @@ BAD_CONFIGS = [
     ({"experiment": "regime", "sigma": -1}, "sigma >= 0"),
     ({"experiment": "regret", "budget": -1}, "budget > 0"),
     ({"experiment": "margin", "gamma_grid": 5}, "margin too large"),
-    ({"experiment": "regret", "loss": "squared"}, "fixes its own loss"),
-    ({"experiment": "sparse", "loss": "squared"}, "fixes its own loss"),
-    ({"experiment": "regime", "loss": "squared"}, "fixes its own loss"),
-    ({"experiment": "margin", "loss": "squared"}, "fixes its own loss"),
+    ({"experiment": "regret", "loss": "squared"}, "only rate and stability read it"),
+    ({"experiment": "sparse", "loss": "squared"}, "only rate and stability read it"),
+    ({"experiment": "regime", "loss": "squared"}, "only rate and stability read it"),
+    ({"experiment": "margin", "loss": "squared"}, "only rate and stability read it"),
+    # a key the experiment does not read, even at another experiment's default
+    ({"experiment": "regime", "methods": ["foo"]},
+     "regime does not read 'methods'; only regret and sparse read it"),
+    ({"experiment": "regret", "learner": "sgd"},
+     "regret does not read 'learner'; only rate reads it"),
+    ({"experiment": "margin", "sparsity_k": -5}, "margin does not read 'sparsity_k'"),
+    ({"experiment": "regret", "tol": 1e-10},
+     "regret does not read 'tol'; only rate, stability, sparse and regime read it"),
     ({"experiment": "rate", "learner": "regularized_erm", "distribution": "hardB:0.1",
       "tol": -1}, "tol must be positive"),
     ({"experiment": "sparse", "eta_scale": -1}, "eta_scale must be positive"),
@@ -837,6 +845,17 @@ class TestEmission:
         assert meta["config"]["check_slope_max"] == -0.85
         assert meta["config"]["n_grid"] == [16, 32]
 
+    def test_meta_echoes_null_for_the_keys_the_experiment_does_not_read(self, tmp_path):
+        echoes = {}
+        for name, raw in {
+            "rate": {"distribution": "hardA", "n_grid": [16, 32], "replicates": 2},
+            "regime": {"n_grid": [8, 16], "replicates": 1},
+        }.items():
+            run_and_emit(make_cfg(experiment=name, out=str(tmp_path / name), **raw))
+            echoes[name] = json.loads((tmp_path / f"{name}.meta.json").read_text())["config"]
+        assert echoes["rate"]["sigma"] is None and echoes["rate"]["learner"] == "erm"
+        assert echoes["regime"]["sigma"] == 0.5 and echoes["regime"]["learner"] is None
+
     def test_different_seed_changes_csv(self, tmp_path):
         blobs = []
         for seed in (5, 6):
@@ -946,3 +965,29 @@ class TestExperimentTable:
         assert set(EXPERIMENTS) == set(choices)
         # a new record without a golden CSV fails here
         assert set(EXPERIMENTS) == {raw["experiment"] for raw in GOLDEN.values()}
+
+    def test_each_record_declares_exactly_the_keys_its_hooks_read(self, monkeypatch):
+        """The golden configs, run through prepare, premises, run and check
+        with every config attribute read recorded: each experiment reads
+        exactly the keys its record declares, and every key has a reader."""
+        from test_golden import GOLDEN
+
+        keys = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        seen, reads = set(), {name: set() for name in EXPERIMENTS}
+
+        def spy(cfg, attr):
+            seen.add(attr)
+            return object.__getattribute__(cfg, attr)
+
+        for raw in GOLDEN.values():
+            cfg = make_cfg(**raw)
+            spec = EXPERIMENTS[cfg.experiment]
+            with monkeypatch.context() as m:
+                m.setattr(ExperimentConfig, "__getattribute__", spy)
+                spec.prepare(cfg)
+                spec.premises(cfg)
+                spec.check(cfg, spec.run(cfg))
+            reads[cfg.experiment] |= (seen & keys) - {"experiment", "seed", "out"}
+            seen.clear()
+        assert reads == {name: set(spec.defaults) for name, spec in EXPERIMENTS.items()}
+        assert set().union(*reads.values()) == keys - {"experiment", "seed", "out"}
