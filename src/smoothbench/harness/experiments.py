@@ -27,7 +27,7 @@ from .. import __version__ as _pkg_version
 from ..batch import (
     STABILITY_MIN_REPLICATES,
     TERM_MAX_ITERS,
-    Dataset,
+    _l1_constrained_erm,
     excess_risk,
     lambda_for,
     mean_stderr,
@@ -79,8 +79,6 @@ REGRET_SLACK = 1e-9
 REGIME_ENVELOPE_FACTOR = 8.0
 _HOLDOUT_BLOCK = 8192  # margin's holdout rows drawn at a time
 _SLOPE_MIN_ROWS = 3  # fit_slope's least number of usable rows
-_L1_FLOOR = 1e-15  # the l1 line search's slack, and its self-certifying objective
-_L1_PATIENCE = 50  # accepted l1 iterations without a new low before a floor stop
 
 
 def seed_for(master: int, experiment: str, grid_index: int, replicate: int) -> int:
@@ -470,6 +468,10 @@ def _stability_rules(cfg: ExperimentConfig) -> None:
 
 @dataclass(frozen=True)
 class SparseRow:
+    """One method at one n. `bound` is k·ln(2d)/n + sqrt(k·L(w0)·ln(2d)/n)
+    with no constants: a rate reference, not a guarantee (entropy_md can
+    sit above it at moderate n)."""
+
     method: str
     n: int
     dim: int
@@ -477,78 +479,9 @@ class SparseRow:
     mean_excess: float
     stderr: float
     bound: float
-    # certified solves of this row that stopped at max_iters
+    # entropy_regerm solves of this row that stopped at max_iters (the l1
+    # solve near n = d runs to its cap by design and is not counted)
     max_iters_hits: int = _column(None)
-
-
-def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto the l1 ball (sort-and-threshold). A `v`
-    inside the ball is returned itself, not a copy."""
-    mags = np.abs(v)
-    if float(np.add.reduce(mags)) <= radius:
-        return v
-    u = np.sort(mags)[::-1]
-    cumsum = np.cumsum(u)
-    ranks = np.arange(1, u.size + 1)
-    k = int(np.nonzero(u * ranks > cumsum - radius)[0][-1])
-    tau = (cumsum[k] - radius) / (k + 1.0)
-    return np.sign(v) * np.maximum(mags - tau, 0.0)
-
-
-def _l1_constrained_erm(data: Dataset, loss, radius: float, max_iters: int = 2000):
-    """Projected gradient on the l1 ball with backtracking; comparison
-    method for the sparse study.
-
-    The loss is non-negative, so f(w) - f* <= f(w): once the objective is
-    at the line search's own slack (_L1_FLOOR) it certifies itself, and the
-    solve stops when it has also set no new low in _L1_PATIENCE accepted
-    iterations (past that point it only jitters at the rounding level).
-    When f* > 0 the objective never reaches the floor, and near n = d it is
-    still far above it at max_iters: those solves have no certificate and
-    run to the step stop or max_iters.
-
-    A trial point inside the ball is w - step·g, so its predictions are
-    preds - step·(X g) and its line-search terms follow from g·g: one
-    design product for X g per iteration, one more for the accepted
-    point's gradient, and none for a rejected interior trial. Only a trial
-    that the projection moves pays its own predictions. add.reduce / n is
-    the sum and division np.mean does, without its dispatch."""
-    ys, n = data.ys, data.n
-    w = np.zeros(data.dim)
-    preds = data.predictions(w)
-    obj = float(np.add.reduce(loss.value(preds, ys)) / n)
-    best, since_best = obj, 0
-    step = 1.0
-    for _ in range(max_iters):
-        g = data.grad_combination(loss.derivative(preds, ys)) / n
-        xg = data.predictions(g)
-        gg = float(g @ g)
-        while True:
-            v = w - step * g
-            w_new = _project_l1_ball(v, radius)
-            if w_new is v:
-                preds_new = preds - step * xg
-                gd, dd = -step * gg, step * step * gg
-            else:
-                preds_new = data.predictions(w_new)
-                d = w_new - w
-                gd, dd = float(g @ d), float(d @ d)
-            obj_new = float(np.add.reduce(loss.value(preds_new, ys)) / n)
-            if obj_new <= obj + gd + dd / (2.0 * step) + _L1_FLOOR:
-                break
-            step *= 0.5
-            if step < 1e-18:
-                break
-        moved = math.sqrt(dd)  # ||w_new - w||
-        w, obj, preds = w_new, obj_new, preds_new
-        step *= 2.0
-        if obj < best:
-            best, since_best = obj, 0
-        else:
-            since_best += 1
-        if moved <= 1e-12 or obj <= _L1_FLOOR and since_best >= _L1_PATIENCE:
-            break
-    return w
 
 
 def run_sparse_experiment(cfg: ExperimentConfig) -> list:
@@ -598,7 +531,7 @@ def run_sparse_experiment(cfg: ExperimentConfig) -> list:
                     hits[method] += report.termination == TERM_MAX_ITERS
                     w = report.w
                 else:  # l1_erm
-                    w = _l1_constrained_erm(gen.signed_part(data), gen.loss, budget)
+                    w = _l1_constrained_erm(gen.signed_part(data), gen.loss, budget).w
                 per_method[method].append(gen.true_risk(w) - gen.l_star)
             del data  # one replicate's dataset alive at a time
         ref = k * math.log(bound_dim) / n

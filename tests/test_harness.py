@@ -32,7 +32,13 @@ from smoothbench.harness import (
 from smoothbench import Dataset, RegimeGenerator, SparseGenerator
 from smoothbench.harness import experiments
 from smoothbench.harness.cli import build_parser, main as cli_main
-from smoothbench.harness.experiments import _project_l1_ball
+from smoothbench.batch import (
+    TERM_MAX_ITERS,
+    TERM_STALLED,
+    TERM_TOLERANCE,
+    _l1_constrained_erm,
+    _project_l1_ball,
+)
 
 
 def make_cfg(**kw) -> ExperimentConfig:
@@ -552,40 +558,39 @@ class TestSparseExperiment:
         return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
     @classmethod
-    def _reference_l1(cls, data, loss, radius, max_iters, along_xg):
-        """The l1 loop with np.mean and |v| taken twice in the projection.
-        along_xg: an interior trial takes its predictions as preds - step·Xg
-        and its line-search terms from g·g, as the solve does; otherwise
-        every trial pays its own matvec and d = w_new - w terms."""
+    def _reference_l1(cls, data, loss, radius, max_iters, floor_stop=True):
+        """(w, iterations, termination) of the l1 loop without the Gram
+        form: every trial pays its own matvec and np.mean, and |v| is taken
+        twice in the projection. Same step protocol; with floor_stop, the
+        same floor stop rule, decided on the directly evaluated objective."""
         w = np.zeros(data.dim)
         preds = data.predictions(w)
         obj = float(np.mean(loss.value(preds, data.ys)))
-        step = 1.0
-        for _ in range(max_iters):
+        best, since_best, step = obj, 0, 1.0
+        for iterations in range(1, max_iters + 1):
             g = data.grad_combination(np.asarray(loss.derivative(preds, data.ys))) / data.n
-            xg, gg = data.predictions(g), float(g @ g)
             while True:
-                v = w - step * g
-                w_new = cls._project(v, radius)
-                if along_xg and float(np.sum(np.abs(v))) <= radius:
-                    preds_new = preds - step * xg
-                    gd, dd = -step * gg, step * step * gg
-                else:
-                    preds_new = data.predictions(w_new)
-                    d = w_new - w
-                    gd, dd = float(g @ d), float(d @ d)
+                trial = step
+                w_new = cls._project(w - trial * g, radius)
+                preds_new = data.predictions(w_new)
                 obj_new = float(np.mean(loss.value(preds_new, data.ys)))
-                if obj_new <= obj + gd + dd / (2.0 * step) + 1e-15:
+                d = w_new - w
+                if obj_new <= obj + float(g @ d) + float(d @ d) / (2.0 * trial) + 1e-15:
                     break
                 step *= 0.5
                 if step < 1e-18:
                     break
-            moved = math.sqrt(dd)
             w, obj, preds = w_new, obj_new, preds_new
             step *= 2.0
-            if moved <= 1e-12:
-                break
-        return w
+            if obj < (0.5 * best if obj <= 1e-15 else best):
+                best, since_best = obj, 0
+            else:
+                since_best += 1
+            if math.sqrt(float(d @ d)) <= 1e-12:
+                return w, iterations, TERM_STALLED
+            if floor_stop and obj <= 1e-15 and since_best >= 50:
+                return w, iterations, TERM_TOLERANCE
+        return w, iterations, TERM_MAX_ITERS
 
     # n < d, n = d, n > d; an active ball; a ball so small the step stop fires
     L1_CASES = [(32, 4.0), (64, 4.0), (256, 4.0), (64, 0.1), (64, 1e-13)]
@@ -597,85 +602,134 @@ class TestSparseExperiment:
         gen = sparse_generator(64, 4, seed=5, noise=noise)
         return gen, gen.sample_signed(n, seed=6)
 
-    @staticmethod
-    def _l1_iterations(gen, data, radius, max_iters):
-        """(w, iterations) of the solve: one loss derivative per iteration."""
-        calls = []
-
-        class CountingLoss:
-            value = staticmethod(gen.loss.value)
-
-            def derivative(self, preds, ys):
-                calls.append(1)
-                return gen.loss.derivative(preds, ys)
-
-        w = experiments._l1_constrained_erm(data, CountingLoss(), radius, max_iters)
-        return w, len(calls)
-
     @pytest.mark.parametrize("n, radius", L1_CASES)
     def test_l1_solve_matches_reference_loop(self, n, radius):
+        # same iterations and the same way out: n = 32 reaches the floor,
+        # a ball of 1e-13 stalls, the rest run to the cap
         gen, data = self._l1_problem(n)
-        got = experiments._l1_constrained_erm(data, gen.loss, radius, max_iters=300)
-        want = self._reference_l1(data, gen.loss, radius, 300, along_xg=True)
-        assert np.array_equal(got, want)
+        report = _l1_constrained_erm(data, gen.loss, radius, max_iters=300)
+        _, iterations, termination = self._reference_l1(data, gen.loss, radius, 300)
+        assert (report.iterations, report.termination) == (iterations, termination)
+        assert (termination == TERM_TOLERANCE) == (n == 32)
         if radius < 1:
-            assert float(np.sum(np.abs(got))) == pytest.approx(radius, rel=1e-12)
+            assert float(np.sum(np.abs(report.w))) == pytest.approx(radius, rel=1e-12)
 
     @pytest.mark.parametrize("n, radius", L1_CASES)
     def test_l1_solve_stays_on_the_matvec_per_trial_loop(self, n, radius):
-        # scoring interior trials along X g reorders the rounding only
+        # the Gram form's closed-form trials reorder the rounding only
         gen, data = self._l1_problem(n)
-        got = experiments._l1_constrained_erm(data, gen.loss, radius, max_iters=300)
-        want = self._reference_l1(data, gen.loss, radius, 300, along_xg=False)
-        assert float(np.max(np.abs(got - want))) <= 1e-12
+        report = _l1_constrained_erm(data, gen.loss, radius, max_iters=300)
+        want, _, _ = self._reference_l1(data, gen.loss, radius, 300)
+        assert float(np.max(np.abs(report.w - want))) <= 1e-12
 
     @pytest.mark.parametrize("n", [128, 256])
     def test_l1_noise_free_solve_stops_at_the_rounding_floor(self, n):
         # n >= 2d, L* = 0: the non-negative objective certifies itself
         gen, data = self._l1_problem(n, noise=0.0)
-        got, iterations = self._l1_iterations(gen, data, 4.0, 2000)
-        want = self._reference_l1(data, gen.loss, 4.0, 2000, along_xg=True)
-        assert iterations < 2000
-        excess = gen.true_risk(got) - gen.l_star
+        report = _l1_constrained_erm(data, gen.loss, 4.0, 2000)
+        want, iterations, _ = self._reference_l1(data, gen.loss, 4.0, 2000)
+        assert report.termination == TERM_TOLERANCE
+        assert report.iterations == iterations < 2000
+        assert report.certificate == report.objective <= 1e-15
+        excess = gen.true_risk(report.w) - gen.l_star
         assert abs(excess - (gen.true_risk(want) - gen.l_star)) <= 1e-15
+
+    def test_l1_creeping_floor_solve_stops(self):
+        # n < d, L* = 0: the objective sits at the floor but sets a new low
+        # at least once in every 50 iterations; only a halving resets the
+        # patience, so the solve stops long before max_iters
+        gen, data = self._l1_problem(32, noise=0.0)
+        report = _l1_constrained_erm(data, gen.loss, 4.0, 2000)
+        assert report.termination == TERM_TOLERANCE
+        assert report.iterations < 500
+        assert report.certificate <= 1e-15
+        want, iterations, _ = self._reference_l1(data, gen.loss, 4.0, 2000)
+        assert report.iterations == iterations
+        assert float(np.max(np.abs(report.w - want))) <= 1e-12
+        # the 2,000 iterations it no longer runs move its excess by < 1e-6
+        full, _, _ = self._reference_l1(data, gen.loss, 4.0, 2000, floor_stop=False)
+        excess = gen.true_risk(report.w) - gen.l_star
+        assert excess == pytest.approx(gen.true_risk(full) - gen.l_star, rel=1e-6)
 
     def test_l1_noise_free_solve_above_the_floor_runs_to_max_iters(self):
         # n = d: the objective is still far above the floor at max_iters
         gen, data = self._l1_problem(64, noise=0.0)
-        got, iterations = self._l1_iterations(gen, data, 4.0, 2000)
-        assert iterations == 2000
-        assert np.array_equal(got, self._reference_l1(data, gen.loss, 4.0, 2000, along_xg=True))
+        report = _l1_constrained_erm(data, gen.loss, 4.0, 2000)
+        assert report.termination == TERM_MAX_ITERS
+        assert report.iterations == 2000
+        assert report.certificate == math.inf
+        want, _, _ = self._reference_l1(data, gen.loss, 4.0, 2000)
+        assert float(np.max(np.abs(report.w - want))) <= 1e-12
+
+    def test_l1_solve_takes_only_the_half_squared_loss(self):
+        from smoothbench.losses import make_squared_unhalved
+
+        _, data = self._l1_problem(32)
+        with pytest.raises(ValueError, match="least squares"):
+            _l1_constrained_erm(data, make_squared_unhalved(), 4.0)
+
+    class _LoggedDesign(np.ndarray):
+        """A design that logs the operand shapes of every matrix product it
+        takes part in. 2-D results (X^T X and A = X^T X / n) stay logged;
+        vectors come back as plain arrays."""
+
+        log: list = []
+
+        def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+            if ufunc is np.matmul:
+                self.log.append(tuple(np.shape(a) for a in inputs))
+            plain = [np.asarray(a) for a in inputs]
+            if out is not None:  # in place: write through to the logged array
+                getattr(ufunc, method)(*plain, out=tuple(map(np.asarray, out)), **kwargs)
+                return out[0]
+            result = getattr(ufunc, method)(*plain, **kwargs)
+            return result.view(type(self)) if np.ndim(result) == 2 else result
 
     @pytest.mark.parametrize("radius", [4.0, 0.1])
     def test_l1_solve_design_products(self, monkeypatch, radius):
-        gen, data = self._l1_problem(64)
-        calls = {"predictions": 0, "derivative": 0, "projected": 0}
+        from smoothbench import batch
 
-        def predictions(self, w):
-            calls["predictions"] += 1
-            return self.xs @ w
+        gen, data = self._l1_problem(32)  # n = 32, d = 64
+        n, d = data.xs.shape
+        log = []
+        monkeypatch.setattr(self._LoggedDesign, "log", log)
+        object.__setattr__(data, "xs", data.xs.view(self._LoggedDesign))
+        projected = []
 
         def project(v, r):
             p = _project_l1_ball(v, r)
-            calls["projected"] += p is not v
+            projected.append(p is not v)
             return p
 
-        class CountingLoss:
-            def value(self, preds, ys):
-                return gen.loss.value(preds, ys)
+        monkeypatch.setattr(batch, "_project_l1_ball", project)
+        report = _l1_constrained_erm(data, gen.loss, radius, max_iters=300)
+        shapes = {s: log.count(s) for s in set(log)}
+        # X^T X once; one d×d product A g per iteration
+        assert shapes.pop(((d, n), (n, d))) == 1
+        assert shapes.pop(((d, d), (d,))) == report.iterations > 100
+        # X w at the start, on each projected trial, and at the floor checks
+        # (one as the objective nears the floor, one to decide the stop);
+        # X^T r at the start and for an accepted projected trial's gradient
+        checks = 2 if report.termination == TERM_TOLERANCE else 0
+        assert shapes.pop(((n, d), (d,))) == 1 + sum(projected) + checks
+        assert 1 <= shapes.pop(((d, n), (n,))) <= 1 + sum(projected)
+        assert shapes == {}
+        assert (report.termination == TERM_TOLERANCE) == (radius > 1)
+        assert all(projected) == (radius < 1)  # a small ball moves every trial
 
-            def derivative(self, preds, ys):
-                calls["derivative"] += 1
-                return gen.loss.derivative(preds, ys)
+    def test_l1_max_iters_hits_are_not_counted(self, monkeypatch):
+        # n = d l1 solves run to max_iters by design; sparse --check must not fail on them
+        def capped(data, loss, radius):
+            return _l1_constrained_erm(data, loss, radius, max_iters=3)
 
-        monkeypatch.setattr(Dataset, "predictions", predictions)
-        monkeypatch.setattr(experiments, "_project_l1_ball", project)
-        experiments._l1_constrained_erm(data, CountingLoss(), radius, max_iters=300)
-        # one product for the start, one for X g per iteration; an interior
-        # trial needs none, a projected trial its own
-        assert calls["derivative"] > 100
-        assert calls["predictions"] == calls["derivative"] + 1 + calls["projected"]
-        assert (calls["projected"] > 0) == (radius < 1)
+        monkeypatch.setattr(experiments, "_l1_constrained_erm", capped)
+        cfg = make_cfg(
+            experiment="sparse", n_grid=[32, 64, 128], replicates=1, dim=16,
+            methods=["entropy_md", "l1_erm"],
+        )
+        rows = run_sparse_experiment(cfg)
+        assert [r.max_iters_hits for r in rows if r.method == "l1_erm"] == [0, 0, 0]
+        assert not any("l1_erm" in f for f in check_result(cfg, rows)[1])
 
     def test_max_iters_hits_fail_the_check(self, monkeypatch):
         cfg = make_cfg(
