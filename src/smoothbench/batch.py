@@ -71,7 +71,11 @@ class Dataset:
             object.__setattr__(self, "basis_idx", idx)
             if self.dim < 1:
                 raise ValueError("basis_idx datasets need an explicit dim")
-            n = idx.shape[0]
+            if idx.shape != ys.shape or idx.dtype.kind not in "iu":
+                raise ValueError(f"basis_idx needs integer entries of shape {ys.shape}")
+            if idx.size and (idx.min() < 0 or idx.max() >= self.dim):
+                raise ValueError(f"basis_idx entries must lie in [0, {self.dim})")
+            n = idx.size
         if n < 1 or ys.shape != (n,):
             raise ValueError("dataset needs n >= 1 instances with matching targets")
 

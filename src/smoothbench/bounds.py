@@ -22,15 +22,15 @@ LINEAR_L1_BALL = "linear_l1_ball"
 
 _EXACT_LIMIT = 20
 _ENUM_CHUNK = 1 << 14
-# Monte Carlo sign rows drawn at a time (1 MiB of signs at n = 2048); a
-# remainder shorter than one block joins the last block, so every block has
-# at least _SIGN_BLOCK rows. The blocked `signs @ xs` is then the one-shot
-# product bit for bit at the margin study's default shape (n = 2048, d = 10):
-# OpenBLAS 0.3.31 multiplies blocks of 64 rows or more with the kernel it
-# uses for the whole matrix, but 16- to 48-row blocks with another, which
-# moves the margin study's rhs by 1 ulp. At other shapes a block may still
-# take another kernel than the whole matrix (a few ulps in the estimate).
+# Monte Carlo sign rows scored at a time (1 MiB of signs at n = 2048), in
+# one reused block that rng.choice fills _SIGN_CHUNK rows at a time. The
+# last block is zero-padded, so every `signs @ xs` product has the one shape
+# (_SIGN_BLOCK, n), OpenBLAS takes one kernel for all of them, and a row's
+# sum does not depend on the number of draws. (OpenBLAS 0.3.31 multiplies
+# 16- to 48-row blocks of the margin study's (2048, 10) shape with another
+# kernel than 64-row ones, 1 ulp apart.)
 _SIGN_BLOCK = 64
+_SIGN_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,8 @@ def _sup_values(cls: FunctionClassSpec, signs: np.ndarray, xs: np.ndarray) -> np
 
 def _sign_blocks(draws: int) -> list[tuple[int, int]]:
     """(start, stop) row ranges of the Monte Carlo sign blocks: _SIGN_BLOCK
-    rows each, a remainder shorter than one block joining the last."""
-    cuts = [k * _SIGN_BLOCK for k in range(max(draws // _SIGN_BLOCK, 1))] + [draws]
-    return list(zip(cuts[:-1], cuts[1:]))
+    rows each, the last one shorter when draws is not a multiple."""
+    return [(a, min(a + _SIGN_BLOCK, draws)) for a in range(0, draws, _SIGN_BLOCK)]
 
 
 def empirical_rademacher(
@@ -84,12 +83,11 @@ def empirical_rademacher(
 
     Exact enumeration over all 2^n sign vectors when n <= 20 (stderr 0);
     Monte Carlo with a standard error otherwise, which then requires
-    draws >= 1. The Monte Carlo signs are drawn in row blocks of
-    _SIGN_BLOCK = 64 rows, a shorter remainder joining the last block
-    (2,000 draws: 30 blocks of 64 and one of 80), and only each row's
-    supremum is kept; consecutive blocks draw the same signs as one
-    (draws, n) draw. No block is shorter than 64 rows unless draws is:
-    shorter blocks may take another BLAS kernel than the one-shot product.
+    draws >= 1. The Monte Carlo signs fill one reused (_SIGN_BLOCK, n)
+    block, _SIGN_CHUNK rows per draw, and only each row's supremum is kept;
+    the blocks draw the same signs as one (draws, n) draw. The last block's
+    unused rows are zeros, and their suprema are dropped (2,000 draws: 31
+    full blocks and one of 16 rows and 48 zeros).
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[0] < 1:
@@ -108,9 +106,14 @@ def empirical_rademacher(
         raise ValueError("Monte Carlo estimation needs draws >= 1 when n > 20")
     rng = np.random.default_rng(seed)
     vals = np.empty(draws)
+    signs = np.zeros((_SIGN_BLOCK, n))
     for start, stop in _sign_blocks(draws):
-        # no name holds the block, so it is freed before the next is drawn
-        vals[start:stop] = _sup_values(cls, rng.choice([-1.0, 1.0], size=(stop - start, n)), xs)
+        rows = stop - start
+        for a in range(0, rows, _SIGN_CHUNK):
+            b = min(a + _SIGN_CHUNK, rows)
+            signs[a:b] = rng.choice([-1.0, 1.0], size=(b - a, n))
+        signs[rows:] = 0.0
+        vals[start:stop] = _sup_values(cls, signs, xs)[:rows]
     stderr = float(vals.std(ddof=1) / math.sqrt(draws)) if draws > 1 else math.inf
     return RademacherEstimate(value=float(vals.mean()), stderr=stderr, exact=False, draws=draws)
 

@@ -384,9 +384,11 @@ class SparseGenerator:
         return self.sample_doubled(n, seed)
 
     def signed_part(self, doubled: Dataset) -> Dataset:
-        """The signed sample a doubled one was built from (its first dim0
-        columns, copied contiguous), without drawing it again."""
-        return Dataset(ys=doubled.ys, xs=np.ascontiguousarray(doubled.xs[:, : self.dim0]))
+        """The signed sample a doubled one was built from, without drawing
+        it again: its first dim0 columns, a view read in place (BLAS takes
+        the doubled row stride, and XᵀX, X w and Xᵀ r equal the contiguous
+        copy's bit for bit)."""
+        return Dataset(ys=doubled.ys, xs=doubled.xs[:, : self.dim0])
 
     def fold(self, w_doubled: np.ndarray) -> np.ndarray:
         """Collapse a doubled-feature weight vector back to signed space."""

@@ -77,7 +77,7 @@ from .config import (
 
 REGRET_SLACK = 1e-9
 REGIME_ENVELOPE_FACTOR = 8.0
-_HOLDOUT_BLOCK = 8192  # margin's holdout rows drawn at a time
+_HOLDOUT_BLOCK = 1024  # margin's holdout rows drawn at a time
 _SLOPE_MIN_ROWS = 3  # fit_slope's least number of usable rows
 
 
@@ -679,20 +679,21 @@ def run_margin_experiment(cfg: ExperimentConfig) -> list:
     ).averages
 
     scores = xs @ w_hat
-    # the holdout is drawn in row blocks, keeping only each row's clean
-    # margin y <x, w_hat>; the draws come in the same order as one (m, dim)
-    # draw. The label flips follow every row, as one m-long draw would, and
-    # are drawn and counted block by block too. With labels of +-1, flipping
-    # the margin is flipping the label, exactly
+    # the holdout is drawn in row blocks, keeping only the sign of each
+    # row's clean margin y <x, w_hat> (int8: -1, 0 or +1); the draws come in
+    # the same order as one (m, dim) draw. The label flips follow every
+    # row, as one m-long draw would, and are drawn and counted block by
+    # block too. With labels of +-1, flipping the margin is flipping the
+    # label, and a margin's sign alone decides its 0/1 error, flipped or not
     m = 100_000
     blocks = [(start, min(start + _HOLDOUT_BLOCK, m)) for start in range(0, m, _HOLDOUT_BLOCK)]
-    margins = np.empty(m)
+    signs = np.empty(m, dtype=np.int8)
     for start, stop in blocks:
         block = _sphere_rows(rng, stop - start, dim)
-        margins[start:stop] = clean_labels(block) * (block @ w_hat)
-    wrong = sum(int(np.count_nonzero(flipped(margins[a:b]) <= 0.0)) for a, b in blocks)
+        signs[start:stop] = np.sign(clean_labels(block) * (block @ w_hat))
+    wrong = sum(int(np.count_nonzero(flipped(signs[a:b]) <= 0)) for a, b in blocks)
     holdout = wrong / m  # np.mean of the 0/1 errors, exactly
-    del margins
+    del signs
 
     range_b = ball_radius(setup)  # sup |<w, x>| over the class, ||x|| = 1
     cls = FunctionClassSpec("linear_l2_ball", range_b, dim)

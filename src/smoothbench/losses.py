@@ -22,6 +22,7 @@ import numpy as np
 
 DEFAULT_T_DOMAIN = (-4.0, 4.0)
 DEFAULT_Y_DOMAIN = (-1.0, 1.0)
+_GRID_ROWS = 4  # range-bound grid rows scored at a time (6.3 KiB of scores)
 
 
 class NonSmoothLossError(ValueError):
@@ -55,10 +56,15 @@ class LossSpec:
 
 
 def _grid_max_abs(fn, t_domain, y_domain, points: int = 201) -> float:
+    """max |fn(t, y)| over a points x points grid of the domain, scored
+    _GRID_ROWS values of y at a time against every t (broadcast), so no
+    full grid is held. The max is exact: it equals one meshgrid's."""
     t = np.linspace(t_domain[0], t_domain[1], points)
-    y = np.linspace(y_domain[0], y_domain[1], points)
-    tt, yy = np.meshgrid(t, y)
-    return float(np.max(np.abs(fn(tt, yy))))
+    y = np.linspace(y_domain[0], y_domain[1], points)[:, None]
+    return max(
+        float(np.max(np.abs(fn(t, y[i : i + _GRID_ROWS]))))
+        for i in range(0, points, _GRID_ROWS)
+    )
 
 
 @functools.cache

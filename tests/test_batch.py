@@ -234,6 +234,19 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(ys=np.ones(2), basis_idx=np.array([0, 1]))  # missing dim
 
+    @pytest.mark.parametrize(
+        "idx",
+        [
+            np.array([-1, 0]),  # would predict w[-1]
+            np.array([5, 0]),  # past dim: grad_combination would grow to length 6
+            np.array([0.0, 1.0]),  # float indices
+            np.array([[0, 1]]),  # not one index per target
+        ],
+    )
+    def test_basis_indices_must_be_integers_in_range(self, idx):
+        with pytest.raises(ValueError, match="basis_idx"):
+            Dataset(ys=np.ones(2), basis_idx=idx, dim=3)
+
     def test_row_is_the_dense_row(self):
         idx = np.array([0, 2, 2, 1])
         basis = Dataset(ys=np.ones(4), basis_idx=idx, dim=3)

@@ -37,6 +37,24 @@ def projected_gradient_oracle(xs_idx, ys, dim, iters=200_000, step=2e-3):
     return w
 
 
+def projected_gradient_oracle_batch(xs_idx, ys, dim, iters=200_000, step=2e-3):
+    """projected_gradient_oracle for a stack of problems with one sample
+    size n (problem t: indices xs_idx[t], targets ys[t]), all iterated at
+    once. Each is zero-padded to dim coordinates: a padded coordinate draws
+    no instance, so its gradient and weight stay 0 and the norm is unmoved."""
+    ys = np.asarray(ys, dtype=float)
+    trials, n = ys.shape
+    flat = (np.asarray(xs_idx) + dim * np.arange(trials)[:, None]).ravel()
+    w = np.zeros((trials, dim))
+    for _ in range(iters):
+        resid = 2.0 * (w.ravel()[flat] - ys.ravel())
+        g = np.bincount(flat, weights=resid, minlength=trials * dim).reshape(trials, dim) / n
+        w = w - step * g
+        r = np.sqrt(np.einsum("ij,ij->i", w, w))[:, None]
+        w *= 1.0 / np.maximum(r, 1.0)  # 1/r where r > 1, else exactly 1
+    return w
+
+
 class TestGoldenSection:
     def test_quadratic(self):
         assert golden_section(lambda w: (w - 0.3) ** 2, -1, 1, tol=1e-12) == pytest.approx(
@@ -124,15 +142,35 @@ class TestConstructionB:
         seen = np.unique(data.basis_idx)
         assert np.allclose(w[seen], dist.w_star[seen])
 
-    def test_erm_matches_projected_gradient_oracle(self):
+    @staticmethod
+    def _oracle_problems():
+        """Four small problems (dim 2 to 4, n = 16) and their exact ERMs."""
         rng = np.random.default_rng(7)
+        problems = []
         for trial in range(4):
             dim = int(rng.integers(2, 5))
             dist = hard_gaussian(16, 0.5, seed=100 + trial, dim=dim)
             data = dist.sample(16, seed=200 + trial)
-            w = erm_exact(dist, data)
-            oracle = projected_gradient_oracle(data.basis_idx, data.ys, dim)
-            assert float(np.max(np.abs(w - oracle))) <= 1e-6
+            problems.append((data, erm_exact(dist, data)))
+        return problems
+
+    def test_erm_matches_projected_gradient_oracle(self):
+        problems = self._oracle_problems()
+        oracles = projected_gradient_oracle_batch(
+            [data.basis_idx for data, _ in problems], [data.ys for data, _ in problems], 4
+        )
+        for (data, w), oracle in zip(problems, oracles):
+            assert float(np.max(np.abs(w - oracle[: data.dim]))) <= 1e-6
+            assert not np.any(oracle[data.dim :])
+
+    def test_batched_oracle_matches_the_loop(self):
+        # 20,000 of the 200,000 iterations: enough to compare the two loops
+        data = self._oracle_problems()[1][0]  # dim 3, padded by one coordinate
+        batch = projected_gradient_oracle_batch([data.basis_idx], [data.ys], 4, iters=20_000)
+        loop = projected_gradient_oracle(data.basis_idx, data.ys, data.dim, iters=20_000)
+        # the batch's row norms may round differently from np.linalg.norm
+        assert np.allclose(batch[0, : data.dim], loop, rtol=0.0, atol=1e-14)
+        assert batch[0, data.dim] == 0.0
 
     def test_erm_ball_constraint_bisection(self):
         # large noise forces per-coordinate means outside the unit ball
@@ -283,10 +321,11 @@ class TestSparseGenerator:
 
     def test_signed_part_is_the_signed_sample(self):
         gen = sparse_generator(16, 2, seed=43, noise=0.1)
-        part = gen.signed_part(gen.sample_doubled(50, seed=44))
+        doubled = gen.sample_doubled(50, seed=44)
+        part = gen.signed_part(doubled)
         drawn = gen.sample_signed(50, seed=44)
         assert np.array_equal(part.xs, drawn.xs) and np.array_equal(part.ys, drawn.ys)
-        assert part.xs.flags.c_contiguous
+        assert np.shares_memory(part.xs, doubled.xs)  # read in place, not copied
 
     def test_fold_roundtrip_risk(self):
         gen = sparse_generator(16, 2, seed=45)

@@ -51,6 +51,27 @@ def md_objective_reference(setup, w, g, eta, iters=60_000, step=1e-3):
     return best
 
 
+def md_objective_reference_batch(setup, ws, gs, etas, iters=60_000, step=1e-3):
+    """md_objective_reference for a stack of euclidean cases (row k: w = ws[k],
+    g = gs[k], eta = etas[k]), all iterated at once."""
+    c = np.asarray(etas)[:, None] * gs - ws  # eta g - grad F(w), F = |w|^2 / 2
+    radius = ball_radius(setup)
+
+    def project(u):
+        r = np.sqrt(np.einsum("ij,ij->i", u, u))[:, None]
+        return u * (radius / np.maximum(r, radius))  # exactly u inside the ball
+
+    u = project(np.array(ws, dtype=float))
+    best, best_val = u.copy(), np.full(len(u), math.inf)
+    for k in range(iters):
+        u = project(u - step * (c + u))
+        if k % 100 == 0 or k == iters - 1:
+            val = np.einsum("ij,ij->i", c, u) + 0.5 * np.einsum("ij,ij->i", u, u)
+            better = val < best_val
+            best[better], best_val[better] = u[better], val[better]
+    return best
+
+
 class TestSetups:
     def test_euclidean_f_max(self):
         setup = euclidean_setup(3, 2.0)
@@ -158,17 +179,38 @@ class TestMirrorStep:
             out = mirror_step(setup, w, g, float(rng.uniform(0.01, 5.0)))
             assert is_feasible(setup, out)
 
-    def test_euclidean_matches_md_objective_reference(self):
-        # two code paths: the closed-form projected step vs a numeric
-        # minimizer of the mirror-descent objective
+    @staticmethod
+    def _md_reference_cases():
+        """Twenty-five (w, g, eta) cases on the euclidean ball of budget 0.9."""
         setup = euclidean_setup(3, 0.9)
         rng = np.random.default_rng(29)
+        cases = []
         for _ in range(25):
             w = random_feasible(setup, rng)
             g = rng.standard_normal(3)
-            eta = float(rng.uniform(0.05, 1.5))
+            cases.append((w, g, float(rng.uniform(0.05, 1.5))))
+        return setup, cases
+
+    def test_batched_md_reference_matches_the_loop(self):
+        setup, cases = self._md_reference_cases()
+        # 20,000 of the 60,000 iterations: enough to compare the two loops
+        w, g, eta = cases[0]
+        batch = md_objective_reference_batch(
+            setup, w[None], g[None], np.array([eta]), iters=20_000
+        )
+        # the batch's norms and objectives may round differently from the
+        # loop's dot products, which could pick a neighbouring snapshot
+        loop = md_objective_reference(setup, w, g, eta, iters=20_000)
+        assert np.allclose(batch[0], loop, rtol=0.0, atol=1e-12)
+
+    def test_euclidean_matches_md_objective_reference(self):
+        # two code paths: the closed-form projected step vs a numeric
+        # minimizer of the mirror-descent objective
+        setup, cases = self._md_reference_cases()
+        ws, gs, etas = (np.array(v) for v in zip(*cases))
+        slows = md_objective_reference_batch(setup, ws, gs, etas)
+        for (w, g, eta), slow in zip(cases, slows):
             fast = mirror_step(setup, w, g, eta)
-            slow = md_objective_reference(setup, w, g, eta)
             assert np.allclose(fast, slow, atol=5e-3)
             # the reference objective at the closed form is no worse
             c = eta * g - regularizer_grad(setup, w)

@@ -241,3 +241,17 @@ def test_factories_build_each_spec_once():
     assert make_smooth_ramp(0.5) is make_smooth_ramp(0.5)
     assert make_smooth_ramp(0.5) is not make_smooth_ramp(0.25)
     assert make_piecewise_quadlin() is make_piecewise_quadlin()
+
+
+@pytest.mark.parametrize(
+    "make", [make_squared, make_squared_unhalved, make_piecewise_quadlin, make_absolute]
+)
+def test_range_bound_grid_is_scored_in_row_blocks(make, traced_peak):
+    from smoothbench.losses import DEFAULT_T_DOMAIN, DEFAULT_Y_DOMAIN, _grid_max_abs
+
+    spec = make()
+    # one 201 x 201 meshgrid and its scores take 1.2 MiB or more
+    b, peak = traced_peak(_grid_max_abs, spec.value, DEFAULT_T_DOMAIN, DEFAULT_Y_DOMAIN)
+    assert peak < 64 * 2**10
+    tt, yy = np.meshgrid(np.linspace(-4.0, 4.0, 201), np.linspace(-1.0, 1.0, 201))
+    assert b == spec.range_bound_b == float(np.max(np.abs(spec.value(tt, yy))))
