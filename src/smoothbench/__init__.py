@@ -77,7 +77,6 @@ from .distributions import (
     sparse_generator,
 )
 from .bounds import (
-    BoundInputs,
     FunctionClassSpec,
     RademacherEstimate,
     empirical_rademacher,

@@ -63,6 +63,8 @@ class Dataset:
             raise ValueError("exactly one of xs / basis_idx must be given")
         if self.xs is not None:
             xs = np.asarray(self.xs, dtype=float)
+            if xs.ndim != 2:
+                raise ValueError(f"xs must have shape (n, d), got {xs.shape}")
             object.__setattr__(self, "xs", xs)
             object.__setattr__(self, "dim", xs.shape[1])
             n = xs.shape[0]
@@ -109,14 +111,6 @@ class Dataset:
         out = np.zeros((self.n, self.dim))
         out[np.arange(self.n), self.basis_idx] = 1.0
         return out
-
-    def x_dual_bound(self, geometry: str) -> float:
-        """max_i ||x_i|| in the dual norm of the given geometry."""
-        if self.xs is None:
-            return 1.0
-        if geometry == "euclidean":
-            return float(np.max(np.linalg.norm(self.xs, axis=1)))
-        return float(np.max(np.abs(self.xs)))
 
     def replace_instance(self, i: int, x: np.ndarray, y: float) -> "Dataset":
         ys = self.ys.copy()

@@ -39,7 +39,6 @@ class FunctionClassSpec:
 
     kind: str
     budget: float
-    dim: int
 
     def __post_init__(self):
         if self.kind not in (LINEAR_L2_BALL, LINEAR_L1_BALL):
@@ -118,58 +117,36 @@ def empirical_rademacher(
     return RademacherEstimate(value=float(vals.mean()), stderr=stderr, exact=False, draws=draws)
 
 
-@dataclass(frozen=True)
-class BoundInputs:
-    """Ingredients for the closed-form bound evaluators.
-
-    empirical_loss doubles as the margin empirical error for margin bounds.
-    Fields irrelevant to a given evaluator may stay None; each evaluator
-    validates what it needs.
-    """
-
-    empirical_loss: float | None = None
-    smoothness_H: float | None = None
-    range_b: float | None = None
-    rademacher: float | None = None
-    n: int | None = None
-    delta: float = 0.05
-    bound_K: float = 1e5
-    margin: float | None = None
-    lipschitz_D: float | None = None
-    l_star: float | None = None
-
-
-def _require(inputs: BoundInputs, *names: str) -> None:
-    for name in names:
-        if getattr(inputs, name) is None:
-            raise ValueError(f"missing bound input: {name}")
-
-
 def _check_delta(delta: float) -> None:
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
 
 
-def lipschitz_excess_bound(inputs: BoundInputs) -> float:
+def lipschitz_excess_bound(l_star: float, lipschitz_D: float, rademacher: float) -> float:
     """L* + 2 D R_n: the classical Lipschitz-composition excess-risk bound."""
-    _require(inputs, "l_star", "lipschitz_D", "rademacher")
-    return inputs.l_star + 2.0 * inputs.lipschitz_D * inputs.rademacher
+    return l_star + 2.0 * lipschitz_D * rademacher
 
 
-def smooth_risk_bound(inputs: BoundInputs) -> float:
+def smooth_risk_bound(
+    empirical_loss: float,
+    smoothness_H: float,
+    range_b: float,
+    rademacher: float,
+    n: int,
+    delta: float = 0.05,
+    bound_K: float = 1e5,
+) -> float:
     """Smooth-loss risk bound:
 
     Lhat + K (sqrt(Lhat) (sqrt(H) (ln n)^1.5 R + sqrt(b ln(1/delta)/n))
               + H (ln n)^3 R^2 + b ln(1/delta)/n)
     """
-    _require(inputs, "empirical_loss", "smoothness_H", "range_b", "rademacher", "n")
-    _check_delta(inputs.delta)
-    lhat, H, b = inputs.empirical_loss, inputs.smoothness_H, inputs.range_b
-    r, n, K = inputs.rademacher, inputs.n, inputs.bound_K
+    _check_delta(delta)
+    lhat, H, r = empirical_loss, smoothness_H, rademacher
     log_n = math.log(n)
-    conf = b * math.log(1.0 / inputs.delta) / n
+    conf = range_b * math.log(1.0 / delta) / n
     sqrt_part = math.sqrt(lhat) * (math.sqrt(H) * log_n**1.5 * r + math.sqrt(conf))
-    return lhat + K * (sqrt_part + H * log_n**3 * r * r + conf)
+    return lhat + bound_K * (sqrt_part + H * log_n**3 * r * r + conf)
 
 
 def margin_domain_error(gamma: float, b: float) -> str | None:
@@ -181,9 +158,18 @@ def margin_domain_error(gamma: float, b: float) -> str | None:
     return None
 
 
-def margin_bound(inputs: BoundInputs, simplified: bool = False) -> float:
-    """Zero-one risk bound from the gamma-margin empirical error, valid
-    simultaneously for all margins:
+def margin_bound(
+    empirical_loss: float,
+    range_b: float,
+    rademacher: float,
+    n: int,
+    margin: float,
+    delta: float = 0.05,
+    bound_K: float = 1e5,
+    simplified: bool = False,
+) -> float:
+    """Zero-one risk bound from the gamma-margin empirical error
+    (`empirical_loss`), valid simultaneously for all margins:
 
     err_g + K (sqrt(err_g) ((ln n)^1.5/g R + sqrt(ln(ln(4b/g)/delta)/n))
                + (ln n)^3/g^2 R^2 + ln(ln(4b/g)/delta)/n)
@@ -191,20 +177,18 @@ def margin_bound(inputs: BoundInputs, simplified: bool = False) -> float:
     simplified=True returns the display variant
     1.01 err_g + K (2 (ln n)^3/g^2 R^2 + 2 ln(ln(4b/g)/delta)/n).
     """
-    _require(inputs, "empirical_loss", "range_b", "rademacher", "n", "margin")
-    _check_delta(inputs.delta)
-    gamma, b = inputs.margin, inputs.range_b
+    _check_delta(delta)
+    gamma, b, err, r = margin, range_b, empirical_loss, rademacher
     problem = margin_domain_error(gamma, b)
     if problem:
         raise ValueError(problem)
-    err, r, n, K = inputs.empirical_loss, inputs.rademacher, inputs.n, inputs.bound_K
     log_n = math.log(n)
-    conf = math.log(math.log(4.0 * b / gamma) / inputs.delta) / n
+    conf = math.log(math.log(4.0 * b / gamma) / delta) / n
     quad = (log_n**3 / gamma**2) * r * r
     if simplified:
-        return 1.01 * err + K * (2.0 * quad + 2.0 * conf)
+        return 1.01 * err + bound_K * (2.0 * quad + 2.0 * conf)
     sqrt_part = math.sqrt(err) * ((log_n**1.5 / gamma) * r + math.sqrt(conf))
-    return err + K * (sqrt_part + quad + conf)
+    return err + bound_K * (sqrt_part + quad + conf)
 
 
 def margin_empirical_error(scores, labels, gamma: float) -> float:

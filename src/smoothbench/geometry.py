@@ -63,16 +63,16 @@ def ball_radius(setup: MirrorSetup) -> float:
     return math.sqrt(2.0) * setup.budget
 
 
-def is_feasible(setup: MirrorSetup, w: np.ndarray, tol: float = _FEAS_TOL) -> bool:
+def is_feasible(setup: MirrorSetup, w: np.ndarray) -> bool:
     w = np.asarray(w, dtype=float)
     if w.shape != (setup.dim,):
         return False
     if setup.geometry == EUCLIDEAN:
         # the same number np.linalg.norm(w) gives for a 1-D float vector, at less cost
-        return math.sqrt(float(w @ w)) <= math.sqrt(2.0) * setup.budget * (1.0 + tol)
-    if np.min(w) < -tol * setup.budget:
+        return math.sqrt(float(w @ w)) <= math.sqrt(2.0) * setup.budget * (1.0 + _FEAS_TOL)
+    if np.min(w) < -_FEAS_TOL * setup.budget:
         return False
-    return float(np.sum(w)) <= setup.budget * (1.0 + tol)
+    return float(np.sum(w)) <= setup.budget * (1.0 + _FEAS_TOL)
 
 
 def check_feasible(setup: MirrorSetup, w: np.ndarray) -> None:

@@ -29,7 +29,6 @@ class ExperimentConfig:
     experiment: str = ""
     distribution: str | None = None
     learner: str | None = None
-    loss: str | None = None
     n_grid: tuple | None = None
     replicates: int | None = None
     seed: int = 1234

@@ -35,7 +35,6 @@ from ..batch import (
     stability_probe,
 )
 from ..bounds import (
-    BoundInputs,
     FunctionClassSpec,
     empirical_rademacher,
     margin_bound,
@@ -196,8 +195,6 @@ def _family_premises(cfg: ExperimentConfig, exact_erm: bool) -> None:
     """The premises of a run on the configured family (rate, stability);
     `exact_erm`: the run solves the exact ERM, not a smooth-loss learner."""
     dist = make_distribution(cfg.distribution, cfg.n_grid[0], cfg.dim, cfg.seed)
-    if cfg.loss and cfg.loss != dist.loss.name:
-        raise ValueError(f"incompatible loss {cfg.loss!r}; the family's is {dist.loss.name!r}")
     if not exact_erm:
         dist.loss.smoothness_H  # raises for a non-smooth loss
     elif not isinstance(dist, HardDistribution):
@@ -525,8 +522,7 @@ def run_sparse_experiment(cfg: ExperimentConfig) -> list:
                 elif method == "entropy_regerm":
                     lam = lambda_for(smoothness, setup.f_max, n, gen.l_star)
                     report = solve_regularized_erm(
-                        setup, gen.loss, data, lam, tol=max(cfg.tol, 1e-8),
-                        max_iters=1000,
+                        setup, gen.loss, data, lam, tol=cfg.tol, max_iters=1000
                     )
                     hits[method] += report.termination == TERM_MAX_ITERS
                     w = report.w
@@ -610,7 +606,7 @@ def run_regime_experiment(cfg: ExperimentConfig) -> list:
             data = gen.sample(n, seed_for(cfg.seed, "regime-data", i, j))
             for lam, ex in zip(candidates, excesses):
                 rep = solve_regularized_erm(
-                    setup, gen.loss, data, lam, tol=max(cfg.tol, 1e-9), max_iters=4000
+                    setup, gen.loss, data, lam, tol=cfg.tol, max_iters=4000
                 )
                 hits += rep.termination == TERM_MAX_ITERS
                 ex.append(gen.true_risk(rep.w) - gen.l_star)
@@ -696,27 +692,19 @@ def run_margin_experiment(cfg: ExperimentConfig) -> list:
     del signs
 
     range_b = ball_radius(setup)  # sup |<w, x>| over the class, ||x|| = 1
-    cls = FunctionClassSpec("linear_l2_ball", range_b, dim)
+    cls = FunctionClassSpec("linear_l2_ball", range_b)
     rad = empirical_rademacher(cls, xs, draws=2000, seed=seed_for(cfg.seed, "margin-rad", 0, 1))
 
     rows = []
     for gamma in cfg.gamma_grid:
         err = margin_empirical_error(scores, ys, gamma)
-        inputs = BoundInputs(
-            empirical_loss=err,
-            range_b=range_b,
-            rademacher=rad.value,
-            n=n,
-            delta=cfg.delta,
-            bound_K=cfg.bound_k,
-            margin=gamma,
-        )
+        inputs = (err, range_b, rad.value, n, gamma, cfg.delta, cfg.bound_k)
         rows.append(
             MarginRow(
                 gamma=gamma,
                 margin_error=err,
-                rhs=margin_bound(inputs),
-                rhs_simplified=margin_bound(inputs, simplified=True),
+                rhs=margin_bound(*inputs),
+                rhs_simplified=margin_bound(*inputs, simplified=True),
                 holdout_error=holdout,
             )
         )
@@ -783,9 +771,9 @@ EXPERIMENTS = {
     "rate": Experiment(
         run_rate_experiment, RateRow,
         lambda cfg: _family_premises(cfg, exact_erm=cfg.learner == "erm"),
-        # the family gives learner, n_grid, budget and check_*; loss is only
-        # compared with the family's own, and dim is read by separable only
-        {"distribution": "separable", "learner": None, "loss": None, "n_grid": None,
+        # the family gives learner, n_grid, budget and check_*; dim is read
+        # by separable only
+        {"distribution": "separable", "learner": None, "n_grid": None,
          "replicates": 50, "dim": 16, "budget": None, "tol": 1e-10,
          "check_floor_factor": None, "check_slope_min": None, "check_slope_max": None},
         check=_check_rate, prepare=_rate_defaults, fits_slope=True),
@@ -803,7 +791,7 @@ EXPERIMENTS = {
     "stability": Experiment(
         run_stability_experiment, StabilityRow,
         lambda cfg: _family_premises(cfg, exact_erm=False),
-        {"distribution": "hardB:0.1", "loss": None, "dim": 16, "n_grid": (64,),
+        {"distribution": "hardB:0.1", "dim": 16, "n_grid": (64,),
          "replicates": 200, "budget": None, "tol": 1e-10},
         check=lambda cfg, rows: _max_iters_failures(rows) + [
             f"n={r.n}: lhs {r.lhs_mean:.6g} > rhs {r.rhs_mean:.6g} + 2 stderres"
@@ -814,14 +802,14 @@ EXPERIMENTS = {
         run_sparse_experiment, SparseRow, _sparse_premises,
         {"dim": 256, "sparsity_k": 4, "noise": 0.0, "n_grid": tuple(2**k for k in range(7, 13)),
          "replicates": 20, "budget": None, "methods": ("entropy_md", "entropy_regerm", "l1_erm"),
-         "tol": 1e-10, "eta_scale": 8.0, "check_slope_max": -0.85},
+         "tol": 1e-8, "eta_scale": 8.0, "check_slope_max": -0.85},
         check=_check_sparse,
         prepare=lambda cfg: fill_unset(cfg, {"budget": 2.0 * math.sqrt(cfg.sparsity_k)}),
         methods="methods", fits_slope=True),
     "regime": Experiment(
         run_regime_experiment, RegimeRow, _regime_premises,
         {"dim": 50, "x_scale": 5.0, "sigma": 0.5, "n_grid": tuple(2**k for k in range(3, 13)),
-         "replicates": 12, "budget": 1.0, "tol": 1e-10, "lambda_policy": "oracle"},
+         "replicates": 12, "budget": 1.0, "tol": 1e-9, "lambda_policy": "oracle"},
         check=lambda cfg, rows: _max_iters_failures(rows) + [
             f"n={r.n}: excess {r.mean_excess:.6g} > "
             f"{REGIME_ENVELOPE_FACTOR} * envelope {r.envelope:.6g}"

@@ -7,8 +7,10 @@ constant of the derivative in t and feeds the step-size and regularization
 formulas downstream, so it must be an honest upper bound: the residual
 probes in this module check that on grids.
 
-The factories build each spec once per process (per gamma for the ramp):
-a LossSpec is frozen, and its range bound costs a 201 x 201 grid.
+The factories build each spec once per process (per gamma for the ramp),
+since a LossSpec is frozen. The difference losses are functions of |t - y|
+that grow with it, so each range bound is the value at the domain corner
+t = 4, y = -1.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import numpy as np
 
 DEFAULT_T_DOMAIN = (-4.0, 4.0)
 DEFAULT_Y_DOMAIN = (-1.0, 1.0)
-_GRID_ROWS = 4  # range-bound grid rows scored at a time (6.3 KiB of scores)
 
 
 class NonSmoothLossError(ValueError):
@@ -55,18 +56,6 @@ class LossSpec:
         return self.smoothness
 
 
-def _grid_max_abs(fn, t_domain, y_domain, points: int = 201) -> float:
-    """max |fn(t, y)| over a points x points grid of the domain, scored
-    _GRID_ROWS values of y at a time against every t (broadcast), so no
-    full grid is held. The max is exact: it equals one meshgrid's."""
-    t = np.linspace(t_domain[0], t_domain[1], points)
-    y = np.linspace(y_domain[0], y_domain[1], points)[:, None]
-    return max(
-        float(np.max(np.abs(fn(t, y[i : i + _GRID_ROWS]))))
-        for i in range(0, points, _GRID_ROWS)
-    )
-
-
 @functools.cache
 def make_squared() -> LossSpec:
     """Half squared difference (t - y)^2 / 2; 1-smooth, convex."""
@@ -78,7 +67,7 @@ def make_squared() -> LossSpec:
     def derivative(t, y):
         return np.asarray(t, dtype=float) - np.asarray(y, dtype=float)
 
-    b = _grid_max_abs(value, DEFAULT_T_DOMAIN, DEFAULT_Y_DOMAIN)
+    b = float(value(4.0, -1.0))
     return LossSpec("squared", value, derivative, b, smoothness=1.0)
 
 
@@ -97,7 +86,7 @@ def make_squared_unhalved() -> LossSpec:
     def derivative(t, y):
         return 2.0 * (np.asarray(t, dtype=float) - np.asarray(y, dtype=float))
 
-    b = _grid_max_abs(value, DEFAULT_T_DOMAIN, DEFAULT_Y_DOMAIN)
+    b = float(value(4.0, -1.0))
     return LossSpec("squared2", value, derivative, b, smoothness=2.0)
 
 
@@ -153,7 +142,7 @@ def make_piecewise_quadlin() -> LossSpec:
         r = np.asarray(t, dtype=float) - np.asarray(y, dtype=float)
         return np.clip(2.0 * r, -1.0, 1.0)
 
-    b = _grid_max_abs(value, DEFAULT_T_DOMAIN, DEFAULT_Y_DOMAIN)
+    b = float(value(4.0, -1.0))
     return LossSpec("quadlin", value, derivative, b, smoothness=2.0)
 
 
@@ -171,7 +160,7 @@ def make_absolute() -> LossSpec:
     def derivative(t, y):
         return np.sign(np.asarray(t, dtype=float) - np.asarray(y, dtype=float))
 
-    b = _grid_max_abs(value, DEFAULT_T_DOMAIN, DEFAULT_Y_DOMAIN)
+    b = float(value(4.0, -1.0))
     return LossSpec("absolute", value, derivative, b, is_smooth=False)
 
 

@@ -279,11 +279,11 @@ def test_criterion_08_formula_exactness():
             + H * math.log(n2) ** 3 * r * r
             + conf
         )
-        inputs = sb.BoundInputs(
+        t1 = sb.smooth_risk_bound(
             empirical_loss=lhat, smoothness_H=H, range_b=b, rademacher=r,
             n=n2, delta=delta, bound_K=K,
         )
-        worst = max(worst, rel_err(sb.smooth_risk_bound(inputs), t1_ref))
+        worst = max(worst, rel_err(t1, t1_ref))
 
         gamma = float(rng.uniform(0.01, 4 * b / math.e * 0.99))
         cc = math.log(math.log(4 * b / gamma) / delta) / n2
@@ -292,11 +292,11 @@ def test_criterion_08_formula_exactness():
             + math.log(n2) ** 3 / gamma**2 * r * r
             + cc
         )
-        m_inputs = sb.BoundInputs(
+        mg = sb.margin_bound(
             empirical_loss=lhat, range_b=b, rademacher=r, n=n2,
             delta=delta, bound_K=K, margin=gamma,
         )
-        worst = max(worst, rel_err(sb.margin_bound(m_inputs), mg_ref))
+        worst = max(worst, rel_err(mg, mg_ref))
 
         lstar = float(rng.uniform(0, 1))
         D = float(rng.uniform(0.1, 5))
@@ -304,9 +304,7 @@ def test_criterion_08_formula_exactness():
         worst = max(
             worst,
             rel_err(
-                sb.lipschitz_excess_bound(
-                    sb.BoundInputs(l_star=lstar, lipschitz_D=D, rademacher=r)
-                ),
+                sb.lipschitz_excess_bound(l_star=lstar, lipschitz_D=D, rademacher=r),
                 lip_ref,
             ),
         )
@@ -326,7 +324,7 @@ def test_criterion_09_rademacher_oracle():
         d = int(rng.integers(1, 6))
         xs = rng.standard_normal((n, d))
         for kind in ("linear_l2_ball", "linear_l1_ball"):
-            cls = sb.FunctionClassSpec(kind, float(rng.uniform(0.5, 3.0)), d)
+            cls = sb.FunctionClassSpec(kind, float(rng.uniform(0.5, 3.0)))
             exact = sb.empirical_rademacher(cls, xs)
             draws = 4000
             signs = np.random.default_rng(MASTER_SEED + trial).choice(
@@ -374,10 +372,8 @@ def test_criterion_11_margin_substitute_properties():
     fixed_err = 0.17
     vals = [
         sb.margin_bound(
-            sb.BoundInputs(
-                empirical_loss=fixed_err, range_b=math.sqrt(2), rademacher=0.03,
-                n=2048, delta=0.05, bound_K=1e5, margin=float(g),
-            )
+            empirical_loss=fixed_err, range_b=math.sqrt(2), rademacher=0.03,
+            n=2048, delta=0.05, bound_K=1e5, margin=float(g),
         )
         for g in cfg.gamma_grid
     ]

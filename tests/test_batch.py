@@ -234,6 +234,13 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(ys=np.ones(2), basis_idx=np.array([0, 1]))  # missing dim
 
+    @pytest.mark.parametrize("shape", [(3,), (3, 2, 2)])
+    def test_dense_design_must_be_a_matrix(self, shape):
+        # a vector has no dim, and a stack of matrices would predict a
+        # matrix per instance
+        with pytest.raises(ValueError, match=r"xs must have shape \(n, d\)"):
+            Dataset(ys=np.ones(3), xs=np.ones(shape))
+
     @pytest.mark.parametrize(
         "idx",
         [

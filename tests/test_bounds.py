@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothbench import (
-    BoundInputs,
     FunctionClassSpec,
     empirical_rademacher,
     lipschitz_excess_bound,
@@ -39,15 +38,15 @@ def rademacher_bruteforce(cls, xs):
 
 class TestEmpiricalRademacher:
     def test_hand_values(self):
-        cls = FunctionClassSpec("linear_l2_ball", 1.0, 1)
+        cls = FunctionClassSpec("linear_l2_ball", 1.0)
         assert empirical_rademacher(cls, np.array([[1.0]])).value == 1.0
         assert empirical_rademacher(cls, np.array([[1.0], [1.0]])).value == 0.5
 
     def test_budget_homogeneity(self):
         rng = np.random.default_rng(1)
         xs = rng.standard_normal((6, 3))
-        one = empirical_rademacher(FunctionClassSpec("linear_l2_ball", 1.0, 3), xs)
-        two = empirical_rademacher(FunctionClassSpec("linear_l2_ball", 2.0, 3), xs)
+        one = empirical_rademacher(FunctionClassSpec("linear_l2_ball", 1.0), xs)
+        two = empirical_rademacher(FunctionClassSpec("linear_l2_ball", 2.0), xs)
         assert two.value == pytest.approx(2 * one.value, rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["linear_l2_ball", "linear_l1_ball"])
@@ -55,7 +54,7 @@ class TestEmpiricalRademacher:
         rng = np.random.default_rng(3)
         for n in (1, 2, 5, 8):
             xs = rng.standard_normal((n, 3))
-            cls = FunctionClassSpec(kind, 1.3, 3)
+            cls = FunctionClassSpec(kind, 1.3)
             est = empirical_rademacher(cls, xs)
             assert est.exact and est.stderr == 0.0
             assert est.value == pytest.approx(rademacher_bruteforce(cls, xs), rel=1e-12)
@@ -66,7 +65,7 @@ class TestEmpiricalRademacher:
         for trial in range(5):
             n = int(rng.integers(4, 17))
             xs = rng.standard_normal((n, 4))
-            cls = FunctionClassSpec(kind, 1.0, 4)
+            cls = FunctionClassSpec(kind, 1.0)
             exact = empirical_rademacher(cls, xs)
             # force the Monte Carlo path by a fresh sampler on n > 20 rule:
             # estimate by drawing signs directly
@@ -86,7 +85,7 @@ class TestEmpiricalRademacher:
     def test_monte_carlo_path_reports_stderr(self):
         rng = np.random.default_rng(7)
         xs = rng.standard_normal((25, 3))
-        cls = FunctionClassSpec("linear_l2_ball", 1.0, 3)
+        cls = FunctionClassSpec("linear_l2_ball", 1.0)
         est = empirical_rademacher(cls, xs, draws=500, seed=8)
         assert not est.exact and est.stderr > 0 and est.draws == 500
         with pytest.raises(ValueError):
@@ -107,7 +106,7 @@ class TestEmpiricalRademacher:
             else np.max(np.abs(combos), axis=1)
         )
         vals = budget * norms / n
-        est = empirical_rademacher(FunctionClassSpec(kind, budget, d), xs, draws=draws, seed=seed)
+        est = empirical_rademacher(FunctionClassSpec(kind, budget), xs, draws=draws, seed=seed)
         assert est.value == float(vals.mean())
         assert est.stderr == float(vals.std(ddof=1) / math.sqrt(draws))
 
@@ -125,7 +124,7 @@ class TestEmpiricalRademacher:
         # the reused 64-row block 1 MiB, and a 16-row draw with its draw
         # indices 0.5 MiB
         xs = np.random.default_rng(2).standard_normal((2048, 10))
-        cls = FunctionClassSpec("linear_l2_ball", 1.0, 10)
+        cls = FunctionClassSpec("linear_l2_ball", 1.0)
         est, peak = traced_peak(empirical_rademacher, cls, xs, draws=2000, seed=3)
         assert est.draws == 2000 and not est.exact
         assert peak <= 2 * 2**20
@@ -136,14 +135,14 @@ class TestEmpiricalRademacher:
         for _ in range(10):
             n = int(rng.integers(2, 12))
             xs = rng.standard_normal((n, 3))
-            cls = FunctionClassSpec("linear_l2_ball", 1.7, 3)
+            cls = FunctionClassSpec("linear_l2_ball", 1.7)
             est = empirical_rademacher(cls, xs)
             cap = 1.7 * float(np.max(np.linalg.norm(xs, axis=1))) / math.sqrt(n)
             assert est.value <= cap * (1 + 1e-9)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            FunctionClassSpec("rbf", 1.0, 3)
+            FunctionClassSpec("rbf", 1.0)
 
 
 def smooth_risk_reference(lhat, H, b, r, n, delta, K):
@@ -166,38 +165,36 @@ def margin_reference(err, b, r, n, delta, K, gamma, simplified=False):
 class TestBoundFormulas:
     def test_lipschitz_hand_values(self):
         assert lipschitz_excess_bound(
-            BoundInputs(l_star=0.0, lipschitz_D=1.0, rademacher=0.1)
+            l_star=0.0, lipschitz_D=1.0, rademacher=0.1
         ) == pytest.approx(0.2, rel=1e-15)
-        assert lipschitz_excess_bound(
-            BoundInputs(l_star=0.3, lipschitz_D=1.0, rademacher=0.0)
-        ) == 0.3
-        one = lipschitz_excess_bound(BoundInputs(l_star=0.0, lipschitz_D=1.0, rademacher=0.05))
-        two = lipschitz_excess_bound(BoundInputs(l_star=0.0, lipschitz_D=2.0, rademacher=0.05))
+        assert lipschitz_excess_bound(l_star=0.3, lipschitz_D=1.0, rademacher=0.0) == 0.3
+        one = lipschitz_excess_bound(l_star=0.0, lipschitz_D=1.0, rademacher=0.05)
+        two = lipschitz_excess_bound(l_star=0.0, lipschitz_D=2.0, rademacher=0.05)
         assert two == pytest.approx(2 * one, rel=1e-15)
 
     def test_smooth_risk_frozen_value(self):
         n = int(round(math.e**4))
-        inputs = BoundInputs(
+        value = smooth_risk_bound(
             empirical_loss=0.25, smoothness_H=1.0, range_b=1.0,
             rademacher=0.01, n=n, delta=math.exp(-1), bound_K=1.0,
         )
-        assert smooth_risk_bound(inputs) == pytest.approx(
+        assert value == pytest.approx(
             smooth_risk_reference(0.25, 1.0, 1.0, 0.01, n, math.exp(-1), 1.0), rel=1e-15
         )
 
     def test_smooth_risk_bound_collapses(self):
-        inputs = BoundInputs(
+        value = smooth_risk_bound(
             empirical_loss=0.0, smoothness_H=2.0, range_b=1.5,
             rademacher=0.02, n=100, delta=0.1, bound_K=3.0,
         )
         expected = 3.0 * (2.0 * math.log(100) ** 3 * 0.02**2 + 1.5 * math.log(10) / 100)
-        assert smooth_risk_bound(inputs) == pytest.approx(expected, rel=1e-14)
+        assert value == pytest.approx(expected, rel=1e-14)
         # R_n = 0 and b -> 0: only the empirical term survives
-        small_b = BoundInputs(
+        small_b = smooth_risk_bound(
             empirical_loss=0.25, smoothness_H=1.0, range_b=1e-300,
             rademacher=0.0, n=100, delta=0.5, bound_K=1e5,
         )
-        assert smooth_risk_bound(small_b) == pytest.approx(0.25, rel=1e-10)
+        assert small_b == pytest.approx(0.25, rel=1e-10)
 
     def test_dual_evaluation_at_random_points(self):
         rng = np.random.default_rng(11)
@@ -211,13 +208,11 @@ class TestBoundFormulas:
                 delta=float(rng.uniform(0.001, 0.999)),
                 K=float(rng.uniform(1, 1e5)),
             )
-            inputs = BoundInputs(
+            value = smooth_risk_bound(
                 empirical_loss=args["lhat"], smoothness_H=args["H"], range_b=args["b"],
                 rademacher=args["r"], n=args["n"], delta=args["delta"], bound_K=args["K"],
             )
-            assert smooth_risk_bound(inputs) == pytest.approx(
-                smooth_risk_reference(**args), rel=1e-12
-            )
+            assert value == pytest.approx(smooth_risk_reference(**args), rel=1e-12)
 
     def test_margin_dual_evaluation(self):
         rng = np.random.default_rng(13)
@@ -233,50 +228,50 @@ class TestBoundFormulas:
                 K=float(rng.uniform(1, 1e5)),
                 gamma=gamma,
             )
-            inputs = BoundInputs(
+            inputs = dict(
                 empirical_loss=args["err"], range_b=b, rademacher=args["r"],
                 n=args["n"], delta=args["delta"], bound_K=args["K"], margin=gamma,
             )
-            assert margin_bound(inputs) == pytest.approx(margin_reference(**args), rel=1e-12)
-            assert margin_bound(inputs, simplified=True) == pytest.approx(
+            assert margin_bound(**inputs) == pytest.approx(margin_reference(**args), rel=1e-12)
+            assert margin_bound(**inputs, simplified=True) == pytest.approx(
                 margin_reference(**args, simplified=True), rel=1e-12
             )
 
     def test_margin_domain_error(self):
-        inputs = BoundInputs(
-            empirical_loss=0.1, range_b=1.0, rademacher=0.01, n=100, margin=2.0
-        )
         with pytest.raises(ValueError, match="margin too large"):
-            margin_bound(inputs)
+            margin_bound(empirical_loss=0.1, range_b=1.0, rademacher=0.01, n=100, margin=2.0)
 
     def test_margin_monotone_nonincreasing_in_gamma(self):
         gammas = np.linspace(0.05, 1.2, 40)
         vals = [
             margin_bound(
-                BoundInputs(
-                    empirical_loss=0.2, range_b=1.0, rademacher=0.03,
-                    n=1000, delta=0.05, bound_K=1e5, margin=float(g),
-                )
+                empirical_loss=0.2, range_b=1.0, rademacher=0.03,
+                n=1000, delta=0.05, bound_K=1e5, margin=float(g),
             )
             for g in gammas
         ]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_missing_fields(self):
-        with pytest.raises(ValueError, match="missing bound input"):
-            smooth_risk_bound(BoundInputs(empirical_loss=0.1))
-        with pytest.raises(ValueError, match="missing bound input"):
-            lipschitz_excess_bound(BoundInputs(l_star=0.1))
-        with pytest.raises(ValueError, match="missing bound input"):
-            margin_bound(BoundInputs(empirical_loss=0.1, range_b=1.0))
+        # every input a bound depends on is a required argument
+        with pytest.raises(TypeError, match="missing 4 required"):
+            smooth_risk_bound(empirical_loss=0.1)
+        with pytest.raises(TypeError, match="missing 2 required"):
+            lipschitz_excess_bound(l_star=0.1)
+        with pytest.raises(TypeError, match="missing 3 required"):
+            margin_bound(empirical_loss=0.1, range_b=1.0)
 
     def test_delta_validation(self):
-        inputs = BoundInputs(
-            empirical_loss=0.1, smoothness_H=1.0, range_b=1.0,
-            rademacher=0.01, n=100, delta=1.5,
-        )
         with pytest.raises(ValueError, match="delta"):
-            smooth_risk_bound(inputs)
+            smooth_risk_bound(
+                empirical_loss=0.1, smoothness_H=1.0, range_b=1.0,
+                rademacher=0.01, n=100, delta=1.5,
+            )
+        with pytest.raises(ValueError, match="delta"):
+            margin_bound(
+                empirical_loss=0.1, range_b=1.0, rademacher=0.01, n=100, margin=0.5,
+                delta=0.0,
+            )
 
 
 @settings(max_examples=100, deadline=None)
@@ -288,10 +283,8 @@ class TestBoundFormulas:
 def test_margin_monotonicity_property(g1, g2, err):
     lo, hi = sorted((g1, g2))
     make = lambda g: margin_bound(
-        BoundInputs(
-            empirical_loss=err, range_b=1.0, rademacher=0.02,
-            n=500, delta=0.05, bound_K=10.0, margin=g,
-        )
+        empirical_loss=err, range_b=1.0, rademacher=0.02,
+        n=500, delta=0.05, bound_K=10.0, margin=g,
     )
     assert make(hi) <= make(lo) + 1e-9
 

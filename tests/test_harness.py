@@ -63,10 +63,9 @@ BAD_CONFIGS = [
     ({"experiment": "regime", "sigma": -1}, "sigma >= 0"),
     ({"experiment": "regret", "budget": -1}, "budget > 0"),
     ({"experiment": "margin", "gamma_grid": 5}, "margin too large"),
-    ({"experiment": "regret", "loss": "squared"}, "only rate and stability read it"),
-    ({"experiment": "sparse", "loss": "squared"}, "only rate and stability read it"),
-    ({"experiment": "regime", "loss": "squared"}, "only rate and stability read it"),
-    ({"experiment": "margin", "loss": "squared"}, "only rate and stability read it"),
+    # each family fixes its loss: no experiment reads a `loss` key
+    ({"experiment": "rate", "loss": "squared"}, "unknown config key: 'loss'"),
+    ({"experiment": "stability", "loss": "squared2"}, "unknown config key: 'loss'"),
     # a key the experiment does not read, even at another experiment's default
     ({"experiment": "regime", "methods": ["foo"]},
      "regime does not read 'methods'; only regret and sparse read it"),
@@ -168,17 +167,19 @@ class TestConfig:
         assert len(rows) == 8
         assert all(math.isfinite(row.measured) for row in rows)
 
-    def test_incompatible_loss_distribution_pair(self, tmp_path):
-        with pytest.raises(ConfigError, match="incompatible"):
+    def test_incompatible_loss_distribution_pair(self, tmp_path, capsys):
+        # the family fixes the loss, so a config cannot name one: neither
+        # another family's loss nor its own
+        with pytest.raises(ConfigError, match="unknown config key: 'loss'"):
             make_cfg(
                 experiment="rate", distribution="hardA", loss="squared",
                 n_grid=[16, 32, 64], replicates=1,
             )
-        # a family's own loss name is accepted
         own = tmp_path / "own.txt"
         own.write_text("distribution = hardB:0.1\nloss = squared2\nn_grid = 64, 128\n"
                        "replicates = 2\n")
-        assert cli_main(["rate", "--config", str(own)]) == 0
+        assert cli_main(["rate", "--config", str(own)]) == 2
+        assert "unknown config key: 'loss'" in capsys.readouterr().err
 
 
 class TestCheckMessages:
@@ -811,6 +812,35 @@ class TestRegimeExperiment:
         )
 
 
+@pytest.mark.parametrize(
+    "run, default, small",
+    [
+        (run_regime_experiment, 1e-9, {"experiment": "regime", "n_grid": [8], "dim": 4}),
+        (run_sparse_experiment, 1e-8,
+         {"experiment": "sparse", "n_grid": [32], "dim": 8, "sparsity_k": 2,
+          "methods": ["entropy_regerm"]}),
+    ],
+    ids=["regime", "sparse"],
+)
+def test_tol_reaches_the_solves(run, default, small, monkeypatch):
+    # the default is the record's, and an explicit tol, smaller too, is
+    # passed to every certified solve unchanged
+    seen = []
+    solve = experiments.solve_regularized_erm
+
+    def recorded(*args, **kwargs):
+        seen.append(kwargs["tol"])
+        return solve(*args, **{**kwargs, "max_iters": 1})
+
+    monkeypatch.setattr(experiments, "solve_regularized_erm", recorded)
+    for tol in (default, 1e-12):
+        seen.clear()
+        cfg = make_cfg(**small, replicates=1, **({} if tol == default else {"tol": tol}))
+        assert cfg.tol == tol
+        run(cfg)
+        assert seen and set(seen) == {tol}
+
+
 def _cap_solver_iterations(monkeypatch, module=experiments):
     """Make every certified solve that `module` calls stop after one
     iteration (the runners by default; `batch` for the stability probe)."""
@@ -845,17 +875,15 @@ class TestMarginExperiment:
         assert peak < 2.75 * 2**20
 
     def test_gamma_exceeding_every_score(self):
-        from smoothbench.bounds import BoundInputs, margin_bound, margin_empirical_error
+        from smoothbench.bounds import margin_bound, margin_empirical_error
 
         scores = np.array([0.3, -0.2, 0.1])
         labels = np.array([1.0, -1.0, 1.0])
         err = margin_empirical_error(scores, labels, 0.9)
         assert err == 1.0
         rhs = margin_bound(
-            BoundInputs(
-                empirical_loss=err, range_b=1.0, rademacher=0.05,
-                n=3, delta=0.05, bound_K=1e5, margin=0.9,
-            )
+            empirical_loss=err, range_b=1.0, rademacher=0.05,
+            n=3, delta=0.05, bound_K=1e5, margin=0.9,
         )
         assert rhs >= 1.0
 
@@ -1020,6 +1048,12 @@ class TestExperimentTable:
         assert set(EXPERIMENTS) == set(choices)
         # a new record without a golden CSV fails here
         assert set(EXPERIMENTS) == {raw["experiment"] for raw in GOLDEN.values()}
+
+    def test_every_config_field_is_some_records_default(self):
+        # a field no record declares is a key that nothing reads
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        declared = set().union(*(spec.defaults for spec in EXPERIMENTS.values()))
+        assert fields - {"experiment", "seed", "out"} == declared
 
     def test_each_record_declares_exactly_the_keys_its_hooks_read(self, monkeypatch):
         """The golden configs, run through prepare, premises, run and check
