@@ -30,7 +30,7 @@ from .geometry import (
     regularizer_grad,
 )
 from .losses import LossSpec
-from .online import linear_smoothness
+from .online import _check_formula_args, linear_smoothness
 
 TERM_TOLERANCE = "tolerance"
 TERM_MAX_ITERS = "max_iters"
@@ -130,12 +130,7 @@ def lambda_for(smoothness_H: float, f_max: float, n: int, lbar: float) -> float:
     Always exceeds 32 H / n (in fact lambda n >= 128 H), which keeps the
     stability-based excess-risk denominator 1 - 32 H / (lambda n) positive.
     """
-    if smoothness_H <= 0 or f_max <= 0:
-        raise ValueError("smoothness and regularizer bound must be positive")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if lbar < 0:
-        raise ValueError("lbar must be nonnegative")
+    _check_formula_args(smoothness_H, f_max, n, lbar)
     base = 128.0 * smoothness_H / n
     return base + math.sqrt(base * base + 128.0 * smoothness_H * lbar / (n * f_max))
 
@@ -146,16 +141,14 @@ class SolveReport:
 
     objectives[k] is the objective after iteration k (objectives[0] is the
     start value) — non-increasing by the line-search condition.
-    certificate is the final certified objective-gap bound, grad_map_norm
-    the dual norm of the residual that produced it. The l1 solve fills
-    neither list and has no residual (grad_map_norm is nan).
+    certificate is the final certified objective-gap bound. The l1 solve
+    fills neither list.
     """
 
     w: np.ndarray
     objective: float
     iterations: int
     termination: str
-    grad_map_norm: float
     certificate: float
     objectives: list = field(default_factory=list)
     certificates: list = field(default_factory=list)
@@ -222,7 +215,6 @@ def solve_regularized_erm(
     objectives = [obj]
     certificates = [None]
     step = 1.0
-    grad_map = math.inf
     cert = math.inf
     termination = TERM_MAX_ITERS
     iterations = 0
@@ -269,7 +261,6 @@ def solve_regularized_erm(
         objective=obj,
         iterations=iterations,
         termination=termination,
-        grad_map_norm=grad_map,
         certificate=cert,
         objectives=objectives,
         certificates=certificates,
@@ -384,7 +375,6 @@ def _l1_constrained_erm(
         objective=obj,
         iterations=iterations,
         termination=termination,
-        grad_map_norm=math.nan,
         certificate=cert,
     )
 

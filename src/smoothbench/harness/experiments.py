@@ -59,7 +59,6 @@ from ..geometry import (
 )
 from ..losses import make_smooth_ramp, make_squared
 from ..online import (
-    average_regret,
     linear_smoothness,
     regret_bound,
     run_mirror_descent_batch,
@@ -277,6 +276,11 @@ def run_regret_experiment(cfg: ExperimentConfig) -> list:
     the best post-hoc feasible run; that mode is a heuristic outside the
     guarantee's premises and is labeled in the stream column.
 
+    Each comparator's hindsight loss is known before its run: 0 on the
+    i.i.d. stream (its labels are the generating vector's predictions),
+    the zero vector's exact loss on a fixed one, and 1/2 against the
+    adversary. A row's regret is the run's average loss minus it.
+
     The replicates of the i.i.d. and fixed streams at one n run as one
     batch each. The adaptive adversary is deterministic (it has no seed),
     so every replicate would play the same run: it is played once per n,
@@ -304,9 +308,9 @@ def run_regret_experiment(cfg: ExperimentConfig) -> list:
                 rng = np.random.default_rng(seed_for(cfg.seed, "regret-iid", i, j))
                 _sphere_rows(rng, n, dim, out=xs[j])
                 ys[j] = xs[j] @ w_stars[j]
-            run = _regret_batch(setup, loss, xs, ys, [0.0] * reps)
-            by_kind.append(_regret_rows("iid_separable", setup, run, w_stars, [0.0] * reps))
-            del xs, ys, run  # one stacked design alive at a time
+            measured = _measured_regret(setup, loss, xs, ys, [0.0] * reps, 0.0)
+            by_kind.append(_regret_rows("iid_separable", setup, n, measured, [0.0] * reps))
+            del xs, ys  # one stacked design alive at a time
 
         if "fixed_adversarial" in kinds:
             xs, ys = np.empty((reps, n, dim)), np.empty((reps, n))
@@ -314,14 +318,12 @@ def run_regret_experiment(cfg: ExperimentConfig) -> list:
                 rng, _ = draws(j)
                 _sphere_rows(rng, n, dim, out=xs[j])
                 ys[j] = rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.2, 1.0, size=n)
-            w_zero = np.zeros((reps, dim))
-            hindsight = [float(np.mean(loss.value(x @ w, y))) for x, y, w in zip(xs, ys, w_zero)]
+            hindsight = loss.value(0.0, ys).mean(axis=-1).tolist()  # the zero vector's
             if cfg.lbar_mode == "auto":
                 by_kind.append(_doubling_lbar_rows(setup, loss, xs, ys, hindsight))
             else:
-                run = _regret_batch(setup, loss, xs, ys, hindsight)
-                by_kind.append(_regret_rows("fixed_adversarial", setup, run, w_zero, hindsight))
-                del run
+                measured = _measured_regret(setup, loss, xs, ys, hindsight, hindsight)
+                by_kind.append(_regret_rows("fixed_adversarial", setup, n, measured, hindsight))
             del xs, ys
 
         if "adaptive" in kinds:
@@ -331,41 +333,36 @@ def run_regret_experiment(cfg: ExperimentConfig) -> list:
                 setup, loss, lambda pred: np.where(pred >= 0, -1.0, 1.0), eta,
                 basis_idx=np.arange(n) % dim,
             )
-            measured = average_regret(run, np.zeros(dim))
-            by_kind.append(
-                [_regret_row("adaptive", setup, n, j, measured, 0.5) for j in range(reps)]
-            )
+            measured = [run.losses.mean() - 0.5] * reps
+            by_kind.append(_regret_rows("adaptive", setup, n, measured, [0.5] * reps))
         for j in range(reps):
             rows.extend(kind_rows[j] for kind_rows in by_kind)
     return rows
 
 
-def _regret_batch(setup, loss, xs, ys, lbars):
-    """One mirror-descent run per stream at the theory step for its Lbar
-    (the Lbars broadcast against the streams' leading axes); the smoothness
-    is 1 (squared loss, ||x||_2 = 1 rows)."""
-    n = ys.shape[-1]
-    eta = [stepsize_for(1.0, setup.f_max, n, lbar) for lbar in lbars]
-    return run_mirror_descent_batch(setup, loss, ys, eta, xs=xs)
+def _measured_regret(setup, loss, xs, ys, lbars, hindsight) -> np.ndarray:
+    """Average regret of one mirror-descent run per stream, played at the
+    theory step for its Lbar (the Lbars broadcast against the streams'
+    leading axes; smoothness 1: squared loss, ||x||_2 = 1 rows), against a
+    comparator whose hindsight loss is known before the run."""
+    eta = [stepsize_for(1.0, setup.f_max, ys.shape[-1], lbar) for lbar in lbars]
+    run = run_mirror_descent_batch(setup, loss, ys, eta, xs=xs)
+    return run.losses.mean(axis=-1) - np.asarray(hindsight)
 
 
-def _regret_rows(stream_kind, setup, run, comparators, lbars) -> list:
-    n = run.losses.shape[-1]
+def _regret_rows(stream_kind, setup, n, measured, lbars) -> list:
+    """One row per replicate j, with its measured regret and its Lbar."""
     return [
-        _regret_row(stream_kind, setup, n, j, average_regret(run[j], comparators[j]), lbar)
-        for j, lbar in enumerate(lbars)
+        RegretRow(
+            stream=stream_kind,
+            n=n,
+            seed_index=j,
+            measured=float(m),
+            bound=regret_bound(1.0, setup.f_max, n, lbar),
+            lbar=lbar,
+        )
+        for j, (m, lbar) in enumerate(zip(measured, lbars))
     ]
-
-
-def _regret_row(stream_kind, setup, n, j, measured, lbar) -> RegretRow:
-    return RegretRow(
-        stream=stream_kind,
-        n=n,
-        seed_index=j,
-        measured=float(measured),
-        bound=regret_bound(1.0, setup.f_max, n, lbar),
-        lbar=lbar,
-    )
 
 
 def _regret_premises(cfg: ExperimentConfig) -> None:
@@ -390,29 +387,24 @@ def _doubling_lbar_rows(setup, loss, xs, ys, hindsight) -> list:
     comparator hindsight loss actually fits the candidate. The candidates
     are the columns of one batch over all sequences."""
     candidates = [float(loss.range_bound_b) / 2**k for k in range(12)]
-    fits = np.array(hindsight)[:, None] <= np.array(candidates)  # a prefix of each row
+    hindsight = np.array(hindsight)[:, None]
+    fits = hindsight <= np.array(candidates)  # a prefix of each row
     if not fits[:, 0].all():
         raise ValueError("no Lbar candidate fits the hindsight loss")
     width = int(fits.sum(axis=1).max())
     reps, n, dim = xs.shape
-    run = _regret_batch(
+    regret = _measured_regret(
         setup, loss,
         np.broadcast_to(xs[:, None], (reps, width, n, dim)),
         np.broadcast_to(ys[:, None], (reps, width, n)),
         candidates[:width],
+        hindsight,
     )
-    rows = []
-    for j in range(reps):
-        best = None
-        for k in np.flatnonzero(fits[j]):
-            row = _regret_row(
-                "fixed_adversarial:auto_lbar", setup, n, j,
-                average_regret(run[j, k], np.zeros(dim)), candidates[k],
-            )
-            if best is None or row.measured < best.measured:
-                best = row
-        rows.append(best)
-    return rows
+    best = np.where(fits[:, :width], regret, np.inf).argmin(axis=1)  # the first lowest
+    return _regret_rows(
+        "fixed_adversarial:auto_lbar", setup, n,
+        regret[np.arange(reps), best], [candidates[k] for k in best],
+    )
 
 
 @dataclass(frozen=True)

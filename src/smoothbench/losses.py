@@ -8,9 +8,9 @@ formulas downstream, so it must be an honest upper bound: the residual
 probes in this module check that on grids.
 
 The factories build each spec once per process (per gamma for the ramp),
-since a LossSpec is frozen. The difference losses are functions of |t - y|
-that grow with it, so each range bound is the value at the domain corner
-t = 4, y = -1.
+since a LossSpec is frozen. The difference losses are functions of
+r = t - y, built by one helper; each grows with |r|, so its range bound is
+the value at the domain corner t = 4, y = -1.
 """
 
 from __future__ import annotations
@@ -18,12 +18,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
-
-DEFAULT_T_DOMAIN = (-4.0, 4.0)
-DEFAULT_Y_DOMAIN = (-1.0, 1.0)
 
 
 class NonSmoothLossError(ValueError):
@@ -34,41 +31,49 @@ class NonSmoothLossError(ValueError):
 class LossSpec:
     """A scalar loss phi(t, y) with its analytic derivative and metadata.
 
-    range_bound_b is sup |phi| over t_domain x y_domain. `smoothness` is
-    None exactly when is_smooth is False; use the smoothness_H property,
-    which signals non-smooth losses instead of returning garbage.
+    range_bound_b is sup |phi| over t_domain x y_domain. A loss is smooth
+    exactly when it declares a `smoothness` constant; use the smoothness_H
+    property, which signals non-smooth losses instead of returning garbage.
     """
 
     name: str
     value: Callable[..., np.ndarray]
     derivative: Callable[..., np.ndarray]
     range_bound_b: float
-    t_domain: tuple[float, float] = DEFAULT_T_DOMAIN
-    y_domain: tuple[float, float] = DEFAULT_Y_DOMAIN
-    is_smooth: bool = True
     is_convex: bool = True
     smoothness: float | None = None
+    t_domain: ClassVar[tuple[float, float]] = (-4.0, 4.0)
+    y_domain: ClassVar[tuple[float, float]] = (-1.0, 1.0)
+
+    @property
+    def is_smooth(self) -> bool:
+        return self.smoothness is not None
 
     @property
     def smoothness_H(self) -> float:
-        if not self.is_smooth or self.smoothness is None:
+        if self.smoothness is None:
             raise NonSmoothLossError(f"non-smooth loss: {self.name}")
         return self.smoothness
+
+
+def _difference_loss(name, phi, dphi, smoothness=None) -> LossSpec:
+    """The loss phi(r) of r = t - y, with derivative dphi(r); its range
+    bound is the value at the domain corner t = 4, y = -1."""
+
+    def value(t, y):
+        return phi(np.asarray(t, dtype=float) - np.asarray(y, dtype=float))
+
+    def derivative(t, y):
+        return dphi(np.asarray(t, dtype=float) - np.asarray(y, dtype=float))
+
+    b = float(value(LossSpec.t_domain[1], LossSpec.y_domain[0]))
+    return LossSpec(name, value, derivative, b, smoothness=smoothness)
 
 
 @functools.cache
 def make_squared() -> LossSpec:
     """Half squared difference (t - y)^2 / 2; 1-smooth, convex."""
-
-    def value(t, y):
-        d = np.asarray(t, dtype=float) - np.asarray(y, dtype=float)
-        return 0.5 * d * d
-
-    def derivative(t, y):
-        return np.asarray(t, dtype=float) - np.asarray(y, dtype=float)
-
-    b = float(value(4.0, -1.0))
-    return LossSpec("squared", value, derivative, b, smoothness=1.0)
+    return _difference_loss("squared", lambda r: 0.5 * r * r, lambda r: r, 1.0)
 
 
 @functools.cache
@@ -78,16 +83,7 @@ def make_squared_unhalved() -> LossSpec:
     Used by the noisy orthogonal-design distribution and the ridge regime
     generator, whose closed-form risks are stated in this convention.
     """
-
-    def value(t, y):
-        d = np.asarray(t, dtype=float) - np.asarray(y, dtype=float)
-        return d * d
-
-    def derivative(t, y):
-        return 2.0 * (np.asarray(t, dtype=float) - np.asarray(y, dtype=float))
-
-    b = float(value(4.0, -1.0))
-    return LossSpec("squared2", value, derivative, b, smoothness=2.0)
+    return _difference_loss("squared2", lambda r: r * r, lambda r: 2.0 * r, 2.0)
 
 
 @functools.cache
@@ -133,17 +129,11 @@ def make_piecewise_quadlin() -> LossSpec:
     curvature 2, which is the declared smoothness.
     """
 
-    def value(t, y):
-        r = np.asarray(t, dtype=float) - np.asarray(y, dtype=float)
+    def phi(r):
         a = np.abs(r)
         return np.where(a <= 0.5, r * r, a - 0.25)
 
-    def derivative(t, y):
-        r = np.asarray(t, dtype=float) - np.asarray(y, dtype=float)
-        return np.clip(2.0 * r, -1.0, 1.0)
-
-    b = float(value(4.0, -1.0))
-    return LossSpec("quadlin", value, derivative, b, smoothness=2.0)
+    return _difference_loss("quadlin", phi, lambda r: np.clip(2.0 * r, -1.0, 1.0), 2.0)
 
 
 @functools.cache
@@ -153,15 +143,7 @@ def make_absolute() -> LossSpec:
     The subgradient is sign(t - y) with sign(0) = 0, which keeps exact
     minimizers deterministic. Querying smoothness_H raises.
     """
-
-    def value(t, y):
-        return np.abs(np.asarray(t, dtype=float) - np.asarray(y, dtype=float))
-
-    def derivative(t, y):
-        return np.sign(np.asarray(t, dtype=float) - np.asarray(y, dtype=float))
-
-    b = float(value(4.0, -1.0))
-    return LossSpec("absolute", value, derivative, b, is_smooth=False)
+    return _difference_loss("absolute", np.abs, np.sign)
 
 
 def self_bound_residual(loss: LossSpec, t, y):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from smoothbench import (
     Dataset,
+    LossSpec,
     bregman_divergence,
     default_start,
     dual_norm,
@@ -382,6 +383,13 @@ class TestSolver:
             solve_regularized_erm(setup, make_absolute(), data, 0.1)
         with pytest.raises(ValueError):
             solve_regularized_erm(setup, SQ, data, 0.0)
+
+    def test_rejects_a_loss_that_declares_no_smoothness(self):
+        setup = euclidean_setup(2, 1.0)
+        data = Dataset(ys=np.ones(2), xs=np.eye(2))
+        undeclared = LossSpec("x", SQ.value, SQ.derivative, 12.5)
+        with pytest.raises(ValueError, match="smooth loss, got x"):
+            solve_regularized_erm(setup, undeclared, data, 0.1)
 
 
 class TestStabilityProbe:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothbench import (
+    LossSpec,
     NonSmoothLossError,
     make_absolute,
     make_piecewise_quadlin,
@@ -251,3 +252,38 @@ def test_range_bound_is_the_grid_max(make):
     spec = make()
     tt, yy = np.meshgrid(np.linspace(*spec.t_domain, 201), np.linspace(*spec.y_domain, 201))
     assert spec.range_bound_b == float(np.max(np.abs(spec.value(tt, yy))))
+
+
+# closed forms in r = t - y: (value, derivative), written independently of the module
+DIFFERENCE_CLOSED_FORMS = {
+    make_squared: (lambda r: r**2 / 2, lambda r: r),
+    make_squared_unhalved: (lambda r: r**2, lambda r: 2 * r),
+    make_piecewise_quadlin: (
+        lambda r: np.where(np.abs(r) <= 0.5, r**2, np.abs(r) - 0.25),
+        lambda r: np.where(np.abs(r) <= 0.5, 2 * r, np.sign(r)),
+    ),
+    make_absolute: (np.abs, np.sign),
+}
+
+
+@pytest.mark.parametrize("make", DIFFERENCE_CLOSED_FORMS, ids=lambda m: m().name)
+def test_difference_losses_match_closed_forms_bit_for_bit(make):
+    # quarter steps: r = t - y hits 0, the quadlin seam +-1/2 and the corner (4, -1)
+    t = np.linspace(-4.0, 4.0, 33)[:, None]
+    y = np.linspace(-1.0, 1.0, 9)[None, :]
+    value, derivative = DIFFERENCE_CLOSED_FORMS[make]
+    spec = make()
+    r = t - y
+    assert {0.0, 0.5, -0.5, 5.0} <= set(r.ravel().tolist())
+    assert np.array_equal(spec.value(t, y), value(r))
+    assert np.array_equal(spec.derivative(t, y), derivative(r))
+    assert spec.range_bound_b == float(value(np.float64(5.0)))
+
+
+def test_smoothness_is_declared_by_the_constant_alone():
+    sq = make_squared()
+    undeclared = LossSpec("x", sq.value, sq.derivative, 12.5)
+    assert not undeclared.is_smooth
+    with pytest.raises(NonSmoothLossError):
+        undeclared.smoothness_H
+    assert sq.is_smooth and not make_absolute().is_smooth
