@@ -44,7 +44,6 @@ from .online import (
     fixed_stream,
     hindsight_average_loss,
     iid_stream,
-    linear_smoothness,
     regret_bound,
     run_mirror_descent,
     run_mirror_descent_batch,

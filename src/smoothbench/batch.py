@@ -13,7 +13,7 @@ of its non-negative objective.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .geometry import (
     regularizer_grad,
 )
 from .losses import LossSpec
-from .online import _check_formula_args, linear_smoothness
+from .online import _check_formula_args
 
 TERM_TOLERANCE = "tolerance"
 TERM_MAX_ITERS = "max_iters"
@@ -113,14 +113,22 @@ class Dataset:
         return out
 
     def replace_instance(self, i: int, x: np.ndarray, y: float) -> "Dataset":
+        """A copy with instance i set to (x, y). x must be a row of the
+        design: shape (dim,), and a standard basis vector on a basis design."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
+            raise ValueError(f"x must have shape ({self.dim},), got {x.shape}")
         ys = self.ys.copy()
         ys[i] = y
         if self.xs is not None:
             xs = self.xs.copy()
             xs[i] = x
             return Dataset(ys=ys, xs=xs)
+        k = int(np.argmax(x))
+        if x[k] != 1.0 or np.count_nonzero(x) != 1:
+            raise ValueError(f"a basis design's x must be a standard basis vector, got {x}")
         idx = self.basis_idx.copy()
-        idx[i] = int(np.argmax(x))
+        idx[i] = k
         return Dataset(ys=ys, basis_idx=idx, dim=self.dim)
 
 
@@ -137,21 +145,16 @@ def lambda_for(smoothness_H: float, f_max: float, n: int, lbar: float) -> float:
 
 @dataclass
 class SolveReport:
-    """Outcome of one regularized-ERM or l1 solve.
-
-    objectives[k] is the objective after iteration k (objectives[0] is the
-    start value) — non-increasing by the line-search condition.
-    certificate is the final certified objective-gap bound. The l1 solve
-    fills neither list.
-    """
+    """Outcome of one regularized-ERM or l1 solve: the final iterate w, its
+    objective, the iterations run, why the solve stopped (`termination`),
+    and the certified objective-gap bound at w (`certificate`; inf when the
+    solve certified nothing)."""
 
     w: np.ndarray
     objective: float
     iterations: int
     termination: str
     certificate: float
-    objectives: list = field(default_factory=list)
-    certificates: list = field(default_factory=list)
 
 
 def _objective(setup, loss, data, lam, w) -> tuple[float, np.ndarray]:
@@ -212,8 +215,6 @@ def solve_regularized_erm(
     w = default_start(setup)
     obj, preds = _objective(setup, loss, data, lam, w)
     reg_grad = regularizer_grad(setup, w)
-    objectives = [obj]
-    certificates = [None]
     step = 1.0
     cert = math.inf
     termination = TERM_MAX_ITERS
@@ -248,8 +249,6 @@ def solve_regularized_erm(
         grad_map = dual_norm(setup, v)
         cert = grad_map * grad_map / (2.0 * lam)
         w, obj, preds, reg_grad = w_new, obj_new, preds_new, reg_grad_new
-        objectives.append(obj)
-        certificates.append(cert)
         if cert <= tol:
             termination = TERM_TOLERANCE
             break
@@ -262,8 +261,6 @@ def solve_regularized_erm(
         iterations=iterations,
         termination=termination,
         certificate=cert,
-        objectives=objectives,
-        certificates=certificates,
     )
 
 
@@ -308,7 +305,7 @@ def _l1_constrained_erm(
 
     The report carries w, the objective, the iterations and the
     termination; `certificate` is f(w) after a floor stop and inf
-    otherwise, and the per-iteration lists stay empty."""
+    otherwise."""
     if loss.name != "squared":
         raise ValueError(f"the l1 solve is least squares in Gram form, got {loss.name}")
     ys, n = data.ys, data.n
@@ -406,7 +403,6 @@ class StabilityReport:
 
 def stability_probe(
     setup: MirrorSetup,
-    loss: LossSpec,
     dist,
     lam: float,
     n: int,
@@ -418,12 +414,14 @@ def stability_probe(
 
     Each replicate draws a sample, solves, redraws one instance (fresh index
     per replicate), resolves, and scores the original instance under both
-    minimizers. The rhs uses the distribution's exact risk.
+    minimizers. The rhs uses the distribution's exact risk and the H of
+    dist.loss, which is the smoothness in w for unit-norm instances (basis
+    vectors, or the scalar {0, 1}: every family the harness probes).
     """
     if replicates < STABILITY_MIN_REPLICATES:
         raise ValueError(f"stability probe needs at least {STABILITY_MIN_REPLICATES} replicates")
-    smoothness = linear_smoothness(loss, dist.x_dual_bound(setup.geometry))
-    factor = 32.0 * smoothness / (lam * n)
+    loss = dist.loss
+    factor = 32.0 * loss.smoothness_H / (lam * n)
     rng = np.random.default_rng(seed)
     lhs = np.empty(replicates)
     rhs = np.empty(replicates)

@@ -3,7 +3,7 @@
 Three lower-bound families over basis-vector designs, plus the synthetic
 generators the harness uses for fast-rate, sparse, and ridge-regime runs.
 All are classes with the same duck-typed surface: .sample(n, seed) ->
-Dataset, .true_risk(w), .l_star, .w_star, .loss and .x_dual_bound(geometry).
+Dataset, .true_risk(w), .l_star, .w_star and .loss.
 
 Family overview (d standard basis vectors, Y conditioned on X = e_i):
 
@@ -67,10 +67,6 @@ class HardDistribution:
     loss: LossSpec
     w_star: np.ndarray
     l_star: float
-
-    def x_dual_bound(self, geometry: str) -> float:
-        # basis vectors (and the scalar {0,1} design) have unit dual norm
-        return 1.0
 
     def sample(self, n: int, seed: int) -> Dataset:
         """n i.i.d. draws; deterministic per seed."""
@@ -305,9 +301,6 @@ class SeparableSynthetic:
     loss: LossSpec
     l_star: float = 0.0
 
-    def x_dual_bound(self, geometry: str) -> float:
-        return 1.0
-
     def sample(self, n: int, seed: int) -> Dataset:
         rng = np.random.default_rng(seed)
         idx = rng.integers(self.dim, size=n)
@@ -350,11 +343,6 @@ class SparseGenerator:
     @property
     def w_star(self) -> np.ndarray:
         return self.w0
-
-    def x_dual_bound(self, geometry: str) -> float:
-        if geometry == "entropy":
-            return 1.0
-        return math.sqrt(self.dim0)
 
     def _draw(self, n: int, seed: int, out: np.ndarray | None = None):
         """n rows of +-1 features, written into `out` when given, and their
@@ -445,9 +433,6 @@ class RegimeGenerator:
     def true_risk(self, w: np.ndarray) -> float:
         diff = np.asarray(w, dtype=float) - self.w_star
         return self.sigma**2 + (self.x_scale**2 / self.dim) * float(diff @ diff)
-
-    def x_dual_bound(self, geometry: str) -> float:
-        raise ValueError("gaussian design has no a-priori x bound; use the sample")
 
     def envelope(self, n: int) -> tuple[float, str]:
         """min(B^2, B^2/n + B sigma/sqrt(n), d sigma^2/n) and the active term."""

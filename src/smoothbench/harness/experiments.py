@@ -58,12 +58,7 @@ from ..geometry import (
     is_feasible,
 )
 from ..losses import make_smooth_ramp, make_squared
-from ..online import (
-    linear_smoothness,
-    regret_bound,
-    run_mirror_descent_batch,
-    stepsize_for,
-)
+from ..online import regret_bound, run_mirror_descent_batch, stepsize_for
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -131,7 +126,11 @@ class RateRow:
 
 def run_rate_experiment(cfg: ExperimentConfig) -> list:
     """Replicate-mean excess risk of the configured learner across n_grid;
-    the mirror-descent replicates of a grid point run as one batch."""
+    the mirror-descent replicates of a grid point run as one batch.
+
+    The smooth-loss learners take H from the family's loss: every family
+    has unit-norm instances (basis vectors, or the scalar {0, 1}), so the
+    loss's constant is also the smoothness of w -> loss(<w, x>, y)."""
     rows = []
     for i, n in enumerate(cfg.n_grid):
 
@@ -155,7 +154,7 @@ def run_rate_experiment(cfg: ExperimentConfig) -> list:
                     w = erm_exact(dist, data)
                 else:
                     setup = euclidean_setup(dist.dim, cfg.budget)
-                    smoothness = linear_smoothness(dist.loss, dist.x_dual_bound(setup.geometry))
+                    smoothness = dist.loss.smoothness_H
                     lam = lambda_for(smoothness, setup.f_max, n, dist.l_star)
                     bound = 256.0 * smoothness * setup.f_max / n + math.sqrt(
                         2048.0 * smoothness * setup.f_max * dist.l_star / n
@@ -238,7 +237,7 @@ def _batched_mirror_descent(cfg, n, replicates) -> tuple[list, np.ndarray, float
         design[j] = part
         ys[j] = data.ys
     setup = euclidean_setup(dist.dim, cfg.budget)
-    smoothness = linear_smoothness(dist.loss, dist.x_dual_bound(setup.geometry))
+    smoothness = dist.loss.smoothness_H  # unit-norm instances
     eta = stepsize_for(smoothness, setup.f_max, n, dist.l_star)
     key = "xs" if data.basis_idx is None else "basis_idx"
     run = run_mirror_descent_batch(
@@ -428,11 +427,10 @@ def run_stability_experiment(cfg: ExperimentConfig) -> list:
             cfg.distribution, n, cfg.dim, seed_for(cfg.seed, "stability-dist", i, 0)
         )
         setup = euclidean_setup(dist.dim, cfg.budget)
-        smoothness = linear_smoothness(dist.loss, dist.x_dual_bound(setup.geometry))
-        lam = lambda_for(smoothness, setup.f_max, n, dist.l_star)
+        # unit-norm instances: H is the loss's (see run_rate_experiment)
+        lam = lambda_for(dist.loss.smoothness_H, setup.f_max, n, dist.l_star)
         report = stability_probe(
             setup,
-            dist.loss,
             dist,
             lam,
             n,
@@ -495,8 +493,6 @@ def run_sparse_experiment(cfg: ExperimentConfig) -> list:
             gen = sparse_generator(
                 d0, k, seed_for(cfg.seed, "sparse-gen", i, j), noise=cfg.noise
             )
-            if float(np.sum(np.abs(gen.w0))) > 2.0 * math.sqrt(k) + 1e-12:
-                raise AssertionError("generator violated ||w0||_1 <= 2 sqrt(k)")
             l_w0 = gen.l_star
             data = gen.sample_doubled(n, seed_for(cfg.seed, "sparse-data", i, j))
             setup = entropy_setup(bound_dim, budget)
@@ -711,6 +707,10 @@ def _margin_rules(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"margin replicates must be 1, got {cfg.replicates}")
     if not 0 < cfg.delta < 1:
         raise ConfigError(f"delta must lie in (0, 1), got {cfg.delta}")
+    if not 0 <= cfg.label_noise <= 1:  # also rejects nan
+        raise ConfigError(f"label_noise must lie in [0, 1], got {cfg.label_noise}")
+    if not 0 < cfg.bound_k < math.inf:
+        raise ConfigError(f"bound_k must be positive and finite, got {cfg.bound_k}")
 
 
 def _margin_premises(cfg: ExperimentConfig) -> None:

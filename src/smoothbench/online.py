@@ -48,12 +48,6 @@ def _check_formula_args(smoothness_H, f_max, n, lbar) -> None:
         raise ValueError("lbar must be nonnegative")
 
 
-def linear_smoothness(loss: LossSpec, x_dual_bound: float) -> float:
-    """Smoothness of w -> phi(<w, x>, y) w.r.t. the primal norm, given a
-    bound on ||x|| in the dual norm: H_phi * bound^2."""
-    return loss.smoothness_H * x_dual_bound**2
-
-
 @dataclass(frozen=True)
 class InstanceStream:
     """Per-round instance supplier.
@@ -182,29 +176,11 @@ class BatchRun:
 
     Leading axes index the runs (shape B, usually (R,)): averages[r] is
     run r's averaged iterate, losses[r, i] the loss it paid in round i
-    (None when not recorded), and xs or basis_idx and ys are the design
-    and targets it played (the other design is None). run[r] is run r
-    alone, which average_regret accepts.
+    (None when not recorded).
     """
 
     averages: np.ndarray
     losses: np.ndarray | None
-    xs: np.ndarray | None
-    basis_idx: np.ndarray | None
-    ys: np.ndarray
-    setup: MirrorSetup
-    loss: LossSpec
-
-    def __getitem__(self, index) -> "BatchRun":
-        """The runs at `index` of the leading axes, as views."""
-
-        def pick(a):
-            return None if a is None else a[index]
-
-        return BatchRun(
-            pick(self.averages), pick(self.losses), pick(self.xs),
-            pick(self.basis_idx), pick(self.ys), self.setup, self.loss,
-        )
 
 
 def run_mirror_descent_batch(
@@ -224,18 +200,17 @@ def run_mirror_descent_batch(
     a basis design, basis_idx of shape B + (n,): round i of run r plays the
     standard basis vector e_{basis_idx[r, i]}. ys may instead be a label
     rule ys(pred) -> labels, called once per round on the predictions
-    <w_i, x_i> (an adaptive adversary); B and n then come from the design,
-    and the run's ys are the labels it gave. eta is a scalar or has shape
-    B. The runs start at w_start, which broadcasts to B + (d,), or at the
-    geometry's default start. Everything is validated here, once; the
-    rounds are a few vector operations for all runs. Each run's losses,
-    and for d >= 2 its averaged iterate, are bit-identical to
-    run_mirror_descent on that run's stream. The average is a running sum
-    over the rounds divided by n, which is how numpy's mean over an (n, d)
-    array sums when d >= 2; at d = 1 numpy sums pairwise, so the two
-    averages may differ in the last bits. record_losses=False skips the
-    round losses (losses is then None) for callers that read only the
-    averages: an (R, n) array each.
+    <w_i, x_i> (an adaptive adversary); B and n then come from the design.
+    eta is a scalar or has shape B. The runs start at w_start, which
+    broadcasts to B + (d,), or at the geometry's default start. Everything
+    is validated here, once; the rounds are a few vector operations for all
+    runs. Each run's losses, and for d >= 2 its averaged iterate, are
+    bit-identical to run_mirror_descent on that run's stream. The average
+    is a running sum over the rounds divided by n, which is how numpy's
+    mean over an (n, d) array sums when d >= 2; at d = 1 numpy sums
+    pairwise, so the two averages may differ in the last bits.
+    record_losses=False skips the round losses (losses is then None) for
+    callers that read only the averages: an (R, n) array each.
     """
     if (xs is None) == (basis_idx is None):
         raise ValueError("exactly one of xs / basis_idx must be given")
@@ -288,13 +263,12 @@ def run_mirror_descent_batch(
         if i + 1 < n:
             w = step(w, loss.derivative(pred, y)[..., None] * x, eta_col)
             total += w
-    return BatchRun(total / n, losses, xs, basis_idx, ys, setup, loss)
+    return BatchRun(total / n, losses)
 
 
-def average_regret(trace, w_star: np.ndarray) -> float:
+def average_regret(trace: OnlineTrace, w_star: np.ndarray) -> float:
     """Player's average loss minus the fixed comparator's on the same
-    instances; may be negative. `trace` is an OnlineTrace or one run of a
-    BatchRun."""
+    instances; may be negative."""
     w_star = np.asarray(w_star, dtype=float)
     try:
         check_feasible(trace.setup, w_star)
@@ -303,11 +277,9 @@ def average_regret(trace, w_star: np.ndarray) -> float:
     return float(np.mean(trace.losses)) - hindsight_average_loss(trace, w_star)
 
 
-def hindsight_average_loss(trace, w: np.ndarray) -> float:
-    """Average loss of a fixed vector on the realized instance sequence
-    (a basis design predicts w[basis_idx], as Dataset.predictions does)."""
-    w = np.asarray(w, dtype=float)
-    preds = trace.xs @ w if trace.xs is not None else w[trace.basis_idx]
+def hindsight_average_loss(trace: OnlineTrace, w: np.ndarray) -> float:
+    """Average loss of a fixed vector on the realized instance sequence."""
+    preds = trace.xs @ np.asarray(w, dtype=float)
     return float(np.mean(trace.loss.value(preds, trace.ys)))
 
 

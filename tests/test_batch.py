@@ -73,8 +73,7 @@ def reference_solve(setup, loss, data, lam, tol, max_iters):
 
     w = default_start(setup)
     obj = objective(w)
-    objectives, certificates = [obj], [None]
-    step, termination, iterations = 1.0, TERM_MAX_ITERS, 0
+    cert, step, termination, iterations = math.inf, 1.0, TERM_MAX_ITERS, 0
     for iterations in range(1, max_iters + 1):
         g = gradient(w)
         stalled = False
@@ -94,13 +93,11 @@ def reference_solve(setup, loss, data, lam, tol, max_iters):
         v = gradient(w_new) - g - (regularizer_grad(setup, w_new) - regularizer_grad(setup, w)) / step
         cert = dual_norm(setup, v) ** 2 / (2.0 * lam)
         w, obj = w_new, obj_new
-        objectives.append(obj)
-        certificates.append(cert)
         if cert <= tol:
             termination = TERM_TOLERANCE
             break
         step *= 2.0
-    return w, objectives, certificates, iterations, termination
+    return w, obj, cert, iterations, termination
 
 
 def _lean_solve_cases():
@@ -120,20 +117,20 @@ def _lean_solve_cases():
 
 class TestLeanSolve:
     """solve_regularized_erm checks feasibility once per iteration and at
-    exit; its iterates, histories and ending match the fully checked loop
-    bit for bit."""
+    exit; its iterate, objective, certificate and ending match the fully
+    checked loop bit for bit."""
 
     @pytest.mark.parametrize("max_iters", [3, 100_000])
     @pytest.mark.parametrize("case", list(_lean_solve_cases()), ids=lambda c: c[0])
     def test_matches_checked_reference(self, case, max_iters):
         _, setup, data, lam, tol = case
         report = solve_regularized_erm(setup, SQ, data, lam, tol=tol, max_iters=max_iters)
-        w, objectives, certificates, iterations, termination = reference_solve(
+        w, objective, certificate, iterations, termination = reference_solve(
             setup, SQ, data, lam, tol, max_iters
         )
         assert np.array_equal(report.w, w)
-        assert report.objectives == objectives
-        assert report.certificates == certificates
+        assert report.objective == objective
+        assert report.certificate == certificate
         assert report.iterations == iterations
         assert report.termination == termination
         expected = TERM_MAX_ITERS if max_iters == 3 else TERM_TOLERANCE
@@ -270,6 +267,24 @@ class TestDataset:
         assert new.ys[1] == 5.0 and new.basis_idx[1] == 2
         assert data.ys[1] == 2.0  # original untouched
 
+    @pytest.mark.parametrize("x", [
+        [0.5, 0.5, 0.0], [1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [1.0, 1.0, 0.0],
+        [[0.0, 1.0, 0.0]], 1.0,
+    ])
+    def test_replace_instance_on_a_basis_design_takes_a_basis_vector(self, x):
+        data = Dataset(ys=np.array([1.0, 2.0]), basis_idx=np.array([0, 1]), dim=3)
+        with pytest.raises(ValueError, match="x must"):
+            data.replace_instance(1, np.array(x), 5.0)
+
+    @pytest.mark.parametrize("x", [5.0, [1.0, 2.0], [[1.0, 2.0, 3.0]]])
+    def test_replace_instance_on_a_dense_design_takes_a_row(self, x):
+        data = Dataset(ys=np.array([1.0, 2.0]), xs=np.eye(2, 3))
+        with pytest.raises(ValueError, match="x must have shape"):
+            data.replace_instance(1, np.array(x), 5.0)
+        new = data.replace_instance(1, np.array([1.0, 2.0, 3.0]), 5.0)
+        assert np.array_equal(new.xs[1], [1.0, 2.0, 3.0]) and new.ys[1] == 5.0
+        assert np.array_equal(data.xs, np.eye(2, 3))  # original untouched
+
 
 class TestSolver:
     def test_single_sample_closed_form(self):
@@ -361,7 +376,13 @@ class TestSolver:
         xs = rng.standard_normal((30, 4)) / 2
         data = Dataset(ys=rng.uniform(-1, 1, 30), xs=xs)
         report = solve_regularized_erm(setup, SQ, data, 0.05, tol=1e-12)
-        objs = np.array(report.objectives)
+        # the solve is deterministic: a solve capped at k iterations stops at
+        # the full solve's iterate k (k = 0: the start)
+        objs = np.array([
+            solve_regularized_erm(setup, SQ, data, 0.05, tol=1e-12, max_iters=k).objective
+            for k in range(report.iterations + 1)
+        ])
+        assert objs[-1] == report.objective
         assert np.all(np.diff(objs) <= 1e-12 * (1 + np.abs(objs[:-1])))
         assert report.termination in (TERM_TOLERANCE, TERM_MAX_ITERS)
         assert is_feasible(setup, report.w)
@@ -397,12 +418,12 @@ class TestStabilityProbe:
         dist = hard_gaussian(16, 0.1, seed=1)
         setup = euclidean_setup(dist.dim, 1 / math.sqrt(2))
         with pytest.raises(ValueError):
-            stability_probe(setup, dist.loss, dist, 1.0, 16, replicates=10, seed=2)
+            stability_probe(setup, dist, 1.0, 16, replicates=10, seed=2)
 
     def test_huge_lambda_makes_lhs_tiny(self):
         dist = hard_gaussian(16, 0.1, seed=3)
         setup = euclidean_setup(dist.dim, 1 / math.sqrt(2))
-        report = stability_probe(setup, dist.loss, dist, 1e6, 16, replicates=30, seed=4)
+        report = stability_probe(setup, dist, 1e6, 16, replicates=30, seed=4)
         assert abs(report.lhs_mean) <= 1e-6
         assert report.lhs_mean <= report.rhs_mean
         assert report.replicates == 30
@@ -410,7 +431,7 @@ class TestStabilityProbe:
     def test_degenerate_n_equals_one(self):
         dist = hard_gaussian(4, 0.1, seed=5, dim=4)
         setup = euclidean_setup(4, 1 / math.sqrt(2))
-        report = stability_probe(setup, dist.loss, dist, 5.0, 1, replicates=30, seed=6)
+        report = stability_probe(setup, dist, 5.0, 1, replicates=30, seed=6)
         assert math.isfinite(report.lhs_mean)
         assert report.rhs_mean > 0
         assert report.combined_stderr >= report.rhs_stderr

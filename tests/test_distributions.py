@@ -307,6 +307,13 @@ class TestSparseGenerator:
         assert float(np.max(np.abs(data.ys))) <= 1.0
         assert float(np.max(np.abs(data.xs))) == 1.0
 
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    def test_w0_l1_norm_is_one_minus_noise(self, noise):
+        # so ||w0||_1 <= 1 <= 2 sqrt(k), the l1 budget's default, for every k
+        for k in (1, 4, 16):
+            gen = sparse_generator(64, k, seed=47, noise=noise)
+            assert float(np.sum(np.abs(gen.w0))) == pytest.approx(1.0 - noise, rel=1e-12)
+
     def test_doubled_features_negate(self):
         gen = sparse_generator(16, 2, seed=43)
         data = gen.sample_doubled(50, seed=44)

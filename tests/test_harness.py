@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,13 @@ BAD_CONFIGS = [
     ({"experiment": "margin", "budget": 0.5}, "excludes unit-norm"),
     ({"experiment": "margin", "n_grid": [256, 512]}, "n_grid must have one entry"),
     ({"experiment": "margin", "replicates": 5}, "replicates must be 1"),
+    ({"experiment": "margin", "label_noise": -0.1}, r"label_noise must lie in \[0, 1\]"),
+    ({"experiment": "margin", "label_noise": 1.5}, r"label_noise must lie in \[0, 1\]"),
+    ({"experiment": "margin", "label_noise": math.nan}, r"label_noise must lie in \[0, 1\]"),
+    ({"experiment": "margin", "bound_k": 0}, "bound_k must be positive and finite"),
+    ({"experiment": "margin", "bound_k": -1e5}, "bound_k must be positive and finite"),
+    ({"experiment": "margin", "bound_k": math.nan}, "bound_k must be positive and finite"),
+    ({"experiment": "margin", "bound_k": math.inf}, "bound_k must be positive and finite"),
     ({"experiment": "rate", "distribution": "separable", "learner": "erm"}, "no exact ERM"),
     # an explicit zero or empty value is the config's, not a request for the default
     ({"experiment": "regret", "replicates": 0}, "replicates must be >= 1"),
@@ -332,7 +340,7 @@ class TestRegretExperiment:
 
         def counted(*args, **kwargs):
             run = run_mirror_descent_batch(*args, **kwargs)
-            calls.append(run.ys.shape)  # one run of n rounds: shape (n,)
+            calls.append(run.losses.shape)  # one run of n rounds: shape (n,)
             return run
 
         monkeypatch.setattr(experiments, "run_mirror_descent_batch", counted)
@@ -1054,6 +1062,19 @@ class TestExperimentTable:
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
         declared = set().union(*(spec.defaults for spec in EXPERIMENTS.values()))
         assert fields - {"experiment", "seed", "out"} == declared
+
+    def test_readme_config_table_lists_each_records_keys(self):
+        # each experiment's row of the README's config table names, in
+        # backticks, exactly the config fields its record declares
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        rows = {}
+        for line in readme.read_text(encoding="utf-8").splitlines():
+            cells = [cell.strip() for cell in line.split("|")]
+            if len(cells) == 4 and cells[1].strip("`") in EXPERIMENTS:
+                assert cells[1].strip("`") not in rows, f"two rows for {cells[1]}"
+                rows[cells[1].strip("`")] = set(re.findall(r"`([^`]+)`", cells[2])) & fields
+        assert rows == {name: set(spec.defaults) for name, spec in EXPERIMENTS.items()}
 
     def test_each_record_declares_exactly_the_keys_its_hooks_read(self, monkeypatch):
         """The golden configs, run through prepare, premises, run and check
