@@ -415,22 +415,28 @@ def stability_probe(
     Each replicate draws a sample, solves, redraws one instance (fresh index
     per replicate), resolves, and scores the original instance under both
     minimizers. The rhs uses the distribution's exact risk and the H of
-    dist.loss, which is the smoothness in w for unit-norm instances (basis
+    dist.loss, which is the smoothness in w only for ||x||_2 <= 1 (basis
     vectors, or the scalar {0, 1}: every family the harness probes).
     """
     if replicates < STABILITY_MIN_REPLICATES:
         raise ValueError(f"stability probe needs at least {STABILITY_MIN_REPLICATES} replicates")
     loss = dist.loss
+
+    def unit_norm(sample: Dataset) -> Dataset:
+        if sample.xs is not None and np.max(np.sum(sample.xs**2, axis=1)) > 1.0 + 1e-12:
+            raise ValueError("stability_probe takes H from the loss, so it needs ||x||_2 <= 1")
+        return sample
+
     factor = 32.0 * loss.smoothness_H / (lam * n)
     rng = np.random.default_rng(seed)
     lhs = np.empty(replicates)
     rhs = np.empty(replicates)
     hits = 0
     for j in range(replicates):
-        data = dist.sample(n, int(rng.integers(2**63)))
+        data = unit_norm(dist.sample(n, int(rng.integers(2**63))))
         report = solve_regularized_erm(setup, loss, data, lam, tol=tol)
         i = int(rng.integers(n))
-        fresh = dist.sample(1, int(rng.integers(2**63)))
+        fresh = unit_norm(dist.sample(1, int(rng.integers(2**63))))
         perturbed = data.replace_instance(i, fresh.row(0), float(fresh.ys[0]))
         report_i = solve_regularized_erm(setup, loss, perturbed, lam, tol=tol)
         hits += sum(r.termination == TERM_MAX_ITERS for r in (report, report_i))

@@ -378,19 +378,14 @@ class SparseGenerator:
         copy's bit for bit)."""
         return Dataset(ys=doubled.ys, xs=doubled.xs[:, : self.dim0])
 
-    def fold(self, w_doubled: np.ndarray) -> np.ndarray:
-        """Collapse a doubled-feature weight vector back to signed space."""
-        return np.asarray(w_doubled)[: self.dim0] - np.asarray(w_doubled)[self.dim0 :]
-
-    def true_risk_signed(self, w: np.ndarray) -> float:
-        diff = np.asarray(w, dtype=float) - self.w0
-        return 0.5 * (float(diff @ diff) + self.noise**2 / 3.0)
-
     def true_risk(self, w: np.ndarray) -> float:
+        """The risk of a signed weight vector, or of a doubled-feature one
+        folded back to signed space."""
         w = np.asarray(w, dtype=float)
         if w.shape[0] == 2 * self.dim0:
-            return self.true_risk_signed(self.fold(w))
-        return self.true_risk_signed(w)
+            w = w[: self.dim0] - w[self.dim0 :]
+        diff = w - self.w0
+        return 0.5 * (float(diff @ diff) + self.noise**2 / 3.0)
 
 
 def sparse_generator(dim0: int, k: int, seed: int, noise: float = 0.0) -> SparseGenerator:

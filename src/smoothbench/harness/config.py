@@ -48,21 +48,19 @@ class ExperimentConfig:
     methods: tuple | None = None
     gamma_grid: tuple | None = None
     label_noise: float | None = None
-    check_floor_factor: float | None = None
-    check_slope_min: float | None = None
-    check_slope_max: float | None = None
 
 
 @dataclass(frozen=True)
 class Family:
     """A distribution family: its constructor, the default of its ":<arg>"
     suffix (None: takes no suffix), the euclidean budget whose ball holds
-    its reference predictor, and the rate experiment's defaults."""
+    its reference predictor, and the rate experiment's defaults and checks."""
 
     build: Callable  # (n, arg, dim, seed) -> distribution
     arg: float | None
     budget: float
-    rate: dict  # learner, n_grid and the check_* thresholds
+    rate: dict  # learner and n_grid
+    rate_check: tuple  # --check's floor factor, least and greatest slope; nan: off
 
 
 # the lambdas look the constructors up when called, so wrappers installed on
@@ -70,20 +68,17 @@ class Family:
 FAMILIES = {
     "separable": Family(
         lambda n, arg, dim, seed: separable_synthetic(dim, seed), None, 1.0,
-        {"learner": "mirror_descent", "n_grid": tuple(2**k for k in range(5, 13)),
-         "check_floor_factor": math.nan, "check_slope_min": math.nan, "check_slope_max": -0.85}),
+        {"learner": "mirror_descent", "n_grid": tuple(2**k for k in range(5, 13))},
+        (math.nan, math.nan, -0.85)),
     "hardA": Family(
         lambda n, arg, dim, seed: hard_absolute(n, seed), None, 1.0 / math.sqrt(2.0),
-        {"learner": "erm", "n_grid": tuple(2**k for k in range(4, 11)),
-         "check_floor_factor": 1.0, "check_slope_min": -0.65, "check_slope_max": -0.35}),
+        {"learner": "erm", "n_grid": tuple(2**k for k in range(4, 11))}, (1.0, -0.65, -0.35)),
     "hardB": Family(
         lambda n, arg, dim, seed: hard_gaussian(n, arg, seed), 0.1, 1.0 / math.sqrt(2.0),
-        {"learner": "erm", "n_grid": tuple(2**k for k in range(6, 14)),
-         "check_floor_factor": 0.5, "check_slope_min": -0.65, "check_slope_max": -0.35}),
+        {"learner": "erm", "n_grid": tuple(2**k for k in range(6, 14))}, (0.5, -0.65, -0.35)),
     "hardC": Family(
         lambda n, arg, dim, seed: hard_quadlin(n, arg), 0.5, 1.0 / math.sqrt(2.0),
-        {"learner": "erm", "n_grid": tuple(2**k for k in range(6, 14)),
-         "check_floor_factor": math.nan, "check_slope_min": math.nan, "check_slope_max": math.nan}),
+        {"learner": "erm", "n_grid": tuple(2**k for k in range(6, 14))}, (math.nan,) * 3),
 }
 
 
@@ -212,14 +207,19 @@ def with_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"{name} does not read {key!r}; only {readers} it")
     fill_unset(cfg, spec.defaults)
     spec.prepare(cfg)
-    if spec.methods:
+    if "methods" in spec.defaults:
         choices = spec.defaults["methods"]
         bad = set(cfg.methods) - set(choices)
         if bad:
-            raise ConfigError(f"unknown {name} {spec.methods}: {sorted(bad)}; expected {choices}")
+            raise ConfigError(f"unknown {name} methods: {sorted(bad)}; expected {choices}")
     gammas = cfg.gamma_grid or ()
     if not all(isinstance(v, (int, float)) for v in cfg.n_grid + gammas):
         raise ConfigError(f"grid entries must be numbers, got {cfg.n_grid} and {gammas}")
+    for key, value in vars(cfg).items():
+        entries = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
+            what = f"{key} entries" if isinstance(value, tuple) else key
+            raise ConfigError(f"{what} must be finite, got {value}")
     if not cfg.n_grid or any(
         b <= a for a, b in zip(cfg.n_grid, cfg.n_grid[1:])
     ):
@@ -232,9 +232,8 @@ def with_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"{empty[0]} must not be empty")
     if cfg.replicates < 1:
         raise ConfigError(f"replicates must be >= 1, got {cfg.replicates}")
-    # `not x > 0` also rejects nan
     for key in ("tol", "eta_scale"):
-        if key in spec.defaults and not getattr(cfg, key) > 0:
+        if key in spec.defaults and getattr(cfg, key) <= 0:
             raise ConfigError(f"{key} must be positive, got {getattr(cfg, key)}")
     out_dir = os.path.dirname(cfg.out)
     if out_dir and not os.path.isdir(out_dir):

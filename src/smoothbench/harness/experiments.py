@@ -70,6 +70,7 @@ from .config import (
 
 REGRET_SLACK = 1e-9
 REGIME_ENVELOPE_FACTOR = 8.0
+SPARSE_SLOPE_MAX = -0.85  # sparse --check: entropy_md's greatest slope without noise
 _HOLDOUT_BLOCK = 1024  # margin's holdout rows drawn at a time
 _SLOPE_MIN_ROWS = 3  # fit_slope's least number of usable rows
 
@@ -202,8 +203,8 @@ def _family_premises(cfg: ExperimentConfig, exact_erm: bool) -> None:
 
 def _check_rate(cfg: ExperimentConfig, rows) -> list:
     # a nan threshold or bound compares false: that check is off
+    factor, slope_min, slope_max = parse_distribution(cfg.distribution)[0].rate_check
     failures = _max_iters_failures(rows)
-    factor = cfg.check_floor_factor
     failures += [
         f"n={r.n}: mean {r.mean:.6g} < {factor} * lower bound {r.lower_bound:.6g}"
         for r in rows if r.floor_applies and r.mean < factor * r.lower_bound
@@ -213,10 +214,10 @@ def _check_rate(cfg: ExperimentConfig, rows) -> list:
         for r in rows if r.mean > r.bound + REGRET_SLACK
     ]
     slope = rate_slope(rows)
-    if slope > cfg.check_slope_max:
-        failures.append(f"slope {slope:.3f} > {cfg.check_slope_max}")
-    if slope < cfg.check_slope_min:
-        failures.append(f"slope {slope:.3f} < {cfg.check_slope_min}")
+    if slope > slope_max:
+        failures.append(f"slope {slope:.3f} > {slope_max}")
+    if slope < slope_min:
+        failures.append(f"slope {slope:.3f} < {slope_min}")
     return failures
 
 
@@ -549,8 +550,8 @@ def _sparse_premises(cfg: ExperimentConfig) -> None:
 def _check_sparse(cfg: ExperimentConfig, rows) -> list:
     failures = _max_iters_failures(rows, lambda r: f"{r.method} n={r.n}")
     slope = sparse_slopes(rows).get("entropy_md", math.nan)
-    if cfg.noise == 0 and slope > cfg.check_slope_max:
-        failures.append(f"entropy_md slope {slope:.3f} > {cfg.check_slope_max}")
+    if cfg.noise == 0 and slope > SPARSE_SLOPE_MAX:
+        failures.append(f"entropy_md slope {slope:.3f} > {SPARSE_SLOPE_MAX}")
     return failures
 
 
@@ -752,7 +753,6 @@ class Experiment:
     # cfg -> None: fills the defaults that depend on other fields and
     # enforces the experiment's own config rules (ConfigError)
     prepare: Callable = lambda cfg: None
-    methods: str = ""  # what the `methods` key names, if read; its choices are its default
     fits_slope: bool = False  # whether `check` fits a log-log slope over n_grid
 
 
@@ -763,11 +763,10 @@ EXPERIMENTS = {
     "rate": Experiment(
         run_rate_experiment, RateRow,
         lambda cfg: _family_premises(cfg, exact_erm=cfg.learner == "erm"),
-        # the family gives learner, n_grid, budget and check_*; dim is read
-        # by separable only
+        # the family gives learner, n_grid and budget; dim is read by
+        # separable only
         {"distribution": "separable", "learner": None, "n_grid": None,
-         "replicates": 50, "dim": 16, "budget": None, "tol": 1e-10,
-         "check_floor_factor": None, "check_slope_min": None, "check_slope_max": None},
+         "replicates": 50, "dim": 16, "budget": None, "tol": 1e-10},
         check=_check_rate, prepare=_rate_defaults, fits_slope=True),
     "regret": Experiment(
         run_regret_experiment, RegretRow, _regret_premises,
@@ -778,8 +777,7 @@ EXPERIMENTS = {
             f"bound {r.bound:.6g}"
             for r in rows if r.measured > r.bound + REGRET_SLACK
         ],
-        prepare=lambda cfg: require_choice("lbar_mode", cfg.lbar_mode, ("exact", "auto")),
-        methods="stream kinds"),
+        prepare=lambda cfg: require_choice("lbar_mode", cfg.lbar_mode, ("exact", "auto"))),
     "stability": Experiment(
         run_stability_experiment, StabilityRow,
         lambda cfg: _family_premises(cfg, exact_erm=False),
@@ -794,10 +792,10 @@ EXPERIMENTS = {
         run_sparse_experiment, SparseRow, _sparse_premises,
         {"dim": 256, "sparsity_k": 4, "noise": 0.0, "n_grid": tuple(2**k for k in range(7, 13)),
          "replicates": 20, "budget": None, "methods": ("entropy_md", "entropy_regerm", "l1_erm"),
-         "tol": 1e-8, "eta_scale": 8.0, "check_slope_max": -0.85},
+         "tol": 1e-8, "eta_scale": 8.0},
         check=_check_sparse,
         prepare=lambda cfg: fill_unset(cfg, {"budget": 2.0 * math.sqrt(cfg.sparsity_k)}),
-        methods="methods", fits_slope=True),
+        fits_slope=True),
     "regime": Experiment(
         run_regime_experiment, RegimeRow, _regime_premises,
         {"dim": 50, "x_scale": 5.0, "sigma": 0.5, "n_grid": tuple(2**k for k in range(3, 13)),
@@ -851,14 +849,6 @@ def write_csv(path: str, experiment: str, result) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _json_value(value):
-    """A config value as strict JSON holds it: a non-finite float (a
-    disabled threshold) as None, a tuple as a list."""
-    if isinstance(value, tuple):
-        return [_json_value(v) for v in value]
-    return None if isinstance(value, float) and not math.isfinite(value) else value
-
-
 def _peak_rss_mb() -> float:
     """The process's peak resident set size so far, in MiB (ru_maxrss counts
     KiB on Linux and bytes on macOS)."""
@@ -870,7 +860,7 @@ def write_meta(path: str, cfg: ExperimentConfig, wall_time: float) -> None:
     # read here, not at import, so the build query stays out of start-up time
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     meta = {
-        "config": {k: _json_value(v) for k, v in dataclasses.asdict(cfg).items()},
+        "config": dataclasses.asdict(cfg),
         "versions": {
             "smoothbench": _pkg_version,
             "numpy": np.__version__,

@@ -16,6 +16,7 @@ from smoothbench import (
     excess_risk,
     hard_absolute,
     hard_gaussian,
+    hard_quadlin,
     is_feasible,
     lambda_for,
     make_absolute,
@@ -23,6 +24,7 @@ from smoothbench import (
     make_squared,
     mirror_step,
     regularizer_grad,
+    regime_generator,
     regularizer_value,
     solve_regularized_erm,
     stability_probe,
@@ -435,6 +437,19 @@ class TestStabilityProbe:
         assert math.isfinite(report.lhs_mean)
         assert report.rhs_mean > 0
         assert report.combined_stderr >= report.rhs_stderr
+
+    def test_rejects_instances_outside_the_unit_ball(self):
+        # H is the loss's, the smoothness in w only for ||x||_2 <= 1; this
+        # gaussian design has E||x||^2 = 25
+        setup, dist = euclidean_setup(8, 1.0), regime_generator(8, 5.0, 0.5, seed=1)
+        with pytest.raises(ValueError, match=r"needs \|\|x\|\|_2 <= 1"):
+            stability_probe(setup, dist, 1.0, 16, replicates=30, seed=2)
+
+    def test_accepts_dense_unit_norm_instances(self):
+        dist = hard_quadlin(64, 0.5)  # dense scalar instances in {0, 1}
+        report = stability_probe(euclidean_setup(1, 1 / math.sqrt(2)), dist, 1.0, 64,
+                                 replicates=30, seed=3)
+        assert math.isfinite(report.lhs_mean) and report.rhs_mean > 0
 
 
 class TestExcessRisk:

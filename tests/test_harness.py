@@ -31,7 +31,7 @@ from smoothbench.harness import (
     with_defaults,
 )
 from smoothbench import Dataset, RegimeGenerator, SparseGenerator
-from smoothbench.harness import experiments
+from smoothbench.harness import config, experiments
 from smoothbench.harness.cli import build_parser, main as cli_main
 from smoothbench.batch import (
     TERM_MAX_ITERS,
@@ -99,6 +99,21 @@ BAD_CONFIGS = [
     ({"experiment": "margin", "replicates": 0}, "replicates must be 1"),
     ({"experiment": "sparse", "methods": []}, "methods must not be empty"),
     ({"experiment": "margin", "gamma_grid": []}, "gamma_grid must not be empty"),
+    # a non-finite number is an error wherever it sits, not a row of nan or a traceback
+    ({"experiment": "regime", "budget": math.nan}, "budget must be finite, got nan"),
+    ({"experiment": "regime", "sigma": math.nan}, "sigma must be finite, got nan"),
+    ({"experiment": "regime", "x_scale": math.nan}, "x_scale must be finite, got nan"),
+    ({"experiment": "regime", "x_scale": math.inf}, "x_scale must be finite, got inf"),
+    ({"experiment": "rate", "n_grid": [16, 32, math.nan]},
+     r"n_grid entries must be finite, got \(16, 32, nan\)"),
+    ({"experiment": "margin", "gamma_grid": [0.1, math.nan]},
+     r"gamma_grid entries must be finite, got \(0.1, nan\)"),
+    ({"experiment": "sparse", "eta_scale": math.inf}, "eta_scale must be finite, got inf"),
+    ({"experiment": "stability", "tol": math.inf}, "tol must be finite, got inf"),
+    ({"experiment": "margin", "budget": math.inf}, "budget must be finite, got inf"),
+    # the --check thresholds live in the code, not in the config
+    ({"experiment": "rate", "check_slope_max": 100}, "unknown config key: 'check_slope_max'"),
+    ({"experiment": "sparse", "check_slope_max": 100}, "unknown config key: 'check_slope_max'"),
 ]
 
 
@@ -197,8 +212,11 @@ class TestCheckMessages:
     def test_rate(self, monkeypatch):
         # every replicate's excess is doctored; the bounds are the runner's
         monkeypatch.setattr(experiments, "excess_risk", lambda dist, w: 1.0)
+        separable = config.FAMILIES["separable"]
+        monkeypatch.setitem(config.FAMILIES, "separable", dataclasses.replace(
+            separable, rate_check=(math.nan, 1.0, separable.rate_check[2])))
         cfg = make_cfg(experiment="rate", distribution="separable", n_grid=[32, 64, 128],
-                       replicates=2, check_slope_min=1.0)
+                       replicates=2)
         assert check_result(cfg, run_rate_experiment(cfg)) == (False, [
             "n=32: mean 1 above bound 0.125",
             "n=64: mean 1 above bound 0.0625",
@@ -374,7 +392,7 @@ class TestRegretExperiment:
         )
         rows = run_regret_experiment(cfg)
         assert {r.stream for r in rows} == {"adaptive"}
-        with pytest.raises(ConfigError, match="stream kinds"):
+        with pytest.raises(ConfigError, match="unknown regret methods"):
             make_cfg(experiment="regret", methods=["bandit"])
 
 
@@ -445,7 +463,7 @@ class TestRateExperiment:
             n_grid=[64, 128, 256, 512], replicates=3,
         )
         rows = run_rate_experiment(cfg)
-        assert cfg.check_floor_factor == 0.5
+        assert config.FAMILIES["hardB"].rate_check[0] == 0.5
         assert all(r.mean < 0.5 * r.lower_bound for r in rows)
         ok, failures = check_result(cfg, rows)
         assert ok, failures
@@ -919,7 +937,8 @@ class TestEmission:
         assert all(k.endswith("_NUM_THREADS") for k in versions["num_threads"])
 
     def test_meta_json_is_strict_json(self, tmp_path):
-        # separable's floor and slope-min thresholds are disabled (nan)
+        # separable's floor and slope-min thresholds are disabled (nan), and
+        # they are the family's, not the config's
         cfg = make_cfg(
             experiment="rate", distribution="separable", n_grid=[16, 32],
             replicates=2, out=str(tmp_path / "r"),
@@ -931,9 +950,7 @@ class TestEmission:
 
         text = (tmp_path / "r.meta.json").read_text()
         meta = json.loads(text, parse_constant=reject)
-        assert meta["config"]["check_floor_factor"] is None
-        assert meta["config"]["check_slope_min"] is None
-        assert meta["config"]["check_slope_max"] == -0.85
+        assert not [key for key in meta["config"] if key.startswith("check_")]
         assert meta["config"]["n_grid"] == [16, 32]
 
     def test_meta_echoes_null_for_the_keys_the_experiment_does_not_read(self, tmp_path):
@@ -1004,15 +1021,16 @@ class TestCli:
         assert err.startswith("config error: ") and err.count("\n") == 1, err
         assert "at least 3 grid points, got 2" in err
 
-    def test_check_failure_exit_three(self, tmp_path, capsys):
+    def test_check_failure_exit_three(self, tmp_path, capsys, monkeypatch):
         # an impossible slope threshold forces the rate check to fail
+        separable = config.FAMILIES["separable"]
+        monkeypatch.setitem(config.FAMILIES, "separable", dataclasses.replace(
+            separable, rate_check=separable.rate_check[:2] + (-10.0,)))
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text(
-            "distribution = separable\nn_grid = 32, 64, 128\n"
-            "replicates = 2\ncheck_slope_max = -10\n"
-        )
+        cfg.write_text("distribution = separable\nn_grid = 32, 64, 128\nreplicates = 2\n")
         assert cli_main(["rate", "--config", str(cfg), "--check"]) == 3
-        assert "check failed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "check failed" in err and "> -10.0" in err
 
     def test_check_pass_exit_zero(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
@@ -1062,6 +1080,20 @@ class TestExperimentTable:
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
         declared = set().union(*(spec.defaults for spec in EXPERIMENTS.values()))
         assert fields - {"experiment", "seed", "out"} == declared
+
+    def test_every_config_field_set_where_it_is_not_read_is_a_config_error(self):
+        # with_defaults names the experiments that read a set key; a field
+        # that no record declares would fail there with a traceback instead
+        for f in dataclasses.fields(ExperimentConfig):
+            if f.name in ("experiment", "seed", "out"):
+                continue
+            for name, spec in EXPERIMENTS.items():
+                if f.name in spec.defaults:
+                    continue
+                cfg = ExperimentConfig(experiment=name)
+                setattr(cfg, f.name, 1)
+                with pytest.raises(ConfigError, match=f"{name} does not read '{f.name}'"):
+                    with_defaults(cfg)
 
     def test_readme_config_table_lists_each_records_keys(self):
         # each experiment's row of the README's config table names, in
