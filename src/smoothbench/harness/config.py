@@ -58,6 +58,7 @@ class Family:
 
     build: Callable  # (n, arg, dim, seed) -> distribution
     arg: float | None
+    dim: int | None  # the default dim; None: the family fixes its own, reads none
     budget: float
     rate: dict  # learner and n_grid
     rate_check: tuple  # --check's floor factor, least and greatest slope; nan: off
@@ -67,17 +68,17 @@ class Family:
 # this module's names (profilers, tracers) see each construction
 FAMILIES = {
     "separable": Family(
-        lambda n, arg, dim, seed: separable_synthetic(dim, seed), None, 1.0,
+        lambda n, arg, dim, seed: separable_synthetic(dim, seed), None, 16, 1.0,
         {"learner": "mirror_descent", "n_grid": tuple(2**k for k in range(5, 13))},
         (math.nan, math.nan, -0.85)),
     "hardA": Family(
-        lambda n, arg, dim, seed: hard_absolute(n, seed), None, 1.0 / math.sqrt(2.0),
+        lambda n, arg, dim, seed: hard_absolute(n, seed), None, None, 1.0 / math.sqrt(2.0),
         {"learner": "erm", "n_grid": tuple(2**k for k in range(4, 11))}, (1.0, -0.65, -0.35)),
     "hardB": Family(
-        lambda n, arg, dim, seed: hard_gaussian(n, arg, seed), 0.1, 1.0 / math.sqrt(2.0),
+        lambda n, arg, dim, seed: hard_gaussian(n, arg, seed), 0.1, None, 1.0 / math.sqrt(2.0),
         {"learner": "erm", "n_grid": tuple(2**k for k in range(6, 14))}, (0.5, -0.65, -0.35)),
     "hardC": Family(
-        lambda n, arg, dim, seed: hard_quadlin(n, arg), 0.5, 1.0 / math.sqrt(2.0),
+        lambda n, arg, dim, seed: hard_quadlin(n, arg), 0.5, None, 1.0 / math.sqrt(2.0),
         {"learner": "erm", "n_grid": tuple(2**k for k in range(6, 14))}, (math.nan,) * 3),
 }
 
@@ -212,6 +213,8 @@ def with_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
         bad = set(cfg.methods) - set(choices)
         if bad:
             raise ConfigError(f"unknown {name} methods: {sorted(bad)}; expected {choices}")
+        if len(set(cfg.methods)) < len(cfg.methods):
+            raise ConfigError(f"{name} methods must not repeat, got {cfg.methods}")
     gammas = cfg.gamma_grid or ()
     if not all(isinstance(v, (int, float)) for v in cfg.n_grid + gammas):
         raise ConfigError(f"grid entries must be numbers, got {cfg.n_grid} and {gammas}")

@@ -184,9 +184,17 @@ def rate_slope(rows) -> float:
     return fit_slope([r.n for r in rows], [r.mean for r in rows])[0]
 
 
-def _rate_defaults(cfg: ExperimentConfig) -> None:
+def _family_defaults(cfg: ExperimentConfig):
+    """Fill in the configured family's budget and dim, and return it."""
     family, _ = parse_distribution(cfg.distribution)
-    fill_unset(cfg, {"budget": family.budget, **family.rate})
+    if family.dim is None and cfg.dim is not None:
+        raise ConfigError(f"distribution {cfg.distribution!r} does not read 'dim'")
+    fill_unset(cfg, {"budget": family.budget, "dim": family.dim})
+    return family
+
+
+def _rate_defaults(cfg: ExperimentConfig) -> None:
+    fill_unset(cfg, _family_defaults(cfg).rate)
     require_choice("learner", cfg.learner, ("erm", "regularized_erm", "mirror_descent"))
 
 
@@ -240,10 +248,10 @@ def _batched_mirror_descent(cfg, n, replicates) -> tuple[list, np.ndarray, float
     setup = euclidean_setup(dist.dim, cfg.budget)
     smoothness = dist.loss.smoothness_H  # unit-norm instances
     eta = stepsize_for(smoothness, setup.f_max, n, dist.l_star)
-    key = "xs" if data.basis_idx is None else "basis_idx"
-    run = run_mirror_descent_batch(
-        setup, dist.loss, ys, eta, **{key: design}, record_losses=False
-    )
+    if data.basis_idx is not None:  # one-hot rows; each Dataset checked its indices
+        basis, idx = np.eye(dist.dim), design
+        design = lambda i: basis[idx[:, i]]
+    run = run_mirror_descent_batch(setup, dist.loss, ys, eta, xs=design, record_losses=False)
     return dists, run.averages, regret_bound(smoothness, setup.f_max, n, dist.l_star)
 
 
@@ -331,7 +339,7 @@ def run_regret_experiment(cfg: ExperimentConfig) -> list:
             eta = stepsize_for(1.0, setup.f_max, n, 0.5)
             run = run_mirror_descent_batch(
                 setup, loss, lambda pred: np.where(pred >= 0, -1.0, 1.0), eta,
-                basis_idx=np.arange(n) % dim,
+                xs=np.eye(dim)[np.arange(n) % dim],
             )
             measured = [run.losses.mean() - 0.5] * reps
             by_kind.append(_regret_rows("adaptive", setup, n, measured, [0.5] * reps))
@@ -449,7 +457,7 @@ def run_stability_experiment(cfg: ExperimentConfig) -> list:
 
 
 def _stability_rules(cfg: ExperimentConfig) -> None:
-    fill_unset(cfg, {"budget": parse_distribution(cfg.distribution)[0].budget})
+    _family_defaults(cfg)
     if cfg.replicates < STABILITY_MIN_REPLICATES:
         raise ConfigError(f"stability needs replicates >= {STABILITY_MIN_REPLICATES}")
 
@@ -481,34 +489,33 @@ def run_sparse_experiment(cfg: ExperimentConfig) -> list:
     the hindsight-loss bound Lbar already is). eta_scale > 1 is a desk calibration, a
     heuristic outside the certified-regret regime; the theory-parameterized
     regret checks live in the regret experiment.
+
+    entropy_md plays an n's replicates as one batch, from an int8 stack of
+    their +-1 halves: one float design is alive at a time, never R.
     """
-    d0, k = cfg.dim, cfg.sparsity_k
+    d0, k, reps = cfg.dim, cfg.sparsity_k, cfg.replicates
     budget = cfg.budget
     bound_dim = 2 * d0
+    setup = entropy_setup(bound_dim, budget)
+    online = "entropy_md" in cfg.methods
     rows = []
     for i, n in enumerate(cfg.n_grid):
         per_method = {m: [] for m in cfg.methods}
         hits = dict.fromkeys(cfg.methods, 0)
-        l_w0 = math.nan
-        for j in range(cfg.replicates):
-            gen = sparse_generator(
-                d0, k, seed_for(cfg.seed, "sparse-gen", i, j), noise=cfg.noise
-            )
-            l_w0 = gen.l_star
+        gens = [sparse_generator(d0, k, seed_for(cfg.seed, "sparse-gen", i, j), noise=cfg.noise)
+                for j in range(reps)]
+        eta, ys = np.empty(reps), np.empty((reps, n))
+        signs = np.empty((reps, n, d0), np.int8) if online else None
+        for j, gen in enumerate(gens):
             data = gen.sample_doubled(n, seed_for(cfg.seed, "sparse-data", i, j))
-            setup = entropy_setup(bound_dim, budget)
             smoothness = gen.loss.smoothness_H  # ||x||_inf = 1
-            w0_doubled = np.concatenate(
-                [np.maximum(gen.w0, 0.0), np.maximum(-gen.w0, 0.0)]
-            )
-            for method in cfg.methods:
-                if method == "entropy_md":
-                    u1 = bregman_divergence(setup, w0_doubled, default_start(setup))
-                    eta = cfg.eta_scale * stepsize_for(smoothness, u1, n, gen.l_star)
-                    w = run_mirror_descent_batch(
-                        setup, gen.loss, data.ys, eta, xs=data.xs, record_losses=False
-                    ).averages
-                elif method == "entropy_regerm":
+            if online:
+                signs[j], ys[j] = gen.signed_part(data).xs, data.ys
+                w0_doubled = np.maximum(np.concatenate([gen.w0, -gen.w0]), 0.0)
+                u1 = bregman_divergence(setup, w0_doubled, default_start(setup))
+                eta[j] = cfg.eta_scale * stepsize_for(smoothness, u1, n, gen.l_star)
+            for method in (m for m in cfg.methods if m != "entropy_md"):  # played below
+                if method == "entropy_regerm":
                     lam = lambda_for(smoothness, setup.f_max, n, gen.l_star)
                     report = solve_regularized_erm(
                         setup, gen.loss, data, lam, tol=cfg.tol, max_iters=1000
@@ -519,8 +526,16 @@ def run_sparse_experiment(cfg: ExperimentConfig) -> list:
                     w = _l1_constrained_erm(gen.signed_part(data), gen.loss, budget).w
                 per_method[method].append(gen.true_risk(w) - gen.l_star)
             del data  # one replicate's dataset alive at a time
+        if online:  # round t's rows [s, -s], written into one (R, 2, dim) buffer
+            pair, flip = np.empty((reps, 2, d0)), np.array([[1.0], [-1.0]])
+            ws = run_mirror_descent_batch(
+                setup, gen.loss, ys, eta, record_losses=False,
+                xs=lambda t: np.multiply(signs[:, t, None], flip, out=pair).reshape(reps, -1),
+            ).averages
+            per_method["entropy_md"] = [g.true_risk(w) - g.l_star for g, w in zip(gens, ws)]
+        del signs  # before the next n's stack
         ref = k * math.log(bound_dim) / n
-        bound = ref + math.sqrt(k * l_w0 * math.log(bound_dim) / n)
+        bound = ref + math.sqrt(k * gen.l_star * math.log(bound_dim) / n)
         for method, ex in per_method.items():
             mean, stderr = mean_stderr(ex)
             rows.append(
@@ -763,10 +778,9 @@ EXPERIMENTS = {
     "rate": Experiment(
         run_rate_experiment, RateRow,
         lambda cfg: _family_premises(cfg, exact_erm=cfg.learner == "erm"),
-        # the family gives learner, n_grid and budget; dim is read by
-        # separable only
+        # the family gives learner, n_grid, budget and dim (separable only)
         {"distribution": "separable", "learner": None, "n_grid": None,
-         "replicates": 50, "dim": 16, "budget": None, "tol": 1e-10},
+         "replicates": 50, "dim": None, "budget": None, "tol": 1e-10},
         check=_check_rate, prepare=_rate_defaults, fits_slope=True),
     "regret": Experiment(
         run_regret_experiment, RegretRow, _regret_premises,
@@ -781,7 +795,7 @@ EXPERIMENTS = {
     "stability": Experiment(
         run_stability_experiment, StabilityRow,
         lambda cfg: _family_premises(cfg, exact_erm=False),
-        {"distribution": "hardB:0.1", "dim": 16, "n_grid": (64,),
+        {"distribution": "hardB:0.1", "dim": None, "n_grid": (64,),
          "replicates": 200, "budget": None, "tol": 1e-10},
         check=lambda cfg, rows: _max_iters_failures(rows) + [
             f"n={r.n}: lhs {r.lhs_mean:.6g} > rhs {r.rhs_mean:.6g} + 2 stderres"

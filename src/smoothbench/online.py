@@ -189,22 +189,20 @@ def run_mirror_descent_batch(
     ys: np.ndarray | Callable[[np.ndarray], np.ndarray],
     eta: float | np.ndarray,
     *,
-    xs: np.ndarray | None = None,
-    basis_idx: np.ndarray | None = None,
+    xs: np.ndarray | Callable[[int], np.ndarray],
     w_start: np.ndarray | None = None,
     record_losses: bool = True,
 ) -> BatchRun:
     """Play streams of equal length n with mirror descent, all at once.
 
-    ys has shape B + (n,). The design is dense, xs of shape B + (n, d), or
-    a basis design, basis_idx of shape B + (n,): round i of run r plays the
-    standard basis vector e_{basis_idx[r, i]}. ys may instead be a label
-    rule ys(pred) -> labels, called once per round on the predictions
-    <w_i, x_i> (an adaptive adversary); B and n then come from the design.
-    eta is a scalar or has shape B. The runs start at w_start, which
-    broadcasts to B + (d,), or at the geometry's default start. Everything
-    is validated here, once; the rounds are a few vector operations for all
-    runs. Each run's losses, and for d >= 2 its averaged iterate, are
+    ys has shape B + (n,), or is a label rule ys(pred) -> labels, called
+    once per round on the predictions <w_i, x_i> (an adaptive adversary).
+    The design xs is an array of shape B + (n, d), which gives a label rule
+    B and n, or a row rule xs(i) -> B + (d,), read in round i only (so it
+    may reuse one buffer). eta is a scalar or has shape B. The runs start
+    at w_start, which broadcasts to B + (d,), or at the geometry's default
+    start. The inputs are validated here, once, and a rule's rows as they
+    come. Each run's losses, and for d >= 2 its averaged iterate, are
     bit-identical to run_mirror_descent on that run's stream. The average
     is a running sum over the rounds divided by n, which is how numpy's
     mean over an (n, d) array sums when d >= 2; at d = 1 numpy sums
@@ -212,25 +210,19 @@ def run_mirror_descent_batch(
     record_losses=False skips the round losses (losses is then None) for
     callers that read only the averages: an (R, n) array each.
     """
-    if (xs is None) == (basis_idx is None):
-        raise ValueError("exactly one of xs / basis_idx must be given")
     rule = ys if callable(ys) else None
     if rule is not None:  # written as the rounds are played
-        ys = np.empty(np.shape(basis_idx) if xs is None else np.shape(xs)[:-1])
+        if callable(xs):
+            raise ValueError("a label rule needs an array design, not a row rule")
+        ys = np.empty(np.shape(xs)[:-1])
     ys = np.asarray(ys, dtype=float)
     if ys.ndim < 1 or ys.size == 0:
         raise ValueError("ys needs shape B + (n,) with at least one run and one round")
     batch, n, d = ys.shape[:-1], ys.shape[-1], setup.dim
-    if xs is not None:
+    if not callable(xs):
         xs = np.asarray(xs, dtype=float)
         if xs.shape != batch + (n, d):
             raise ValueError(f"xs has shape {xs.shape}, expected {batch + (n, d)}")
-    else:
-        basis_idx = np.asarray(basis_idx)
-        if basis_idx.shape != ys.shape or basis_idx.dtype.kind not in "iu":
-            raise ValueError(f"basis_idx needs integer entries of shape {ys.shape}")
-        if basis_idx.min() < 0 or basis_idx.max() >= d:
-            raise ValueError(f"basis_idx entries must lie in [0, {d})")
     try:
         eta = np.broadcast_to(np.asarray(eta, dtype=float), batch)
     except ValueError:
@@ -248,12 +240,12 @@ def run_mirror_descent_batch(
 
     step = _step_kernel(setup)
     eta_col = eta[..., None]
-    # row k is e_k: a round's one-hot rows are basis[idx] (basis designs only)
-    basis = np.eye(d) if xs is None else None
     losses = np.empty(ys.shape) if record_losses else None
     total = w.copy()
     for i in range(n):
-        x = xs[..., i, :] if xs is not None else basis[basis_idx[..., i]]
+        x = xs(i) if callable(xs) else xs[..., i, :]
+        if x.shape != batch + (d,):
+            raise ValueError(f"row {i} has shape {x.shape}, expected {batch + (d,)}")
         pred = np.vecdot(x, w)
         if rule is not None:
             ys[..., i] = rule(pred)

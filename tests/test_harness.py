@@ -30,7 +30,7 @@ from smoothbench.harness import (
     sparse_slopes,
     with_defaults,
 )
-from smoothbench import Dataset, RegimeGenerator, SparseGenerator
+from smoothbench import Dataset, RegimeGenerator, SparseGenerator, run_mirror_descent_batch
 from smoothbench.harness import config, experiments
 from smoothbench.harness.cli import build_parser, main as cli_main
 from smoothbench.batch import (
@@ -114,6 +114,16 @@ BAD_CONFIGS = [
     # the --check thresholds live in the code, not in the config
     ({"experiment": "rate", "check_slope_max": 100}, "unknown config key: 'check_slope_max'"),
     ({"experiment": "sparse", "check_slope_max": 100}, "unknown config key: 'check_slope_max'"),
+    # a repeated method would count each of its replicates twice
+    ({"experiment": "sparse", "methods": ["entropy_md", "entropy_md", "l1_erm"]},
+     r"sparse methods must not repeat, got \('entropy_md', 'entropy_md', 'l1_erm'\)"),
+    ({"experiment": "regret", "methods": ["adaptive", "iid_separable", "adaptive"]},
+     "regret methods must not repeat"),
+    # only separable reads `dim`; the hard families fix their own dimension
+    ({"experiment": "rate", "distribution": "hardB", "dim": 99},
+     "distribution 'hardB' does not read 'dim'"),
+    ({"experiment": "rate", "distribution": "hardA", "dim": 16}, "does not read 'dim'"),
+    ({"experiment": "stability", "dim": 3}, "distribution 'hardB:0.1' does not read 'dim'"),
 ]
 
 
@@ -510,9 +520,11 @@ class TestStabilityExperiment:
         assert row.max_iters_hits == 0
         ok, _ = check_result(cfg, rows)
         assert ok
-        # separable reads `dim`, which stability defaults like rate does
+        # separable reads `dim`, which stability defaults like rate does; a
+        # hard family reads none, so none is filled in
         cfg = make_cfg(experiment="stability", distribution="separable", replicates=30)
         assert cfg.dim == 16 and len(run_stability_experiment(cfg)) == 1
+        assert make_cfg(experiment="stability").dim is None
 
     def test_max_iters_hits_fail_the_check(self, monkeypatch):
         from smoothbench import batch
@@ -782,6 +794,71 @@ class TestSparseExperiment:
         assert {r.method for r in rows} == {"entropy_md", "l1_erm"}
         slopes = sparse_slopes(rows)
         assert set(slopes) == {"entropy_md", "l1_erm"}
+
+
+class TestOneBatchPerGridPoint:
+    """Each experiment plays its mirror-descent runs as one
+    run_mirror_descent_batch call per grid point (and stream kind)."""
+
+    @staticmethod
+    def recorded(monkeypatch) -> list:
+        """The (ys, eta, run) of each run_mirror_descent_batch call that the
+        experiments make from now on."""
+        calls = []
+
+        def record(setup, loss, ys, eta, **kwargs):
+            calls.append((ys, eta, run_mirror_descent_batch(setup, loss, ys, eta, **kwargs)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(experiments, "run_mirror_descent_batch", record)
+        return calls
+
+    @pytest.mark.parametrize("raw, shapes", [
+        ({"experiment": "rate", "n_grid": [16, 32], "replicates": 3}, [(3,)] * 2),
+        ({"experiment": "rate", "distribution": "hardB:0.1", "learner": "mirror_descent",
+          "n_grid": [16, 32], "replicates": 3}, [(3,)] * 2),
+        # i.i.d. and fixed streams batch their replicates; the unseeded
+        # adaptive adversary is one run
+        ({"experiment": "regret", "n_grid": [10, 20], "replicates": 3},
+         [(3,), (3,), ()] * 2),
+        ({"experiment": "sparse", "dim": 8, "n_grid": [16, 32], "replicates": 3},
+         [(3,)] * 2),
+        ({"experiment": "margin", "n_grid": [64]}, [()]),
+    ])
+    def test_batch_shapes(self, monkeypatch, raw, shapes):
+        calls = self.recorded(monkeypatch)
+        cfg = make_cfg(**raw)
+        EXPERIMENTS[cfg.experiment].run(cfg)
+        assert [run.averages.shape[:-1] for _, _, run in calls] == shapes
+
+    def test_sparse_batch_is_each_replicates_run(self, monkeypatch):
+        # the int8 stack's doubled rows replay each replicate's own sample
+        from smoothbench import entropy_setup, sparse_generator
+
+        calls = self.recorded(monkeypatch)
+        cfg = make_cfg(experiment="sparse", dim=8, n_grid=[40], replicates=3, noise=0.2)
+        run_sparse_experiment(cfg)
+        ((ys, eta, run),) = calls
+        for j in range(3):
+            gen = sparse_generator(
+                8, cfg.sparsity_k, seed_for(cfg.seed, "sparse-gen", 0, j), noise=0.2
+            )
+            data = gen.sample_doubled(40, seed_for(cfg.seed, "sparse-data", 0, j))
+            alone = run_mirror_descent_batch(
+                entropy_setup(16, cfg.budget), gen.loss, data.ys, eta[j], xs=data.xs
+            )
+            assert np.array_equal(ys[j], data.ys)
+            assert np.array_equal(run.averages[j], alone.averages)
+
+    def test_sparse_holds_one_float_design(self, traced_peak):
+        # one replicate's float doubled design (n * 2 dim * 8 B = 512 KiB)
+        # and the int8 stack (R * n * dim B = 256 KiB) are alive together;
+        # R float designs would be 4 MiB
+        n, dim, reps = 512, 64, 8
+        cfg = make_cfg(experiment="sparse", dim=dim, n_grid=[n], replicates=reps)
+        float_design, stack = n * 2 * dim * 8, reps * n * dim
+        _, peak = traced_peak(run_sparse_experiment, cfg)
+        assert peak < 2 * float_design + stack < reps * float_design
 
 
 class TestRegimeExperiment:

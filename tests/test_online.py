@@ -318,19 +318,15 @@ class TestBatchedRunner:
 
     @pytest.mark.parametrize("geometry", ["euclidean", "entropy"])
     def test_basis_design(self, geometry):
+        # a row rule gathering each round's one-hot rows, as rate's basis
+        # families play
         setup, _, ys, eta = self.problem(geometry, 5, 200, 8, seed=3)
         idx = np.random.default_rng(4).integers(8, size=ys.shape).astype(np.uint8)
-        run = run_mirror_descent_batch(setup, SQ, ys * 3.0, eta, basis_idx=idx)
+        basis = np.eye(8)
+        run = run_mirror_descent_batch(
+            setup, SQ, ys * 3.0, eta, xs=lambda i: basis[idx[:, i]]
+        )
         self.assert_matches_per_run(setup, one_hot(idx, 8), ys * 3.0, eta, run)
-
-    def test_dense_design_builds_no_identity(self, traced_peak):
-        # an identity at d = 512 is 2 MiB; only a basis design reads one
-        d = 512
-        setup, xs, ys, eta = self.problem("euclidean", 2, 4, d, seed=15)
-        idx = np.random.default_rng(16).integers(d, size=ys.shape)
-        _, dense = traced_peak(run_mirror_descent_batch, setup, SQ, ys, eta, xs=xs)
-        _, basis = traced_peak(run_mirror_descent_batch, setup, SQ, ys, eta, basis_idx=idx)
-        assert dense < d * d * 8 <= basis
 
     def test_one_dimension(self):
         # numpy's mean over (n, 1) iterates sums pairwise, the batch sums in
@@ -387,7 +383,7 @@ class TestBatchedRunner:
         # run pays, round by round, what the same run on its dense rows pays
         setup, _, ys, eta = self.problem("euclidean", 3, 60, 5, seed=13)
         idx = np.random.default_rng(14).integers(5, size=ys.shape)
-        basis = run_mirror_descent_batch(setup, SQ, ys, eta, basis_idx=idx)
+        basis = run_mirror_descent_batch(setup, SQ, ys, eta, xs=lambda i: np.eye(5)[idx[:, i]])
         dense = run_mirror_descent_batch(setup, SQ, ys, eta, xs=one_hot(idx, 5))
         assert np.array_equal(basis.losses, dense.losses)
         assert np.array_equal(basis.averages, dense.averages)
@@ -431,7 +427,7 @@ class TestBatchedRunner:
             return labels[-1]
 
         trace = run_mirror_descent(setup, SQ, adaptive_stream(adversary, n), eta)
-        run = run_mirror_descent_batch(setup, SQ, rule, eta, basis_idx=np.arange(n) % dim)
+        run = run_mirror_descent_batch(setup, SQ, rule, eta, xs=np.eye(dim)[np.arange(n) % dim])
         assert run.losses.shape == (n,)
         assert np.array_equal(np.array(labels), trace.ys)
         assert np.array_equal(run.losses, trace.losses)
@@ -453,7 +449,6 @@ class TestBatchedRunner:
 
     def test_entry_validation(self):
         setup, xs, ys, eta = self.problem("euclidean", 3, 20, 4, seed=11)
-        idx = np.zeros((3, 20), dtype=int)
         with pytest.raises(ValueError, match="positive"):
             run_mirror_descent_batch(setup, SQ, ys, [0.1, 0.0, 0.2], xs=xs)
         with pytest.raises(ValueError, match="positive"):
@@ -462,15 +457,14 @@ class TestBatchedRunner:
             dict(xs=xs[:, :, :3]),  # design dimension != setup dimension
             dict(xs=xs[:2]),  # fewer design rows than target rows
             dict(xs=xs[:, :19]),  # fewer rounds than targets
-            dict(basis_idx=idx[:, :19]),
-            dict(basis_idx=idx.astype(float)),
-            dict(basis_idx=idx + 4),  # out of range
-            dict(xs=xs, basis_idx=idx),  # both designs
-            dict(),  # neither
         ]
         for kwargs in bad_shapes:
             with pytest.raises(ValueError):
                 run_mirror_descent_batch(setup, SQ, ys, eta, **kwargs)
+        with pytest.raises(ValueError, match=r"row 0 has shape \(2, 4\)"):
+            run_mirror_descent_batch(setup, SQ, ys, eta, xs=lambda i: xs[:2, i])
+        with pytest.raises(ValueError, match="array design"):
+            run_mirror_descent_batch(setup, SQ, np.sign, eta, xs=lambda i: xs[:, i])
         with pytest.raises(ValueError, match="eta"):
             run_mirror_descent_batch(setup, SQ, ys, [0.1, 0.2], xs=xs)
         with pytest.raises(ValueError):
