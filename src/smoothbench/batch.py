@@ -48,7 +48,8 @@ class Dataset:
     Either dense rows `xs` of shape (n, d), or — for orthogonal designs
     where every x is a standard basis vector — just the column indices
     `basis_idx`, which keeps the big rate experiments out of dense-matrix
-    territory. Both representations answer the same queries.
+    territory. Both representations answer the same queries, and
+    `replace_instance` swaps instances only within one kind.
     """
 
     ys: np.ndarray
@@ -97,14 +98,6 @@ class Dataset:
             return self.xs.T @ v
         return np.bincount(self.basis_idx, weights=v, minlength=self.dim)
 
-    def row(self, i: int) -> np.ndarray:
-        """The dense instance x_i (a one-hot vector for a basis design)."""
-        if self.xs is not None:
-            return self.xs[i]
-        out = np.zeros(self.dim)
-        out[self.basis_idx[i]] = 1.0
-        return out
-
     def dense_xs(self) -> np.ndarray:
         if self.xs is not None:
             return self.xs
@@ -112,23 +105,21 @@ class Dataset:
         out[np.arange(self.n), self.basis_idx] = 1.0
         return out
 
-    def replace_instance(self, i: int, x: np.ndarray, y: float) -> "Dataset":
-        """A copy with instance i set to (x, y). x must be a row of the
-        design: shape (dim,), and a standard basis vector on a basis design."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"x must have shape ({self.dim},), got {x.shape}")
+    def replace_instance(self, i: int, source: "Dataset") -> "Dataset":
+        """A copy with instance i set to the first instance of `source`, a
+        dataset of the same kind (dense or basis) and dimension: a basis
+        design copies its index, a dense design its row."""
+        if (source.xs is None) != (self.xs is None) or source.dim != self.dim:
+            kind = "dense" if self.xs is not None else "basis"
+            raise ValueError(f"source must be a {kind} dataset of dim {self.dim}")
         ys = self.ys.copy()
-        ys[i] = y
+        ys[i] = source.ys[0]
         if self.xs is not None:
             xs = self.xs.copy()
-            xs[i] = x
+            xs[i] = source.xs[0]
             return Dataset(ys=ys, xs=xs)
-        k = int(np.argmax(x))
-        if x[k] != 1.0 or np.count_nonzero(x) != 1:
-            raise ValueError(f"a basis design's x must be a standard basis vector, got {x}")
         idx = self.basis_idx.copy()
-        idx[i] = k
+        idx[i] = source.basis_idx[0]
         return Dataset(ys=ys, basis_idx=idx, dim=self.dim)
 
 
@@ -203,7 +194,7 @@ def solve_regularized_erm(
     trial's predictions and regularizer gradient are carried forward: they
     give both the gradient after the step and the next iteration's.
     """
-    if lam <= 0:
+    if not 0 < lam < math.inf:
         raise ValueError(f"lambda must be positive, got {lam}")
     if not loss.is_smooth:
         raise ValueError(f"solver requires a smooth loss, got {loss.name}")
@@ -412,11 +403,12 @@ def stability_probe(
 ) -> StabilityReport:
     """Estimate both sides of the stability inequality on dist.
 
-    Each replicate draws a sample, solves, redraws one instance (fresh index
-    per replicate), resolves, and scores the original instance under both
-    minimizers. The rhs uses the distribution's exact risk and the H of
-    dist.loss, which is the smoothness in w only for ||x||_2 <= 1 (basis
-    vectors, or the scalar {0, 1}: every family the harness probes).
+    Each replicate draws a sample, solves, swaps instance i (a fresh index
+    per replicate) for a fresh draw of the same kind, resolves, and scores
+    the original instance i under both minimizers. The rhs uses the
+    distribution's exact risk and the H of dist.loss, which is the
+    smoothness in w only for ||x||_2 <= 1 (basis vectors, or the scalar
+    {0, 1}: every family the harness probes).
     """
     if replicates < STABILITY_MIN_REPLICATES:
         raise ValueError(f"stability probe needs at least {STABILITY_MIN_REPLICATES} replicates")
@@ -437,13 +429,12 @@ def stability_probe(
         report = solve_regularized_erm(setup, loss, data, lam, tol=tol)
         i = int(rng.integers(n))
         fresh = unit_norm(dist.sample(1, int(rng.integers(2**63))))
-        perturbed = data.replace_instance(i, fresh.row(0), float(fresh.ys[0]))
+        perturbed = data.replace_instance(i, fresh)
         report_i = solve_regularized_erm(setup, loss, perturbed, lam, tol=tol)
         hits += sum(r.termination == TERM_MAX_ITERS for r in (report, report_i))
-        x_i = data.row(i)
         y_i = float(data.ys[i])
-        lhs[j] = float(loss.value(x_i @ report_i.w, y_i)) - float(
-            loss.value(x_i @ report.w, y_i)
+        lhs[j] = float(loss.value(data.predictions(report_i.w)[i], y_i)) - float(
+            loss.value(data.predictions(report.w)[i], y_i)
         )
         rhs[j] = factor * dist.true_risk(report.w)
     lhs_mean, lhs_stderr = mean_stderr(lhs)

@@ -43,7 +43,7 @@ class FunctionClassSpec:
     def __post_init__(self):
         if self.kind not in (LINEAR_L2_BALL, LINEAR_L1_BALL):
             raise ValueError(f"unknown class kind: {self.kind}")
-        if self.budget <= 0:
+        if not 0 < self.budget < math.inf:
             raise ValueError("budget must be positive")
 
 
@@ -151,7 +151,7 @@ def smooth_risk_bound(
 
 def margin_domain_error(gamma: float, b: float) -> str | None:
     """Why gamma lies outside the margin bound's domain 0 < gamma < 4b/e, or None."""
-    if gamma <= 0:
+    if not gamma > 0:
         return "margin must be positive"
     if 4.0 * b / gamma <= math.e:
         return "margin too large relative to b"

@@ -223,7 +223,7 @@ def hard_gaussian(
     """
     if n_design < 1:
         raise ValueError("n_design must be >= 1")
-    if sigma < 0:
+    if not 0 <= sigma < math.inf:
         raise ValueError("sigma must be nonnegative")
     if dim is None:
         if sigma == 0:
@@ -442,7 +442,7 @@ class RegimeGenerator:
 
 
 def regime_generator(dim: int, x_scale: float, sigma: float, seed: int) -> RegimeGenerator:
-    if dim < 1 or x_scale <= 0 or sigma < 0:
+    if dim < 1 or not 0 < x_scale < math.inf or not 0 <= sigma < math.inf:
         raise ValueError("regime generator needs dim >= 1, x_scale > 0, sigma >= 0")
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(dim)

@@ -41,7 +41,7 @@ class MirrorSetup:
 
 
 def euclidean_setup(dim: int, budget: float) -> MirrorSetup:
-    if dim < 1 or budget <= 0:
+    if dim < 1 or not 0 < budget < math.inf:
         raise ValueError("euclidean setup needs dim >= 1 and budget > 0")
     return MirrorSetup(EUCLIDEAN, dim, float(budget), float(budget) ** 2)
 
@@ -49,7 +49,7 @@ def euclidean_setup(dim: int, budget: float) -> MirrorSetup:
 def entropy_setup(dim: int, budget: float) -> MirrorSetup:
     if dim < 1:
         raise ValueError("entropy setup needs dim >= 1")
-    if budget < 1.0:
+    if not 1.0 <= budget < math.inf:
         raise ValueError(f"entropy geometry requires budget >= 1, got {budget}")
     b = float(budget)
     f_max = b * b * math.log(b * dim) + b * b / math.e

@@ -73,6 +73,7 @@ REGIME_ENVELOPE_FACTOR = 8.0
 SPARSE_SLOPE_MAX = -0.85  # sparse --check: entropy_md's greatest slope without noise
 _HOLDOUT_BLOCK = 1024  # margin's holdout rows drawn at a time
 _SLOPE_MIN_ROWS = 3  # fit_slope's least number of usable rows
+_PREMISE_SEED = 0  # the premises' trial constructions; no constructor rule reads the seed
 
 
 def seed_for(master: int, experiment: str, grid_index: int, replicate: int) -> int:
@@ -201,7 +202,7 @@ def _rate_defaults(cfg: ExperimentConfig) -> None:
 def _family_premises(cfg: ExperimentConfig, exact_erm: bool) -> None:
     """The premises of a run on the configured family (rate, stability);
     `exact_erm`: the run solves the exact ERM, not a smooth-loss learner."""
-    dist = make_distribution(cfg.distribution, cfg.n_grid[0], cfg.dim, cfg.seed)
+    dist = make_distribution(cfg.distribution, cfg.n_grid[0], cfg.dim, _PREMISE_SEED)
     if not exact_erm:
         dist.loss.smoothness_H  # raises for a non-smooth loss
     elif not isinstance(dist, HardDistribution):
@@ -558,7 +559,7 @@ def sparse_slopes(rows) -> dict:
 
 
 def _sparse_premises(cfg: ExperimentConfig) -> None:
-    sparse_generator(cfg.dim, cfg.sparsity_k, cfg.seed, noise=cfg.noise)
+    sparse_generator(cfg.dim, cfg.sparsity_k, _PREMISE_SEED, noise=cfg.noise)
     entropy_setup(2 * cfg.dim, cfg.budget)
 
 
@@ -632,7 +633,7 @@ def run_regime_experiment(cfg: ExperimentConfig) -> list:
 
 
 def _regime_premises(cfg: ExperimentConfig) -> None:
-    regime_generator(cfg.dim, cfg.x_scale, cfg.sigma, cfg.seed)
+    regime_generator(cfg.dim, cfg.x_scale, cfg.sigma, _PREMISE_SEED)
     euclidean_setup(cfg.dim, cfg.budget)
 
 

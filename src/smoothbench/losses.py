@@ -98,7 +98,7 @@ def make_smooth_ramp(gamma: float) -> LossSpec:
     (second derivative of the bridge at its endpoints), so the self-bounding
     residuals hold with no slack.
     """
-    if gamma <= 0:
+    if not 0 < gamma < math.inf:
         raise ValueError(f"gamma must be positive, got {gamma}")
     scale = math.pi / gamma
 

@@ -40,11 +40,11 @@ def regret_bound(smoothness_H: float, f_max: float, n: int, lbar: float) -> floa
 
 
 def _check_formula_args(smoothness_H, f_max, n, lbar) -> None:
-    if smoothness_H <= 0 or f_max <= 0:
+    if not (0 < smoothness_H < math.inf and 0 < f_max < math.inf):
         raise ValueError("smoothness and regularizer bound must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if lbar < 0:
+    if not 0 <= lbar < math.inf:
         raise ValueError("lbar must be nonnegative")
 
 
@@ -126,7 +126,7 @@ def run_mirror_descent(
     experiments play run_mirror_descent_batch, which the tests check
     against it.
     """
-    if eta <= 0:
+    if not 0 < eta < math.inf:
         raise ValueError(f"step size must be positive, got {eta}")
     w = default_start(setup) if w_start is None else np.asarray(w_start, dtype=float).copy()
     check_feasible(setup, w)
@@ -227,7 +227,7 @@ def run_mirror_descent_batch(
         eta = np.broadcast_to(np.asarray(eta, dtype=float), batch)
     except ValueError:
         raise ValueError(f"eta must be a scalar or of shape {batch}") from None
-    if not np.all(eta > 0):
+    if not np.all((0 < eta) & (eta < math.inf)):
         raise ValueError(f"step sizes must be positive, got {eta.min()}")
     start = default_start(setup) if w_start is None else np.asarray(w_start, dtype=float)
     try:

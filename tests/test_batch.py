@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from smoothbench import (
     Dataset,
     LossSpec,
+    ball_radius,
     bregman_divergence,
     default_start,
     dual_norm,
@@ -22,6 +23,7 @@ from smoothbench import (
     make_absolute,
     make_smooth_ramp,
     make_squared,
+    make_squared_unhalved,
     mirror_step,
     regularizer_grad,
     regime_generator,
@@ -35,16 +37,16 @@ from smoothbench.batch import TERM_MAX_ITERS, TERM_TOLERANCE
 SQ = make_squared()
 
 
-def ridge_ball_closed_form(xs, ys, lam, radius):
-    """Oracle: minimize mean (x@w - y)^2/2 + lam ||w||^2/2 over ||w|| <= radius
-    via the regularized normal equations, adding a Lagrangian ridge found by
-    bisection when the ball constraint binds."""
-    n, d = xs.shape
-    gram = xs.T @ xs / n
-    rhs = xs.T @ ys / n
+def ridge_ball_closed_form(xs, ys, lam, radius, s=1.0):
+    """Oracle: the exact minimizer of mean s (x@w - y)^2 / 2 + lam ||w||^2 / 2
+    over ||w|| <= radius: an eigh of (s/n) X^T X, then, when the ball binds,
+    a bisection on its multiplier mu."""
+    n = xs.shape[0]
+    evals, vecs = np.linalg.eigh((s / n) * (xs.T @ xs))
+    rhs = vecs.T @ ((s / n) * (xs.T @ ys))
 
     def solve(mu):
-        return np.linalg.solve(gram + (lam + mu) * np.eye(d), rhs)
+        return vecs @ (rhs / (evals + lam + mu))
 
     w = solve(0.0)
     if np.linalg.norm(w) <= radius:
@@ -58,7 +60,7 @@ def ridge_ball_closed_form(xs, ys, lam, radius):
             lo = mid
         else:
             hi = mid
-    return solve(hi)
+    return solve(hi)  # the feasible end of the bracket
 
 
 def reference_solve(setup, loss, data, lam, tol, max_iters):
@@ -254,38 +256,47 @@ class TestDataset:
         with pytest.raises(ValueError, match="basis_idx"):
             Dataset(ys=np.ones(2), basis_idx=idx, dim=3)
 
-    def test_row_is_the_dense_row(self):
-        idx = np.array([0, 2, 2, 1])
-        basis = Dataset(ys=np.ones(4), basis_idx=idx, dim=3)
-        dense = Dataset(ys=np.ones(4), xs=basis.dense_xs() * 2.0)
-        for i in range(4):
-            assert np.array_equal(basis.row(i), basis.dense_xs()[i])
-            assert np.array_equal(dense.row(i), dense.xs[i])
-        assert basis.row(0).shape == (3,)
-
     def test_replace_instance(self):
-        data = Dataset(ys=np.array([1.0, 2.0]), basis_idx=np.array([0, 1]), dim=3)
-        new = data.replace_instance(1, np.array([0.0, 0.0, 1.0]), 5.0)
-        assert new.ys[1] == 5.0 and new.basis_idx[1] == 2
-        assert data.ys[1] == 2.0  # original untouched
+        # a same-kind source: its first instance is copied, the rest ignored
+        basis = Dataset(ys=np.array([1.0, 2.0]), basis_idx=np.array([0, 1]), dim=3)
+        source = Dataset(ys=np.array([5.0, 7.0]), basis_idx=np.array([2, 0]), dim=3)
+        new = basis.replace_instance(1, source)
+        assert np.array_equal(new.basis_idx, [0, 2]) and np.array_equal(new.ys, [1.0, 5.0])
+        assert np.array_equal(basis.basis_idx, [0, 1]) and basis.ys[1] == 2.0  # untouched
+        dense = Dataset(ys=np.array([1.0, 2.0]), xs=np.eye(2, 3))
+        new = dense.replace_instance(0, Dataset(ys=np.array([5.0]), xs=[[1.0, 2.0, 3.0]]))
+        assert np.array_equal(new.xs, [[1.0, 2.0, 3.0], [0.0, 1.0, 0.0]])
+        assert np.array_equal(new.ys, [5.0, 2.0])
+        assert np.array_equal(dense.xs, np.eye(2, 3)) and dense.ys[0] == 1.0  # untouched
 
     @pytest.mark.parametrize("x", [
         [0.5, 0.5, 0.0], [1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [1.0, 1.0, 0.0],
         [[0.0, 1.0, 0.0]], 1.0,
     ])
     def test_replace_instance_on_a_basis_design_takes_a_basis_vector(self, x):
+        # a basis design takes a basis source only: a dense row is the other
+        # kind, even the one-hot [0, 1, 0]
         data = Dataset(ys=np.array([1.0, 2.0]), basis_idx=np.array([0, 1]), dim=3)
-        with pytest.raises(ValueError, match="x must"):
-            data.replace_instance(1, np.array(x), 5.0)
+        source = Dataset(ys=np.array([5.0]), xs=np.reshape(x, (1, -1)))
+        with pytest.raises(ValueError, match="source must be a basis dataset of dim 3"):
+            data.replace_instance(1, source)
 
-    @pytest.mark.parametrize("x", [5.0, [1.0, 2.0], [[1.0, 2.0, 3.0]]])
-    def test_replace_instance_on_a_dense_design_takes_a_row(self, x):
+    @pytest.mark.parametrize("source", [
+        pytest.param(Dataset(ys=np.array([5.0]), xs=[[5.0]]), id="dim1"),
+        pytest.param(Dataset(ys=np.array([5.0]), xs=[[1.0, 2.0]]), id="dim2"),
+        pytest.param(Dataset(ys=np.array([5.0]), basis_idx=np.array([2]), dim=3), id="basis"),
+    ])
+    def test_replace_instance_on_a_dense_design_takes_a_row(self, source):
         data = Dataset(ys=np.array([1.0, 2.0]), xs=np.eye(2, 3))
-        with pytest.raises(ValueError, match="x must have shape"):
-            data.replace_instance(1, np.array(x), 5.0)
-        new = data.replace_instance(1, np.array([1.0, 2.0, 3.0]), 5.0)
-        assert np.array_equal(new.xs[1], [1.0, 2.0, 3.0]) and new.ys[1] == 5.0
-        assert np.array_equal(data.xs, np.eye(2, 3))  # original untouched
+        with pytest.raises(ValueError, match="source must be a dense dataset of dim 3"):
+            data.replace_instance(1, source)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_replace_instance_on_a_basis_design_needs_its_dim(self, dim):
+        data = Dataset(ys=np.array([1.0, 2.0]), basis_idx=np.array([0, 1]), dim=3)
+        source = Dataset(ys=np.array([5.0]), basis_idx=np.array([1]), dim=dim)
+        with pytest.raises(ValueError, match="source must be a basis dataset of dim 3"):
+            data.replace_instance(1, source)
 
 
 class TestSolver:
@@ -413,6 +424,51 @@ class TestSolver:
         undeclared = LossSpec("x", SQ.value, SQ.derivative, 12.5)
         with pytest.raises(ValueError, match="smooth loss, got x"):
             solve_regularized_erm(setup, undeclared, data, 0.1)
+
+
+class TestCertificate:
+    """A solve that ends at `tolerance` reports a certificate that bounds
+    its true objective gap f(w) - f*, with f* from the exact minimizer."""
+
+    @staticmethod
+    def _problems(rng, design, active):
+        for _ in range(18):
+            d = int(rng.integers(1, 9))
+            n = int(rng.integers(d, 60))
+            ys = rng.uniform(-1, 1, n)
+            if design == "dense":
+                data = Dataset(ys=ys, xs=rng.standard_normal((n, d)) / math.sqrt(d))
+            else:
+                data = Dataset(ys=ys, basis_idx=rng.integers(0, d, n), dim=d)
+            budget = 0.005 if active else 10.0
+            yield euclidean_setup(d, budget), data, float(rng.uniform(0.01, 1.0))
+
+    @pytest.mark.parametrize("active", [False, True], ids=["inactive ball", "active ball"])
+    @pytest.mark.parametrize("loss", [SQ, make_squared_unhalved()], ids=lambda loss: loss.name)
+    @pytest.mark.parametrize("design", ["dense", "basis"])
+    def test_certificate_bounds_the_true_gap(self, design, loss, active):
+        s = loss.smoothness_H  # the loss is s (t - y)^2 / 2
+        rng = np.random.default_rng(5)
+        binding = 0
+        for setup, data, lam in self._problems(rng, design, active):
+            xs = data.dense_xs()
+
+            def f(w):
+                r = xs @ w - data.ys
+                return 0.5 * s * float(np.mean(r * r)) + 0.5 * lam * float(w @ w)
+
+            report = solve_regularized_erm(setup, loss, data, lam)
+            assert report.termination == TERM_TOLERANCE
+            radius = ball_radius(setup)
+            w_star = ridge_ball_closed_form(xs, data.ys, lam, radius, s)
+            binding += bool(np.isclose(np.linalg.norm(w_star), radius, rtol=1e-9, atol=0))
+            f_star = f(w_star)
+            # rounding allowance: f(w) and f* are each summed in floating
+            # point, so their difference is known to a few ulps of f*
+            allowance = 4 * np.finfo(float).eps * (1.0 + abs(f_star))
+            assert f(report.w) - f_star <= report.certificate + allowance
+        # both regimes are exercised: the ball binds where it is meant to
+        assert binding >= 15 if active else binding == 0
 
 
 class TestStabilityProbe:

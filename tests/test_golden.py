@@ -16,7 +16,13 @@ from pathlib import Path
 
 import pytest
 
-from smoothbench.harness import config_from_dict, run_experiment, with_defaults, write_csv
+from smoothbench.harness import (
+    EXPERIMENTS,
+    config_from_dict,
+    run_experiment,
+    with_defaults,
+    write_csv,
+)
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -38,6 +44,8 @@ GOLDEN = {
     "regret_auto": {"experiment": "regret", "lbar_mode": "auto", "n_grid": [10, 100],
                     "replicates": 2},
     "stability": {"experiment": "stability", "replicates": 30},
+    "stability_hardC": {"experiment": "stability", "distribution": "hardC:0.5",
+                        "replicates": 30},
     "sparse": {"experiment": "sparse", "dim": 32, "n_grid": [32, 64, 128],
                "replicates": 2},
     "regime_oracle": {"experiment": "regime", "n_grid": [8, 16, 32], "replicates": 2},
@@ -97,6 +105,11 @@ def test_csv_matches_golden(name, tmp_path):
     path = tmp_path / f"{name}.csv"
     generate(name, path)
     assert path.read_bytes() == (GOLDEN_DIR / f"{name}.csv").read_bytes()
+
+
+def test_every_experiment_has_a_golden():
+    covered = {raw["experiment"] for raw in GOLDEN.values()}
+    assert sorted(set(EXPERIMENTS) - covered) == []
 
 
 def test_moved_cells_names_each_changed_cell():

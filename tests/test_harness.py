@@ -299,6 +299,16 @@ class TestSeedDiscipline:
         }
         assert a not in others and len(others) == 4
 
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+    def test_premises_take_any_master_seed(self, experiment):
+        # seed_for takes any integer, and the premises' trial constructions
+        # do not use the master seed as a constructor seed
+        assert make_cfg(experiment=experiment, seed=-1).seed == -1
+
+    def test_a_negative_master_seed_runs(self):
+        cfg = make_cfg(experiment="rate", n_grid=[32, 64, 128], replicates=2, seed=-1)
+        assert len(run_rate_experiment(cfg)) == 3
+
 
 class TestFitSlope:
     def test_exact_power_laws(self):
