@@ -64,7 +64,6 @@ from .distributions import (
     SeparableSynthetic,
     SparseGenerator,
     erm_exact,
-    golden_section,
     hard_absolute,
     hard_gaussian,
     hard_quadlin,

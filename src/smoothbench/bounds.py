@@ -117,13 +117,25 @@ def empirical_rademacher(
     return RademacherEstimate(value=float(vals.mean()), stderr=stderr, exact=False, draws=draws)
 
 
-def _check_delta(delta: float) -> None:
+def _check_nonnegative(**values: float) -> None:
+    # each comparison is false for nan, so nan is rejected with the rest
+    for name, value in values.items():
+        if not 0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
+def _check_sample(n: int, delta: float, bound_K: float) -> None:
+    if not n >= 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    if not 0 < bound_K < math.inf:
+        raise ValueError(f"bound_K must be positive and finite, got {bound_K}")
 
 
 def lipschitz_excess_bound(l_star: float, lipschitz_D: float, rademacher: float) -> float:
     """L* + 2 D R_n: the classical Lipschitz-composition excess-risk bound."""
+    _check_nonnegative(l_star=l_star, lipschitz_D=lipschitz_D, rademacher=rademacher)
     return l_star + 2.0 * lipschitz_D * rademacher
 
 
@@ -141,7 +153,9 @@ def smooth_risk_bound(
     Lhat + K (sqrt(Lhat) (sqrt(H) (ln n)^1.5 R + sqrt(b ln(1/delta)/n))
               + H (ln n)^3 R^2 + b ln(1/delta)/n)
     """
-    _check_delta(delta)
+    _check_sample(n, delta, bound_K)
+    _check_nonnegative(empirical_loss=empirical_loss, smoothness_H=smoothness_H,
+                       range_b=range_b, rademacher=rademacher)
     lhat, H, r = empirical_loss, smoothness_H, rademacher
     log_n = math.log(n)
     conf = range_b * math.log(1.0 / delta) / n
@@ -153,7 +167,7 @@ def margin_domain_error(gamma: float, b: float) -> str | None:
     """Why gamma lies outside the margin bound's domain 0 < gamma < 4b/e, or None."""
     if not gamma > 0:
         return "margin must be positive"
-    if 4.0 * b / gamma <= math.e:
+    if not 4.0 * b / gamma > math.e:  # also true for a nan b
         return "margin too large relative to b"
     return None
 
@@ -177,7 +191,8 @@ def margin_bound(
     simplified=True returns the display variant
     1.01 err_g + K (2 (ln n)^3/g^2 R^2 + 2 ln(ln(4b/g)/delta)/n).
     """
-    _check_delta(delta)
+    _check_sample(n, delta, bound_K)
+    _check_nonnegative(empirical_loss=empirical_loss, range_b=range_b, rademacher=rademacher)
     gamma, b, err, r = margin, range_b, empirical_loss, rademacher
     problem = margin_domain_error(gamma, b)
     if problem:
@@ -195,6 +210,8 @@ def margin_empirical_error(scores, labels, gamma: float) -> float:
     """Fraction of samples with y h(x) strictly below gamma."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=float)
+    if not -math.inf < gamma < math.inf:
+        raise ValueError(f"gamma must be finite, got {gamma}")
     if scores.size == 0:
         raise ValueError("empty input")
     if scores.shape != labels.shape:

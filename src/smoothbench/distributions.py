@@ -16,7 +16,7 @@ Family overview (d standard basis vectors, Y conditioned on X = e_i):
                       L(w) = sigma^2 + ||w - w*||^2 / d exactly.
   onedim_quadlin      scalar X in {0, 1}, P(X=1) = q, Y|X=1 = +1 with
                       probability p = 1/2 + 0.2/sqrt(q n); quadratic-then-
-                      linear loss on w in [-1, 1]; L* from a 1-d oracle.
+                      linear loss on w in [-1, 1]; w* and L* in closed form.
 """
 
 from __future__ import annotations
@@ -36,25 +36,6 @@ from .losses import (
 )
 
 _DRAW_ROWS = 64  # sparse design rows drawn at a time
-
-
-def golden_section(f, lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Minimize a unimodal scalar function on [lo, hi] to bracket width tol."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
 
 
 @dataclass(frozen=True)
@@ -176,19 +157,15 @@ class OnedimQuadlin(HardDistribution):
         return _quadlin_risk(self.loss, self.q, self.p, float(w[0]) if w.ndim else float(w))
 
     def _erm(self, data: Dataset) -> np.ndarray:
-        # golden-section search on the empirical objective over [-1, 1]
+        # the stationary point on the majority label's quadratic branch; a tie
+        # (or no x = 1) leaves an interval around 0, whose minimum-norm point is 0
         on = data.xs[:, 0] > 0
-        n_pos = float(np.sum(data.ys[on] > 0))
-        n_neg = float(np.sum(on) - n_pos)
-        n = float(data.n)
-
-        def emp(w):
-            return (
-                n_pos * float(self.loss.value(w, 1.0))
-                + n_neg * float(self.loss.value(w, -1.0))
-            ) / n
-
-        return np.array([golden_section(emp, -1.0, 1.0, tol=1e-10)])
+        n_pos = int(np.sum(data.ys[on] > 0))
+        n_neg = int(np.sum(on)) - n_pos
+        if n_pos == n_neg:
+            return np.zeros(1)
+        major, minor = max(n_pos, n_neg), min(n_pos, n_neg)
+        return np.array([math.copysign(1.0 - minor / (2.0 * major), n_pos - n_neg)])
 
     def _floor(self, n: int) -> float:
         return math.sqrt(0.32 * self.l_star / n)
@@ -240,9 +217,9 @@ def hard_gaussian(
 
 def hard_quadlin(n_design: int, q: float) -> OnedimQuadlin:
     """Scalar quadratic-then-linear family with label bias p = 1/2
-    + 0.2/sqrt(q n). The population minimizer and L* come from a golden-
-    section oracle on the exact risk (the closed form 3/2 - 1/(2p) is
-    cross-checked in tests, not assumed)."""
+    + 0.2/sqrt(q n). w* is the closed form 3/2 - 1/(2p), the risk's stationary
+    point on the +1 label's quadratic branch (p in (1/2, 1] puts it in
+    (1/2, 1]), and L* is the exact risk there."""
     if not 0 < q <= 1:
         raise ValueError("q must lie in (0, 1]")
     if n_design < 1:
@@ -251,7 +228,7 @@ def hard_quadlin(n_design: int, q: float) -> OnedimQuadlin:
     if p > 1:
         raise ValueError(f"bias p = {p:.4f} > 1; increase q*n (needs q n >= 0.16)")
     loss = make_piecewise_quadlin()
-    w_opt = golden_section(lambda w: _quadlin_risk(loss, q, p, w), -1.0, 1.0, tol=1e-12)
+    w_opt = quadlin_minimizer_closed_form(p)
     return OnedimQuadlin(
         dim=1, loss=loss, w_star=np.array([w_opt]), l_star=_quadlin_risk(loss, q, p, w_opt),
         q=q, p=p,
@@ -259,7 +236,7 @@ def hard_quadlin(n_design: int, q: float) -> OnedimQuadlin:
 
 
 def quadlin_minimizer_closed_form(p: float) -> float:
-    """The candidate population minimizer 3/2 - 1/(2p) for label bias p."""
+    """The population minimizer 3/2 - 1/(2p) for label bias p in (1/2, 1]."""
     return 1.5 - 1.0 / (2.0 * p)
 
 
@@ -270,7 +247,9 @@ def _hard(dist) -> HardDistribution:
 
 
 def erm_exact(dist: HardDistribution, data: Dataset) -> np.ndarray:
-    """An exact empirical minimizer, specialized per family."""
+    """An exact empirical minimizer, specialized per family. A coordinate the
+    sample leaves undetermined takes its minimum-norm value 0: an unseen one
+    in hardA and hardB, hardC's on a tie of its +1 and -1 labels at x = 1."""
     if data.n < 1:
         raise ValueError("empty dataset")
     return _hard(dist)._erm(data)

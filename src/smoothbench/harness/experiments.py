@@ -525,7 +525,7 @@ def run_sparse_experiment(cfg: ExperimentConfig) -> list:
                     w = report.w
                 else:  # l1_erm
                     w = _l1_constrained_erm(gen.signed_part(data), gen.loss, budget).w
-                per_method[method].append(gen.true_risk(w) - gen.l_star)
+                per_method[method].append(excess_risk(gen, w))
             del data  # one replicate's dataset alive at a time
         if online:  # round t's rows [s, -s], written into one (R, 2, dim) buffer
             pair, flip = np.empty((reps, 2, d0)), np.array([[1.0], [-1.0]])
@@ -533,7 +533,7 @@ def run_sparse_experiment(cfg: ExperimentConfig) -> list:
                 setup, gen.loss, ys, eta, record_losses=False,
                 xs=lambda t: np.multiply(signs[:, t, None], flip, out=pair).reshape(reps, -1),
             ).averages
-            per_method["entropy_md"] = [g.true_risk(w) - g.l_star for g, w in zip(gens, ws)]
+            per_method["entropy_md"] = [excess_risk(g, w) for g, w in zip(gens, ws)]
         del signs  # before the next n's stack
         ref = k * math.log(bound_dim) / n
         bound = ref + math.sqrt(k * gen.l_star * math.log(bound_dim) / n)
@@ -614,7 +614,7 @@ def run_regime_experiment(cfg: ExperimentConfig) -> list:
                     setup, gen.loss, data, lam, tol=cfg.tol, max_iters=4000
                 )
                 hits += rep.termination == TERM_MAX_ITERS
-                ex.append(gen.true_risk(rep.w) - gen.l_star)
+                ex.append(excess_risk(gen, rep.w))
             del data  # one replicate's dataset alive at a time
         best = None
         for lam, ex in zip(candidates, excesses):

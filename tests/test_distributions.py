@@ -7,7 +7,6 @@ from smoothbench import (
     HardDistribution,
     erm_exact,
     excess_risk,
-    golden_section,
     hard_absolute,
     hard_gaussian,
     hard_quadlin,
@@ -53,20 +52,6 @@ def projected_gradient_oracle_batch(xs_idx, ys, dim, iters=200_000, step=2e-3):
         r = np.sqrt(np.einsum("ij,ij->i", w, w))[:, None]
         w *= 1.0 / np.maximum(r, 1.0)  # 1/r where r > 1, else exactly 1
     return w
-
-
-class TestGoldenSection:
-    def test_quadratic(self):
-        assert golden_section(lambda w: (w - 0.3) ** 2, -1, 1, tol=1e-12) == pytest.approx(
-            0.3, abs=1e-10
-        )
-
-    def test_matches_dense_grid(self):
-        f = lambda w: abs(w - 0.123) + 0.5 * (w - 0.123) ** 2
-        grid = np.linspace(-1, 1, 1_000_001)
-        grid_best = grid[np.argmin([f(w) for w in grid[:: 1000]]) * 1000]
-        assert golden_section(f, -1, 1, tol=1e-10) == pytest.approx(0.123, abs=1e-6)
-        assert abs(grid_best - 0.123) < 2e-3  # coarse sanity on the oracle itself
 
 
 class TestConstructionA:
@@ -215,11 +200,18 @@ class TestConstructionC:
         assert np.all(data.ys[off] == 0.0)
 
     def test_population_minimizer_matches_closed_form(self):
+        # w* is where the risk's derivative q (p phi'(w - 1) + (1 - p) phi'(w + 1))
+        # vanishes, to rounding, and L* is the risk there
         for n, q in [(25, 1.0), (100, 0.5), (400, 0.9), (10000, 1.0)]:
             dist = hard_quadlin(n, q)
-            candidate = quadlin_minimizer_closed_form(dist.p)
-            if 0.5 <= candidate <= 1.0:
-                assert float(dist.w_star[0]) == pytest.approx(candidate, abs=1e-6)
+            w = float(dist.w_star[0])
+            assert w == quadlin_minimizer_closed_form(dist.p)
+            slope = q * (
+                dist.p * float(dist.loss.derivative(w, 1.0))
+                + (1.0 - dist.p) * float(dist.loss.derivative(w, -1.0))
+            )
+            assert abs(slope) <= 1e-14
+            assert dist.l_star == dist.true_risk(dist.w_star)
 
     def test_l_star_exceeds_half_q(self):
         for n in (25, 100, 1000):
@@ -228,18 +220,32 @@ class TestConstructionC:
 
     def test_erm_matches_dense_grid_oracle(self):
         dist = hard_quadlin(64, 0.8)
-        data = dist.sample(64, seed=5)
-        w = erm_exact(dist, data)
-        on = data.xs[:, 0] > 0
-        n_pos = float(np.sum(data.ys[on] > 0))
-        n_neg = float(np.sum(on) - n_pos)
         grid = np.linspace(-1, 1, 1_000_001)
-        emp = (
-            n_pos * np.asarray(dist.loss.value(grid, 1.0))
-            + n_neg * np.asarray(dist.loss.value(grid, -1.0))
-        ) / data.n
-        oracle = grid[int(np.argmin(emp))]
-        assert float(w[0]) == pytest.approx(oracle, abs=1e-6)
+
+        def emp(data, w):
+            on = data.xs[:, 0] > 0
+            n_pos = float(np.sum(data.ys[on] > 0))
+            n_neg = float(np.sum(on) - n_pos)
+            return (
+                n_pos * np.asarray(dist.loss.value(w, 1.0))
+                + n_neg * np.asarray(dist.loss.value(w, -1.0))
+            ) / data.n
+
+        samples = [dist.sample(n, seed) for n, seed in [(64, 5), (64, 6), (17, 7), (5, 8)]]
+        tie = Dataset(ys=np.array([1.0, -1.0, 0.0, 1.0, -1.0]),
+                      xs=np.array([[1.0], [1.0], [0.0], [1.0], [1.0]]))
+        unseen = Dataset(ys=np.zeros(3), xs=np.zeros((3, 1)))
+        one_sided = Dataset(ys=np.array([1.0, 1.0, 0.0]), xs=np.array([[1.0], [1.0], [0.0]]))
+        cases = [(data, True) for data in samples + [one_sided]]
+        for data, unique in cases + [(tie, False), (unseen, False)]:
+            w = float(erm_exact(dist, data)[0])
+            grid_emp = emp(data, grid)
+            assert float(emp(data, np.array([w]))[0]) <= float(np.min(grid_emp)) + 1e-15
+            if unique:
+                assert w == pytest.approx(grid[int(np.argmin(grid_emp))], abs=1e-6)
+        assert float(erm_exact(dist, tie)[0]) == 0.0  # the interval's minimum-norm point
+        assert float(erm_exact(dist, unseen)[0]) == 0.0
+        assert float(erm_exact(dist, one_sided)[0]) == 1.0
 
     def test_all_negative_labels_push_erm_left(self):
         dist = hard_quadlin(64, 1.0)

@@ -1,8 +1,9 @@
-"""Library entry points reject nan, and inf where infinity means nothing.
+"""Library entry points reject nan, inf where infinity means nothing, and
+values outside an argument's domain.
 
 The config layer rejects non-finite values before a run; these guards are
 the same rule for a library caller, who would otherwise get a nan budget,
-smoothness or objective back instead of an error.
+smoothness, objective or bound back instead of an error naming the argument.
 """
 
 import math
@@ -17,12 +18,15 @@ from smoothbench import (
     euclidean_setup,
     hard_gaussian,
     lambda_for,
+    lipschitz_excess_bound,
     make_smooth_ramp,
     make_squared,
     margin_bound,
+    margin_empirical_error,
     regime_generator,
     regret_bound,
     run_mirror_descent_batch,
+    smooth_risk_bound,
     solve_regularized_erm,
     stepsize_for,
 )
@@ -33,6 +37,16 @@ NAN, INF = math.nan, math.inf
 def _solve(lam):
     data = Dataset(ys=np.array([1.0, -1.0]), xs=np.eye(2))
     return solve_regularized_erm(euclidean_setup(2, 1.0), make_squared(), data, lam)
+
+
+def _smooth(**kw):
+    args = dict(empirical_loss=0.1, smoothness_H=1.0, range_b=1.0, rademacher=0.01, n=100)
+    return smooth_risk_bound(**{**args, **kw})
+
+
+def _margin(**kw):
+    args = dict(empirical_loss=0.1, range_b=1.0, rademacher=0.01, n=100, margin=0.5)
+    return margin_bound(**{**args, **kw})
 
 
 def _play(eta):
@@ -60,6 +74,25 @@ CASES = {
         lambda: FunctionClassSpec("linear_l2_ball", INF), "budget must be positive"),
     "margin_bound margin nan": (
         lambda: margin_bound(0.1, 1.0, 0.01, 100, margin=NAN), "margin must be positive"),
+    "smooth_risk_bound smoothness_H nan": (lambda: _smooth(smoothness_H=NAN), "smoothness_H"),
+    "smooth_risk_bound rademacher nan": (lambda: _smooth(rademacher=NAN), "rademacher"),
+    "smooth_risk_bound rademacher negative": (lambda: _smooth(rademacher=-0.01), "rademacher"),
+    "smooth_risk_bound bound_K nan": (lambda: _smooth(bound_K=NAN), "bound_K"),
+    "smooth_risk_bound empirical_loss negative": (
+        lambda: _smooth(empirical_loss=-0.1), "empirical_loss"),
+    "lipschitz_excess_bound l_star nan": (
+        lambda: lipschitz_excess_bound(NAN, 1.0, 0.01), "l_star"),
+    "lipschitz_excess_bound lipschitz_D nan": (
+        lambda: lipschitz_excess_bound(0.1, NAN, 0.01), "lipschitz_D"),
+    "lipschitz_excess_bound rademacher nan": (
+        lambda: lipschitz_excess_bound(0.1, 1.0, NAN), "rademacher"),
+    "lipschitz_excess_bound rademacher negative": (
+        lambda: lipschitz_excess_bound(0.1, 1.0, -0.5), "rademacher"),
+    "margin_bound range_b nan": (lambda: _margin(range_b=NAN), "range_b"),
+    "margin_bound bound_K negative": (lambda: _margin(bound_K=-1.0), "bound_K"),
+    "margin_bound n zero": (lambda: _margin(n=0), "n must be >= 1"),
+    "margin_empirical_error gamma nan": (
+        lambda: margin_empirical_error([0.5], [1.0], NAN), "gamma"),
     "solve_regularized_erm lam nan": (lambda: _solve(NAN), "lambda must be positive"),
     "solve_regularized_erm lam inf": (lambda: _solve(INF), "lambda must be positive"),
     "run_mirror_descent_batch eta inf": (lambda: _play(INF), "step sizes must be positive"),

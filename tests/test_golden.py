@@ -112,6 +112,11 @@ def test_every_experiment_has_a_golden():
     assert sorted(set(EXPERIMENTS) - covered) == []
 
 
+def test_golden_files_and_configs_match():
+    # a renamed or dropped config must not leave a CSV that no test reads
+    assert sorted(path.stem for path in GOLDEN_DIR.glob("*.csv")) == sorted(GOLDEN)
+
+
 def test_moved_cells_names_each_changed_cell():
     old = "method,n,mean\na,32,0.5\nb,32,0\nc,64,nan\n"
     new = "method,n,mean\na,32,0.25\nb,32,1e-17\nc,64,nan\n"
