@@ -59,6 +59,8 @@ class Dataset:
 
     def __post_init__(self):
         ys = np.asarray(self.ys, dtype=float)
+        if not np.all(np.isfinite(ys)):
+            raise ValueError("ys entries must be finite")
         object.__setattr__(self, "ys", ys)
         if (self.xs is None) == (self.basis_idx is None):
             raise ValueError("exactly one of xs / basis_idx must be given")
@@ -66,6 +68,8 @@ class Dataset:
             xs = np.asarray(self.xs, dtype=float)
             if xs.ndim != 2:
                 raise ValueError(f"xs must have shape (n, d), got {xs.shape}")
+            if not np.all(np.isfinite(xs)):
+                raise ValueError("xs entries must be finite")
             object.__setattr__(self, "xs", xs)
             object.__setattr__(self, "dim", xs.shape[1])
             n = xs.shape[0]

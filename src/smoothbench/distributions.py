@@ -104,32 +104,26 @@ class GaussianSquared(HardDistribution):
         return self.sigma**2 + float(diff @ diff) / self.dim
 
     def _erm(self, data: Dataset) -> np.ndarray:
-        # per-coordinate sample means, radially corrected by a Lagrangian
-        # bisection when the unit-ball constraint binds
+        # per-coordinate sample means; when the unit ball binds, the seen coordinates
+        # are a / (s + mu) at the root mu of ||w(mu)|| = 1: Newton steps on the concave,
+        # increasing 1/||w(mu)|| rise from mu = 0 until rounding stalls them (More-Sorensen)
         counts = np.bincount(data.basis_idx, minlength=self.dim).astype(float)
         sums = np.bincount(data.basis_idx, weights=data.ys, minlength=self.dim)
         ybar = np.divide(sums, counts, out=np.zeros(self.dim), where=counts > 0)
         if float(np.linalg.norm(ybar)) <= 1.0:
             return ybar
-        n = float(data.n)
-        cy = counts * ybar
-
-        def norm_at(mu):
-            v = cy / (counts + mu * n)
-            return math.sqrt(float(v @ v))  # np.linalg.norm(v), at less cost
-
-        hi = 1.0
-        while norm_at(hi) > 1.0:
-            hi *= 2.0
-        lo = 0.0
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            if norm_at(mid) > 1.0:
-                lo = mid
-            else:
-                hi = mid
-        mu = 0.5 * (lo + hi)
-        return cy / (counts + mu * n)
+        seen = counts > 0
+        s, a = counts[seen] / data.n, sums[seen] / data.n
+        mu = 0.0
+        while True:
+            w = a / (s + mu)
+            norm2 = float(w @ w)
+            step = (math.sqrt(norm2) - 1.0) * norm2 / float(w @ (w / (s + mu)))
+            if not mu + step > mu:
+                break
+            mu += step
+        ybar[seen] = w
+        return ybar
 
     def _floor(self, n: int) -> float:
         return math.sqrt(self.l_star / n)

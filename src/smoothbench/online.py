@@ -244,7 +244,7 @@ def run_mirror_descent_batch(
     total = w.copy()
     for i in range(n):
         x = xs(i) if callable(xs) else xs[..., i, :]
-        if x.shape != batch + (d,):
+        if callable(xs) and x.shape != batch + (d,):  # an array was checked whole above
             raise ValueError(f"row {i} has shape {x.shape}, expected {batch + (d,)}")
         pred = np.vecdot(x, w)
         if rule is not None:

@@ -20,6 +20,10 @@ from smoothbench import (
 from smoothbench.batch import Dataset
 from smoothbench.distributions import AbsoluteSeparable, GaussianSquared, OnedimQuadlin
 
+# how far a binding hardB ERM's norm may sit from 1: four ulp of 1.0, for the
+# rounding of w and of its norm
+SPHERE_ULPS = 4 * np.finfo(float).eps
+
 
 def projected_gradient_oracle(xs_idx, ys, dim, iters=200_000, step=2e-3):
     """Brute-force empirical minimizer of the unhalved squared loss over the
@@ -157,14 +161,40 @@ class TestConstructionB:
         assert np.allclose(batch[0, : data.dim], loop, rtol=0.0, atol=1e-14)
         assert batch[0, data.dim] == 0.0
 
-    def test_erm_ball_constraint_bisection(self):
+    def test_erm_ball_constraint_secular_root(self):
         # large noise forces per-coordinate means outside the unit ball
         dist = hard_gaussian(50, 3.0, seed=9, dim=3)
         data = dist.sample(50, seed=10)
         w = erm_exact(dist, data)
-        assert float(np.linalg.norm(w)) == pytest.approx(1.0, abs=1e-9)
+        assert float(np.linalg.norm(w)) == pytest.approx(1.0, abs=SPHERE_ULPS)
         oracle = projected_gradient_oracle(data.basis_idx, data.ys, 3)
         assert float(np.max(np.abs(w - oracle))) <= 1e-5
+
+    def test_binding_erm_sits_on_the_sphere_with_one_multiplier(self):
+        # the ball binds in most of these samples; there the exact ERM is
+        # w_k = a_k / (s_k + mu) on the seen coordinates for one mu >= 0
+        # (s = counts / n, a = sums / n) and 0 elsewhere, with ||w|| = 1
+        binding = 0
+        for sigma in (0.1, 0.5, 3.0):
+            for n in (16, 64, 256, 1024, 8192):
+                for seed in range(8):
+                    dist = hard_gaussian(n, sigma, seed=seed)
+                    data = dist.sample(n, seed=1000 + seed)
+                    counts = np.bincount(data.basis_idx, minlength=dist.dim)
+                    sums = np.bincount(data.basis_idx, weights=data.ys, minlength=dist.dim)
+                    ybar = np.divide(sums, counts, out=np.zeros(dist.dim), where=counts > 0)
+                    if float(np.linalg.norm(ybar)) <= 1.0:
+                        continue
+                    binding += 1
+                    w = erm_exact(dist, data)
+                    assert abs(float(np.linalg.norm(w)) - 1.0) <= SPHERE_ULPS
+                    seen = counts > 0
+                    assert not np.any(w[~seen])
+                    s, a = counts[seen] / n, sums[seen] / n
+                    mu = float(np.median(a / w[seen] - s))
+                    assert mu >= 0.0
+                    assert np.allclose(w[seen] * (s + mu), a, rtol=1e-14, atol=0.0)
+        assert binding >= 60
 
     def test_lower_bound_value(self):
         dist = hard_gaussian(100, 0.1, seed=11)

@@ -55,6 +55,14 @@ def _play(eta):
 
 
 CASES = {
+    "Dataset dense ys nan": (
+        lambda: Dataset(ys=np.array([1.0, NAN]), xs=np.eye(2)), "ys entries must be finite"),
+    "Dataset dense xs inf": (
+        lambda: Dataset(ys=np.ones(2), xs=np.array([[1.0, INF], [0.0, 1.0]])),
+        "xs entries must be finite"),
+    "Dataset basis ys inf": (
+        lambda: Dataset(ys=np.array([INF, 1.0]), basis_idx=np.array([0, 1]), dim=2),
+        "ys entries must be finite"),
     "euclidean_setup budget nan": (lambda: euclidean_setup(5, NAN), "budget > 0"),
     "euclidean_setup budget inf": (lambda: euclidean_setup(5, INF), "budget > 0"),
     "entropy_setup budget nan": (lambda: entropy_setup(5, NAN), "budget >= 1"),
