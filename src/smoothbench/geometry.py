@@ -41,9 +41,15 @@ class MirrorSetup:
 
 
 def euclidean_setup(dim: int, budget: float) -> MirrorSetup:
-    if dim < 1 or not 0 < budget < math.inf:
-        raise ValueError("euclidean setup needs dim >= 1 and budget > 0")
-    return MirrorSetup(EUCLIDEAN, dim, float(budget), float(budget) ** 2)
+    try:
+        f_max = float(budget) ** 2
+    except OverflowError:
+        f_max = math.inf
+    # F = B^2 rounds to 0 or overflows for a budget at the float range's ends
+    if dim < 1 or not budget > 0 or not 0 < f_max < math.inf:
+        raise ValueError(f"euclidean setup needs dim >= 1 and budget > 0 with 0 < B^2 < inf, "
+                         f"got dim {dim}, budget {budget}")
+    return MirrorSetup(EUCLIDEAN, dim, float(budget), f_max)
 
 
 def entropy_setup(dim: int, budget: float) -> MirrorSetup:
@@ -53,6 +59,8 @@ def entropy_setup(dim: int, budget: float) -> MirrorSetup:
         raise ValueError(f"entropy geometry requires budget >= 1, got {budget}")
     b = float(budget)
     f_max = b * b * math.log(b * dim) + b * b / math.e
+    if f_max == math.inf:
+        raise ValueError(f"entropy geometry needs a finite F_max, got inf at budget {budget}")
     return MirrorSetup(ENTROPY, dim, b, f_max)
 
 

@@ -1,17 +1,18 @@
 """Experiment configuration: flat key-value files, JSON files, CLI overrides.
 
 The flat format is one `key = value` pair per line; `#` starts a comment.
-Values are parsed as int, float, bare string, or a comma-separated list of
-ints/floats (used for n_grid and gamma_grid). The JSON alternative is an
-object with the same keys. CLI flags override file values.
+The JSON alternative is an object with the same keys. CLI flags override
+file values. `with_defaults` types each value once, by its field.
 """
 
+import contextlib
 import dataclasses
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
-from typing import Callable, get_args
+from typing import Callable, Literal, get_args, get_origin
 
 from ..distributions import hard_absolute, hard_gaussian, hard_quadlin, separable_synthetic
 
@@ -28,8 +29,8 @@ class ExperimentConfig:
 
     experiment: str = ""
     distribution: str | None = None
-    learner: str | None = None
-    n_grid: tuple | None = None
+    learner: Literal["erm", "regularized_erm", "mirror_descent"] | None = None
+    n_grid: tuple[int, ...] | None = None
     replicates: int | None = None
     seed: int = 1234
     out: str = ""
@@ -43,10 +44,10 @@ class ExperimentConfig:
     sparsity_k: int | None = None
     noise: float | None = None
     eta_scale: float | None = None
-    lambda_policy: str | None = None
-    lbar_mode: str | None = None
-    methods: tuple | None = None
-    gamma_grid: tuple | None = None
+    lambda_policy: Literal["oracle", "formula"] | None = None
+    lbar_mode: Literal["exact", "auto"] | None = None
+    methods: tuple[str, ...] | None = None
+    gamma_grid: tuple[float, ...] | None = None
     label_noise: float | None = None
 
 
@@ -93,10 +94,7 @@ def parse_distribution(name: str) -> tuple[Family, float | None]:
         return spec, spec.arg
     if spec.arg is None:
         raise ConfigError(f"distribution {family!r} takes no argument, got {name!r}")
-    try:
-        return spec, float(arg)
-    except ValueError:
-        raise ConfigError(f"distribution argument must be numeric, got {name!r}") from None
+    return spec, typed(f"distribution argument in {name!r}", float, arg)
 
 
 def make_distribution(name: str, n: int, dim: int, seed: int):
@@ -104,19 +102,8 @@ def make_distribution(name: str, n: int, dim: int, seed: int):
     return family.build(n, arg, dim, seed)
 
 
-def _parse_scalar(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
 def parse_kv_text(text: str) -> dict:
-    """Parse the flat key-value grammar into a raw dict."""
+    """Parse the flat key-value grammar into a raw dict of stripped text."""
     raw = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -127,36 +114,47 @@ def parse_kv_text(text: str) -> dict:
         key, value = (part.strip() for part in stripped.split("=", 1))
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
-        if "," in value:
-            raw[key] = [_parse_scalar(v.strip()) for v in value.split(",") if v.strip()]
-        else:
-            raw[key] = _parse_scalar(value)
+        raw[key] = value
     return raw
 
 
-def _coerce(key: str, kind: type, value):
-    """`value` as the field's type."""
-    if kind is tuple:
-        return tuple(value) if isinstance(value, (list, tuple)) else (value,)
+def typed(key: str, kind, value):
+    """`value` as the field type `kind`, else a ConfigError. Text is read as
+    the type (an integer's stays exact), and only a tuple's splits on commas;
+    a number is no bool, finite, and whole for an int."""
+    if get_origin(kind) is tuple:
+        if isinstance(value, str):
+            value = [part for part in map(str.strip, value.split(",")) if part]
+        value = value if isinstance(value, (list, tuple)) else [value]
+        if not value:
+            raise ConfigError(f"{key} must not be empty")
+        return tuple(typed(f"{key} entries", get_args(kind)[0], v) for v in value)
+    if get_origin(kind) is Literal:
+        require_choice(key, value, get_args(kind))
+        return value
+    if isinstance(value, str) and kind is not str:
+        with contextlib.suppress(ValueError):  # else rejected as text below
+            value = kind(value)
+    if isinstance(value, bool) or not isinstance(value, str if kind is str else numbers.Real):
+        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
     if kind is str:
-        return str(value)
-    if kind is int and isinstance(value, float) and not value.is_integer():
+        return value
+    if not isinstance(value, numbers.Integral) and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value}")
+    if kind is int and value != int(value):
         raise ConfigError(f"{key} must be an integer, got {value}")
     try:
         return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}") from None
+    except OverflowError:  # an int beyond the float range
+        raise ConfigError(f"{key} must be finite, got {value}") from None
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    # a field's type: its annotation's first member ("int | None" -> int)
-    kinds = {f.name: (get_args(f.type) or (f.type,))[0] for f in dataclasses.fields(ExperimentConfig)}
-    cfg = ExperimentConfig()
-    for key, value in raw.items():
-        if key not in kinds:
+    """The raw values, untyped until `with_defaults`; only an unknown key fails here."""
+    for key in raw:
+        if key not in ExperimentConfig.__dataclass_fields__:
             raise ConfigError(f"unknown config key: {key!r}")
-        setattr(cfg, key, _coerce(key, kinds[key], value))
-    return cfg
+    return ExperimentConfig(**raw)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -168,8 +166,6 @@ def load_config(path: str) -> ExperimentConfig:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON config: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("JSON config must be an object")
         return config_from_dict(raw)
     return config_from_dict(parse_kv_text(text))
 
@@ -182,8 +178,9 @@ def apply_overrides(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:
 
 
 def require_choice(key: str, value, choices) -> None:
+    choices = tuple(choices)  # compared by ==: an unhashable value is not a choice
     if value not in choices:
-        raise ConfigError(f"unknown {key}: {value!r}; expected one of {tuple(choices)}")
+        raise ConfigError(f"unknown {key}: {value!r}; expected one of {choices}")
 
 
 def fill_unset(cfg: ExperimentConfig, defaults: dict) -> None:
@@ -195,7 +192,7 @@ def fill_unset(cfg: ExperimentConfig, defaults: dict) -> None:
 
 def with_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
     """Reject the fields the experiment does not read, fill its defaults
-    into the fields the config left unset, then validate."""
+    into the unset ones, then type and validate every field."""
     from .experiments import EXPERIMENTS  # here: experiments imports this module
 
     require_choice("experiment", cfg.experiment, EXPERIMENTS)
@@ -207,6 +204,10 @@ def with_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
         readers = f"{', '.join(others)} and {last} read" if others else f"{last} reads"
         raise ConfigError(f"{name} does not read {key!r}; only {readers} it")
     fill_unset(cfg, spec.defaults)
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if value is not None:  # the annotation's first member: "int | None" -> int
+            setattr(cfg, f.name, typed(f.name, (get_args(f.type) or (f.type,))[0], value))
     spec.prepare(cfg)
     if "methods" in spec.defaults:
         choices = spec.defaults["methods"]
@@ -215,24 +216,8 @@ def with_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError(f"unknown {name} methods: {sorted(bad)}; expected {choices}")
         if len(set(cfg.methods)) < len(cfg.methods):
             raise ConfigError(f"{name} methods must not repeat, got {cfg.methods}")
-    gammas = cfg.gamma_grid or ()
-    if not all(isinstance(v, (int, float)) for v in cfg.n_grid + gammas):
-        raise ConfigError(f"grid entries must be numbers, got {cfg.n_grid} and {gammas}")
-    for key, value in vars(cfg).items():
-        entries = value if isinstance(value, tuple) else (value,)
-        if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
-            what = f"{key} entries" if isinstance(value, tuple) else key
-            raise ConfigError(f"{what} must be finite, got {value}")
-    if not cfg.n_grid or any(
-        b <= a for a, b in zip(cfg.n_grid, cfg.n_grid[1:])
-    ):
-        raise ConfigError(f"n_grid must be strictly increasing, got {cfg.n_grid}")
-    if any(int(n) != n or n < 1 for n in cfg.n_grid):
-        raise ConfigError(f"n_grid entries must be positive integers, got {cfg.n_grid}")
-    cfg.n_grid = tuple(int(n) for n in cfg.n_grid)
-    empty = [key for key, value in vars(cfg).items() if value == ()]
-    if empty:
-        raise ConfigError(f"{empty[0]} must not be empty")
+    if any(b <= a for a, b in zip((0,) + cfg.n_grid, cfg.n_grid)):
+        raise ConfigError(f"n_grid must be positive and strictly increasing, got {cfg.n_grid}")
     if cfg.replicates < 1:
         raise ConfigError(f"replicates must be >= 1, got {cfg.replicates}")
     for key in ("tol", "eta_scale"):

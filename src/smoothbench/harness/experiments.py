@@ -65,7 +65,6 @@ from .config import (
     fill_unset,
     make_distribution,
     parse_distribution,
-    require_choice,
 )
 
 REGRET_SLACK = 1e-9
@@ -90,8 +89,9 @@ def fit_slope(ns, means) -> tuple[float, float, float]:
     Rows with non-positive means are dropped with a warning (clamping them
     would bias the slope); fewer than 3 usable rows is an error.
     """
-    pts = [(math.log(n), math.log(m)) for n, m in zip(ns, means) if m > 0]
-    dropped = len(list(ns)) - len(pts)
+    pairs = list(zip(ns, means))
+    pts = [(math.log(n), math.log(m)) for n, m in pairs if m > 0]
+    dropped = len(pairs) - len(pts)
     if dropped:
         warnings.warn(f"fit_slope dropped {dropped} non-positive rows", stacklevel=2)
     if len(pts) < _SLOPE_MIN_ROWS:
@@ -192,11 +192,6 @@ def _family_defaults(cfg: ExperimentConfig):
         raise ConfigError(f"distribution {cfg.distribution!r} does not read 'dim'")
     fill_unset(cfg, {"budget": family.budget, "dim": family.dim})
     return family
-
-
-def _rate_defaults(cfg: ExperimentConfig) -> None:
-    fill_unset(cfg, _family_defaults(cfg).rate)
-    require_choice("learner", cfg.learner, ("erm", "regularized_erm", "mirror_descent"))
 
 
 def _family_premises(cfg: ExperimentConfig, exact_erm: bool) -> None:
@@ -597,13 +592,8 @@ def run_regime_experiment(cfg: ExperimentConfig) -> list:
     d, xb, sigma = cfg.dim, cfg.x_scale, cfg.sigma
     rows = []
     for i, n in enumerate(cfg.n_grid):
-        smoothness = 2.0 * xb**2  # population scale 2 E||X||^2 for the rule
         setup = euclidean_setup(d, cfg.budget)
-        lam_theory = lambda_for(smoothness, setup.f_max, n, sigma**2)
-        if cfg.lambda_policy == "formula":
-            candidates = [lam_theory]
-        else:
-            candidates = [lam_theory * 4.0 ** (-k) for k in range(12)]
+        candidates = _regime_lambdas(cfg, setup, n)
         excesses = [[] for _ in candidates]
         hits = 0
         for j in range(cfg.replicates):
@@ -632,9 +622,24 @@ def run_regime_experiment(cfg: ExperimentConfig) -> list:
     return rows
 
 
+def _regime_lambdas(cfg: ExperimentConfig, setup, n: int) -> list:
+    """The λ candidates at n: the rule's value at H = 2 E||X||^2 and
+    L* = sigma^2, then, for the oracle policy, a geometric grid below it."""
+    lam_theory = lambda_for(2.0 * cfg.x_scale**2, setup.f_max, n, cfg.sigma**2)
+    if cfg.lambda_policy == "formula":
+        return [lam_theory]
+    return [lam_theory * 4.0 ** (-k) for k in range(12)]
+
+
 def _regime_premises(cfg: ExperimentConfig) -> None:
     regime_generator(cfg.dim, cfg.x_scale, cfg.sigma, _PREMISE_SEED)
-    euclidean_setup(cfg.dim, cfg.budget)
+    setup = euclidean_setup(cfg.dim, cfg.budget)
+    try:  # H = 2 x_scale^2 and sigma^2 can overflow, and H can vanish
+        lams = [lam for n in cfg.n_grid for lam in _regime_lambdas(cfg, setup, n)]
+    except (OverflowError, ValueError):
+        lams = [math.nan]
+    if not all(0 < lam < math.inf for lam in lams):
+        raise ValueError(f"x_scale {cfg.x_scale} and sigma {cfg.sigma} give a lambda outside (0, inf)")
 
 
 @dataclass(frozen=True)
@@ -724,7 +729,7 @@ def _margin_rules(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"margin replicates must be 1, got {cfg.replicates}")
     if not 0 < cfg.delta < 1:
         raise ConfigError(f"delta must lie in (0, 1), got {cfg.delta}")
-    if not 0 <= cfg.label_noise <= 1:  # also rejects nan
+    if not 0 <= cfg.label_noise <= 1:
         raise ConfigError(f"label_noise must lie in [0, 1], got {cfg.label_noise}")
     if not 0 < cfg.bound_k < math.inf:
         raise ConfigError(f"bound_k must be positive and finite, got {cfg.bound_k}")
@@ -782,7 +787,8 @@ EXPERIMENTS = {
         # the family gives learner, n_grid, budget and dim (separable only)
         {"distribution": "separable", "learner": None, "n_grid": None,
          "replicates": 50, "dim": None, "budget": None, "tol": 1e-10},
-        check=_check_rate, prepare=_rate_defaults, fits_slope=True),
+        check=_check_rate, prepare=lambda cfg: fill_unset(cfg, _family_defaults(cfg).rate),
+        fits_slope=True),
     "regret": Experiment(
         run_regret_experiment, RegretRow, _regret_premises,
         {"n_grid": (10, 100, 1000, 10000), "replicates": 10, "dim": 8, "budget": 1.0,
@@ -791,8 +797,7 @@ EXPERIMENTS = {
             f"{r.stream} n={r.n} seed={r.seed_index}: measured {r.measured:.6g} > "
             f"bound {r.bound:.6g}"
             for r in rows if r.measured > r.bound + REGRET_SLACK
-        ],
-        prepare=lambda cfg: require_choice("lbar_mode", cfg.lbar_mode, ("exact", "auto"))),
+        ]),
     "stability": Experiment(
         run_stability_experiment, StabilityRow,
         lambda cfg: _family_premises(cfg, exact_erm=False),
@@ -819,9 +824,7 @@ EXPERIMENTS = {
             f"n={r.n}: excess {r.mean_excess:.6g} > "
             f"{REGIME_ENVELOPE_FACTOR} * envelope {r.envelope:.6g}"
             for r in rows if r.mean_excess > REGIME_ENVELOPE_FACTOR * r.envelope
-        ],
-        prepare=lambda cfg: require_choice(
-            "lambda_policy", cfg.lambda_policy, ("oracle", "formula"))),
+        ]),
     "margin": Experiment(
         run_margin_experiment, MarginRow, _margin_premises,
         {"dim": 10, "n_grid": (2048,), "replicates": 1, "budget": 1.0,

@@ -67,6 +67,13 @@ CASES = {
     "euclidean_setup budget inf": (lambda: euclidean_setup(5, INF), "budget > 0"),
     "entropy_setup budget nan": (lambda: entropy_setup(5, NAN), "budget >= 1"),
     "entropy_setup budget inf": (lambda: entropy_setup(5, INF), "budget >= 1"),
+    # finite budgets whose F_max = B^2 (or the entropy supremum) leaves (0, inf)
+    "euclidean_setup budget 1e200": (
+        lambda: euclidean_setup(5, 1e200), r"0 < B\^2 < inf, got dim 5, budget 1e\+200"),
+    "euclidean_setup budget 1e-200": (
+        lambda: euclidean_setup(5, 1e-200), r"0 < B\^2 < inf, got dim 5, budget 1e-200"),
+    "entropy_setup budget 1e200": (
+        lambda: entropy_setup(5, 1e200), r"finite F_max, got inf at budget 1e\+200"),
     "regime_generator x_scale nan": (lambda: regime_generator(5, NAN, 0.1, 1), "x_scale > 0"),
     "regime_generator sigma nan": (lambda: regime_generator(5, 1.0, NAN, 1), "sigma >= 0"),
     "make_smooth_ramp gamma nan": (lambda: make_smooth_ramp(NAN), "gamma must be positive"),

@@ -40,6 +40,7 @@ from smoothbench.batch import (
     _l1_constrained_erm,
     _project_l1_ball,
 )
+from test_golden import GOLDEN
 
 
 def make_cfg(**kw) -> ExperimentConfig:
@@ -53,7 +54,8 @@ BAD_CONFIGS = [
     ({"experiment": "regret", "lbar_mode": "atuo"}, "unknown lbar_mode"),
     ({"experiment": "sparse", "methods": ["entropy_md", "foo"]}, "unknown sparse methods"),
     ({"experiment": "stability", "distribution": "hardZ"}, "unknown distribution"),
-    ({"experiment": "rate", "distribution": "hardB:abc"}, "must be numeric"),
+    ({"experiment": "rate", "distribution": "hardB:abc"},
+     "distribution argument in 'hardB:abc' must be float, got 'abc'"),
     ({"experiment": "rate", "distribution": "hardA", "learner": "mirror_descent"},
      "non-smooth loss"),
     ({"experiment": "rate", "distribution": "hardA", "learner": "regularized_erm"},
@@ -86,11 +88,11 @@ BAD_CONFIGS = [
     ({"experiment": "margin", "replicates": 5}, "replicates must be 1"),
     ({"experiment": "margin", "label_noise": -0.1}, r"label_noise must lie in \[0, 1\]"),
     ({"experiment": "margin", "label_noise": 1.5}, r"label_noise must lie in \[0, 1\]"),
-    ({"experiment": "margin", "label_noise": math.nan}, r"label_noise must lie in \[0, 1\]"),
+    ({"experiment": "margin", "label_noise": math.nan}, "label_noise must be finite, got nan"),
     ({"experiment": "margin", "bound_k": 0}, "bound_k must be positive and finite"),
     ({"experiment": "margin", "bound_k": -1e5}, "bound_k must be positive and finite"),
-    ({"experiment": "margin", "bound_k": math.nan}, "bound_k must be positive and finite"),
-    ({"experiment": "margin", "bound_k": math.inf}, "bound_k must be positive and finite"),
+    ({"experiment": "margin", "bound_k": math.nan}, "bound_k must be finite, got nan"),
+    ({"experiment": "margin", "bound_k": math.inf}, "bound_k must be finite, got inf"),
     ({"experiment": "rate", "distribution": "separable", "learner": "erm"}, "no exact ERM"),
     # an explicit zero or empty value is the config's, not a request for the default
     ({"experiment": "regret", "replicates": 0}, "replicates must be >= 1"),
@@ -105,9 +107,9 @@ BAD_CONFIGS = [
     ({"experiment": "regime", "x_scale": math.nan}, "x_scale must be finite, got nan"),
     ({"experiment": "regime", "x_scale": math.inf}, "x_scale must be finite, got inf"),
     ({"experiment": "rate", "n_grid": [16, 32, math.nan]},
-     r"n_grid entries must be finite, got \(16, 32, nan\)"),
+     "n_grid entries must be finite, got nan"),
     ({"experiment": "margin", "gamma_grid": [0.1, math.nan]},
-     r"gamma_grid entries must be finite, got \(0.1, nan\)"),
+     "gamma_grid entries must be finite, got nan"),
     ({"experiment": "sparse", "eta_scale": math.inf}, "eta_scale must be finite, got inf"),
     ({"experiment": "stability", "tol": math.inf}, "tol must be finite, got inf"),
     ({"experiment": "margin", "budget": math.inf}, "budget must be finite, got inf"),
@@ -124,6 +126,35 @@ BAD_CONFIGS = [
      "distribution 'hardB' does not read 'dim'"),
     ({"experiment": "rate", "distribution": "hardA", "dim": 16}, "does not read 'dim'"),
     ({"experiment": "stability", "dim": 3}, "distribution 'hardB:0.1' does not read 'dim'"),
+    # a budget or scale at the ends of the float range: what the run computes
+    # from it (F = B^2, the entropy F_max, H = 2 x_scale^2, sigma^2) rounds to
+    # 0 or overflows
+    ({"experiment": "regime", "x_scale": 1e200},
+     r"x_scale 1e\+200 and sigma 0.5 give a lambda outside \(0, inf\)"),
+    ({"experiment": "regime", "x_scale": 1e-200},
+     "x_scale 1e-200 and sigma 0.5 give a lambda outside"),
+    ({"experiment": "regime", "sigma": 1e200}, r"sigma 1e\+200 give a lambda outside"),
+    ({"experiment": "regime", "budget": 1e-200}, r"0 < B\^2 < inf, got dim \d+, budget 1e-200"),
+    ({"experiment": "regime", "budget": 1e200}, r"0 < B\^2 < inf, got dim \d+, budget 1e\+200"),
+    ({"experiment": "rate", "budget": 1e-200}, r"0 < B\^2 < inf, got dim \d+, budget 1e-200"),
+    ({"experiment": "rate", "budget": 1e200}, r"0 < B\^2 < inf, got dim \d+, budget 1e\+200"),
+    ({"experiment": "stability", "budget": 1e-200}, r"0 < B\^2 < inf, got dim \d+, budget 1e-200"),
+    ({"experiment": "stability", "budget": 1e200}, r"0 < B\^2 < inf, got dim \d+, budget 1e\+200"),
+    ({"experiment": "regret", "budget": 1e-200, "methods": ["fixed_adversarial"]},
+     r"0 < B\^2 < inf, got dim \d+, budget 1e-200"),
+    ({"experiment": "regret", "budget": 1e200}, r"0 < B\^2 < inf, got dim \d+, budget 1e\+200"),
+    ({"experiment": "margin", "budget": 1e200}, r"0 < B\^2 < inf, got dim \d+, budget 1e\+200"),
+    ({"experiment": "sparse", "budget": 1e200}, r"finite F_max, got inf at budget 1e\+200"),
+    # a boolean is not a number, and a distribution's argument is typed as one
+    ({"experiment": "rate", "n_grid": [True, 2, 3]}, "n_grid entries must be int, got True"),
+    ({"experiment": "regret", "replicates": True}, "replicates must be int, got True"),
+    ({"experiment": "regret", "budget": True}, "budget must be float, got True"),
+    ({"experiment": "margin", "gamma_grid": [0.1, True]},
+     "gamma_grid entries must be float, got True"),
+    ({"experiment": "rate", "distribution": "hardB:nan"},
+     "distribution argument in 'hardB:nan' must be finite, got nan"),
+    # a JSON integer beyond the float range, for a float key
+    ({"experiment": "regret", "budget": 10**400}, "budget must be finite, got 1000"),
 ]
 
 
@@ -160,6 +191,32 @@ class TestConfig:
         assert cfg.experiment == "stability" and cfg.replicates == 31
         assert cfg.distribution == "hardB:0.1"
 
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_dict_flat_and_json_files_give_one_config(self, name, tmp_path):
+        raw = GOLDEN[name]
+        flat, js = tmp_path / "cfg.txt", tmp_path / "cfg.json"
+        flat.write_text("".join(
+            f"{key} = {', '.join(map(str, v)) if isinstance(v, list) else v}\n"
+            for key, v in raw.items()
+        ))
+        js.write_text(json.dumps(raw))
+        cfg = with_defaults(config_from_dict(dict(raw)))
+        assert with_defaults(load_config(str(flat))) == cfg
+        assert with_defaults(load_config(str(js))) == cfg
+
+    def test_flat_text_is_read_as_its_field(self, tmp_path):
+        # only a list key splits on commas; an integer's text stays exact
+        path = tmp_path / "cfg.txt"
+        seed = 2**70 + 1
+        path.write_text(f"experiment = margin\nout = {tmp_path}/a,b\nseed = {seed}\n"
+                        "gamma_grid = 0.1, 1\n")
+        cfg = with_defaults(load_config(str(path)))
+        assert cfg.out == f"{tmp_path}/a,b"
+        assert cfg.seed == seed and type(cfg.seed) is int
+        assert cfg.gamma_grid == (0.1, 1.0) and type(cfg.gamma_grid[1]) is float
+        assert parse_kv_text("n_grid = 16 , 32,\n") == {"n_grid": "16 , 32,"}
+        assert make_cfg(experiment="rate", n_grid="16 , 32,", replicates=1).n_grid == (16, 32)
+
     def test_overrides_beat_file_values(self):
         cfg = config_from_dict({"experiment": "regret", "seed": 1, "replicates": 9})
         apply_overrides(cfg, seed=42, replicates=None)
@@ -183,7 +240,7 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_kv_text("just some words\n")
         with pytest.raises(ConfigError, match="must be int"):
-            config_from_dict({"experiment": "rate", "replicates": "many"})
+            make_cfg(experiment="rate", replicates="many")
         for raw, fragment in BAD_CONFIGS:
             with pytest.raises(ConfigError, match=fragment):
                 make_cfg(**raw)
@@ -328,6 +385,13 @@ class TestFitSlope:
         with pytest.raises(ValueError):
             with pytest.warns(UserWarning):
                 fit_slope([10, 100, 1000], [1.0, 0.0, -0.5])
+
+    def test_ns_may_be_a_generator(self):
+        # the rows are counted as read: no warning when none is dropped
+        ns, means = [10, 100, 1000, 10000], [1.0, 0.1, 0.01, 0.001]
+        assert fit_slope(iter(ns), means) == fit_slope(ns, means)
+        with pytest.warns(UserWarning, match="dropped 1 non-positive rows"):
+            fit_slope((n for n in ns), [1.0, 0.1, 0.0, 0.001])
 
 
 class TestRegretExperiment:
@@ -1087,6 +1151,23 @@ class TestCli:
             assert cli_main([raw["experiment"], "--config", str(path)]) == 2, raw
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+    def test_extreme_flat_file_values_exit_two_before_any_work(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(experiments, "run_experiment", lambda cfg: pytest.fail("ran"))
+        cfg = tmp_path / "cfg.txt"
+        for exp, text, fragment in [
+            ("regime", "x_scale = 1e200", "give a lambda outside"),
+            ("sparse", "budget = 1e200", "finite F_max, got inf"),
+            ("rate", "distribution = hardB:nan", "must be finite, got nan"),
+            ("regret", "replicates = true", "replicates must be int, got 'true'"),
+        ]:
+            cfg.write_text(text + "\n")
+            assert cli_main([exp, "--config", str(cfg)]) == 2, text
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and err.count("\n") == 1, err
+            assert fragment in err, err
 
     def test_out_in_missing_directory_exits_two_before_any_work(
         self, tmp_path, capsys, monkeypatch
