@@ -1,6 +1,6 @@
 """Smoothness-adaptive online/stochastic convex optimization toolkit.
 
-Loss catalog with self-bounding probes, euclidean/entropy mirror
+Loss catalog with self-bounding residuals, euclidean/entropy mirror
 geometries, online mirror descent with theory step sizes, certified
 regularized ERM with a stability probe, hard lower-bound distributions,
 Rademacher/bound calculators, and a CLI experiment harness.
@@ -15,7 +15,6 @@ from .losses import (
     make_squared,
     make_squared_unhalved,
     pair_bound_residual,
-    probe_smoothness,
     self_bound_residual,
 )
 from .geometry import (
@@ -29,8 +28,6 @@ from .geometry import (
     euclidean_setup,
     is_feasible,
     mirror_step,
-    primal_norm,
-    probe_strong_convexity,
     regularizer_grad,
     regularizer_value,
 )

@@ -456,5 +456,5 @@ def mean_stderr(values) -> tuple[float, float]:
 
 
 def excess_risk(dist, w: np.ndarray) -> float:
-    """true risk of w minus the distribution's reference risk L*."""
-    return dist.true_risk(w) - dist.l_star
+    """L(w) - L*, from the family's own form of the excess."""
+    return dist.excess(w)

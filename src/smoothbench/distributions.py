@@ -3,7 +3,10 @@
 Three lower-bound families over basis-vector designs, plus the synthetic
 generators the harness uses for fast-rate, sparse, and ridge-regime runs.
 All are classes with the same duck-typed surface: .sample(n, seed) ->
-Dataset, .true_risk(w), .l_star, .w_star and .loss.
+Dataset, .true_risk(w), .excess(w), .l_star, .w_star and .loss. Where
+the excess L(w) - L* is a quadratic form in w - w*, .excess computes it
+directly and .true_risk is L* plus it, so a large L* cannot swallow the
+excess in a difference of two risks.
 
 Family overview (d standard basis vectors, Y conditioned on X = e_i):
 
@@ -59,6 +62,12 @@ class HardDistribution:
         """Exact risk of a fixed predictor; no sampling."""
         return self._risk(np.asarray(w, dtype=float))
 
+    def excess(self, w: np.ndarray) -> float:
+        """L(w) - L*. As a difference it is exact for hardA, whose L* is 0;
+        hardC's risk is piecewise in w, with no single closed form for the
+        excess. hardB overrides this with its quadratic form."""
+        return self.true_risk(w) - self.l_star
+
     def _floor_applies(self, n: int) -> bool:
         return True
 
@@ -99,9 +108,12 @@ class GaussianSquared(HardDistribution):
         ys = means if self.sigma == 0 else rng.normal(means, self.sigma)
         return Dataset(ys=ys, basis_idx=idx, dim=self.dim)
 
+    def excess(self, w: np.ndarray) -> float:
+        diff = np.asarray(w, dtype=float) - self.w_star
+        return float(diff @ diff) / self.dim
+
     def _risk(self, w: np.ndarray) -> float:
-        diff = w - self.w_star
-        return self.sigma**2 + float(diff @ diff) / self.dim
+        return self.l_star + self.excess(w)
 
     def _erm(self, data: Dataset) -> np.ndarray:
         # per-coordinate sample means; when the unit ball binds, the seen coordinates
@@ -279,9 +291,12 @@ class SeparableSynthetic:
         idx = rng.integers(self.dim, size=n)
         return Dataset(ys=self.w_star[idx], basis_idx=idx, dim=self.dim)
 
-    def true_risk(self, w: np.ndarray) -> float:
+    def excess(self, w: np.ndarray) -> float:
         diff = np.asarray(w, dtype=float) - self.w_star
         return 0.5 * float(diff @ diff) / self.dim
+
+    def true_risk(self, w: np.ndarray) -> float:
+        return self.l_star + self.excess(w)
 
 
 def separable_synthetic(dim: int, seed: int) -> SeparableSynthetic:
@@ -351,14 +366,17 @@ class SparseGenerator:
         copy's bit for bit)."""
         return Dataset(ys=doubled.ys, xs=doubled.xs[:, : self.dim0])
 
-    def true_risk(self, w: np.ndarray) -> float:
-        """The risk of a signed weight vector, or of a doubled-feature one
-        folded back to signed space."""
+    def excess(self, w: np.ndarray) -> float:
+        """||w - w0||^2 / 2 for a signed weight vector, or for a doubled-
+        feature one folded back to signed space."""
         w = np.asarray(w, dtype=float)
         if w.shape[0] == 2 * self.dim0:
             w = w[: self.dim0] - w[self.dim0 :]
         diff = w - self.w0
-        return 0.5 * (float(diff @ diff) + self.noise**2 / 3.0)
+        return 0.5 * float(diff @ diff)
+
+    def true_risk(self, w: np.ndarray) -> float:
+        return self.l_star + self.excess(w)
 
 
 def sparse_generator(dim0: int, k: int, seed: int, noise: float = 0.0) -> SparseGenerator:
@@ -398,9 +416,12 @@ class RegimeGenerator:
         ys = xs @ self.w_star + rng.normal(0.0, self.sigma, size=n)
         return Dataset(ys=ys, xs=xs)
 
-    def true_risk(self, w: np.ndarray) -> float:
+    def excess(self, w: np.ndarray) -> float:
         diff = np.asarray(w, dtype=float) - self.w_star
-        return self.sigma**2 + (self.x_scale**2 / self.dim) * float(diff @ diff)
+        return (self.x_scale**2 / self.dim) * float(diff @ diff)
+
+    def true_risk(self, w: np.ndarray) -> float:
+        return self.l_star + self.excess(w)
 
     def envelope(self, n: int) -> tuple[float, str]:
         """min(B^2, B^2/n + B sigma/sqrt(n), d sigma^2/n) and the active term."""

@@ -128,13 +128,6 @@ def dual_norm(setup: MirrorSetup, v: np.ndarray) -> float:
     return float(np.max(np.abs(v))) if v.size else 0.0
 
 
-def primal_norm(setup: MirrorSetup, v: np.ndarray) -> float:
-    v = np.asarray(v, dtype=float)
-    if setup.geometry == EUCLIDEAN:
-        return float(np.linalg.norm(v))
-    return float(np.sum(np.abs(v)))
-
-
 def default_start(setup: MirrorSetup) -> np.ndarray:
     """Zero vector (euclidean) or the uniform vector B/d (entropy).
 
@@ -231,37 +224,3 @@ def _bregman(setup: MirrorSetup, w: np.ndarray, wp: np.ndarray) -> float:
     terms = np.where(w > 0, w * np.log(np.where(w > 0, w, 1.0) / wp), 0.0)
     return setup.budget * float(np.sum(terms) - np.sum(w) + np.sum(wp))
 
-
-def random_feasible(
-    setup: MirrorSetup, rng: np.random.Generator, positive: bool = False
-) -> np.ndarray:
-    """A random point of the constraint set; positive=True keeps coordinates
-    strictly positive (entropy interior, where grad F exists)."""
-    if setup.geometry == EUCLIDEAN:
-        direction = rng.standard_normal(setup.dim)
-        direction /= max(float(np.linalg.norm(direction)), 1e-300)
-        radius = ball_radius(setup) * rng.uniform() ** (1.0 / setup.dim)
-        return radius * direction
-    raw = rng.exponential(size=setup.dim)
-    raw /= float(np.sum(raw))
-    scale = setup.budget * (rng.uniform(0.05, 1.0) if positive else rng.uniform())
-    return scale * raw
-
-
-def probe_strong_convexity(setup: MirrorSetup, trials: int, seed: int) -> float:
-    """Minimum of D_F(w, w') - ||w - w'||^2 / 2 over random feasible pairs.
-
-    The primal norm of the setup is used; 1-strong convexity of F says the
-    minimum is nonnegative (zero identically in the euclidean case).
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    worst = math.inf
-    for _ in range(trials):
-        w = random_feasible(setup, rng)
-        wp = random_feasible(setup, rng, positive=True)
-        gap = bregman_divergence(setup, w, wp)
-        dist = primal_norm(setup, w - wp)
-        worst = min(worst, gap - 0.5 * dist * dist)
-    return worst

@@ -1,11 +1,11 @@
-"""Scalar loss catalog with smoothness metadata and self-bounding probes.
+"""Scalar loss catalog with smoothness metadata and self-bounding residuals.
 
 Each loss is a plain (t, y) -> value / derivative pair that operates
 elementwise on numpy arrays (t is the prediction, y the target; derivatives
 are always w.r.t. t). The declared smoothness constant H is the Lipschitz
 constant of the derivative in t and feeds the step-size and regularization
-formulas downstream, so it must be an honest upper bound: the residual
-probes in this module check that on grids.
+formulas downstream, so it must be an honest upper bound: the test
+suite's smoothness probe (tests/probes.py) checks that on grids.
 
 The factories build each spec once per process (per gamma for the ramp),
 since a LossSpec is frozen. The difference losses are functions of
@@ -164,23 +164,3 @@ def pair_bound_residual(loss: LossSpec, t, r, y):
     d = np.asarray(t, dtype=float) - np.asarray(r, dtype=float)
     return 6.0 * H * (ft + fr) * d * d - (ft - fr) ** 2
 
-
-def probe_smoothness(loss: LossSpec, grid_points: int) -> float:
-    """Largest difference quotient of phi' over a uniform t grid.
-
-    Adjacent grid pairs realize the maximum over all pairs, since any wider
-    quotient is a convex combination of adjacent ones. Probed at both ends
-    and the midpoint of the y domain; the result must not exceed the
-    declared smoothness.
-    """
-    loss.smoothness_H  # signals non-smooth losses
-    if grid_points < 10:
-        raise ValueError(f"grid_points must be >= 10, got {grid_points}")
-    t = np.linspace(loss.t_domain[0], loss.t_domain[1], grid_points)
-    dt = np.diff(t)
-    lo, hi = loss.y_domain
-    best = 0.0
-    for yv in (lo, 0.5 * (lo + hi), hi):
-        d = loss.derivative(t, yv)
-        best = max(best, float(np.max(np.abs(np.diff(d)) / dt)))
-    return best

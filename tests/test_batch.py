@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -523,3 +524,10 @@ class TestExcessRisk:
         w[0] += 0.3
         assert excess_risk(dist, w) == pytest.approx(0.09 / dist.dim, rel=1e-12)
         assert dist.true_risk(dist.w_star) == pytest.approx(0.01, rel=1e-12)
+
+    def test_large_noise_does_not_swallow_the_excess(self):
+        # L* = sigma^2 = 1e16 next to an excess near 1/2: a difference of the
+        # two risks rounds to 0
+        dist = regime_generator(50, 5.0, 1e8, 3)
+        exact = float(Fraction(25, 50) * sum(Fraction(float(v)) ** 2 for v in dist.w_star))
+        assert abs(excess_risk(dist, np.zeros(50)) - exact) <= 4 * math.ulp(exact)

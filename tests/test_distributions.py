@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -410,6 +411,31 @@ class TestRegimeGenerator:
         w = gen.w_star * 0.5
         expected = 0.09 + (4.0 / 10) * 0.25 * 1.0
         assert gen.true_risk(w) == pytest.approx(expected, rel=1e-12)
+
+
+class TestClosedFormExcess:
+    # family -> (constructor, c): the excess is c ||w - w*||^2
+    FAMILIES = {
+        "regime": (lambda: regime_generator(12, 3.0, 1e3, seed=71), Fraction(9, 12)),
+        "hardB": (lambda: hard_gaussian(64, 1e4, seed=72, dim=10), Fraction(1, 10)),
+        "separable": (lambda: separable_synthetic(9, seed=73), Fraction(1, 18)),
+        "sparse": (lambda: sparse_generator(11, 3, seed=74, noise=0.5), Fraction(1, 2)),
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_excess_is_the_quadratic_form(self, family):
+        build, c = self.FAMILIES[family]
+        dist = build()
+        rng = np.random.default_rng(75)
+        for _ in range(50):
+            w = rng.standard_normal(dist.w_star.size)
+            diff = [Fraction(float(a)) - Fraction(float(b)) for a, b in zip(w, dist.w_star)]
+            exact = float(c * sum(d * d for d in diff))
+            assert abs(dist.excess(w) - exact) <= 4 * math.ulp(exact)
+            assert dist.true_risk(w) == dist.l_star + dist.excess(w)
+            if family == "sparse":  # a doubled vector folds to the same excess
+                doubled = np.concatenate([np.maximum(w, 0), np.maximum(-w, 0)])
+                assert dist.excess(doubled) == dist.excess(w)
 
 
 def test_sampling_is_deterministic_per_seed():

@@ -14,9 +14,10 @@ from smoothbench import (
     make_squared,
     make_squared_unhalved,
     pair_bound_residual,
-    probe_smoothness,
     self_bound_residual,
 )
+
+from probes import probe_smoothness
 
 SMOOTH_LOSSES = [
     make_squared(),

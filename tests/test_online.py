@@ -19,8 +19,10 @@ from smoothbench import (
     run_mirror_descent_batch,
     stepsize_for,
 )
-from smoothbench.geometry import ball_radius, random_feasible
+from smoothbench.geometry import ball_radius
 from smoothbench.online import OnlineTrace
+
+from probes import random_feasible
 
 SQ = make_squared()
 
