@@ -29,7 +29,7 @@ from .geometry import (
     mirror_step,
     regularizer_grad,
 )
-from .losses import LossSpec
+from .losses import LossSpec, make_squared
 from .online import _check_formula_args
 
 TERM_TOLERANCE = "tolerance"
@@ -273,11 +273,9 @@ def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     return np.sign(v) * np.maximum(mags - tau, 0.0)
 
 
-def _l1_constrained_erm(
-    data: Dataset, loss: LossSpec, radius: float, max_iters: int = 2000
-) -> SolveReport:
-    """Least squares on the l1 ball by projected gradient with backtracking;
-    the comparison method of the sparse study.
+def _l1_constrained_erm(data: Dataset, radius: float, max_iters: int = 2000) -> SolveReport:
+    """Least squares (the half squared loss) on the l1 ball by projected
+    gradient with backtracking; the comparison method of the sparse study.
 
     Gram form: with A = X^T X / n built once, an iteration does one d×d
     product, A g. A trial w - s·g inside the ball scores in closed form,
@@ -301,9 +299,7 @@ def _l1_constrained_erm(
     The report carries w, the objective, the iterations and the
     termination; `certificate` is f(w) after a floor stop and inf
     otherwise."""
-    if loss.name != "squared":
-        raise ValueError(f"the l1 solve is least squares in Gram form, got {loss.name}")
-    ys, n = data.ys, data.n
+    loss, ys, n = make_squared(), data.ys, data.n
 
     def evaluate(w):
         """Predictions and objective at w, from the design. add.reduce / n

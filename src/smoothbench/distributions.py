@@ -256,8 +256,6 @@ def erm_exact(dist: HardDistribution, data: Dataset) -> np.ndarray:
     """An exact empirical minimizer, specialized per family. A coordinate the
     sample leaves undetermined takes its minimum-norm value 0: an unseen one
     in hardA and hardB, hardC's on a tie of its +1 and -1 labels at x = 1."""
-    if data.n < 1:
-        raise ValueError("empty dataset")
     return _hard(dist)._erm(data)
 
 
@@ -318,7 +316,6 @@ class SparseGenerator:
     """
 
     dim0: int
-    k: int
     w0: np.ndarray
     noise: float
     loss: LossSpec
@@ -388,7 +385,7 @@ def sparse_generator(dim0: int, k: int, seed: int, noise: float = 0.0) -> Sparse
     support = rng.choice(dim0, size=k, replace=False)
     w0 = np.zeros(dim0)
     w0[support] = rng.choice([-1.0, 1.0], size=k) * (1.0 - noise) / k
-    return SparseGenerator(dim0=dim0, k=k, w0=w0, noise=noise, loss=make_squared())
+    return SparseGenerator(dim0=dim0, w0=w0, noise=noise, loss=make_squared())
 
 
 @dataclass(frozen=True)

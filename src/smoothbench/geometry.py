@@ -171,9 +171,10 @@ def _step_kernel(setup: MirrorSetup):
     return lambda w, g, eta: _entropy_step(w, g, eta, setup.budget)
 
 
-# A stack rescales every row, by exactly 1.0 where it is inside the set; a
-# single vector takes the same branch in scalar arithmetic, which costs
-# less per call. The results are bit-identical (the tests compare them).
+# A stack rescales every row, by exactly 1.0 where it is inside the set. A
+# single euclidean vector takes the same branch in scalar arithmetic, which
+# costs less per call: the certified solve steps one vector per trial. The
+# results are bit-identical (the tests compare them).
 
 
 def _euclidean_step(w, g, eta, radius: float) -> np.ndarray:
@@ -189,12 +190,7 @@ def _euclidean_step(w, g, eta, radius: float) -> np.ndarray:
 
 def _entropy_step(w, g, eta, budget: float) -> np.ndarray:
     h = w * np.exp(np.clip(-eta * g / budget, -_EXP_CLIP, _EXP_CLIP))
-    s = h.sum(axis=-1)
-    if h.ndim == 1:
-        if s > budget:
-            h *= budget / float(s)
-        return h
-    h *= (budget / np.maximum(s, budget))[..., None]
+    h *= (budget / np.maximum(h.sum(axis=-1), budget))[..., None]
     return h
 
 

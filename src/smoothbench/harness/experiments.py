@@ -194,15 +194,25 @@ def _family_defaults(cfg: ExperimentConfig):
     return family
 
 
-def _family_premises(cfg: ExperimentConfig, exact_erm: bool) -> None:
-    """The premises of a run on the configured family (rate, stability);
-    `exact_erm`: the run solves the exact ERM, not a smooth-loss learner."""
+def _family_premises(cfg: ExperimentConfig, learner: str) -> None:
+    """The premises of a run of `learner` on the configured family (rate,
+    stability)."""
     dist = make_distribution(cfg.distribution, cfg.n_grid[0], cfg.dim, _PREMISE_SEED)
-    if not exact_erm:
+    if learner != "erm":
         dist.loss.smoothness_H  # raises for a non-smooth loss
     elif not isinstance(dist, HardDistribution):
         raise ValueError("the family has no exact ERM; use regularized_erm or mirror_descent")
+    if learner == "regularized_erm":
+        _certifiable(cfg.tol, dist.l_star)
     euclidean_setup(dist.dim, cfg.budget)
+
+
+def _certifiable(tol: float, l_star: float) -> None:
+    """A certified solve's objective sits near L*, and rounds to a multiple
+    of L*'s ulp there: no certificate of tol at or below that ulp is met."""
+    if tol <= np.spacing(l_star):
+        raise ValueError(f"tol {tol:g} is at or below {np.spacing(l_star):g}, "
+                         f"one ulp of L* = {l_star:g}")
 
 
 def _check_rate(cfg: ExperimentConfig, rows) -> list:
@@ -486,8 +496,9 @@ def run_sparse_experiment(cfg: ExperimentConfig) -> list:
     heuristic outside the certified-regret regime; the theory-parameterized
     regret checks live in the regret experiment.
 
-    entropy_md plays an n's replicates as one batch, from an int8 stack of
-    their +-1 halves: one float design is alive at a time, never R.
+    entropy_md plays an n's replicates as one batch, from a stack of their
+    +-1 halves packed to bits (R n ceil(d/8) bytes): one float design is
+    alive at a time, never R.
     """
     d0, k, reps = cfg.dim, cfg.sparsity_k, cfg.replicates
     budget = cfg.budget
@@ -501,12 +512,13 @@ def run_sparse_experiment(cfg: ExperimentConfig) -> list:
         gens = [sparse_generator(d0, k, seed_for(cfg.seed, "sparse-gen", i, j), noise=cfg.noise)
                 for j in range(reps)]
         eta, ys = np.empty(reps), np.empty((reps, n))
-        signs = np.empty((reps, n, d0), np.int8) if online else None
+        bits = np.empty((reps, n, -(-d0 // 8)), np.uint8) if online else None
         for j, gen in enumerate(gens):
             data = gen.sample_doubled(n, seed_for(cfg.seed, "sparse-data", i, j))
             smoothness = gen.loss.smoothness_H  # ||x||_inf = 1
             if online:
-                signs[j], ys[j] = gen.signed_part(data).xs, data.ys
+                bits[j] = np.packbits(gen.signed_part(data).xs > 0, axis=-1)
+                ys[j] = data.ys
                 w0_doubled = np.maximum(np.concatenate([gen.w0, -gen.w0]), 0.0)
                 u1 = bregman_divergence(setup, w0_doubled, default_start(setup))
                 eta[j] = cfg.eta_scale * stepsize_for(smoothness, u1, n, gen.l_star)
@@ -519,17 +531,20 @@ def run_sparse_experiment(cfg: ExperimentConfig) -> list:
                     hits[method] += report.termination == TERM_MAX_ITERS
                     w = report.w
                 else:  # l1_erm
-                    w = _l1_constrained_erm(gen.signed_part(data), gen.loss, budget).w
+                    w = _l1_constrained_erm(gen.signed_part(data), budget).w
                 per_method[method].append(excess_risk(gen, w))
             del data  # one replicate's dataset alive at a time
-        if online:  # round t's rows [s, -s], written into one (R, 2, dim) buffer
+        if online:  # round t's rows [s, -s], unpacked into one (R, 2, dim) buffer
             pair, flip = np.empty((reps, 2, d0)), np.array([[1.0], [-1.0]])
+            sign = np.array([-1.0, 1.0])  # of a clear bit and of a set one
             ws = run_mirror_descent_batch(
                 setup, gen.loss, ys, eta, record_losses=False,
-                xs=lambda t: np.multiply(signs[:, t, None], flip, out=pair).reshape(reps, -1),
+                xs=lambda t: np.multiply(
+                    sign.take(np.unpackbits(bits[:, t, None], axis=-1, count=d0)), flip, out=pair
+                ).reshape(reps, -1),
             ).averages
             per_method["entropy_md"] = [excess_risk(g, w) for g, w in zip(gens, ws)]
-        del signs  # before the next n's stack
+        del bits  # before the next n's stack
         ref = k * math.log(bound_dim) / n
         bound = ref + math.sqrt(k * gen.l_star * math.log(bound_dim) / n)
         for method, ex in per_method.items():
@@ -554,7 +569,8 @@ def sparse_slopes(rows) -> dict:
 
 
 def _sparse_premises(cfg: ExperimentConfig) -> None:
-    sparse_generator(cfg.dim, cfg.sparsity_k, _PREMISE_SEED, noise=cfg.noise)
+    gen = sparse_generator(cfg.dim, cfg.sparsity_k, _PREMISE_SEED, noise=cfg.noise)
+    _certifiable(cfg.tol, gen.l_star)
     entropy_setup(2 * cfg.dim, cfg.budget)
 
 
@@ -632,7 +648,7 @@ def _regime_lambdas(cfg: ExperimentConfig, setup, n: int) -> list:
 
 
 def _regime_premises(cfg: ExperimentConfig) -> None:
-    regime_generator(cfg.dim, cfg.x_scale, cfg.sigma, _PREMISE_SEED)
+    gen = regime_generator(cfg.dim, cfg.x_scale, cfg.sigma, _PREMISE_SEED)
     setup = euclidean_setup(cfg.dim, cfg.budget)
     try:  # H = 2 x_scale^2 and sigma^2 can overflow, and H can vanish
         lams = [lam for n in cfg.n_grid for lam in _regime_lambdas(cfg, setup, n)]
@@ -640,6 +656,7 @@ def _regime_premises(cfg: ExperimentConfig) -> None:
         lams = [math.nan]
     if not all(0 < lam < math.inf for lam in lams):
         raise ValueError(f"x_scale {cfg.x_scale} and sigma {cfg.sigma} give a lambda outside (0, inf)")
+    _certifiable(cfg.tol, gen.l_star)
 
 
 @dataclass(frozen=True)
@@ -783,7 +800,7 @@ class Experiment:
 EXPERIMENTS = {
     "rate": Experiment(
         run_rate_experiment, RateRow,
-        lambda cfg: _family_premises(cfg, exact_erm=cfg.learner == "erm"),
+        lambda cfg: _family_premises(cfg, cfg.learner),
         # the family gives learner, n_grid, budget and dim (separable only)
         {"distribution": "separable", "learner": None, "n_grid": None,
          "replicates": 50, "dim": None, "budget": None, "tol": 1e-10},
@@ -800,7 +817,7 @@ EXPERIMENTS = {
         ]),
     "stability": Experiment(
         run_stability_experiment, StabilityRow,
-        lambda cfg: _family_premises(cfg, exact_erm=False),
+        lambda cfg: _family_premises(cfg, "regularized_erm"),
         {"distribution": "hardB:0.1", "dim": None, "n_grid": (64,),
          "replicates": 200, "budget": None, "tol": 1e-10},
         check=lambda cfg, rows: _max_iters_failures(rows) + [

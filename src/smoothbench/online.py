@@ -9,7 +9,7 @@ phi'(<w, x>, y) x, never finite differences, so runs are bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -53,8 +53,9 @@ class InstanceStream:
     """Per-round instance supplier.
 
     fixed_sequence: xs/ys arrays consumed in order.
-    iid_sampler:    sampler(rng, n) -> (xs, ys) drawn once per run from a
-                    generator seeded with `seed`; reruns are bit-identical.
+    iid_sampler:    the same, drawn once by sampler(rng, n) -> (xs, ys) when
+                    the stream is built, from a generator seeded with `seed`;
+                    reruns are bit-identical.
     adaptive:       callback(i, w_i) -> (x, y) sees only the current iterate
                     (never the RNG state), so adversaries stay reproducible.
     """
@@ -63,8 +64,6 @@ class InstanceStream:
     length: int
     xs: np.ndarray | None = None
     ys: np.ndarray | None = None
-    sampler: Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]] | None = None
-    seed: int | None = None
     callback: Callable[[int, np.ndarray], tuple[np.ndarray, float]] | None = None
 
 
@@ -72,7 +71,7 @@ def fixed_stream(xs: np.ndarray, ys: np.ndarray) -> InstanceStream:
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.ndim != 2 or ys.ndim != 1 or xs.shape[0] != ys.shape[0]:
-        raise ValueError("fixed stream needs xs of shape (n, d) and ys of shape (n,)")
+        raise ValueError("a stream needs xs of shape (n, d) and ys of shape (n,)")
     if xs.shape[0] < 1:
         raise ValueError("empty stream")
     return InstanceStream(FIXED, xs.shape[0], xs=xs, ys=ys)
@@ -81,7 +80,10 @@ def fixed_stream(xs: np.ndarray, ys: np.ndarray) -> InstanceStream:
 def iid_stream(sampler, length: int, seed: int) -> InstanceStream:
     if length < 1:
         raise ValueError("stream length must be >= 1")
-    return InstanceStream(IID, length, sampler=sampler, seed=seed)
+    stream = fixed_stream(*sampler(np.random.default_rng(seed), length))
+    if stream.length != length:
+        raise ValueError(f"sampler returned {stream.length} rows, expected {length}")
+    return replace(stream, mode=IID)
 
 
 def adaptive_stream(callback, length: int) -> InstanceStream:
@@ -104,7 +106,6 @@ class OnlineTrace:
     losses: np.ndarray
     setup: MirrorSetup
     loss: LossSpec
-    eta: float
 
     @property
     def n(self) -> int:
@@ -132,24 +133,13 @@ def run_mirror_descent(
     check_feasible(setup, w)
 
     n, d = stream.length, setup.dim
-    if stream.mode == FIXED:
-        xs, ys = stream.xs, stream.ys
-        if xs.shape[0] < n:
-            raise ValueError("stream exhausted before n rounds")
-        if xs.shape[1] != d:
-            raise ValueError(f"stream dimension {xs.shape[1]} != setup dimension {d}")
-    elif stream.mode == IID:
-        rng = np.random.default_rng(stream.seed)
-        xs, ys = stream.sampler(rng, n)
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        if xs.shape != (n, d) or ys.shape != (n,):
-            raise ValueError("sampler returned arrays of the wrong shape")
-    elif stream.mode == ADAPTIVE:
+    if stream.mode == ADAPTIVE:
         xs = np.empty((n, d))
         ys = np.empty(n)
-    else:
-        raise ValueError(f"unknown stream mode: {stream.mode}")
+    else:  # fixed and iid streams hold their arrays
+        xs, ys = stream.xs, stream.ys
+        if xs.shape[1] != d:
+            raise ValueError(f"stream dimension {xs.shape[1]} != setup dimension {d}")
 
     step = _step_kernel(setup)
     iterates = np.empty((n, d))
@@ -167,7 +157,7 @@ def run_mirror_descent(
         losses[i] = float(loss.value(pred, y))
         g = float(loss.derivative(pred, y)) * x
         w = step(w, g, eta)
-    return OnlineTrace(iterates, xs, ys, losses, setup, loss, eta)
+    return OnlineTrace(iterates, xs, ys, losses, setup, loss)
 
 
 @dataclass

@@ -155,6 +155,18 @@ BAD_CONFIGS = [
      "distribution argument in 'hardB:nan' must be finite, got nan"),
     # a JSON integer beyond the float range, for a float key
     ({"experiment": "regret", "budget": 10**400}, "budget must be finite, got 1000"),
+    # a certified solve's objective near L* rounds to L*'s ulp: a tol at or
+    # below it cannot be met, and the solves would run to max_iters
+    ({"experiment": "regime", "sigma": 1e8, "n_grid": [8, 16, 32], "replicates": 1},
+     r"tol 1e-09 is at or below 2, one ulp of L\* = 1e\+16"),
+    ({"experiment": "stability", "distribution": "hardB:1e8", "replicates": 30},
+     r"tol 1e-10 is at or below 2, one ulp of L\* = 1e\+16"),
+    ({"experiment": "regime", "sigma": 1e150, "n_grid": [8, 16, 32], "replicates": 1},
+     r"tol 1e-09 is at or below 1.48702e\+284, one ulp of L\* = 1e\+300"),
+    ({"experiment": "rate", "distribution": "hardB:1e8", "learner": "regularized_erm"},
+     r"tol 1e-10 is at or below 2, one ulp of L\* = 1e\+16"),
+    ({"experiment": "sparse", "noise": 0.9, "tol": 1e-17},
+     r"tol 1e-17 is at or below 2.77556e-17, one ulp of L\* = 0.135"),
 ]
 
 
@@ -720,7 +732,7 @@ class TestSparseExperiment:
         # same iterations and the same way out: n = 32 reaches the floor,
         # a ball of 1e-13 stalls, the rest run to the cap
         gen, data = self._l1_problem(n)
-        report = _l1_constrained_erm(data, gen.loss, radius, max_iters=300)
+        report = _l1_constrained_erm(data, radius, max_iters=300)
         _, iterations, termination = self._reference_l1(data, gen.loss, radius, 300)
         assert (report.iterations, report.termination) == (iterations, termination)
         assert (termination == TERM_TOLERANCE) == (n == 32)
@@ -731,7 +743,7 @@ class TestSparseExperiment:
     def test_l1_solve_stays_on_the_matvec_per_trial_loop(self, n, radius):
         # the Gram form's closed-form trials reorder the rounding only
         gen, data = self._l1_problem(n)
-        report = _l1_constrained_erm(data, gen.loss, radius, max_iters=300)
+        report = _l1_constrained_erm(data, radius, max_iters=300)
         want, _, _ = self._reference_l1(data, gen.loss, radius, 300)
         assert float(np.max(np.abs(report.w - want))) <= 1e-12
 
@@ -739,7 +751,7 @@ class TestSparseExperiment:
     def test_l1_noise_free_solve_stops_at_the_rounding_floor(self, n):
         # n >= 2d, L* = 0: the non-negative objective certifies itself
         gen, data = self._l1_problem(n, noise=0.0)
-        report = _l1_constrained_erm(data, gen.loss, 4.0, 2000)
+        report = _l1_constrained_erm(data, 4.0, 2000)
         want, iterations, _ = self._reference_l1(data, gen.loss, 4.0, 2000)
         assert report.termination == TERM_TOLERANCE
         assert report.iterations == iterations < 2000
@@ -752,7 +764,7 @@ class TestSparseExperiment:
         # at least once in every 50 iterations; only a halving resets the
         # patience, so the solve stops long before max_iters
         gen, data = self._l1_problem(32, noise=0.0)
-        report = _l1_constrained_erm(data, gen.loss, 4.0, 2000)
+        report = _l1_constrained_erm(data, 4.0, 2000)
         assert report.termination == TERM_TOLERANCE
         assert report.iterations < 500
         assert report.certificate <= 1e-15
@@ -767,19 +779,12 @@ class TestSparseExperiment:
     def test_l1_noise_free_solve_above_the_floor_runs_to_max_iters(self):
         # n = d: the objective is still far above the floor at max_iters
         gen, data = self._l1_problem(64, noise=0.0)
-        report = _l1_constrained_erm(data, gen.loss, 4.0, 2000)
+        report = _l1_constrained_erm(data, 4.0, 2000)
         assert report.termination == TERM_MAX_ITERS
         assert report.iterations == 2000
         assert report.certificate == math.inf
         want, _, _ = self._reference_l1(data, gen.loss, 4.0, 2000)
         assert float(np.max(np.abs(report.w - want))) <= 1e-12
-
-    def test_l1_solve_takes_only_the_half_squared_loss(self):
-        from smoothbench.losses import make_squared_unhalved
-
-        _, data = self._l1_problem(32)
-        with pytest.raises(ValueError, match="least squares"):
-            _l1_constrained_erm(data, make_squared_unhalved(), 4.0)
 
     class _LoggedDesign(np.ndarray):
         """A design that logs the operand shapes of every matrix product it
@@ -815,7 +820,7 @@ class TestSparseExperiment:
             return p
 
         monkeypatch.setattr(batch, "_project_l1_ball", project)
-        report = _l1_constrained_erm(data, gen.loss, radius, max_iters=300)
+        report = _l1_constrained_erm(data, radius, max_iters=300)
         shapes = {s: log.count(s) for s in set(log)}
         # X^T X once; one d×d product A g per iteration
         assert shapes.pop(((d, n), (n, d))) == 1
@@ -832,8 +837,8 @@ class TestSparseExperiment:
 
     def test_l1_max_iters_hits_are_not_counted(self, monkeypatch):
         # n = d l1 solves run to max_iters by design; sparse --check must not fail on them
-        def capped(data, loss, radius):
-            return _l1_constrained_erm(data, loss, radius, max_iters=3)
+        def capped(data, radius):
+            return _l1_constrained_erm(data, radius, max_iters=3)
 
         monkeypatch.setattr(experiments, "_l1_constrained_erm", capped)
         cfg = make_cfg(
@@ -906,31 +911,32 @@ class TestOneBatchPerGridPoint:
         assert [run.averages.shape[:-1] for _, _, run in calls] == shapes
 
     def test_sparse_batch_is_each_replicates_run(self, monkeypatch):
-        # the int8 stack's doubled rows replay each replicate's own sample
+        # the packed stack's doubled rows replay each replicate's own sample,
+        # also where the last byte of a row holds fewer than 8 signs
         from smoothbench import entropy_setup, sparse_generator
 
         calls = self.recorded(monkeypatch)
-        cfg = make_cfg(experiment="sparse", dim=8, n_grid=[40], replicates=3, noise=0.2)
+        cfg = make_cfg(experiment="sparse", dim=11, n_grid=[40], replicates=3, noise=0.2)
         run_sparse_experiment(cfg)
         ((ys, eta, run),) = calls
         for j in range(3):
             gen = sparse_generator(
-                8, cfg.sparsity_k, seed_for(cfg.seed, "sparse-gen", 0, j), noise=0.2
+                11, cfg.sparsity_k, seed_for(cfg.seed, "sparse-gen", 0, j), noise=0.2
             )
             data = gen.sample_doubled(40, seed_for(cfg.seed, "sparse-data", 0, j))
             alone = run_mirror_descent_batch(
-                entropy_setup(16, cfg.budget), gen.loss, data.ys, eta[j], xs=data.xs
+                entropy_setup(22, cfg.budget), gen.loss, data.ys, eta[j], xs=data.xs
             )
             assert np.array_equal(ys[j], data.ys)
             assert np.array_equal(run.averages[j], alone.averages)
 
     def test_sparse_holds_one_float_design(self, traced_peak):
         # one replicate's float doubled design (n * 2 dim * 8 B = 512 KiB)
-        # and the int8 stack (R * n * dim B = 256 KiB) are alive together;
-        # R float designs would be 4 MiB
+        # and the stack of signs packed to bits (R * n * dim / 8 B = 32 KiB)
+        # are alive together; R float designs would be 4 MiB
         n, dim, reps = 512, 64, 8
         cfg = make_cfg(experiment="sparse", dim=dim, n_grid=[n], replicates=reps)
-        float_design, stack = n * 2 * dim * 8, reps * n * dim
+        float_design, stack = n * 2 * dim * 8, reps * n * dim // 8
         _, peak = traced_peak(run_sparse_experiment, cfg)
         assert peak < 2 * float_design + stack < reps * float_design
 

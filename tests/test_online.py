@@ -106,6 +106,13 @@ class TestRunMirrorDescent:
         assert np.array_equal(t1.losses, t2.losses)
         t3 = run_mirror_descent(setup, SQ, iid_stream(sphere_sampler(w_star, 3), 50, seed=100), 0.3)
         assert not np.array_equal(t1.iterates, t3.iterates)
+        # the stream holds the sampler's one draw from the seeded generator,
+        # and plays as the fixed stream of that draw
+        xs, ys = sphere_sampler(w_star, 3)(np.random.default_rng(99), 50)
+        assert np.array_equal(s1.xs, xs) and np.array_equal(s1.ys, ys)
+        t4 = run_mirror_descent(setup, SQ, fixed_stream(xs, ys), 0.3)
+        assert np.array_equal(t1.iterates, t4.iterates)
+        assert np.array_equal(t1.losses, t4.losses)
 
     def test_every_iterate_feasible_under_pressure(self):
         setup = euclidean_setup(2, 0.5)
@@ -174,17 +181,13 @@ class TestAveragedIterate:
     def test_hand_values(self):
         setup = euclidean_setup(2, 1.0)
         iterates = np.array([[1.0, 0.0], [0.0, 1.0]])
-        trace = OnlineTrace(
-            iterates, iterates, np.zeros(2), np.zeros(2), setup, SQ, 0.1
-        )
+        trace = OnlineTrace(iterates, iterates, np.zeros(2), np.zeros(2), setup, SQ)
         assert np.allclose(averaged_iterate(trace), [0.5, 0.5])
 
     def test_constant_trace(self):
         setup = euclidean_setup(2, 1.0)
         iterates = np.tile(np.array([[0.2, -0.1]]), (5, 1))
-        trace = OnlineTrace(
-            iterates, iterates, np.zeros(5), np.zeros(5), setup, SQ, 0.1
-        )
+        trace = OnlineTrace(iterates, iterates, np.zeros(5), np.zeros(5), setup, SQ)
         assert np.allclose(averaged_iterate(trace), [0.2, -0.1])
 
     @pytest.mark.parametrize("geometry", ["euclidean", "entropy"])
@@ -195,13 +198,13 @@ class TestAveragedIterate:
         rng = np.random.default_rng(61)
         for _ in range(1000):
             pts = np.array([random_feasible(setup, rng) for _ in range(6)])
-            trace = OnlineTrace(pts, pts, np.zeros(6), np.zeros(6), setup, SQ, 0.1)
+            trace = OnlineTrace(pts, pts, np.zeros(6), np.zeros(6), setup, SQ)
             assert is_feasible(setup, averaged_iterate(trace))
 
     def test_empty_trace(self):
         setup = euclidean_setup(2, 1.0)
         trace = OnlineTrace(
-            np.empty((0, 2)), np.empty((0, 2)), np.empty(0), np.empty(0), setup, SQ, 0.1
+            np.empty((0, 2)), np.empty((0, 2)), np.empty(0), np.empty(0), setup, SQ
         )
         with pytest.raises(ValueError, match="empty"):
             averaged_iterate(trace)
@@ -480,5 +483,8 @@ def test_stream_validation():
         fixed_stream(np.ones((0, 2)), np.ones(0))
     with pytest.raises(ValueError):
         iid_stream(lambda rng, n: None, 0, seed=1)
+    # a short draw fails when the stream is built, not when it is played
+    with pytest.raises(ValueError, match="sampler returned 4 rows, expected 5"):
+        iid_stream(lambda rng, n: (np.ones((n - 1, 2)), np.ones(n - 1)), 5, seed=1)
     with pytest.raises(ValueError):
         adaptive_stream(lambda i, w: None, 0)
