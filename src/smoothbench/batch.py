@@ -30,7 +30,7 @@ from .geometry import (
     regularizer_grad,
 )
 from .losses import LossSpec, make_squared
-from .online import _check_formula_args
+from .online import _check_formula_args, _in_range
 
 TERM_TOLERANCE = "tolerance"
 TERM_MAX_ITERS = "max_iters"
@@ -135,7 +135,8 @@ def lambda_for(smoothness_H: float, f_max: float, n: int, lbar: float) -> float:
     """
     _check_formula_args(smoothness_H, f_max, n, lbar)
     base = 128.0 * smoothness_H / n
-    return base + math.sqrt(base * base + 128.0 * smoothness_H * lbar / (n * f_max))
+    lam = base + math.sqrt(base * base + 128.0 * smoothness_H * lbar / (n * f_max))
+    return _in_range("lambda", lam, smoothness_H, f_max, n, lbar)
 
 
 @dataclass

@@ -163,15 +163,6 @@ def smooth_risk_bound(
     return lhat + bound_K * (sqrt_part + H * log_n**3 * r * r + conf)
 
 
-def margin_domain_error(gamma: float, b: float) -> str | None:
-    """Why gamma lies outside the margin bound's domain 0 < gamma < 4b/e, or None."""
-    if not gamma > 0:
-        return "margin must be positive"
-    if not 4.0 * b / gamma > math.e:  # also true for a nan b
-        return "margin too large relative to b"
-    return None
-
-
 def margin_bound(
     empirical_loss: float,
     range_b: float,
@@ -194,9 +185,11 @@ def margin_bound(
     _check_sample(n, delta, bound_K)
     _check_nonnegative(empirical_loss=empirical_loss, range_b=range_b, rademacher=rademacher)
     gamma, b, err, r = margin, range_b, empirical_loss, rademacher
-    problem = margin_domain_error(gamma, b)
-    if problem:
-        raise ValueError(problem)
+    # the domain is 0 < gamma < 4b/e, and the bound divides by gamma^2
+    if not (gamma > 0 and gamma * gamma > 0):
+        raise ValueError(f"margin must be positive with a positive square, got {gamma}")
+    if not 4.0 * b / gamma > math.e:
+        raise ValueError(f"margin too large relative to b = {b:.6g}: needs < 4b/e, got {gamma}")
     log_n = math.log(n)
     conf = math.log(math.log(4.0 * b / gamma) / delta) / n
     quad = (log_n**3 / gamma**2) * r * r

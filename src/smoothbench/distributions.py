@@ -115,6 +115,7 @@ class GaussianSquared(HardDistribution):
     def _risk(self, w: np.ndarray) -> float:
         return self.l_star + self.excess(w)
 
+    @np.errstate(over="ignore")  # an overflowing ||ybar|| reads as > 1, a Newton step is retaken
     def _erm(self, data: Dataset) -> np.ndarray:
         # per-coordinate sample means; when the unit ball binds, the seen coordinates
         # are a / (s + mu) at the root mu of ||w(mu)|| = 1: Newton steps on the concave,
@@ -131,6 +132,10 @@ class GaussianSquared(HardDistribution):
             w = a / (s + mu)
             norm2 = float(w @ w)
             step = (math.sqrt(norm2) - 1.0) * norm2 / float(w @ (w / (s + mu)))
+            if not math.isfinite(step):  # the same step from u = w/||w||, ||w|| = <u, w>
+                v = w / float(np.max(np.abs(w)))
+                u = v / math.sqrt(float(v @ v))
+                step = (float(u @ w) - 1.0) / float(u @ (u / (s + mu)))
             if not mu + step > mu:
                 break
             mu += step
@@ -206,11 +211,15 @@ def hard_gaussian(
     """
     if n_design < 1:
         raise ValueError("n_design must be >= 1")
-    if not 0 <= sigma < math.inf:
-        raise ValueError("sigma must be nonnegative")
+    # L* = sigma^2 must be a float, and the default dim an array size
+    if not (0 <= sigma and sigma * sigma < math.inf):
+        raise ValueError(f"sigma must be nonnegative with a finite square, got {sigma}")
     if dim is None:
         if sigma == 0:
             raise ValueError("sigma = 0 needs an explicit dim")
+        if not math.sqrt(n_design) / sigma <= np.iinfo(np.intp).max:
+            raise ValueError(f"sigma {sigma} gives dim ceil(sqrt(n)/sigma) beyond the largest "
+                             f"array size at n = {n_design}")
         dim = math.ceil(math.sqrt(n_design) / sigma)
     rng = np.random.default_rng(seed)
     signs = rng.choice([-1.0, 1.0], size=dim)
@@ -433,8 +442,13 @@ class RegimeGenerator:
 
 
 def regime_generator(dim: int, x_scale: float, sigma: float, seed: int) -> RegimeGenerator:
-    if dim < 1 or not 0 < x_scale < math.inf or not 0 <= sigma < math.inf:
-        raise ValueError("regime generator needs dim >= 1, x_scale > 0, sigma >= 0")
+    # the risk reads x_scale^2 and sigma^2: neither may overflow, nor x_scale^2 round to 0
+    if not (dim >= 1 and x_scale > 0 and sigma >= 0) or not (
+        0 < x_scale * x_scale < math.inf and sigma * sigma < math.inf
+    ):
+        raise ValueError(f"regime generator needs dim >= 1, x_scale > 0, sigma >= 0 with "
+                         f"0 < x_scale^2 < inf and sigma^2 < inf, got dim {dim}, "
+                         f"x_scale {x_scale}, sigma {sigma}")
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(dim)
     w /= float(np.linalg.norm(w))

@@ -228,7 +228,7 @@ def with_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"out: directory {out_dir!r} does not exist")
     try:
         spec.premises(cfg)
-    except ValueError as exc:  # a constructor's own rule, or NonSmoothLossError
+    except (ValueError, ArithmeticError) as exc:  # an entry point's rule, or an overflow
         where = " ".join(filter(None, (name, cfg.distribution, cfg.learner)))
         raise ConfigError(f"{where}: {exc}") from exc
     return cfg

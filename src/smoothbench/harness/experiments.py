@@ -38,7 +38,6 @@ from ..bounds import (
     FunctionClassSpec,
     empirical_rademacher,
     margin_bound,
-    margin_domain_error,
     margin_empirical_error,
 )
 from ..distributions import (
@@ -73,6 +72,7 @@ SPARSE_SLOPE_MAX = -0.85  # sparse --check: entropy_md's greatest slope without 
 _HOLDOUT_BLOCK = 1024  # margin's holdout rows drawn at a time
 _SLOPE_MIN_ROWS = 3  # fit_slope's least number of usable rows
 _PREMISE_SEED = 0  # the premises' trial constructions; no constructor rule reads the seed
+_RAMP_GAMMA = 0.5  # the margin classifier's ramp loss
 
 
 def seed_for(master: int, experiment: str, grid_index: int, replicate: int) -> int:
@@ -196,15 +196,26 @@ def _family_defaults(cfg: ExperimentConfig):
 
 def _family_premises(cfg: ExperimentConfig, learner: str) -> None:
     """The premises of a run of `learner` on the configured family (rate,
-    stability)."""
+    stability), with its step size or λ at every n."""
     dist = make_distribution(cfg.distribution, cfg.n_grid[0], cfg.dim, _PREMISE_SEED)
-    if learner != "erm":
-        dist.loss.smoothness_H  # raises for a non-smooth loss
-    elif not isinstance(dist, HardDistribution):
+    if learner == "erm" and not isinstance(dist, HardDistribution):
         raise ValueError("the family has no exact ERM; use regularized_erm or mirror_descent")
     if learner == "regularized_erm":
         _certifiable(cfg.tol, dist.l_star)
-    euclidean_setup(dist.dim, cfg.budget)
+    setup = euclidean_setup(dist.dim, cfg.budget)
+    if learner != "erm":  # H raises for a non-smooth loss
+        formula = stepsize_for if learner == "mirror_descent" else lambda_for
+        for n in cfg.n_grid:
+            _premise(f"budget {cfg.budget}", formula,
+                     dist.loss.smoothness_H, setup.f_max, n, dist.l_star)
+
+
+def _premise(keys: str, formula: Callable, *args) -> None:
+    """formula(*args), as the run calls it; its ValueError names the config `keys`."""
+    try:
+        formula(*args)
+    except ValueError as exc:
+        raise ValueError(f"{keys}: {exc}") from exc
 
 
 def _certifiable(tol: float, l_star: float) -> None:
@@ -255,8 +266,14 @@ def _batched_mirror_descent(cfg, n, replicates) -> tuple[list, np.ndarray, float
     smoothness = dist.loss.smoothness_H  # unit-norm instances
     eta = stepsize_for(smoothness, setup.f_max, n, dist.l_star)
     if data.basis_idx is not None:  # one-hot rows; each Dataset checked its indices
-        basis, idx = np.eye(dist.dim), design
-        design = lambda i: basis[idx[:, i]]
+        onehot, idx, runs = np.zeros((cfg.replicates, dist.dim)), design, np.arange(cfg.replicates)
+
+        def design(i):
+            """Round i's rows, in the one reused buffer: round i - 1's ones
+            cleared (at i = 0 none are set yet), round i's set."""
+            onehot[runs, idx[:, i - 1]] = 0.0
+            onehot[runs, idx[:, i]] = 1.0
+            return onehot
     run = run_mirror_descent_batch(setup, dist.loss, ys, eta, xs=design, record_losses=False)
     return dists, run.averages, regret_bound(smoothness, setup.f_max, n, dist.l_star)
 
@@ -343,9 +360,11 @@ def run_regret_experiment(cfg: ExperimentConfig) -> list:
         if "adaptive" in kinds:
             # e_(i mod d) against the sign of w_i[i mod d]; the zero vector pays 1/2 a round
             eta = stepsize_for(1.0, setup.f_max, n, 0.5)
+            rounds = np.arange(n)
+            design = np.zeros((n, dim))
+            design[rounds, rounds % dim] = 1.0
             run = run_mirror_descent_batch(
-                setup, loss, lambda pred: np.where(pred >= 0, -1.0, 1.0), eta,
-                xs=np.eye(dim)[np.arange(n) % dim],
+                setup, loss, lambda pred: np.where(pred >= 0, -1.0, 1.0), eta, xs=design,
             )
             measured = [run.losses.mean() - 0.5] * reps
             by_kind.append(_regret_rows("adaptive", setup, n, measured, [0.5] * reps))
@@ -384,6 +403,10 @@ def _regret_premises(cfg: ExperimentConfig) -> None:
     # the i.i.d. stream compares against a unit vector; the others against zero
     if "iid_separable" in cfg.methods:
         _unit_vectors_fit(cfg, setup)
+    lbars = (0.0, make_squared().range_bound_b)  # each run's Lbar lies between; eta is monotone
+    for n in cfg.n_grid:
+        for lbar in lbars:
+            _premise(f"budget {cfg.budget}", stepsize_for, 1.0, setup.f_max, n, lbar)
 
 
 def _unit_vectors_fit(cfg: ExperimentConfig, setup) -> None:
@@ -571,7 +594,13 @@ def sparse_slopes(rows) -> dict:
 def _sparse_premises(cfg: ExperimentConfig) -> None:
     gen = sparse_generator(cfg.dim, cfg.sparsity_k, _PREMISE_SEED, noise=cfg.noise)
     _certifiable(cfg.tol, gen.l_star)
-    entropy_setup(2 * cfg.dim, cfg.budget)
+    setup = entropy_setup(2 * cfg.dim, cfg.budget)
+    # F_max bounds the Bregman radius that entropy_md's step reads
+    formulas = {"entropy_md": stepsize_for, "entropy_regerm": lambda_for}
+    for n in cfg.n_grid:
+        for formula in (formulas[m] for m in cfg.methods if m in formulas):
+            _premise(f"budget {cfg.budget}", formula,
+                     gen.loss.smoothness_H, setup.f_max, n, gen.l_star)
 
 
 def _check_sparse(cfg: ExperimentConfig, rows) -> list:
@@ -644,18 +673,17 @@ def _regime_lambdas(cfg: ExperimentConfig, setup, n: int) -> list:
     lam_theory = lambda_for(2.0 * cfg.x_scale**2, setup.f_max, n, cfg.sigma**2)
     if cfg.lambda_policy == "formula":
         return [lam_theory]
-    return [lam_theory * 4.0 ** (-k) for k in range(12)]
+    candidates = [lam_theory * 4.0 ** (-k) for k in range(12)]
+    if not candidates[-1] > 0:
+        raise ValueError(f"the least lambda candidate {lam_theory:g} / 4^11 rounds to 0 at n = {n}")
+    return candidates
 
 
 def _regime_premises(cfg: ExperimentConfig) -> None:
     gen = regime_generator(cfg.dim, cfg.x_scale, cfg.sigma, _PREMISE_SEED)
     setup = euclidean_setup(cfg.dim, cfg.budget)
-    try:  # H = 2 x_scale^2 and sigma^2 can overflow, and H can vanish
-        lams = [lam for n in cfg.n_grid for lam in _regime_lambdas(cfg, setup, n)]
-    except (OverflowError, ValueError):
-        lams = [math.nan]
-    if not all(0 < lam < math.inf for lam in lams):
-        raise ValueError(f"x_scale {cfg.x_scale} and sigma {cfg.sigma} give a lambda outside (0, inf)")
+    for n in cfg.n_grid:
+        _regime_lambdas(cfg, setup, n)
     _certifiable(cfg.tol, gen.l_star)
 
 
@@ -690,7 +718,7 @@ def run_margin_experiment(cfg: ExperimentConfig) -> list:
     xs = _sphere_rows(rng, n, dim)
     ys = flipped(clean_labels(xs))
     setup = euclidean_setup(dim, cfg.budget)
-    ramp = make_smooth_ramp(0.5)
+    ramp = make_smooth_ramp(_RAMP_GAMMA)
     smoothness = ramp.smoothness_H  # ||x||_2 = 1
     eta = stepsize_for(smoothness, setup.f_max, n, cfg.label_noise)
     # the ramp is flat at non-positive margins, so the zero vector is a
@@ -744,22 +772,19 @@ def _margin_rules(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"margin n_grid must have one entry, got {cfg.n_grid}")
     if cfg.replicates != 1:
         raise ConfigError(f"margin replicates must be 1, got {cfg.replicates}")
-    if not 0 < cfg.delta < 1:
-        raise ConfigError(f"delta must lie in (0, 1), got {cfg.delta}")
     if not 0 <= cfg.label_noise <= 1:
         raise ConfigError(f"label_noise must lie in [0, 1], got {cfg.label_noise}")
-    if not 0 < cfg.bound_k < math.inf:
-        raise ConfigError(f"bound_k must be positive and finite, got {cfg.bound_k}")
 
 
 def _margin_premises(cfg: ExperimentConfig) -> None:
     setup = euclidean_setup(cfg.dim, cfg.budget)
-    range_b = ball_radius(setup)
     _unit_vectors_fit(cfg, setup)  # the classifier starts at a unit vector
+    n = cfg.n_grid[-1]
+    _premise(f"budget {cfg.budget}", stepsize_for,
+             make_smooth_ramp(_RAMP_GAMMA).smoothness_H, setup.f_max, n, cfg.label_noise)
     for gamma in cfg.gamma_grid:
-        problem = margin_domain_error(gamma, range_b)
-        if problem:
-            raise ValueError(f"gamma_grid entry {gamma}: {problem} = {range_b:.6g}")
+        _premise(f"margin bound at gamma_grid entry {gamma}", margin_bound,
+                 0.0, ball_radius(setup), 0.0, n, gamma, cfg.delta, cfg.bound_k)
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,9 @@ def stepsize_for(smoothness_H: float, f_max: float, n: int, lbar: float) -> floa
     regularizer over the set and Lbar a bound on the comparator's average
     loss in hindsight."""
     _check_formula_args(smoothness_H, f_max, n, lbar)
-    hf = smoothness_H * f_max
-    return 1.0 / (hf + math.sqrt(hf * hf + hf * n * lbar))
+    hf = smoothness_H * f_max  # eta is 0 once H^2 F^2 overflows, inf once H F is subnormal
+    eta = 1.0 / (hf + math.sqrt(hf * hf + hf * n * lbar)) if hf else math.inf
+    return _in_range("step size", eta, smoothness_H, f_max, n, lbar)
 
 
 def regret_bound(smoothness_H: float, f_max: float, n: int, lbar: float) -> float:
@@ -46,6 +47,14 @@ def _check_formula_args(smoothness_H, f_max, n, lbar) -> None:
         raise ValueError("n must be >= 1")
     if not 0 <= lbar < math.inf:
         raise ValueError("lbar must be nonnegative")
+
+
+def _in_range(name: str, value: float, *args) -> float:
+    """`value`, a formula's result at args = (H, F, n, Lbar), if it lies in (0, inf)."""
+    if not 0 < value < math.inf:
+        at = ", ".join(f"{arg:g}" for arg in args)
+        raise ValueError(f"{name} {value:g} at (H, F, n, Lbar) = ({at}) lies outside (0, inf)")
+    return value
 
 
 @dataclass(frozen=True)

@@ -44,14 +44,14 @@ class Mutant:
 
 MUTANTS = [
     Mutant("step size x2", "online.py",
-           "return 1.0 / (hf + math.sqrt(hf * hf + hf * n * lbar))",
-           "return 2.0 / (hf + math.sqrt(hf * hf + hf * n * lbar))"),
+           "eta = 1.0 / (hf + math.sqrt(hf * hf + hf * n * lbar))",
+           "eta = 2.0 / (hf + math.sqrt(hf * hf + hf * n * lbar))"),
     Mutant("ball projection dropped", "geometry.py",
            "r = np.sqrt(np.vecdot(v, v))",
            "r = 0.0 * np.sqrt(np.vecdot(v, v))"),
     Mutant("lambda x4", "batch.py",
-           "return base + math.sqrt(base * base + 128.0 * smoothness_H * lbar / (n * f_max))",
-           "return 4.0 * (base + math.sqrt(base * base + 128.0 * smoothness_H * lbar / (n * f_max)))"),
+           "lam = base + math.sqrt(base * base + 128.0 * smoothness_H * lbar / (n * f_max))",
+           "lam = 4.0 * (base + math.sqrt(base * base + 128.0 * smoothness_H * lbar / (n * f_max)))"),
     Mutant("squared loss derivative sign", "losses.py",
            'lambda r: 0.5 * r * r, lambda r: r, 1.0)',
            'lambda r: 0.5 * r * r, lambda r: -r, 1.0)'),

@@ -197,6 +197,23 @@ class TestConstructionB:
                     assert np.allclose(w[seen] * (s + mu), a, rtol=1e-14, atol=0.0)
         assert binding >= 60
 
+    def test_erm_at_the_largest_sigmas(self):
+        # sample means near sigma overflow ||w||^2 or ||w||^3 in the Newton
+        # step; the step is retaken from w/||w||, so the ERM still sits on
+        # the sphere with one multiplier, and no overflow warning escapes
+        for sigma in (1e150, 1.3e154):
+            for dim in (1, 5, 50):
+                dist = hard_gaussian(64, sigma, seed=dim, dim=dim)
+                data = dist.sample(64, seed=11)
+                w = erm_exact(dist, data)
+                assert abs(float(np.linalg.norm(w)) - 1.0) <= SPHERE_ULPS
+                counts = np.bincount(data.basis_idx, minlength=dim)
+                sums = np.bincount(data.basis_idx, weights=data.ys, minlength=dim)
+                seen = counts > 0
+                s, a = counts[seen] / 64, sums[seen] / 64
+                mu = float(np.median(a / w[seen] - s))
+                assert np.allclose(w[seen] * (s + mu), a, rtol=1e-14, atol=0.0)
+
     def test_lower_bound_value(self):
         dist = hard_gaussian(100, 0.1, seed=11)
         assert lower_bound_value(dist, 100) == pytest.approx(0.01, rel=1e-12)

@@ -79,6 +79,26 @@ CASES = {
     "make_smooth_ramp gamma nan": (lambda: make_smooth_ramp(NAN), "gamma must be positive"),
     "make_smooth_ramp gamma inf": (lambda: make_smooth_ramp(INF), "gamma must be positive"),
     "hard_gaussian sigma inf": (lambda: hard_gaussian(16, INF, 1), "sigma must be nonnegative"),
+    # finite values whose square, step, lambda or dimension is no float or array size
+    "hard_gaussian sigma 1e300": (
+        lambda: hard_gaussian(16, 1e300, 1), r"finite square, got 1e\+300"),
+    "hard_gaussian sigma 1e-150": (
+        lambda: hard_gaussian(16, 1e-150, 1), "sigma 1e-150 gives dim .* beyond the largest"),
+    "regime_generator x_scale 1e200": (
+        lambda: regime_generator(5, 1e200, 0.1, 1), r"0 < x_scale\^2 < inf"),
+    "regime_generator x_scale 1e-200": (
+        lambda: regime_generator(5, 1e-200, 0.1, 1), r"0 < x_scale\^2 < inf"),
+    "regime_generator sigma 1e200": (
+        lambda: regime_generator(5, 1.0, 1e200, 1), r"sigma\^2 < inf"),
+    "stepsize_for H F 1e300": (
+        lambda: stepsize_for(1.0, 1e300, 10, 0.0), r"step size 0 at .* outside \(0, inf\)"),
+    "stepsize_for H F 1e-310": (
+        lambda: stepsize_for(1.0, 1e-310, 10, 0.0), "step size inf"),
+    "stepsize_for H F underflows": (
+        lambda: stepsize_for(1e-200, 1e-200, 10, 0.0), "step size inf"),
+    "lambda_for F 1e-320": (lambda: lambda_for(2.0, 1e-320, 64, 0.01), "lambda inf"),
+    "margin_bound margin 1e-200": (
+        lambda: _margin(margin=1e-200), "margin must be positive with a positive square"),
     "stepsize_for lbar nan": (lambda: stepsize_for(1.0, 1.0, 10, NAN), "lbar"),
     "lambda_for lbar nan": (lambda: lambda_for(1.0, 1.0, 10, NAN), "lbar"),
     "regret_bound H nan": (lambda: regret_bound(NAN, 1.0, 10, 0.1), "smoothness"),

@@ -89,8 +89,9 @@ BAD_CONFIGS = [
     ({"experiment": "margin", "label_noise": -0.1}, r"label_noise must lie in \[0, 1\]"),
     ({"experiment": "margin", "label_noise": 1.5}, r"label_noise must lie in \[0, 1\]"),
     ({"experiment": "margin", "label_noise": math.nan}, "label_noise must be finite, got nan"),
-    ({"experiment": "margin", "bound_k": 0}, "bound_k must be positive and finite"),
-    ({"experiment": "margin", "bound_k": -1e5}, "bound_k must be positive and finite"),
+    ({"experiment": "margin", "bound_k": 0}, "bound_K must be positive and finite, got 0.0"),
+    ({"experiment": "margin", "bound_k": -1e5}, "bound_K must be positive and finite"),
+    ({"experiment": "margin", "delta": 2}, r"delta must lie in \(0, 1\), got 2.0"),
     ({"experiment": "margin", "bound_k": math.nan}, "bound_k must be finite, got nan"),
     ({"experiment": "margin", "bound_k": math.inf}, "bound_k must be finite, got inf"),
     ({"experiment": "rate", "distribution": "separable", "learner": "erm"}, "no exact ERM"),
@@ -126,14 +127,36 @@ BAD_CONFIGS = [
      "distribution 'hardB' does not read 'dim'"),
     ({"experiment": "rate", "distribution": "hardA", "dim": 16}, "does not read 'dim'"),
     ({"experiment": "stability", "dim": 3}, "distribution 'hardB:0.1' does not read 'dim'"),
-    # a budget or scale at the ends of the float range: what the run computes
-    # from it (F = B^2, the entropy F_max, H = 2 x_scale^2, sigma^2) rounds to
-    # 0 or overflows
+    # a budget, scale or margin at the ends of the float range: what the run
+    # computes from it (F = B^2, the entropy F_max, x_scale^2, sigma^2, the
+    # step size, λ, gamma^2, hardB's dim) rounds to 0, overflows or is no array size
     ({"experiment": "regime", "x_scale": 1e200},
-     r"x_scale 1e\+200 and sigma 0.5 give a lambda outside \(0, inf\)"),
+     r"0 < x_scale\^2 < inf and sigma\^2 < inf, got dim 50, x_scale 1e\+200, sigma 0.5"),
     ({"experiment": "regime", "x_scale": 1e-200},
-     "x_scale 1e-200 and sigma 0.5 give a lambda outside"),
-    ({"experiment": "regime", "sigma": 1e200}, r"sigma 1e\+200 give a lambda outside"),
+     r"0 < x_scale\^2 < inf and sigma\^2 < inf, got dim 50, x_scale 1e-200, sigma 0.5"),
+    ({"experiment": "regime", "sigma": 1e200}, r"x_scale 5.0, sigma 1e\+200"),
+    ({"experiment": "regime", "x_scale": 1e-160, "sigma": 0},
+     r"least lambda candidate 3.19996e-319 / 4\^11 rounds to 0 at n = 8"),
+    ({"experiment": "rate", "distribution": "separable", "learner": "mirror_descent",
+      "budget": 1e150}, r"budget 1e\+150: step size 0 at \(H, F, n, Lbar\) = \(1, 1e\+300, 32, 0\)"),
+    ({"experiment": "rate", "budget": 1e-155},
+     r"budget 1e-155: step size inf at \(H, F, n, Lbar\) = \(1, 1e-310, 32, 0\) lies outside"),
+    ({"experiment": "regret", "budget": 1e150}, r"budget 1e\+150: step size 0 at \(H, F, n, Lbar\) = \(1, "),
+    ({"experiment": "sparse", "budget": 1e150}, r"budget 1e\+150: step size 0 at \(H, F, n, Lbar\) = \(1, "),
+    ({"experiment": "rate", "distribution": "hardB:0.1", "learner": "regularized_erm",
+      "budget": 1e-160}, r"budget 1e-160: lambda inf at \(H, F, n, Lbar\) = \(2, 9.99989e-321, 64, 0.01\)"),
+    ({"experiment": "stability", "budget": 1e-160}, r"budget 1e-160: lambda inf at \(H, F, n, Lbar\) = \(2, "),
+    ({"experiment": "margin", "budget": 1e150}, r"budget 1e\+150: step size 0 at \(H, F, n, Lbar\) = \(19.7392, "),
+    ({"experiment": "margin", "gamma_grid": [1e-200]},
+     "gamma_grid entry 1e-200: margin must be positive with a positive square, got 1e-200"),
+    ({"experiment": "rate", "distribution": "hardB:1e300"},
+     r"rate hardB:1e300 erm: sigma must be nonnegative with a finite square, got 1e\+300"),
+    ({"experiment": "stability", "distribution": "hardB:1e300"},
+     r"sigma must be nonnegative with a finite square, got 1e\+300"),
+    ({"experiment": "rate", "distribution": "hardB:1e-150"},
+     r"sigma 1e-150 gives dim ceil\(sqrt\(n\)/sigma\) beyond the largest array size"),
+    ({"experiment": "stability", "distribution": "hardB:1e-150"},
+     r"sigma 1e-150 gives dim ceil\(sqrt\(n\)/sigma\) beyond the largest array size"),
     ({"experiment": "regime", "budget": 1e-200}, r"0 < B\^2 < inf, got dim \d+, budget 1e-200"),
     ({"experiment": "regime", "budget": 1e200}, r"0 < B\^2 < inf, got dim \d+, budget 1e\+200"),
     ({"experiment": "rate", "budget": 1e-200}, r"0 < B\^2 < inf, got dim \d+, budget 1e-200"),
@@ -503,6 +526,24 @@ class TestRateExperiment:
             assert row.mean <= row.bound  # 4 H F / n with Lbar = 0
             assert math.isnan(row.lower_bound)
         assert rate_slope(rows) < -0.8
+
+    def test_separable_holds_no_identity_matrix(self, traced_peak):
+        # the one-hot rounds share one (R, d) buffer: at d = 4000 an identity
+        # matrix alone would be 128 MB
+        cfg = make_cfg(experiment="rate", distribution="separable", dim=4000,
+                       n_grid=[32, 64, 128], replicates=2)
+        rows, peak = traced_peak(run_rate_experiment, cfg)
+        assert all(0 < r.mean <= r.bound for r in rows)
+        assert peak < 16 * 2**20
+
+    def test_hard_b_erm_at_a_sigma_whose_cube_overflows(self):
+        # sigma = 1e150: the sample means are about 1e150, so ||w||^3 in the
+        # Newton step overflows; every ERM still lands on the unit sphere,
+        # where hardB's excess is at most (1 + 1/2)^2 / d
+        cfg = make_cfg(experiment="rate", distribution="hardB:1e150",
+                       n_grid=[64, 128, 256], replicates=2)
+        rows = run_rate_experiment(cfg)
+        assert all(0 <= r.mean <= 2.25 for r in rows)
 
     def test_hard_a_rows_exact_floor(self):
         cfg = make_cfg(
@@ -1164,7 +1205,7 @@ class TestCli:
         monkeypatch.setattr(experiments, "run_experiment", lambda cfg: pytest.fail("ran"))
         cfg = tmp_path / "cfg.txt"
         for exp, text, fragment in [
-            ("regime", "x_scale = 1e200", "give a lambda outside"),
+            ("regime", "x_scale = 1e200", "0 < x_scale^2 < inf"),
             ("sparse", "budget = 1e200", "finite F_max, got inf"),
             ("rate", "distribution = hardB:nan", "must be finite, got nan"),
             ("regret", "replicates = true", "replicates must be int, got 'true'"),
