@@ -43,19 +43,25 @@ _L1_NEAR_FLOOR = 1e-10  # the l1 objective is read from the design below this
 
 @dataclass(frozen=True)
 class Dataset:
-    """A sample of (x, y) pairs.
+    """A sample of (x, y) pairs, in one of three kinds:
 
-    Either dense rows `xs` of shape (n, d), or — for orthogonal designs
-    where every x is a standard basis vector — just the column indices
-    `basis_idx`, which keeps the big rate experiments out of dense-matrix
-    territory. Both representations answer the same queries, and
-    `replace_instance` swaps instances only within one kind.
+    - dense: rows `xs` of shape (n, d);
+    - basis: for orthogonal designs where every x is a standard basis
+      vector, just the column indices `basis_idx`, which keeps the big rate
+      experiments out of dense-matrix territory;
+    - doubled (`doubled=True`): the rows [x, -x] of the EG+- reduction,
+      which lets nonnegative weights represent a signed predictor. `xs`
+      holds only the signed half X, of shape (n, d0), and `dim` is 2 d0.
+
+    Every kind answers the same queries, and `replace_instance` swaps
+    instances only within one kind.
     """
 
     ys: np.ndarray
     xs: np.ndarray | None = None
     basis_idx: np.ndarray | None = None
     dim: int = 0
+    doubled: bool = False
 
     def __post_init__(self):
         ys = np.asarray(self.ys, dtype=float)
@@ -71,9 +77,11 @@ class Dataset:
             if not np.all(np.isfinite(xs)):
                 raise ValueError("xs entries must be finite")
             object.__setattr__(self, "xs", xs)
-            object.__setattr__(self, "dim", xs.shape[1])
+            object.__setattr__(self, "dim", xs.shape[1] * (2 if self.doubled else 1))
             n = xs.shape[0]
         else:
+            if self.doubled:
+                raise ValueError("a doubled dataset holds its signed half in xs, not basis_idx")
             idx = np.asarray(self.basis_idx)
             object.__setattr__(self, "basis_idx", idx)
             if self.dim < 1:
@@ -91,18 +99,27 @@ class Dataset:
         return self.ys.shape[0]
 
     def predictions(self, w: np.ndarray) -> np.ndarray:
-        """<w, x_i> for every instance."""
+        """<w, x_i> for every instance; X (w+ - w-) for a doubled design."""
+        if self.doubled:
+            d0 = self.xs.shape[1]
+            return self.xs @ (w[:d0] - w[d0:])
         if self.xs is not None:
             return self.xs @ w
         return w[self.basis_idx]
 
     def grad_combination(self, v: np.ndarray) -> np.ndarray:
-        """sum_i v_i x_i (the data side of the empirical-risk gradient)."""
+        """sum_i v_i x_i (the data side of the empirical-risk gradient);
+        (X^T v, -X^T v) for a doubled design."""
+        if self.doubled:
+            half = self.xs.T @ v
+            return np.concatenate((half, -half))
         if self.xs is not None:
             return self.xs.T @ v
         return np.bincount(self.basis_idx, weights=v, minlength=self.dim)
 
     def dense_xs(self) -> np.ndarray:
+        if self.doubled:
+            return np.hstack((self.xs, -self.xs))
         if self.xs is not None:
             return self.xs
         out = np.zeros((self.n, self.dim))
@@ -111,20 +128,24 @@ class Dataset:
 
     def replace_instance(self, i: int, source: "Dataset") -> "Dataset":
         """A copy with instance i set to the first instance of `source`, a
-        dataset of the same kind (dense or basis) and dimension: a basis
-        design copies its index, a dense design its row."""
-        if (source.xs is None) != (self.xs is None) or source.dim != self.dim:
-            kind = "dense" if self.xs is not None else "basis"
-            raise ValueError(f"source must be a {kind} dataset of dim {self.dim}")
+        dataset of the same kind (dense, basis or doubled) and dimension: a
+        basis design copies its index, a dense or doubled one its row."""
+        if self._kind() != source._kind() or source.dim != self.dim:
+            raise ValueError(f"source must be a {self._kind()} dataset of dim {self.dim}")
         ys = self.ys.copy()
         ys[i] = source.ys[0]
         if self.xs is not None:
             xs = self.xs.copy()
             xs[i] = source.xs[0]
-            return Dataset(ys=ys, xs=xs)
+            return Dataset(ys=ys, xs=xs, doubled=self.doubled)
         idx = self.basis_idx.copy()
         idx[i] = source.basis_idx[0]
         return Dataset(ys=ys, basis_idx=idx, dim=self.dim)
+
+    def _kind(self) -> str:
+        if self.doubled:
+            return "doubled"
+        return "dense" if self.xs is not None else "basis"
 
 
 def lambda_for(smoothness_H: float, f_max: float, n: int, lbar: float) -> float:
@@ -308,7 +329,8 @@ def _l1_constrained_erm(data: Dataset, radius: float, max_iters: int = 2000) -> 
         preds = data.predictions(w)
         return preds, float(np.add.reduce(loss.value(preds, ys)) / n)
 
-    gram = data.xs.T @ data.xs
+    xs = data.dense_xs()  # a doubled design's [X, -X]: the sparse study passes X alone
+    gram = xs.T @ xs
     gram /= n
     w = np.zeros(data.dim)
     preds, obj = evaluate(w)
@@ -416,7 +438,9 @@ def stability_probe(
     loss = dist.loss
 
     def unit_norm(sample: Dataset) -> Dataset:
-        if sample.xs is not None and np.max(np.sum(sample.xs**2, axis=1)) > 1.0 + 1e-12:
+        # a doubled row [x, -x] has twice the squared norm of its half x
+        scale = 2.0 if sample.doubled else 1.0
+        if sample.xs is not None and scale * np.max(np.sum(sample.xs**2, axis=1)) > 1.0 + 1e-12:
             raise ValueError("stability_probe takes H from the loss, so it needs ||x||_2 <= 1")
         return sample
 

@@ -321,7 +321,8 @@ class SparseGenerator:
     uncorrelated with unit variance), y = <w0, x> plus optional bounded
     uniform noise; w0 has k nonzeros scaled so |y| <= 1 and
     ||w0||_1 <= 2 sqrt(k). Doubled samples append the negated features so
-    nonnegative weight vectors can represent signed ones.
+    nonnegative weight vectors can represent signed ones; they are the
+    doubled Dataset kind, which stores X once and answers for [X, -X].
     """
 
     dim0: int
@@ -338,12 +339,12 @@ class SparseGenerator:
     def w_star(self) -> np.ndarray:
         return self.w0
 
-    def _draw(self, n: int, seed: int, out: np.ndarray | None = None):
-        """n rows of +-1 features, written into `out` when given, and their
-        targets. The rows are drawn _DRAW_ROWS at a time, which draws the
-        same signs as one (n, dim0) draw without its full-size index array."""
+    def _draw(self, n: int, seed: int):
+        """n rows of +-1 features and their targets. The rows are drawn
+        _DRAW_ROWS at a time, which draws the same signs as one (n, dim0)
+        draw without its full-size index array."""
         rng = np.random.default_rng(seed)
-        xs = np.empty((n, self.dim0)) if out is None else out
+        xs = np.empty((n, self.dim0))
         for start in range(0, n, _DRAW_ROWS):
             stop = min(start + _DRAW_ROWS, n)
             xs[start:stop] = rng.choice([-1.0, 1.0], size=(stop - start, self.dim0))
@@ -357,20 +358,18 @@ class SparseGenerator:
         return Dataset(ys=ys, xs=xs)
 
     def sample_doubled(self, n: int, seed: int) -> Dataset:
-        doubled = np.empty((n, 2 * self.dim0))  # [xs, -xs], with no stacked temporaries
-        xs, ys = self._draw(n, seed, out=doubled[:, : self.dim0])
-        np.negative(xs, out=doubled[:, self.dim0 :])
-        return Dataset(ys=ys, xs=doubled)
+        """The doubled sample [X, -X] of the signed one drawn at `seed`, as
+        the doubled Dataset kind: it holds X alone."""
+        xs, ys = self._draw(n, seed)
+        return Dataset(ys=ys, xs=xs, doubled=True)
 
     def sample(self, n: int, seed: int) -> Dataset:
         return self.sample_doubled(n, seed)
 
     def signed_part(self, doubled: Dataset) -> Dataset:
         """The signed sample a doubled one was built from, without drawing
-        it again: its first dim0 columns, a view read in place (BLAS takes
-        the doubled row stride, and XᵀX, X w and Xᵀ r equal the contiguous
-        copy's bit for bit)."""
-        return Dataset(ys=doubled.ys, xs=doubled.xs[:, : self.dim0])
+        it again: the plain Dataset over the same X."""
+        return Dataset(ys=doubled.ys, xs=doubled.xs)
 
     def excess(self, w: np.ndarray) -> float:
         """||w - w0||^2 / 2 for a signed weight vector, or for a doubled-

@@ -11,10 +11,14 @@ import json
 import math
 import numbers
 import os
+import sys
 from dataclasses import dataclass
 from typing import Callable, Literal, get_args, get_origin
 
 from ..distributions import hard_absolute, hard_gaussian, hard_quadlin, separable_synthetic
+
+
+_MAX_N = sys.maxsize // 8  # the most float64 entries an array can hold
 
 
 class ConfigError(ValueError):
@@ -218,6 +222,9 @@ def with_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError(f"{name} methods must not repeat, got {cfg.methods}")
     if any(b <= a for a, b in zip((0,) + cfg.n_grid, cfg.n_grid)):
         raise ConfigError(f"n_grid must be positive and strictly increasing, got {cfg.n_grid}")
+    if cfg.n_grid[-1] > _MAX_N:  # every run holds n float64 targets
+        raise ConfigError(f"n_grid entries must be at most {_MAX_N}, the longest float64 "
+                          f"array, got {cfg.n_grid[-1]}")
     if cfg.replicates < 1:
         raise ConfigError(f"replicates must be >= 1, got {cfg.replicates}")
     for key in ("tol", "eta_scale"):
@@ -228,7 +235,8 @@ def with_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"out: directory {out_dir!r} does not exist")
     try:
         spec.premises(cfg)
-    except (ValueError, ArithmeticError) as exc:  # an entry point's rule, or an overflow
+    except (ValueError, ArithmeticError, MemoryError) as exc:
+        # an entry point's rule, an overflow, or a trial construction too large to allocate
         where = " ".join(filter(None, (name, cfg.distribution, cfg.learner)))
         raise ConfigError(f"{where}: {exc}") from exc
     return cfg

@@ -206,16 +206,30 @@ def _family_premises(cfg: ExperimentConfig, learner: str) -> None:
     if learner != "erm":  # H raises for a non-smooth loss
         formula = stepsize_for if learner == "mirror_descent" else lambda_for
         for n in cfg.n_grid:
-            _premise(f"budget {cfg.budget}", formula,
-                     dist.loss.smoothness_H, setup.f_max, n, dist.l_star)
+            value = _premise(f"budget {cfg.budget}", formula,
+                             dist.loss.smoothness_H, setup.f_max, n, dist.l_star)
+            if formula is stepsize_for:
+                _projectable(cfg.budget, setup, dist.loss, value)
 
 
-def _premise(keys: str, formula: Callable, *args) -> None:
+def _premise(keys: str, formula: Callable, *args):
     """formula(*args), as the run calls it; its ValueError names the config `keys`."""
     try:
-        formula(*args)
+        return formula(*args)
     except ValueError as exc:
         raise ValueError(f"{keys}: {exc}") from exc
+
+
+def _projectable(budget: float, setup, loss, eta: float) -> None:
+    """Reject a step size whose euclidean step the ball projection cannot
+    square (margin needs no check: its ball holds unit vectors, so B >= 1
+    and eta <= 1 / (H B^2)). On unit-norm instances the gradient is at most G = sqrt(4 H b),
+    since a nonnegative H-smooth loss has |phi'| <= sqrt(4 H phi) and b
+    bounds phi; so the projection reads ||w - eta g|| <= B + eta G."""
+    reach = ball_radius(setup) + eta * math.sqrt(4.0 * loss.smoothness_H * loss.range_bound_b)
+    if not reach * reach < math.inf:
+        raise ValueError(f"budget {budget}: step size {eta:g} moves the iterate up to "
+                         f"{reach:g}, whose square overflows the ball projection")
 
 
 def _certifiable(tol: float, l_star: float) -> None:
@@ -254,6 +268,8 @@ def _batched_mirror_descent(cfg, n, replicates) -> tuple[list, np.ndarray, float
     dists, ys, design = [], np.empty((cfg.replicates, n)), None
     for j, (dist, data) in enumerate(replicates):
         dists.append(dist)
+        if data.doubled:  # the euclidean families draw dense or basis rows
+            raise ValueError("batched mirror descent takes dense or basis designs")
         if data.basis_idx is None:
             part, dtype = data.xs, float
         else:  # the narrowest integer type that holds every index
@@ -406,7 +422,8 @@ def _regret_premises(cfg: ExperimentConfig) -> None:
     lbars = (0.0, make_squared().range_bound_b)  # each run's Lbar lies between; eta is monotone
     for n in cfg.n_grid:
         for lbar in lbars:
-            _premise(f"budget {cfg.budget}", stepsize_for, 1.0, setup.f_max, n, lbar)
+            eta = _premise(f"budget {cfg.budget}", stepsize_for, 1.0, setup.f_max, n, lbar)
+            _projectable(cfg.budget, setup, make_squared(), eta)
 
 
 def _unit_vectors_fit(cfg: ExperimentConfig, setup) -> None:
@@ -519,9 +536,11 @@ def run_sparse_experiment(cfg: ExperimentConfig) -> list:
     heuristic outside the certified-regret regime; the theory-parameterized
     regret checks live in the regret experiment.
 
+    Each sample is the doubled Dataset kind, which holds only its signed
+    half X (n d floats) and answers for [X, -X]; no doubled array is built.
     entropy_md plays an n's replicates as one batch, from a stack of their
-    +-1 halves packed to bits (R n ceil(d/8) bytes): one float design is
-    alive at a time, never R.
+    X packed to bits (R n ceil(d/8) bytes): one float X is alive at a time,
+    never R.
     """
     d0, k, reps = cfg.dim, cfg.sparsity_k, cfg.replicates
     budget = cfg.budget
@@ -540,7 +559,7 @@ def run_sparse_experiment(cfg: ExperimentConfig) -> list:
             data = gen.sample_doubled(n, seed_for(cfg.seed, "sparse-data", i, j))
             smoothness = gen.loss.smoothness_H  # ||x||_inf = 1
             if online:
-                bits[j] = np.packbits(gen.signed_part(data).xs > 0, axis=-1)
+                bits[j] = np.packbits(data.xs > 0, axis=-1)  # the signed half X
                 ys[j] = data.ys
                 w0_doubled = np.maximum(np.concatenate([gen.w0, -gen.w0]), 0.0)
                 u1 = bregman_divergence(setup, w0_doubled, default_start(setup))

@@ -30,6 +30,7 @@ from smoothbench import (
     regime_generator,
     regularizer_value,
     solve_regularized_erm,
+    sparse_generator,
     stability_probe,
 )
 from smoothbench import batch
@@ -298,6 +299,89 @@ class TestDataset:
         source = Dataset(ys=np.array([5.0]), basis_idx=np.array([1]), dim=dim)
         with pytest.raises(ValueError, match="source must be a basis dataset of dim 3"):
             data.replace_instance(1, source)
+
+
+class TestDoubledDataset:
+    """The doubled kind holds the signed half X and answers every query as
+    the materialized [X, -X] does."""
+
+    @staticmethod
+    def pair(seed, n=40, d0=7):
+        rng = np.random.default_rng(seed)
+        xs = rng.choice([-1.0, 1.0], size=(n, d0))
+        ys = rng.uniform(-1, 1, n)
+        return Dataset(ys=ys, xs=xs, doubled=True), Dataset(ys=ys, xs=np.hstack((xs, -xs)))
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n, d0", [(1, 1), (40, 7), (64, 33), (40, 16), (200, 256)])
+    def test_queries_match_the_materialized_design(self, seed, n, d0):
+        # X^T v sums each column in the order [X, -X]^T v does, so where the
+        # BLAS kernel blocks the columns of X and of [X, -X] alike (d0 a
+        # multiple of its width, as at the runs' d0 = 32 and 256) the gradient
+        # is the same bits; tail columns may sum in another order
+        doubled, dense = self.pair(seed, n, d0)
+        rng = np.random.default_rng(100 + seed)
+        for w in (rng.uniform(0, 1, 2 * d0), rng.standard_normal(2 * d0)):
+            np.testing.assert_allclose(
+                doubled.predictions(w), dense.predictions(w), rtol=1e-12, atol=1e-12
+            )
+        v = rng.standard_normal(n)
+        grad = doubled.grad_combination(v)
+        assert np.array_equal(grad[:d0], -grad[d0:])
+        if d0 % 16 == 0:
+            assert np.array_equal(grad, dense.grad_combination(v))
+        else:
+            ulps = 4 * n * np.spacing(np.abs(v).sum())
+            np.testing.assert_allclose(grad, dense.grad_combination(v), rtol=0, atol=ulps)
+
+    def test_dense_xs_and_dim(self):
+        doubled, dense = self.pair(1, n=5, d0=3)
+        assert doubled.dim == dense.dim == 6 and doubled.n == 5
+        assert doubled.xs.shape == (5, 3)
+        assert np.array_equal(doubled.dense_xs(), dense.xs)
+
+    def test_replace_instance_keeps_the_kind(self):
+        doubled, _ = self.pair(2, n=4, d0=3)
+        source, _ = self.pair(3, n=2, d0=3)
+        before = doubled.xs.copy()
+        new = doubled.replace_instance(1, source)
+        assert new.doubled and new.dim == 6
+        assert np.array_equal(new.xs[1], source.xs[0]) and new.ys[1] == source.ys[0]
+        assert np.array_equal(new.xs[[0, 2, 3]], before[[0, 2, 3]])
+        assert np.array_equal(doubled.xs, before)  # untouched
+
+    def test_replace_instance_rejects_mixed_kinds(self):
+        doubled, dense = self.pair(4, n=4, d0=3)  # both of dim 6
+        with pytest.raises(ValueError, match="source must be a doubled dataset of dim 6"):
+            doubled.replace_instance(0, dense)
+        with pytest.raises(ValueError, match="source must be a dense dataset of dim 6"):
+            dense.replace_instance(0, doubled)
+        basis = Dataset(ys=np.ones(2), basis_idx=np.array([0, 5]), dim=6)
+        with pytest.raises(ValueError, match="source must be a doubled dataset of dim 6"):
+            doubled.replace_instance(0, basis)
+        with pytest.raises(ValueError, match="source must be a basis dataset of dim 6"):
+            basis.replace_instance(0, doubled)
+
+    def test_basis_indices_cannot_be_doubled(self):
+        with pytest.raises(ValueError, match="doubled"):
+            Dataset(ys=np.ones(2), basis_idx=np.array([0, 1]), dim=4, doubled=True)
+
+    def test_solves_match_the_materialized_design(self):
+        # the entropy solve and the l1 solve read the kind's queries
+        doubled, dense = self.pair(5, n=60, d0=8)
+        setup = entropy_setup(16, 1.5)
+        a = solve_regularized_erm(setup, SQ, doubled, 0.05, tol=1e-12)
+        b = solve_regularized_erm(setup, SQ, dense, 0.05, tol=1e-12)
+        assert a.iterations == b.iterations and a.termination == b.termination
+        np.testing.assert_allclose(a.w, b.w, rtol=1e-9)
+        a, b = batch._l1_constrained_erm(doubled, 1.0), batch._l1_constrained_erm(dense, 1.0)
+        np.testing.assert_allclose(a.w, b.w, rtol=1e-9, atol=1e-12)
+
+    def test_stability_probe_reads_the_doubled_norm(self):
+        # a doubled row [x, -x] with x = +-1 in one coordinate has ||.||_2^2 = 2
+        gen = sparse_generator(1, 1, seed=3)
+        with pytest.raises(ValueError, match=r"needs \|\|x\|\|_2 <= 1"):
+            stability_probe(entropy_setup(2, 1.0), gen, 0.5, 8, replicates=30, seed=0)
 
 
 class TestSolver:

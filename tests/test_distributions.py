@@ -370,14 +370,15 @@ class TestSparseGenerator:
 
     def test_doubled_features_negate(self):
         gen = sparse_generator(16, 2, seed=43)
-        data = gen.sample_doubled(50, seed=44)
-        assert np.allclose(data.xs[:, :16], -data.xs[:, 16:])
+        xs = gen.sample_doubled(50, seed=44).dense_xs()
+        assert xs.shape == (50, 32)
+        assert np.allclose(xs[:, :16], -xs[:, 16:])
 
     def test_doubled_sample_holds_no_stacked_copies(self, traced_peak):
-        # np.hstack([xs, -xs]) holds xs, -xs and the result: twice the output
+        # the doubled sample holds X alone: [X, -X] would be twice X's bytes
         gen = sparse_generator(256, 8, seed=49, noise=0.1)
         data, peak = traced_peak(gen.sample_doubled, 512, 50)
-        assert data.xs.shape == (512, 512)
+        assert data.dim == 512 and data.xs.shape == (512, 256)
         assert peak <= 1.5 * data.xs.nbytes
 
     def test_signed_part_is_the_signed_sample(self):

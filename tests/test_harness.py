@@ -168,6 +168,21 @@ BAD_CONFIGS = [
     ({"experiment": "regret", "budget": 1e200}, r"0 < B\^2 < inf, got dim \d+, budget 1e\+200"),
     ({"experiment": "margin", "budget": 1e200}, r"0 < B\^2 < inf, got dim \d+, budget 1e\+200"),
     ({"experiment": "sparse", "budget": 1e200}, r"finite F_max, got inf at budget 1e\+200"),
+    # a step size in (0, inf) whose step overflows the ball projection's
+    # squared norm: the projection would return 0 and every row the start's excess
+    ({"experiment": "rate", "distribution": "separable", "learner": "mirror_descent",
+      "budget": 1e-150},
+     r"budget 1e-150: step size 1e\+300 moves the iterate up to 7.07107e\+300, whose square "
+     "overflows the ball projection"),
+    ({"experiment": "regret", "budget": 1e-150, "methods": ["fixed_adversarial"]},
+     r"budget 1e-150: step size 1e\+300 moves the iterate"),
+    # an n that no array can hold, and a trial construction too large to
+    # allocate: config errors, not a traceback after the smaller n ran
+    ({"experiment": "regret", "n_grid": [16, 1e30]},
+     r"n_grid entries must be at most 1152921504606846975, the longest float64 array, "
+     r"got 1000000000000000019884624838656"),
+    ({"experiment": "rate", "distribution": "hardB:1e-15"},
+     r"rate hardB:1e-15 erm: Unable to allocate"),
     # a boolean is not a number, and a distribution's argument is typed as one
     ({"experiment": "rate", "n_grid": [True, 2, 3]}, "n_grid entries must be int, got True"),
     ({"experiment": "regret", "replicates": True}, "replicates must be int, got True"),
@@ -536,6 +551,16 @@ class TestRateExperiment:
         assert all(0 < r.mean <= r.bound for r in rows)
         assert peak < 16 * 2**20
 
+    def test_batched_mirror_descent_rejects_a_doubled_design(self):
+        # the euclidean runs stack dense rows or basis indices; a doubled
+        # dataset's xs is only its signed half
+        from smoothbench import sparse_generator
+
+        gen = sparse_generator(4, 1, seed=5)
+        cfg = make_cfg(experiment="rate", replicates=1)
+        with pytest.raises(ValueError, match="dense or basis designs"):
+            experiments._batched_mirror_descent(cfg, 8, [(gen, gen.sample_doubled(8, 6))])
+
     def test_hard_b_erm_at_a_sigma_whose_cube_overflows(self):
         # sigma = 1e150: the sample means are about 1e150, so ||w||^3 in the
         # Newton step overflows; every ERM still lands on the unit sphere,
@@ -681,9 +706,9 @@ class TestSparseExperiment:
         draws = []
         draw = SparseGenerator._draw
 
-        def counted(self, n, seed, **kwargs):  # sample_doubled passes out=
+        def counted(self, n, seed):
             draws.append((n, seed))
-            return draw(self, n, seed, **kwargs)
+            return draw(self, n, seed)
 
         monkeypatch.setattr(SparseGenerator, "_draw", counted)
         cfg = make_cfg(experiment="sparse", n_grid=[32, 64], replicates=2, dim=16)
@@ -966,18 +991,19 @@ class TestOneBatchPerGridPoint:
             )
             data = gen.sample_doubled(40, seed_for(cfg.seed, "sparse-data", 0, j))
             alone = run_mirror_descent_batch(
-                entropy_setup(22, cfg.budget), gen.loss, data.ys, eta[j], xs=data.xs
+                entropy_setup(22, cfg.budget), gen.loss, data.ys, eta[j], xs=data.dense_xs()
             )
             assert np.array_equal(ys[j], data.ys)
             assert np.array_equal(run.averages[j], alone.averages)
 
     def test_sparse_holds_one_float_design(self, traced_peak):
-        # one replicate's float doubled design (n * 2 dim * 8 B = 512 KiB)
-        # and the stack of signs packed to bits (R * n * dim / 8 B = 32 KiB)
-        # are alive together; R float designs would be 4 MiB
+        # one replicate's float signed half X (n * dim * 8 B = 256 KiB) and
+        # the stack of signs packed to bits (R * n * dim / 8 B = 32 KiB) are
+        # alive together; a doubled [X, -X] array alone would be 512 KiB,
+        # and R float designs 2 MiB
         n, dim, reps = 512, 64, 8
         cfg = make_cfg(experiment="sparse", dim=dim, n_grid=[n], replicates=reps)
-        float_design, stack = n * 2 * dim * 8, reps * n * dim // 8
+        float_design, stack = n * dim * 8, reps * n * dim // 8
         _, peak = traced_peak(run_sparse_experiment, cfg)
         assert peak < 2 * float_design + stack < reps * float_design
 
