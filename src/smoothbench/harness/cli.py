@@ -3,8 +3,9 @@
     smoothbench <experiment> [--config PATH] [--seed N] [--out PREFIX]
                 [--replicates N] [--check]
 
-Exit codes: 0 on success, 2 on configuration errors, 3 when --check is
-passed and the experiment's acceptance check fails.
+Exit codes: 0 on success, 2 on configuration errors (a run too large to
+allocate among them), 3 when --check is passed and the experiment's
+acceptance check fails.
 """
 
 from __future__ import annotations
@@ -47,7 +48,11 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    result, wall = run_and_emit(cfg)
+    try:
+        result, wall = run_and_emit(cfg)
+    except MemoryError as exc:  # arrays that fit the size rules but not this machine
+        print(f"config error: {exc or 'out of memory'}", file=sys.stderr)
+        return 2
 
     header, records = csv_table(cfg.experiment, result)
     print(" | ".join(header))

@@ -57,10 +57,11 @@ from ..geometry import (
     is_feasible,
 )
 from ..losses import make_smooth_ramp, make_squared
-from ..online import regret_bound, run_mirror_descent_batch, stepsize_for
+from ..online import _in_range, regret_bound, run_mirror_descent_batch, stepsize_for
 from .config import (
     ConfigError,
     ExperimentConfig,
+    _MAX_N,
     fill_unset,
     make_distribution,
     parse_distribution,
@@ -71,7 +72,7 @@ REGIME_ENVELOPE_FACTOR = 8.0
 SPARSE_SLOPE_MAX = -0.85  # sparse --check: entropy_md's greatest slope without noise
 _HOLDOUT_BLOCK = 1024  # margin's holdout rows drawn at a time
 _SLOPE_MIN_ROWS = 3  # fit_slope's least number of usable rows
-_PREMISE_SEED = 0  # the premises' trial constructions; no constructor rule reads the seed
+_PREMISE_SEED = 0  # the plans' family constructions: no constant or rule reads the seed
 _RAMP_GAMMA = 0.5  # the margin classifier's ramp loss
 
 
@@ -128,13 +129,9 @@ class RateRow:
 
 def run_rate_experiment(cfg: ExperimentConfig) -> list:
     """Replicate-mean excess risk of the configured learner across n_grid;
-    the mirror-descent replicates of a grid point run as one batch.
-
-    The smooth-loss learners take H from the family's loss: every family
-    has unit-norm instances (basis vectors, or the scalar {0, 1}), so the
-    loss's constant is also the smoothness of w -> loss(<w, x>, y)."""
+    the mirror-descent replicates of a grid point run as one batch."""
     rows = []
-    for i, n in enumerate(cfg.n_grid):
+    for i, (n, setup, step, bound) in enumerate(_family_plan(cfg, cfg.learner)):
 
         def draw(j):
             dist = make_distribution(
@@ -144,9 +141,9 @@ def run_rate_experiment(cfg: ExperimentConfig) -> list:
 
         # lazily: the solvers hold one replicate's sample at a time
         replicates = (draw(j) for j in range(cfg.replicates))
-        bound, hits = math.nan, 0
+        hits = 0
         if cfg.learner == "mirror_descent":
-            dists, ws, bound = _batched_mirror_descent(cfg, n, replicates)
+            dists, ws = _batched_mirror_descent(setup, step, cfg.replicates, n, replicates)
             excesses = [excess_risk(d, w) for d, w in zip(dists, ws)]
             dist = dists[-1]
         else:
@@ -155,13 +152,7 @@ def run_rate_experiment(cfg: ExperimentConfig) -> list:
                 if cfg.learner == "erm":
                     w = erm_exact(dist, data)
                 else:
-                    setup = euclidean_setup(dist.dim, cfg.budget)
-                    smoothness = dist.loss.smoothness_H
-                    lam = lambda_for(smoothness, setup.f_max, n, dist.l_star)
-                    bound = 256.0 * smoothness * setup.f_max / n + math.sqrt(
-                        2048.0 * smoothness * setup.f_max * dist.l_star / n
-                    )
-                    report = solve_regularized_erm(setup, dist.loss, data, lam, tol=cfg.tol)
+                    report = solve_regularized_erm(setup, dist.loss, data, step, tol=cfg.tol)
                     hits += report.termination == TERM_MAX_ITERS
                     w = report.w
                 excesses.append(excess_risk(dist, w))
@@ -194,22 +185,38 @@ def _family_defaults(cfg: ExperimentConfig):
     return family
 
 
-def _family_premises(cfg: ExperimentConfig, learner: str) -> None:
-    """The premises of a run of `learner` on the configured family (rate,
-    stability), with its step size or λ at every n."""
-    dist = make_distribution(cfg.distribution, cfg.n_grid[0], cfg.dim, _PREMISE_SEED)
-    if learner == "erm" and not isinstance(dist, HardDistribution):
-        raise ValueError("the family has no exact ERM; use regularized_erm or mirror_descent")
-    if learner == "regularized_erm":
-        _certifiable(cfg.tol, dist.l_star)
-    setup = euclidean_setup(dist.dim, cfg.budget)
-    if learner != "erm":  # H raises for a non-smooth loss
-        formula = stepsize_for if learner == "mirror_descent" else lambda_for
-        for n in cfg.n_grid:
-            value = _premise(f"budget {cfg.budget}", formula,
-                             dist.loss.smoothness_H, setup.f_max, n, dist.l_star)
-            if formula is stepsize_for:
-                _projectable(cfg.budget, setup, dist.loss, value)
+def _family_plan(cfg: ExperimentConfig, learner: str) -> list:
+    """(n, setup, step size or λ, bound) of `learner` on the family (rate,
+    stability) at each n, built there: hardB's dim grows with n. Unit-norm
+    instances (basis vectors, or the scalar {0, 1}): H is the loss's."""
+    plan = []
+    for n in cfg.n_grid:
+        dist = make_distribution(cfg.distribution, n, cfg.dim, _PREMISE_SEED)
+        if learner == "erm" and not isinstance(dist, HardDistribution):
+            raise ValueError("the family has no exact ERM; use regularized_erm or mirror_descent")
+        if learner == "regularized_erm":
+            _certifiable(cfg.tol, dist.l_star)
+        setup = euclidean_setup(dist.dim, cfg.budget)
+        step, bound = None, math.nan
+        if learner != "erm":  # H raises for a non-smooth loss
+            h, f, lbar = dist.loss.smoothness_H, setup.f_max, dist.l_star
+            if learner == "mirror_descent":
+                _fits(cfg.replicates, n)  # the batch's targets
+                step = _premise(f"budget {cfg.budget}", stepsize_for, h, f, n, lbar)
+                _projectable(cfg.budget, setup, dist.loss, step)
+                bound = regret_bound(h, f, n, lbar)
+            else:
+                step = _premise(f"budget {cfg.budget}", lambda_for, h, f, n, lbar)
+                bound = 256.0 * h * f / n + math.sqrt(2048.0 * h * f * lbar / n)
+        plan.append((n, setup, step, bound))
+    return plan
+
+
+def _fits(*shape: int) -> None:
+    """Reject a float64 array of `shape` longer than any, as with_defaults rejects such an n."""
+    if math.prod(shape) > _MAX_N:
+        raise ValueError(f"an array of shape {shape} would hold more than {_MAX_N} entries, "
+                         f"the longest float64 array")
 
 
 def _premise(keys: str, formula: Callable, *args):
@@ -260,12 +267,11 @@ def _check_rate(cfg: ExperimentConfig, rows) -> list:
     return failures
 
 
-def _batched_mirror_descent(cfg, n, replicates) -> tuple[list, np.ndarray, float]:
-    """(distributions, averaged iterates, regret bound) of one mirror-descent
-    run per (distribution, sample) replicate, played as one batch. Basis
-    designs stay indices. The family's constants (dimension, loss, L*) do
-    not depend on the replicate's seed."""
-    dists, ys, design = [], np.empty((cfg.replicates, n)), None
+def _batched_mirror_descent(setup, eta, count, n, replicates) -> tuple[list, np.ndarray]:
+    """(distributions, averaged iterates) of one mirror-descent run at step
+    `eta` per (distribution, sample) replicate, `count` of them, played as
+    one batch. Basis designs stay indices."""
+    dists, ys, design = [], np.empty((count, n)), None
     for j, (dist, data) in enumerate(replicates):
         dists.append(dist)
         if data.doubled:  # the euclidean families draw dense or basis rows
@@ -275,14 +281,11 @@ def _batched_mirror_descent(cfg, n, replicates) -> tuple[list, np.ndarray, float
         else:  # the narrowest integer type that holds every index
             part, dtype = data.basis_idx, np.min_scalar_type(dist.dim - 1)
         if design is None:
-            design = np.empty((cfg.replicates,) + part.shape, dtype=dtype)
+            design = np.empty((count,) + part.shape, dtype=dtype)
         design[j] = part
         ys[j] = data.ys
-    setup = euclidean_setup(dist.dim, cfg.budget)
-    smoothness = dist.loss.smoothness_H  # unit-norm instances
-    eta = stepsize_for(smoothness, setup.f_max, n, dist.l_star)
     if data.basis_idx is not None:  # one-hot rows; each Dataset checked its indices
-        onehot, idx, runs = np.zeros((cfg.replicates, dist.dim)), design, np.arange(cfg.replicates)
+        onehot, idx, runs = np.zeros((count, dist.dim)), design, np.arange(count)
 
         def design(i):
             """Round i's rows, in the one reused buffer: round i - 1's ones
@@ -291,7 +294,7 @@ def _batched_mirror_descent(cfg, n, replicates) -> tuple[list, np.ndarray, float
             onehot[runs, idx[:, i]] = 1.0
             return onehot
     run = run_mirror_descent_batch(setup, dist.loss, ys, eta, xs=design, record_losses=False)
-    return dists, run.averages, regret_bound(smoothness, setup.f_max, n, dist.l_star)
+    return dists, run.averages
 
 
 @dataclass(frozen=True)
@@ -334,9 +337,8 @@ def run_regret_experiment(cfg: ExperimentConfig) -> list:
     and each replicate's row carries that run's regret. Rows come out per
     replicate, in stream order.
     """
-    loss = make_squared()
+    setup, loss = _regret_plan(cfg)
     dim, reps = cfg.dim, cfg.replicates
-    setup = euclidean_setup(dim, cfg.budget)
     kinds = cfg.methods
     rows = []
     for i, n in enumerate(cfg.n_grid):
@@ -356,7 +358,7 @@ def run_regret_experiment(cfg: ExperimentConfig) -> list:
                 _sphere_rows(rng, n, dim, out=xs[j])
                 ys[j] = xs[j] @ w_stars[j]
             measured = _measured_regret(setup, loss, xs, ys, [0.0] * reps, 0.0)
-            by_kind.append(_regret_rows("iid_separable", setup, n, measured, [0.0] * reps))
+            by_kind.append(_regret_rows("iid_separable", setup, loss, n, measured, [0.0] * reps))
             del xs, ys  # one stacked design alive at a time
 
         if "fixed_adversarial" in kinds:
@@ -370,12 +372,14 @@ def run_regret_experiment(cfg: ExperimentConfig) -> list:
                 by_kind.append(_doubling_lbar_rows(setup, loss, xs, ys, hindsight))
             else:
                 measured = _measured_regret(setup, loss, xs, ys, hindsight, hindsight)
-                by_kind.append(_regret_rows("fixed_adversarial", setup, n, measured, hindsight))
+                by_kind.append(
+                    _regret_rows("fixed_adversarial", setup, loss, n, measured, hindsight)
+                )
             del xs, ys
 
         if "adaptive" in kinds:
             # e_(i mod d) against the sign of w_i[i mod d]; the zero vector pays 1/2 a round
-            eta = stepsize_for(1.0, setup.f_max, n, 0.5)
+            eta = stepsize_for(loss.smoothness_H, setup.f_max, n, 0.5)
             rounds = np.arange(n)
             design = np.zeros((n, dim))
             design[rounds, rounds % dim] = 1.0
@@ -383,7 +387,7 @@ def run_regret_experiment(cfg: ExperimentConfig) -> list:
                 setup, loss, lambda pred: np.where(pred >= 0, -1.0, 1.0), eta, xs=design,
             )
             measured = [run.losses.mean() - 0.5] * reps
-            by_kind.append(_regret_rows("adaptive", setup, n, measured, [0.5] * reps))
+            by_kind.append(_regret_rows("adaptive", setup, loss, n, measured, [0.5] * reps))
         for j in range(reps):
             rows.extend(kind_rows[j] for kind_rows in by_kind)
     return rows
@@ -392,14 +396,14 @@ def run_regret_experiment(cfg: ExperimentConfig) -> list:
 def _measured_regret(setup, loss, xs, ys, lbars, hindsight) -> np.ndarray:
     """Average regret of one mirror-descent run per stream, played at the
     theory step for its Lbar (the Lbars broadcast against the streams'
-    leading axes; smoothness 1: squared loss, ||x||_2 = 1 rows), against a
+    leading axes; H is the loss's: ||x||_2 = 1 rows), against a
     comparator whose hindsight loss is known before the run."""
-    eta = [stepsize_for(1.0, setup.f_max, ys.shape[-1], lbar) for lbar in lbars]
+    eta = [stepsize_for(loss.smoothness_H, setup.f_max, ys.shape[-1], lbar) for lbar in lbars]
     run = run_mirror_descent_batch(setup, loss, ys, eta, xs=xs)
     return run.losses.mean(axis=-1) - np.asarray(hindsight)
 
 
-def _regret_rows(stream_kind, setup, n, measured, lbars) -> list:
+def _regret_rows(stream_kind, setup, loss, n, measured, lbars) -> list:
     """One row per replicate j, with its measured regret and its Lbar."""
     return [
         RegretRow(
@@ -407,23 +411,28 @@ def _regret_rows(stream_kind, setup, n, measured, lbars) -> list:
             n=n,
             seed_index=j,
             measured=float(m),
-            bound=regret_bound(1.0, setup.f_max, n, lbar),
+            bound=regret_bound(loss.smoothness_H, setup.f_max, n, lbar),
             lbar=lbar,
         )
         for j, (m, lbar) in enumerate(zip(measured, lbars))
     ]
 
 
-def _regret_premises(cfg: ExperimentConfig) -> None:
+def _regret_plan(cfg: ExperimentConfig):
+    """The runs' (setup, loss). A stream's step reads the Lbar it draws, in
+    [0, b]; eta is monotone in Lbar, so it is checked at both ends."""
+    loss = make_squared()
     setup = euclidean_setup(cfg.dim, cfg.budget)
     # the i.i.d. stream compares against a unit vector; the others against zero
     if "iid_separable" in cfg.methods:
         _unit_vectors_fit(cfg, setup)
-    lbars = (0.0, make_squared().range_bound_b)  # each run's Lbar lies between; eta is monotone
     for n in cfg.n_grid:
-        for lbar in lbars:
-            eta = _premise(f"budget {cfg.budget}", stepsize_for, 1.0, setup.f_max, n, lbar)
-            _projectable(cfg.budget, setup, make_squared(), eta)
+        _fits(cfg.replicates, n, cfg.dim)  # a stream kind's stacked design
+        for lbar in (0.0, loss.range_bound_b):
+            eta = _premise(f"budget {cfg.budget}", stepsize_for,
+                           loss.smoothness_H, setup.f_max, n, lbar)
+            _projectable(cfg.budget, setup, loss, eta)
+    return setup, loss
 
 
 def _unit_vectors_fit(cfg: ExperimentConfig, setup) -> None:
@@ -456,7 +465,7 @@ def _doubling_lbar_rows(setup, loss, xs, ys, hindsight) -> list:
     )
     best = np.where(fits[:, :width], regret, np.inf).argmin(axis=1)  # the first lowest
     return _regret_rows(
-        "fixed_adversarial:auto_lbar", setup, n,
+        "fixed_adversarial:auto_lbar", setup, loss, n,
         regret[np.arange(reps), best], [candidates[k] for k in best],
     )
 
@@ -477,13 +486,10 @@ class StabilityRow:
 
 def run_stability_experiment(cfg: ExperimentConfig) -> list:
     rows = []
-    for i, n in enumerate(cfg.n_grid):
+    for i, (n, setup, lam, _) in enumerate(_family_plan(cfg, "regularized_erm")):
         dist = make_distribution(
             cfg.distribution, n, cfg.dim, seed_for(cfg.seed, "stability-dist", i, 0)
         )
-        setup = euclidean_setup(dist.dim, cfg.budget)
-        # unit-norm instances: H is the loss's (see run_rate_experiment)
-        lam = lambda_for(dist.loss.smoothness_H, setup.f_max, n, dist.l_star)
         report = stability_probe(
             setup,
             dist,
@@ -530,11 +536,9 @@ def run_sparse_experiment(cfg: ExperimentConfig) -> list:
     """Sparse-prediction comparison: single-pass entropy mirror descent,
     entropy-regularized ERM, and l1-constrained ERM on the doubled design.
 
-    The mirror-descent step is eta_scale times the formula step evaluated at
-    the comparator's Bregman distance from the start (oracle knowledge, like
-    the hindsight-loss bound Lbar already is). eta_scale > 1 is a desk calibration, a
-    heuristic outside the certified-regret regime; the theory-parameterized
-    regret checks live in the regret experiment.
+    The steps and λ are the plan's (see `_sparse_plan`). eta_scale > 1 is a
+    desk calibration, a heuristic outside the certified-regret regime; the
+    theory-parameterized regret checks live in the regret experiment.
 
     Each sample is the doubled Dataset kind, which holds only its signed
     half X (n d floats) and answers for [X, -X]; no doubled array is built.
@@ -543,49 +547,41 @@ def run_sparse_experiment(cfg: ExperimentConfig) -> list:
     never R.
     """
     d0, k, reps = cfg.dim, cfg.sparsity_k, cfg.replicates
-    budget = cfg.budget
     bound_dim = 2 * d0
-    setup = entropy_setup(bound_dim, budget)
+    setup, plan = _sparse_plan(cfg)
     online = "entropy_md" in cfg.methods
     rows = []
-    for i, n in enumerate(cfg.n_grid):
+    for i, (n, point) in enumerate(plan):
         per_method = {m: [] for m in cfg.methods}
         hits = dict.fromkeys(cfg.methods, 0)
-        gens = [sparse_generator(d0, k, seed_for(cfg.seed, "sparse-gen", i, j), noise=cfg.noise)
-                for j in range(reps)]
-        eta, ys = np.empty(reps), np.empty((reps, n))
+        ys = np.empty((reps, n))
         bits = np.empty((reps, n, -(-d0 // 8)), np.uint8) if online else None
-        for j, gen in enumerate(gens):
+        for j, (gen, _, lam) in enumerate(point):
             data = gen.sample_doubled(n, seed_for(cfg.seed, "sparse-data", i, j))
-            smoothness = gen.loss.smoothness_H  # ||x||_inf = 1
             if online:
                 bits[j] = np.packbits(data.xs > 0, axis=-1)  # the signed half X
                 ys[j] = data.ys
-                w0_doubled = np.maximum(np.concatenate([gen.w0, -gen.w0]), 0.0)
-                u1 = bregman_divergence(setup, w0_doubled, default_start(setup))
-                eta[j] = cfg.eta_scale * stepsize_for(smoothness, u1, n, gen.l_star)
             for method in (m for m in cfg.methods if m != "entropy_md"):  # played below
                 if method == "entropy_regerm":
-                    lam = lambda_for(smoothness, setup.f_max, n, gen.l_star)
                     report = solve_regularized_erm(
                         setup, gen.loss, data, lam, tol=cfg.tol, max_iters=1000
                     )
                     hits[method] += report.termination == TERM_MAX_ITERS
                     w = report.w
                 else:  # l1_erm
-                    w = _l1_constrained_erm(gen.signed_part(data), budget).w
+                    w = _l1_constrained_erm(gen.signed_part(data), cfg.budget).w
                 per_method[method].append(excess_risk(gen, w))
             del data  # one replicate's dataset alive at a time
         if online:  # round t's rows [s, -s], unpacked into one (R, 2, dim) buffer
             pair, flip = np.empty((reps, 2, d0)), np.array([[1.0], [-1.0]])
             sign = np.array([-1.0, 1.0])  # of a clear bit and of a set one
             ws = run_mirror_descent_batch(
-                setup, gen.loss, ys, eta, record_losses=False,
+                setup, gen.loss, ys, [eta for _, eta, _ in point], record_losses=False,
                 xs=lambda t: np.multiply(
                     sign.take(np.unpackbits(bits[:, t, None], axis=-1, count=d0)), flip, out=pair
                 ).reshape(reps, -1),
             ).averages
-            per_method["entropy_md"] = [excess_risk(g, w) for g, w in zip(gens, ws)]
+            per_method["entropy_md"] = [excess_risk(g, w) for (g, _, _), w in zip(point, ws)]
         del bits  # before the next n's stack
         ref = k * math.log(bound_dim) / n
         bound = ref + math.sqrt(k * gen.l_star * math.log(bound_dim) / n)
@@ -610,23 +606,45 @@ def sparse_slopes(rows) -> dict:
     return out
 
 
-def _sparse_premises(cfg: ExperimentConfig) -> None:
-    gen = sparse_generator(cfg.dim, cfg.sparsity_k, _PREMISE_SEED, noise=cfg.noise)
-    _certifiable(cfg.tol, gen.l_star)
+def _sparse_plan(cfg: ExperimentConfig) -> tuple:
+    """(setup, [(n, each replicate's (generator, entropy_md step,
+    entropy_regerm λ))]); None for a method that does not run. The step is
+    eta_scale times the formula's at the comparator's Bregman distance from
+    the start (oracle knowledge, like Lbar); ||x||_inf = 1: H is the loss's."""
     setup = entropy_setup(2 * cfg.dim, cfg.budget)
-    # F_max bounds the Bregman radius that entropy_md's step reads
-    formulas = {"entropy_md": stepsize_for, "entropy_regerm": lambda_for}
-    for n in cfg.n_grid:
-        for formula in (formulas[m] for m in cfg.methods if m in formulas):
-            _premise(f"budget {cfg.budget}", formula,
-                     gen.loss.smoothness_H, setup.f_max, n, gen.l_star)
+    plan = []
+    for i, n in enumerate(cfg.n_grid):
+        _fits(cfg.replicates, n)  # the batch's targets
+        _fits(n, cfg.dim)  # a replicate's design
+        point = []
+        for j in range(cfg.replicates):
+            gen = sparse_generator(cfg.dim, cfg.sparsity_k, seed_for(cfg.seed, "sparse-gen", i, j),
+                                   noise=cfg.noise)
+            _certifiable(cfg.tol, gen.l_star)
+            h, eta, lam = gen.loss.smoothness_H, None, None
+            if "entropy_md" in cfg.methods:
+                w0_doubled = np.maximum(np.concatenate([gen.w0, -gen.w0]), 0.0)
+                u1 = bregman_divergence(setup, w0_doubled, default_start(setup))
+                args = (h, u1, n, gen.l_star)
+                eta = cfg.eta_scale * _premise(f"budget {cfg.budget}", stepsize_for, *args)
+                _premise(f"eta_scale {cfg.eta_scale}", _in_range, "scaled step size", eta, *args)
+            if "entropy_regerm" in cfg.methods:
+                lam = _premise(f"budget {cfg.budget}", lambda_for, h, setup.f_max, n, gen.l_star)
+            point.append((gen, eta, lam))
+        plan.append((n, point))
+    return setup, plan
 
 
 def _check_sparse(cfg: ExperimentConfig, rows) -> list:
     failures = _max_iters_failures(rows, lambda r: f"{r.method} n={r.n}")
-    slope = sparse_slopes(rows).get("entropy_md", math.nan)
-    if cfg.noise == 0 and slope > SPARSE_SLOPE_MAX:
-        failures.append(f"entropy_md slope {slope:.3f} > {SPARSE_SLOPE_MAX}")
+    online = [r for r in rows if r.method == "entropy_md"]  # in n order
+    if cfg.noise == 0 and online:
+        try:  # a slope that cannot be fitted fails the check
+            slope = fit_slope([r.n for r in online], [r.mean_excess for r in online])[0]
+        except ValueError as exc:
+            return failures + [f"entropy_md slope: {exc}"]
+        if slope > SPARSE_SLOPE_MAX:
+            failures.append(f"entropy_md slope {slope:.3f} > {SPARSE_SLOPE_MAX}")
     return failures
 
 
@@ -654,10 +672,9 @@ def run_regime_experiment(cfg: ExperimentConfig) -> list:
     candidate; each candidate's excesses stay in replicate order.
     """
     d, xb, sigma = cfg.dim, cfg.x_scale, cfg.sigma
+    setup, plan = _regime_plan(cfg)
     rows = []
-    for i, n in enumerate(cfg.n_grid):
-        setup = euclidean_setup(d, cfg.budget)
-        candidates = _regime_lambdas(cfg, setup, n)
+    for i, (n, candidates) in enumerate(plan):
         excesses = [[] for _ in candidates]
         hits = 0
         for j in range(cfg.replicates):
@@ -686,24 +703,22 @@ def run_regime_experiment(cfg: ExperimentConfig) -> list:
     return rows
 
 
-def _regime_lambdas(cfg: ExperimentConfig, setup, n: int) -> list:
-    """The λ candidates at n: the rule's value at H = 2 E||X||^2 and
-    L* = sigma^2, then, for the oracle policy, a geometric grid below it."""
-    lam_theory = lambda_for(2.0 * cfg.x_scale**2, setup.f_max, n, cfg.sigma**2)
-    if cfg.lambda_policy == "formula":
-        return [lam_theory]
-    candidates = [lam_theory * 4.0 ** (-k) for k in range(12)]
-    if not candidates[-1] > 0:
-        raise ValueError(f"the least lambda candidate {lam_theory:g} / 4^11 rounds to 0 at n = {n}")
-    return candidates
-
-
-def _regime_premises(cfg: ExperimentConfig) -> None:
+def _regime_plan(cfg: ExperimentConfig) -> tuple:
+    """(setup, [(n, the λ candidates at n)]): the rule's value at
+    H = 2 E||X||^2 and L* = sigma^2, then, for the oracle policy, a
+    geometric grid below it."""
     gen = regime_generator(cfg.dim, cfg.x_scale, cfg.sigma, _PREMISE_SEED)
     setup = euclidean_setup(cfg.dim, cfg.budget)
+    plan = []
     for n in cfg.n_grid:
-        _regime_lambdas(cfg, setup, n)
+        _fits(n, cfg.dim)  # a replicate's design
+        lam = lambda_for(2.0 * cfg.x_scale**2, setup.f_max, n, cfg.sigma**2)
+        candidates = [lam * 4.0 ** (-k) for k in range(1 if cfg.lambda_policy == "formula" else 12)]
+        if not candidates[-1] > 0:
+            raise ValueError(f"the least lambda candidate {lam:g} / 4^11 rounds to 0 at n = {n}")
+        plan.append((n, candidates))
     _certifiable(cfg.tol, gen.l_star)
+    return setup, plan
 
 
 @dataclass(frozen=True)
@@ -720,6 +735,7 @@ def run_margin_experiment(cfg: ExperimentConfig) -> list:
     bound against a large holdout across the gamma grid."""
     n = cfg.n_grid[-1]
     dim = cfg.dim
+    setup, ramp, eta = _margin_plan(cfg)
     rng = np.random.default_rng(seed_for(cfg.seed, "margin", 0, 0))
     w_true = rng.standard_normal(dim)
     w_true /= float(np.linalg.norm(w_true))
@@ -736,10 +752,6 @@ def run_margin_experiment(cfg: ExperimentConfig) -> list:
 
     xs = _sphere_rows(rng, n, dim)
     ys = flipped(clean_labels(xs))
-    setup = euclidean_setup(dim, cfg.budget)
-    ramp = make_smooth_ramp(_RAMP_GAMMA)
-    smoothness = ramp.smoothness_H  # ||x||_2 = 1
-    eta = stepsize_for(smoothness, setup.f_max, n, cfg.label_noise)
     # the ramp is flat at non-positive margins, so the zero vector is a
     # stationary start; begin from a random unit vector instead
     w_start = rng.standard_normal(dim)
@@ -795,15 +807,20 @@ def _margin_rules(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"label_noise must lie in [0, 1], got {cfg.label_noise}")
 
 
-def _margin_premises(cfg: ExperimentConfig) -> None:
+def _margin_plan(cfg: ExperimentConfig) -> tuple:
+    """(setup, ramp loss, step) of the classifier (||x||_2 = 1: H is the
+    ramp's); the bound reads the run's margin error, so is checked at 0."""
     setup = euclidean_setup(cfg.dim, cfg.budget)
     _unit_vectors_fit(cfg, setup)  # the classifier starts at a unit vector
     n = cfg.n_grid[-1]
-    _premise(f"budget {cfg.budget}", stepsize_for,
-             make_smooth_ramp(_RAMP_GAMMA).smoothness_H, setup.f_max, n, cfg.label_noise)
+    _fits(n, cfg.dim)  # the sample
+    ramp = make_smooth_ramp(_RAMP_GAMMA)
+    eta = _premise(f"budget {cfg.budget}", stepsize_for,
+                   ramp.smoothness_H, setup.f_max, n, cfg.label_noise)
     for gamma in cfg.gamma_grid:
         _premise(f"margin bound at gamma_grid entry {gamma}", margin_bound,
                  0.0, ball_radius(setup), 0.0, n, gamma, cfg.delta, cfg.bound_k)
+    return setup, ramp, eta
 
 
 # ---------------------------------------------------------------------------
@@ -824,8 +841,9 @@ class Experiment:
 
     run: Callable  # cfg -> list of rows
     row: type  # the row type; its fields are the CSV columns (see `_column`)
-    # cfg -> None: builds what the run builds, once, at the smallest n, so
-    # that the constructors' own rules (ValueError) reject a bad config
+    # cfg -> the run's plan: the constants its run reads at each n, built
+    # before any data is drawn; with_defaults builds it too, so that the
+    # constructors' and formulas' rules (ValueError) reject a bad config
     premises: Callable
     # every field the experiment reads besides experiment, seed and out,
     # with the value it takes when the config leaves it unset (None: none,
@@ -844,14 +862,14 @@ class Experiment:
 EXPERIMENTS = {
     "rate": Experiment(
         run_rate_experiment, RateRow,
-        lambda cfg: _family_premises(cfg, cfg.learner),
+        lambda cfg: _family_plan(cfg, cfg.learner),
         # the family gives learner, n_grid, budget and dim (separable only)
         {"distribution": "separable", "learner": None, "n_grid": None,
          "replicates": 50, "dim": None, "budget": None, "tol": 1e-10},
         check=_check_rate, prepare=lambda cfg: fill_unset(cfg, _family_defaults(cfg).rate),
         fits_slope=True),
     "regret": Experiment(
-        run_regret_experiment, RegretRow, _regret_premises,
+        run_regret_experiment, RegretRow, _regret_plan,
         {"n_grid": (10, 100, 1000, 10000), "replicates": 10, "dim": 8, "budget": 1.0,
          "methods": ("iid_separable", "fixed_adversarial", "adaptive"), "lbar_mode": "exact"},
         check=lambda cfg, rows: [
@@ -861,7 +879,7 @@ EXPERIMENTS = {
         ]),
     "stability": Experiment(
         run_stability_experiment, StabilityRow,
-        lambda cfg: _family_premises(cfg, "regularized_erm"),
+        lambda cfg: _family_plan(cfg, "regularized_erm"),
         {"distribution": "hardB:0.1", "dim": None, "n_grid": (64,),
          "replicates": 200, "budget": None, "tol": 1e-10},
         check=lambda cfg, rows: _max_iters_failures(rows) + [
@@ -870,7 +888,7 @@ EXPERIMENTS = {
         ],
         prepare=_stability_rules),
     "sparse": Experiment(
-        run_sparse_experiment, SparseRow, _sparse_premises,
+        run_sparse_experiment, SparseRow, _sparse_plan,
         {"dim": 256, "sparsity_k": 4, "noise": 0.0, "n_grid": tuple(2**k for k in range(7, 13)),
          "replicates": 20, "budget": None, "methods": ("entropy_md", "entropy_regerm", "l1_erm"),
          "tol": 1e-8, "eta_scale": 8.0},
@@ -878,7 +896,7 @@ EXPERIMENTS = {
         prepare=lambda cfg: fill_unset(cfg, {"budget": 2.0 * math.sqrt(cfg.sparsity_k)}),
         fits_slope=True),
     "regime": Experiment(
-        run_regime_experiment, RegimeRow, _regime_premises,
+        run_regime_experiment, RegimeRow, _regime_plan,
         {"dim": 50, "x_scale": 5.0, "sigma": 0.5, "n_grid": tuple(2**k for k in range(3, 13)),
          "replicates": 12, "budget": 1.0, "tol": 1e-9, "lambda_policy": "oracle"},
         check=lambda cfg, rows: _max_iters_failures(rows) + [
@@ -887,7 +905,7 @@ EXPERIMENTS = {
             for r in rows if r.mean_excess > REGIME_ENVELOPE_FACTOR * r.envelope
         ]),
     "margin": Experiment(
-        run_margin_experiment, MarginRow, _margin_premises,
+        run_margin_experiment, MarginRow, _margin_plan,
         {"dim": 10, "n_grid": (2048,), "replicates": 1, "budget": 1.0,
          "gamma_grid": (0.05, 0.1, 0.2, 0.4, 0.8), "label_noise": 0.05, "delta": 0.05,
          "bound_k": 1e5},

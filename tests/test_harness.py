@@ -39,6 +39,7 @@ from smoothbench.batch import (
     TERM_TOLERANCE,
     _l1_constrained_erm,
     _project_l1_ball,
+    solve_regularized_erm,
 )
 from test_golden import GOLDEN
 
@@ -80,6 +81,9 @@ BAD_CONFIGS = [
     ({"experiment": "rate", "learner": "regularized_erm", "distribution": "hardB:0.1",
       "tol": -1}, "tol must be positive"),
     ({"experiment": "sparse", "eta_scale": -1}, "eta_scale must be positive"),
+    # the step the run plays is eta_scale times the formula's, which rounds to 0 here
+    ({"experiment": "sparse", "eta_scale": 1e-323},
+     r"eta_scale 1e-323: scaled step size 0 at \(H, F, n, Lbar\) = \(1, "),
     ({"experiment": "regret", "budget": 0.001}, "excludes unit-norm"),
     ({"experiment": "regret", "methods": ["iid_separable"], "budget": 0.5},
      "excludes unit-norm"),
@@ -183,6 +187,21 @@ BAD_CONFIGS = [
      r"got 1000000000000000019884624838656"),
     ({"experiment": "rate", "distribution": "hardB:1e-15"},
      r"rate hardB:1e-15 erm: Unable to allocate"),
+    # the plan builds hardB at every n, where its dim grows as sqrt(n)/sigma
+    ({"experiment": "rate", "distribution": "hardB:1e-6", "n_grid": [64, 10**15],
+      "replicates": 1}, r"rate hardB:1e-6 erm: Unable to allocate"),
+    # an n that fits one array, but not a run's largest one
+    ({"experiment": "regret", "n_grid": [16, 10**17]},
+     r"an array of shape \(10, 100000000000000000, 8\) would hold more than "
+     r"1152921504606846975 entries, the longest float64 array"),
+    ({"experiment": "regime", "n_grid": [8, 16, 10**17]},
+     r"an array of shape \(100000000000000000, 50\) would hold more than"),
+    ({"experiment": "rate", "distribution": "separable", "n_grid": [32, 10**17]},
+     r"an array of shape \(50, 100000000000000000\) would hold more than"),
+    ({"experiment": "sparse", "n_grid": [128, 10**17]},
+     r"an array of shape \(20, 100000000000000000\) would hold more than"),
+    ({"experiment": "margin", "n_grid": [10**18]},
+     r"an array of shape \(1000000000000000000, 10\) would hold more than"),
     # a boolean is not a number, and a distribution's argument is typed as one
     ({"experiment": "rate", "n_grid": [True, 2, 3]}, "n_grid entries must be int, got True"),
     ({"experiment": "regret", "replicates": True}, "replicates must be int, got True"),
@@ -377,6 +396,16 @@ class TestCheckMessages:
             "entropy_md n=64: 2 solves stopped at max_iters",
             "entropy_md slope 0.000 > -0.85",
         ])
+        # a slope that cannot be fitted fails the check; another method's rows are not fitted
+        rows = [
+            experiments.SparseRow(method=method, n=n, dim=32, k=4, mean_excess=0.0,
+                                  stderr=0.0, bound=0.5, max_iters_hits=0)
+            for n in (64, 128, 256) for method in ("entropy_md", "l1_erm")
+        ]
+        with pytest.warns(UserWarning, match="dropped 3 non-positive rows"):
+            assert check_result(make_cfg(experiment="sparse"), rows) == (False, [
+                "entropy_md slope: need at least 3 rows with positive means, have 0",
+            ])
 
     def test_regime(self):
         row = experiments.RegimeRow(n=8, mean_excess=1.0, stderr=0.0, envelope=0.1,
@@ -408,8 +437,9 @@ class TestSeedDiscipline:
 
     @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
     def test_premises_take_any_master_seed(self, experiment):
-        # seed_for takes any integer, and the premises' trial constructions
-        # do not use the master seed as a constructor seed
+        # seed_for takes any integer: the sparse plan builds the run's own
+        # generators from seed_for's seeds, and the other plans' trial
+        # constructions do not use the master seed as a constructor seed
         assert make_cfg(experiment=experiment, seed=-1).seed == -1
 
     def test_a_negative_master_seed_runs(self):
@@ -554,12 +584,13 @@ class TestRateExperiment:
     def test_batched_mirror_descent_rejects_a_doubled_design(self):
         # the euclidean runs stack dense rows or basis indices; a doubled
         # dataset's xs is only its signed half
-        from smoothbench import sparse_generator
+        from smoothbench import euclidean_setup, sparse_generator
 
         gen = sparse_generator(4, 1, seed=5)
-        cfg = make_cfg(experiment="rate", replicates=1)
         with pytest.raises(ValueError, match="dense or basis designs"):
-            experiments._batched_mirror_descent(cfg, 8, [(gen, gen.sample_doubled(8, 6))])
+            experiments._batched_mirror_descent(
+                euclidean_setup(8, 1.0), 0.1, 1, 8, [(gen, gen.sample_doubled(8, 6))]
+            )
 
     def test_hard_b_erm_at_a_sigma_whose_cube_overflows(self):
         # sigma = 1e150: the sample means are about 1e150, so ||w||^3 in the
@@ -1008,6 +1039,64 @@ class TestOneBatchPerGridPoint:
         assert peak < 2 * float_design + stack < reps * float_design
 
 
+class TestPlans:
+    """Each run reads its constants from its experiment's premises hook,
+    the plan that with_defaults checks."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_runs_play_the_steps_and_lambdas_of_their_plan(self, name, monkeypatch):
+        # every eta given to run_mirror_descent_batch and every λ given to
+        # solve_regularized_erm (also through stability_probe), in order
+        from smoothbench import batch, stepsize_for
+
+        etas, lams = [], []
+
+        def play(setup, loss, ys, eta, **kwargs):
+            n = np.shape(kwargs["xs"])[-2] if callable(ys) else np.shape(ys)[-1]
+            etas.append((n, np.asarray(eta, dtype=float).tolist()))
+            return run_mirror_descent_batch(setup, loss, ys, eta, **kwargs)
+
+        def solve(setup, loss, data, lam, **kwargs):
+            lams.append(lam)
+            return solve_regularized_erm(setup, loss, data, lam, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_mirror_descent_batch", play)
+        monkeypatch.setattr(experiments, "solve_regularized_erm", solve)
+        monkeypatch.setattr(batch, "solve_regularized_erm", solve)
+        cfg = make_cfg(**GOLDEN[name])
+        spec = EXPERIMENTS[cfg.experiment]
+        plan = spec.premises(cfg)
+        spec.run(cfg)
+        reps = cfg.replicates
+        if cfg.experiment in ("rate", "stability"):
+            steps = [(n, step) for n, _, step, _ in plan]
+            if cfg.learner == "mirror_descent":
+                assert etas == steps and lams == []
+            elif cfg.learner == "regularized_erm":
+                assert etas == [] and lams == [step for _, step in steps for _ in range(reps)]
+            elif cfg.learner == "erm":
+                assert etas == lams == [] and all(step is None for _, step in steps)
+            else:  # stability: one grid point, its probe's every solve at its λ
+                assert etas == [] and lams and set(lams) == {step for _, step in steps}
+        elif cfg.experiment == "sparse":  # each replicate's own step and λ
+            _, points = plan
+            assert etas == [(n, [eta for _, eta, _ in point]) for n, point in points]
+            assert lams == [lam for _, point in points for _, _, lam in point]
+        elif cfg.experiment == "regime":  # each replicate solves every candidate
+            _, points = plan
+            assert etas == []
+            assert lams == [lam for _, cands in points for _ in range(reps) for lam in cands]
+        elif cfg.experiment == "margin":
+            assert etas == [(cfg.n_grid[-1], plan[2])] and lams == []
+        else:  # regret: a stream's step reads its drawn Lbar, in the plan's bracket [0, b]
+            setup, loss = plan
+            assert lams == [] and {n for n, _ in etas} == set(cfg.n_grid)
+            for n, eta in etas:
+                low, high = (stepsize_for(loss.smoothness_H, setup.f_max, n, lbar)
+                             for lbar in (loss.range_bound_b, 0.0))
+                assert all(low <= e <= high for e in np.ravel(eta))
+
+
 class TestRegimeExperiment:
     def test_annotations_and_one_sided_envelope(self):
         cfg = make_cfg(
@@ -1272,6 +1361,29 @@ class TestCli:
         assert cli_main(["rate", "--config", str(cfg), "--check"]) == 3
         err = capsys.readouterr().err
         assert "check failed" in err and "> -10.0" in err
+
+    @pytest.mark.parametrize("text", [
+        "dim = 2\nsparsity_k = 1\nn_grid = 4, 8, 16\nreplicates = 2\n"
+        "methods = entropy_md, l1_erm\n",
+        "dim = 1\nsparsity_k = 1\nn_grid = 1, 2, 4\n",
+    ])
+    def test_sparse_check_fits_only_entropy_md(self, text, tmp_path, capsys):
+        # l1_erm's exact zeros at small d leave it fewer than 3 positive
+        # means; --check gates only entropy_md's slope, and fits no other
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        assert cli_main(["sparse", "--config", str(cfg), "--check"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "# checks passed" in captured.out
+
+    def test_a_run_too_large_to_allocate_exits_two(self, tmp_path, capsys):
+        # n * dim = 1e18 fits the longest array, but no machine holds its 6.94 EiB
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n_grid = 100000000000000000\n")
+        assert cli_main(["margin", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1, captured.err
+        assert captured.err.startswith("config error: Unable to allocate 6.94 EiB")
 
     def test_check_pass_exit_zero(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
