@@ -74,17 +74,12 @@ class HardDistribution:
 
 @dataclass(frozen=True)
 class AbsoluteSeparable(HardDistribution):
-    n_design: int
-    signs: np.ndarray
-
     def _draw(self, n: int, rng: np.random.Generator) -> Dataset:
         idx = rng.integers(self.dim, size=n)
-        ys = self.signs[idx] / math.sqrt(self.n_design)
-        return Dataset(ys=ys, basis_idx=idx, dim=self.dim)
+        return Dataset(ys=self.w_star[idx], basis_idx=idx, dim=self.dim)
 
     def _risk(self, w: np.ndarray) -> float:
-        targets = self.signs / math.sqrt(self.n_design)
-        return float(np.mean(np.abs(w - targets)))
+        return float(np.mean(np.abs(w - self.w_star)))
 
     def _erm(self, data: Dataset) -> np.ndarray:
         # match every seen coordinate, leave unseen ones at zero: the minimal-
@@ -99,13 +94,11 @@ class AbsoluteSeparable(HardDistribution):
 
 @dataclass(frozen=True)
 class GaussianSquared(HardDistribution):
-    signs: np.ndarray
     sigma: float
 
     def _draw(self, n: int, rng: np.random.Generator) -> Dataset:
         idx = rng.integers(self.dim, size=n)
-        means = self.signs[idx] / (2.0 * math.sqrt(self.dim))
-        ys = means if self.sigma == 0 else rng.normal(means, self.sigma)
+        ys = self.w_star[idx] if self.sigma == 0 else rng.normal(self.w_star[idx], self.sigma)
         return Dataset(ys=ys, basis_idx=idx, dim=self.dim)
 
     def excess(self, w: np.ndarray) -> float:
@@ -191,42 +184,38 @@ def hard_absolute(n_design: int, seed: int) -> AbsoluteSeparable:
     from the seed and then treated as fixed by nature."""
     if n_design < 1:
         raise ValueError("n_design must be >= 1")
-    d = 2 * n_design
-    rng = np.random.default_rng(seed)
-    signs = rng.choice([-1.0, 1.0], size=d)
-    w_star = signs / math.sqrt(n_design)
+    signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=2 * n_design)
     return AbsoluteSeparable(
-        dim=d, loss=make_absolute(), w_star=w_star, l_star=0.0,
-        n_design=n_design, signs=signs,
+        dim=2 * n_design, loss=make_absolute(), w_star=signs / math.sqrt(n_design), l_star=0.0,
     )
+
+
+def hard_gaussian_dim(n_design: int, sigma: float, dim: int | None = None) -> int:
+    """hardB's dim: `dim`, else ceil(sqrt(n_design)/sigma), after the rules
+    that its L* = sigma^2 and that default need (sigma = 0 needs a `dim`)."""
+    if n_design < 1:
+        raise ValueError("n_design must be >= 1")
+    if not (0 <= sigma and sigma * sigma < math.inf):
+        raise ValueError(f"sigma must be nonnegative with a finite square, got {sigma}")
+    if dim is not None:
+        return dim
+    if sigma == 0:
+        raise ValueError("sigma = 0 needs an explicit dim")
+    if not math.sqrt(n_design) / sigma <= np.iinfo(np.intp).max:
+        raise ValueError(f"sigma {sigma} gives dim ceil(sqrt(n)/sigma) beyond the largest "
+                         f"array size at n = {n_design}")
+    return math.ceil(math.sqrt(n_design) / sigma)
 
 
 def hard_gaussian(
     n_design: int, sigma: float, seed: int, dim: int | None = None
 ) -> GaussianSquared:
-    """Noisy orthogonal-design squared-loss family.
-
-    dim defaults to ceil(sqrt(n_design)/sigma); sigma = 0 is allowed only
-    with an explicit dim (the default would be undefined).
-    """
-    if n_design < 1:
-        raise ValueError("n_design must be >= 1")
-    # L* = sigma^2 must be a float, and the default dim an array size
-    if not (0 <= sigma and sigma * sigma < math.inf):
-        raise ValueError(f"sigma must be nonnegative with a finite square, got {sigma}")
-    if dim is None:
-        if sigma == 0:
-            raise ValueError("sigma = 0 needs an explicit dim")
-        if not math.sqrt(n_design) / sigma <= np.iinfo(np.intp).max:
-            raise ValueError(f"sigma {sigma} gives dim ceil(sqrt(n)/sigma) beyond the largest "
-                             f"array size at n = {n_design}")
-        dim = math.ceil(math.sqrt(n_design) / sigma)
-    rng = np.random.default_rng(seed)
-    signs = rng.choice([-1.0, 1.0], size=dim)
-    w_star = signs / (2.0 * math.sqrt(dim))
+    """Noisy orthogonal-design squared-loss family of `hard_gaussian_dim`'s dim."""
+    dim = hard_gaussian_dim(n_design, sigma, dim)
+    signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=dim)
     return GaussianSquared(
-        dim=dim, loss=make_squared_unhalved(), w_star=w_star, l_star=sigma**2,
-        signs=signs, sigma=sigma,
+        dim=dim, loss=make_squared_unhalved(), w_star=signs / (2.0 * math.sqrt(dim)),
+        l_star=sigma**2, sigma=sigma,
     )
 
 
@@ -440,7 +429,7 @@ class RegimeGenerator:
         return terms[name], name
 
 
-def regime_generator(dim: int, x_scale: float, sigma: float, seed: int) -> RegimeGenerator:
+def regime_rules(dim: int, x_scale: float, sigma: float) -> None:
     # the risk reads x_scale^2 and sigma^2: neither may overflow, nor x_scale^2 round to 0
     if not (dim >= 1 and x_scale > 0 and sigma >= 0) or not (
         0 < x_scale * x_scale < math.inf and sigma * sigma < math.inf
@@ -448,6 +437,10 @@ def regime_generator(dim: int, x_scale: float, sigma: float, seed: int) -> Regim
         raise ValueError(f"regime generator needs dim >= 1, x_scale > 0, sigma >= 0 with "
                          f"0 < x_scale^2 < inf and sigma^2 < inf, got dim {dim}, "
                          f"x_scale {x_scale}, sigma {sigma}")
+
+
+def regime_generator(dim: int, x_scale: float, sigma: float, seed: int) -> RegimeGenerator:
+    regime_rules(dim, x_scale, sigma)
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(dim)
     w /= float(np.linalg.norm(w))

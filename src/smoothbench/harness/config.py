@@ -10,12 +10,15 @@ import dataclasses
 import json
 import math
 import numbers
+import operator
 import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, Literal, get_args, get_origin
 
-from ..distributions import hard_absolute, hard_gaussian, hard_quadlin, separable_synthetic
+from ..distributions import hard_absolute, hard_gaussian, hard_gaussian_dim, hard_quadlin
+from ..distributions import separable_synthetic
+from ..losses import make_absolute, make_squared, make_squared_unhalved
 
 
 _MAX_N = sys.maxsize // 8  # the most float64 entries an array can hold
@@ -57,11 +60,12 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class Family:
-    """A distribution family: its constructor, the default of its ":<arg>"
-    suffix (None: takes no suffix), the euclidean budget whose ball holds
-    its reference predictor, and the rate experiment's defaults and checks."""
+    """A distribution family: its constructor and constants, the default of
+    its ":<arg>" suffix (None: takes no suffix), the euclidean budget whose
+    ball holds its reference predictor, and the rate experiment's defaults and checks."""
 
     build: Callable  # (n, arg, dim, seed) -> distribution
+    constants: Callable  # (n, arg, dim) -> (dim, loss, L*) of a build at n, drawing nothing
     arg: float | None
     dim: int | None  # the default dim; None: the family fixes its own, reads none
     budget: float
@@ -69,21 +73,28 @@ class Family:
     rate_check: tuple  # --check's floor factor, least and greatest slope; nan: off
 
 
+_constants_of = operator.attrgetter("dim", "loss", "l_star")
+
 # the lambdas look the constructors up when called, so wrappers installed on
 # this module's names (profilers, tracers) see each construction
 FAMILIES = {
     "separable": Family(
-        lambda n, arg, dim, seed: separable_synthetic(dim, seed), None, 16, 1.0,
+        lambda n, arg, dim, seed: separable_synthetic(dim, seed),
+        lambda n, arg, dim: (dim, make_squared(), 0.0), None, 16, 1.0,
         {"learner": "mirror_descent", "n_grid": tuple(2**k for k in range(5, 13))},
         (math.nan, math.nan, -0.85)),
     "hardA": Family(
-        lambda n, arg, dim, seed: hard_absolute(n, seed), None, None, 1.0 / math.sqrt(2.0),
+        lambda n, arg, dim, seed: hard_absolute(n, seed),
+        lambda n, arg, dim: (2 * n, make_absolute(), 0.0), None, None, 1.0 / math.sqrt(2.0),
         {"learner": "erm", "n_grid": tuple(2**k for k in range(4, 11))}, (1.0, -0.65, -0.35)),
     "hardB": Family(
-        lambda n, arg, dim, seed: hard_gaussian(n, arg, seed), 0.1, None, 1.0 / math.sqrt(2.0),
+        lambda n, arg, dim, seed: hard_gaussian(n, arg, seed),
+        lambda n, arg, dim: (hard_gaussian_dim(n, arg), make_squared_unhalved(), arg**2),
+        0.1, None, 1.0 / math.sqrt(2.0),
         {"learner": "erm", "n_grid": tuple(2**k for k in range(6, 14))}, (0.5, -0.65, -0.35)),
-    "hardC": Family(
-        lambda n, arg, dim, seed: hard_quadlin(n, arg), 0.5, None, 1.0 / math.sqrt(2.0),
+    "hardC": Family(  # its construction draws nothing
+        lambda n, arg, dim, seed: hard_quadlin(n, arg),
+        lambda n, arg, dim: _constants_of(hard_quadlin(n, arg)), 0.5, None, 1.0 / math.sqrt(2.0),
         {"learner": "erm", "n_grid": tuple(2**k for k in range(6, 14))}, (math.nan,) * 3),
 }
 
@@ -99,11 +110,6 @@ def parse_distribution(name: str) -> tuple[Family, float | None]:
     if spec.arg is None:
         raise ConfigError(f"distribution {family!r} takes no argument, got {name!r}")
     return spec, typed(f"distribution argument in {name!r}", float, arg)
-
-
-def make_distribution(name: str, n: int, dim: int, seed: int):
-    family, arg = parse_distribution(name)
-    return family.build(n, arg, dim, seed)
 
 
 def parse_kv_text(text: str) -> dict:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import numpy.random  # noqa: F401 -- numpy 2 loads it lazily: at import, not at a run's first draw
 
 from .. import __version__ as _pkg_version
 from ..batch import (
@@ -41,11 +42,11 @@ from ..bounds import (
     margin_empirical_error,
 )
 from ..distributions import (
-    HardDistribution,
     erm_exact,
     lower_bound_applies,
     lower_bound_value,
     regime_generator,
+    regime_rules,
     sparse_generator,
 )
 from ..geometry import (
@@ -59,11 +60,11 @@ from ..geometry import (
 from ..losses import make_smooth_ramp, make_squared
 from ..online import _in_range, regret_bound, run_mirror_descent_batch, stepsize_for
 from .config import (
+    FAMILIES,
     ConfigError,
     ExperimentConfig,
     _MAX_N,
     fill_unset,
-    make_distribution,
     parse_distribution,
 )
 
@@ -72,7 +73,6 @@ REGIME_ENVELOPE_FACTOR = 8.0
 SPARSE_SLOPE_MAX = -0.85  # sparse --check: entropy_md's greatest slope without noise
 _HOLDOUT_BLOCK = 1024  # margin's holdout rows drawn at a time
 _SLOPE_MIN_ROWS = 3  # fit_slope's least number of usable rows
-_PREMISE_SEED = 0  # the plans' family constructions: no constant or rule reads the seed
 _RAMP_GAMMA = 0.5  # the margin classifier's ramp loss
 
 
@@ -130,13 +130,12 @@ class RateRow:
 def run_rate_experiment(cfg: ExperimentConfig) -> list:
     """Replicate-mean excess risk of the configured learner across n_grid;
     the mirror-descent replicates of a grid point run as one batch."""
+    family, arg = parse_distribution(cfg.distribution)
     rows = []
     for i, (n, setup, step, bound) in enumerate(_family_plan(cfg, cfg.learner)):
 
         def draw(j):
-            dist = make_distribution(
-                cfg.distribution, n, cfg.dim, seed_for(cfg.seed, "rate-dist", i, j)
-            )
+            dist = family.build(n, arg, cfg.dim, seed_for(cfg.seed, "rate-dist", i, j))
             return dist, dist.sample(n, seed_for(cfg.seed, "rate-data", i, j))
 
         # lazily: the solvers hold one replicate's sample at a time
@@ -187,27 +186,30 @@ def _family_defaults(cfg: ExperimentConfig):
 
 def _family_plan(cfg: ExperimentConfig, learner: str) -> list:
     """(n, setup, step size or λ, bound) of `learner` on the family (rate,
-    stability) at each n, built there: hardB's dim grows with n. Unit-norm
-    instances (basis vectors, or the scalar {0, 1}): H is the loss's."""
+    stability) at each n, from its constants there: hardB's dim grows with n.
+    Unit-norm instances (basis vectors, or the scalar {0, 1}): H is the loss's."""
+    family, arg = parse_distribution(cfg.distribution)
+    if learner == "erm" and family is FAMILIES["separable"]:
+        raise ValueError("the family has no exact ERM; use regularized_erm or mirror_descent")
+    _fits(cfg.replicates)  # the replicates' excesses, or the probe's values
     plan = []
     for n in cfg.n_grid:
-        dist = make_distribution(cfg.distribution, n, cfg.dim, _PREMISE_SEED)
-        if learner == "erm" and not isinstance(dist, HardDistribution):
-            raise ValueError("the family has no exact ERM; use regularized_erm or mirror_descent")
+        dim, loss, l_star = family.constants(n, arg, cfg.dim)
+        np.empty(dim)  # the run's w*: one too large to allocate raises here, touching no page
         if learner == "regularized_erm":
-            _certifiable(cfg.tol, dist.l_star)
-        setup = euclidean_setup(dist.dim, cfg.budget)
+            _certifiable(cfg.tol, l_star)
+        setup = euclidean_setup(dim, cfg.budget)
         step, bound = None, math.nan
         if learner != "erm":  # H raises for a non-smooth loss
-            h, f, lbar = dist.loss.smoothness_H, setup.f_max, dist.l_star
+            h, f = loss.smoothness_H, setup.f_max
             if learner == "mirror_descent":
                 _fits(cfg.replicates, n)  # the batch's targets
-                step = _premise(f"budget {cfg.budget}", stepsize_for, h, f, n, lbar)
-                _projectable(cfg.budget, setup, dist.loss, step)
-                bound = regret_bound(h, f, n, lbar)
+                step = _premise(f"budget {cfg.budget}", stepsize_for, h, f, n, l_star)
+                _projectable(cfg.budget, setup, loss, step)
+                bound = regret_bound(h, f, n, l_star)
             else:
-                step = _premise(f"budget {cfg.budget}", lambda_for, h, f, n, lbar)
-                bound = 256.0 * h * f / n + math.sqrt(2048.0 * h * f * lbar / n)
+                step = _premise(f"budget {cfg.budget}", lambda_for, h, f, n, l_star)
+                bound = 256.0 * h * f / n + math.sqrt(2048.0 * h * f * l_star / n)
         plan.append((n, setup, step, bound))
     return plan
 
@@ -485,11 +487,10 @@ class StabilityRow:
 
 
 def run_stability_experiment(cfg: ExperimentConfig) -> list:
+    family, arg = parse_distribution(cfg.distribution)
     rows = []
     for i, (n, setup, lam, _) in enumerate(_family_plan(cfg, "regularized_erm")):
-        dist = make_distribution(
-            cfg.distribution, n, cfg.dim, seed_for(cfg.seed, "stability-dist", i, 0)
-        )
+        dist = family.build(n, arg, cfg.dim, seed_for(cfg.seed, "stability-dist", i, 0))
         report = stability_probe(
             setup,
             dist,
@@ -635,6 +636,12 @@ def _sparse_plan(cfg: ExperimentConfig) -> tuple:
     return setup, plan
 
 
+def _sparse_rules(cfg: ExperimentConfig) -> None:
+    if cfg.sparsity_k < 1:  # before the default budget takes its square root
+        raise ConfigError(f"sparsity_k must be >= 1, got {cfg.sparsity_k}")
+    fill_unset(cfg, {"budget": 2.0 * math.sqrt(cfg.sparsity_k)})
+
+
 def _check_sparse(cfg: ExperimentConfig, rows) -> list:
     failures = _max_iters_failures(rows, lambda r: f"{r.method} n={r.n}")
     online = [r for r in rows if r.method == "entropy_md"]  # in n order
@@ -707,7 +714,7 @@ def _regime_plan(cfg: ExperimentConfig) -> tuple:
     """(setup, [(n, the λ candidates at n)]): the rule's value at
     H = 2 E||X||^2 and L* = sigma^2, then, for the oracle policy, a
     geometric grid below it."""
-    gen = regime_generator(cfg.dim, cfg.x_scale, cfg.sigma, _PREMISE_SEED)
+    regime_rules(cfg.dim, cfg.x_scale, cfg.sigma)
     setup = euclidean_setup(cfg.dim, cfg.budget)
     plan = []
     for n in cfg.n_grid:
@@ -717,7 +724,7 @@ def _regime_plan(cfg: ExperimentConfig) -> tuple:
         if not candidates[-1] > 0:
             raise ValueError(f"the least lambda candidate {lam:g} / 4^11 rounds to 0 at n = {n}")
         plan.append((n, candidates))
-    _certifiable(cfg.tol, gen.l_star)
+    _certifiable(cfg.tol, cfg.sigma**2)  # L*
     return setup, plan
 
 
@@ -841,9 +848,10 @@ class Experiment:
 
     run: Callable  # cfg -> list of rows
     row: type  # the row type; its fields are the CSV columns (see `_column`)
-    # cfg -> the run's plan: the constants its run reads at each n, built
-    # before any data is drawn; with_defaults builds it too, so that the
-    # constructors' and formulas' rules (ValueError) reject a bad config
+    # cfg -> the run's plan: the constants its run reads at each n, from
+    # closed forms before any data is drawn (sparse's alone builds the run's
+    # generators); with_defaults builds it too, so that the constructors'
+    # argument rules and the formulas' rules (ValueError) reject a bad config
     premises: Callable
     # every field the experiment reads besides experiment, seed and out,
     # with the value it takes when the config leaves it unset (None: none,
@@ -892,8 +900,7 @@ EXPERIMENTS = {
         {"dim": 256, "sparsity_k": 4, "noise": 0.0, "n_grid": tuple(2**k for k in range(7, 13)),
          "replicates": 20, "budget": None, "methods": ("entropy_md", "entropy_regerm", "l1_erm"),
          "tol": 1e-8, "eta_scale": 8.0},
-        check=_check_sparse,
-        prepare=lambda cfg: fill_unset(cfg, {"budget": 2.0 * math.sqrt(cfg.sparsity_k)}),
+        check=_check_sparse, prepare=_sparse_rules,
         fits_slope=True),
     "regime": Experiment(
         run_regime_experiment, RegimeRow, _regime_plan,

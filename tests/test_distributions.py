@@ -88,8 +88,9 @@ class TestConstructionA:
         dist = hard_absolute(4, seed=7)
         idx = np.array([0, 1, 2, 3])
         data = Dataset(
-            ys=dist.signs[idx] / 2.0, basis_idx=idx, dim=8
+            ys=dist.w_star[idx], basis_idx=idx, dim=8
         )
+        assert np.allclose(np.abs(data.ys), 0.5)  # hidden signs / sqrt(4)
         w = erm_exact(dist, data)
         assert dist.true_risk(w) == pytest.approx(0.25, rel=1e-12)  # = 1/(2 sqrt(4))
 
@@ -110,7 +111,8 @@ class TestConstructionB:
     def test_noiseless_sampling(self):
         dist = hard_gaussian(64, 0.0, seed=1, dim=10)
         data = dist.sample(100, seed=2)
-        assert np.allclose(data.ys, dist.signs[data.basis_idx] / (2 * math.sqrt(10)))
+        assert np.array_equal(data.ys, dist.w_star[data.basis_idx])
+        assert np.allclose(np.abs(data.ys), 1 / (2 * math.sqrt(10)))  # hidden signs / (2 sqrt(d))
 
     def test_default_dimension(self):
         assert hard_gaussian(64, 0.1, seed=1).dim == 80

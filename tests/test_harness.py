@@ -2,7 +2,10 @@ import ast
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +84,8 @@ BAD_CONFIGS = [
     ({"experiment": "rate", "learner": "regularized_erm", "distribution": "hardB:0.1",
       "tol": -1}, "tol must be positive"),
     ({"experiment": "sparse", "eta_scale": -1}, "eta_scale must be positive"),
+    # the default budget is 2 sqrt(k)
+    ({"experiment": "sparse", "sparsity_k": -1}, "sparsity_k must be >= 1, got -1"),
     # the step the run plays is eta_scale times the formula's, which rounds to 0 here
     ({"experiment": "sparse", "eta_scale": 1e-323},
      r"eta_scale 1e-323: scaled step size 0 at \(H, F, n, Lbar\) = \(1, "),
@@ -202,6 +207,9 @@ BAD_CONFIGS = [
      r"an array of shape \(20, 100000000000000000\) would hold more than"),
     ({"experiment": "margin", "n_grid": [10**18]},
      r"an array of shape \(1000000000000000000, 10\) would hold more than"),
+    # the probe holds one value per replicate on each side
+    ({"experiment": "stability", "replicates": 1e200},
+     r"stability hardB:0.1: an array of shape \(\d+,\) would hold more than"),
     # a boolean is not a number, and a distribution's argument is typed as one
     ({"experiment": "rate", "n_grid": [True, 2, 3]}, "n_grid entries must be int, got True"),
     ({"experiment": "regret", "replicates": True}, "replicates must be int, got True"),
@@ -1095,6 +1103,33 @@ class TestPlans:
                 low, high = (stepsize_for(loss.smoothness_H, setup.f_max, n, lbar)
                              for lbar in (loss.range_bound_b, 0.0))
                 assert all(low <= e <= high for e in np.ravel(eta))
+
+    @pytest.mark.parametrize("name", sorted(set(GOLDEN) - {"sparse"}))
+    def test_plans_draw_nothing(self, name, monkeypatch):
+        # each constant a plan reads is a closed form; only sparse's plan
+        # builds the run's generators, since its steps read each one's w0
+        def draw(*args, **kwargs):
+            raise AssertionError("the plan drew")
+
+        monkeypatch.setattr(np.random, "default_rng", draw)
+        make_cfg(**GOLDEN[name])
+
+    def test_a_plan_holds_no_family(self):
+        # hardB:1e-6 has dim ceil(sqrt(n)/sigma) = 8e6 at n = 64 and 1.1e7 at
+        # n = 128: a w* of 61 and 86 MiB, which the plan sizes without drawing
+        script = (
+            "from smoothbench.harness import config_from_dict, with_defaults\n"
+            "from smoothbench.harness.experiments import _peak_rss_mb\n"
+            "cfg = config_from_dict({'experiment': 'rate', 'distribution': 'hardB:1e-6',\n"
+            "                        'n_grid': [64, 128], 'replicates': 1})\n"
+            "before = _peak_rss_mb()\n"
+            "with_defaults(cfg)\n"
+            "print(_peak_rss_mb() - before)\n"
+        )
+        src = Path(experiments.__file__).resolve().parents[2]
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+        assert float(proc.stdout) < 16.0
 
 
 class TestRegimeExperiment:
