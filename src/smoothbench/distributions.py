@@ -315,18 +315,10 @@ class SparseGenerator:
     """
 
     dim0: int
-    w0: np.ndarray
+    w_star: np.ndarray  # w0
     noise: float
     loss: LossSpec
-
-    @property
-    def l_star(self) -> float:
-        # risk of w0 itself under half-squared loss
-        return 0.5 * self.noise**2 / 3.0
-
-    @property
-    def w_star(self) -> np.ndarray:
-        return self.w0
+    l_star: float
 
     def _draw(self, n: int, seed: int):
         """n rows of +-1 features and their targets. The rows are drawn
@@ -337,7 +329,7 @@ class SparseGenerator:
         for start in range(0, n, _DRAW_ROWS):
             stop = min(start + _DRAW_ROWS, n)
             xs[start:stop] = rng.choice([-1.0, 1.0], size=(stop - start, self.dim0))
-        ys = xs @ self.w0
+        ys = xs @ self.w_star
         if self.noise > 0:
             ys = ys + rng.uniform(-self.noise, self.noise, size=n)
         return xs, ys
@@ -366,23 +358,30 @@ class SparseGenerator:
         w = np.asarray(w, dtype=float)
         if w.shape[0] == 2 * self.dim0:
             w = w[: self.dim0] - w[self.dim0 :]
-        diff = w - self.w0
+        diff = w - self.w_star
         return 0.5 * float(diff @ diff)
 
     def true_risk(self, w: np.ndarray) -> float:
         return self.l_star + self.excess(w)
 
 
-def sparse_generator(dim0: int, k: int, seed: int, noise: float = 0.0) -> SparseGenerator:
+def sparse_constants(dim0: int, k: int, noise: float) -> tuple[float, LossSpec, float]:
+    """Every sparse generator's (|w0_i| on its support, loss, L* = w0's risk) at these args."""
     if not 1 <= k <= dim0:
-        raise ValueError(f"invalid sparsity: k={k}, dim={dim0}")
+        raise ValueError(f"sparsity_k must be >= 1, got {k}" if k < 1
+                         else f"sparsity_k must be at most dim = {dim0}, got {k}")
     if not 0 <= noise < 1:
         raise ValueError("noise half-width must lie in [0, 1)")
+    return (1.0 - noise) / k, make_squared(), 0.5 * noise**2 / 3.0
+
+
+def sparse_generator(dim0: int, k: int, seed: int, noise: float = 0.0) -> SparseGenerator:
+    weight, loss, l_star = sparse_constants(dim0, k, noise)
     rng = np.random.default_rng(seed)
     support = rng.choice(dim0, size=k, replace=False)
     w0 = np.zeros(dim0)
-    w0[support] = rng.choice([-1.0, 1.0], size=k) * (1.0 - noise) / k
-    return SparseGenerator(dim0=dim0, w0=w0, noise=noise, loss=make_squared())
+    w0[support] = rng.choice([-1.0, 1.0], size=k) * weight
+    return SparseGenerator(dim0=dim0, w_star=w0, noise=noise, loss=loss, l_star=l_star)
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,7 @@ from ..distributions import (
     lower_bound_value,
     regime_generator,
     regime_rules,
+    sparse_constants,
     sparse_generator,
 )
 from ..geometry import (
@@ -537,7 +538,7 @@ def run_sparse_experiment(cfg: ExperimentConfig) -> list:
     """Sparse-prediction comparison: single-pass entropy mirror descent,
     entropy-regularized ERM, and l1-constrained ERM on the doubled design.
 
-    The steps and λ are the plan's (see `_sparse_plan`). eta_scale > 1 is a
+    The steps, λ and L* are the plan's (see `_sparse_plan`). eta_scale > 1 is a
     desk calibration, a heuristic outside the certified-regret regime; the
     theory-parameterized regret checks live in the regret experiment.
 
@@ -548,16 +549,17 @@ def run_sparse_experiment(cfg: ExperimentConfig) -> list:
     never R.
     """
     d0, k, reps = cfg.dim, cfg.sparsity_k, cfg.replicates
-    bound_dim = 2 * d0
-    setup, plan = _sparse_plan(cfg)
+    setup, l_star, plan = _sparse_plan(cfg)
     online = "entropy_md" in cfg.methods
     rows = []
-    for i, (n, point) in enumerate(plan):
+    for i, (n, eta, lam) in enumerate(plan):
         per_method = {m: [] for m in cfg.methods}
         hits = dict.fromkeys(cfg.methods, 0)
         ys = np.empty((reps, n))
         bits = np.empty((reps, n, -(-d0 // 8)), np.uint8) if online else None
-        for j, (gen, _, lam) in enumerate(point):
+        gens = [sparse_generator(d0, k, seed_for(cfg.seed, "sparse-gen", i, j), noise=cfg.noise)
+                for j in range(reps)]
+        for j, gen in enumerate(gens):
             data = gen.sample_doubled(n, seed_for(cfg.seed, "sparse-data", i, j))
             if online:
                 bits[j] = np.packbits(data.xs > 0, axis=-1)  # the signed half X
@@ -577,15 +579,14 @@ def run_sparse_experiment(cfg: ExperimentConfig) -> list:
             pair, flip = np.empty((reps, 2, d0)), np.array([[1.0], [-1.0]])
             sign = np.array([-1.0, 1.0])  # of a clear bit and of a set one
             ws = run_mirror_descent_batch(
-                setup, gen.loss, ys, [eta for _, eta, _ in point], record_losses=False,
+                setup, gen.loss, ys, eta, record_losses=False,
                 xs=lambda t: np.multiply(
                     sign.take(np.unpackbits(bits[:, t, None], axis=-1, count=d0)), flip, out=pair
                 ).reshape(reps, -1),
             ).averages
-            per_method["entropy_md"] = [excess_risk(g, w) for (g, _, _), w in zip(point, ws)]
+            per_method["entropy_md"] = [excess_risk(g, w) for g, w in zip(gens, ws)]
         del bits  # before the next n's stack
-        ref = k * math.log(bound_dim) / n
-        bound = ref + math.sqrt(k * gen.l_star * math.log(bound_dim) / n)
+        bound = k * math.log(2 * d0) / n + math.sqrt(k * l_star * math.log(2 * d0) / n)
         for method, ex in per_method.items():
             mean, stderr = mean_stderr(ex)
             rows.append(
@@ -608,38 +609,39 @@ def sparse_slopes(rows) -> dict:
 
 
 def _sparse_plan(cfg: ExperimentConfig) -> tuple:
-    """(setup, [(n, each replicate's (generator, entropy_md step,
-    entropy_regerm λ))]); None for a method that does not run. The step is
-    eta_scale times the formula's at the comparator's Bregman distance from
-    the start (oracle knowledge, like Lbar); ||x||_inf = 1: H is the loss's."""
+    """(setup, L*, [(n, entropy_md step, entropy_regerm λ)]); None for a method
+    that does not run. The step is eta_scale times the formula's at the comparator's
+    Bregman distance from the start (oracle knowledge, like Lbar), which every member
+    shares with the one on the first k coordinates; ||x||_inf = 1: H is the loss's."""
+    weight, loss, l_star = sparse_constants(cfg.dim, cfg.sparsity_k, cfg.noise)
     setup = entropy_setup(2 * cfg.dim, cfg.budget)
+    _certifiable(cfg.tol, l_star)
+    h = loss.smoothness_H
+    if "entropy_md" in cfg.methods:  # the doubled comparator: w0's nonzeros, all positive
+        _fits(setup.dim)
+        w0_doubled = np.pad(np.full(cfg.sparsity_k, weight), (0, setup.dim - cfg.sparsity_k))
+        u1 = bregman_divergence(setup, w0_doubled, default_start(setup))
     plan = []
-    for i, n in enumerate(cfg.n_grid):
+    for n in cfg.n_grid:
         _fits(cfg.replicates, n)  # the batch's targets
         _fits(n, cfg.dim)  # a replicate's design
-        point = []
-        for j in range(cfg.replicates):
-            gen = sparse_generator(cfg.dim, cfg.sparsity_k, seed_for(cfg.seed, "sparse-gen", i, j),
-                                   noise=cfg.noise)
-            _certifiable(cfg.tol, gen.l_star)
-            h, eta, lam = gen.loss.smoothness_H, None, None
-            if "entropy_md" in cfg.methods:
-                w0_doubled = np.maximum(np.concatenate([gen.w0, -gen.w0]), 0.0)
-                u1 = bregman_divergence(setup, w0_doubled, default_start(setup))
-                args = (h, u1, n, gen.l_star)
-                eta = cfg.eta_scale * _premise(f"budget {cfg.budget}", stepsize_for, *args)
-                _premise(f"eta_scale {cfg.eta_scale}", _in_range, "scaled step size", eta, *args)
-            if "entropy_regerm" in cfg.methods:
-                lam = _premise(f"budget {cfg.budget}", lambda_for, h, setup.f_max, n, gen.l_star)
-            point.append((gen, eta, lam))
-        plan.append((n, point))
-    return setup, plan
+        eta = lam = None
+        if "entropy_md" in cfg.methods:
+            args = (h, u1, n, l_star)
+            eta = cfg.eta_scale * _premise(f"budget {cfg.budget}", stepsize_for, *args)
+            _premise(f"eta_scale {cfg.eta_scale}", _in_range, "scaled step size", eta, *args)
+        if "entropy_regerm" in cfg.methods:
+            lam = _premise(f"budget {cfg.budget}", lambda_for, h, setup.f_max, n, l_star)
+        plan.append((n, eta, lam))
+    return setup, l_star, plan
 
 
 def _sparse_rules(cfg: ExperimentConfig) -> None:
-    if cfg.sparsity_k < 1:  # before the default budget takes its square root
-        raise ConfigError(f"sparsity_k must be >= 1, got {cfg.sparsity_k}")
-    fill_unset(cfg, {"budget": 2.0 * math.sqrt(cfg.sparsity_k)})
+    try:  # the family's rules before the default budget takes k's square root
+        sparse_constants(cfg.dim, cfg.sparsity_k, cfg.noise)
+        fill_unset(cfg, {"budget": 2.0 * math.sqrt(cfg.sparsity_k)})
+    except (ValueError, OverflowError) as exc:  # or a k <= dim beyond the float range
+        raise ConfigError(str(exc)) from exc
 
 
 def _check_sparse(cfg: ExperimentConfig, rows) -> list:
@@ -848,9 +850,8 @@ class Experiment:
 
     run: Callable  # cfg -> list of rows
     row: type  # the row type; its fields are the CSV columns (see `_column`)
-    # cfg -> the run's plan: the constants its run reads at each n, from
-    # closed forms before any data is drawn (sparse's alone builds the run's
-    # generators); with_defaults builds it too, so that the constructors'
+    # cfg -> the run's plan: the constants its run reads at each n, from closed
+    # forms that draw nothing; with_defaults builds it too, so that the constructors'
     # argument rules and the formulas' rules (ValueError) reject a bad config
     premises: Callable
     # every field the experiment reads besides experiment, seed and out,

@@ -357,8 +357,8 @@ class TestSeparableSynthetic:
 class TestSparseGenerator:
     def test_norm_budget_and_bounded_targets(self):
         gen = sparse_generator(256, 4, seed=41)
-        assert float(np.sum(np.abs(gen.w0))) <= 2 * math.sqrt(4)
-        assert int(np.sum(gen.w0 != 0)) == 4
+        assert float(np.sum(np.abs(gen.w_star))) <= 2 * math.sqrt(4)
+        assert int(np.sum(gen.w_star != 0)) == 4
         data = gen.sample_signed(2000, seed=42)
         assert float(np.max(np.abs(data.ys))) <= 1.0
         assert float(np.max(np.abs(data.xs))) == 1.0
@@ -368,7 +368,7 @@ class TestSparseGenerator:
         # so ||w0||_1 <= 1 <= 2 sqrt(k), the l1 budget's default, for every k
         for k in (1, 4, 16):
             gen = sparse_generator(64, k, seed=47, noise=noise)
-            assert float(np.sum(np.abs(gen.w0))) == pytest.approx(1.0 - noise, rel=1e-12)
+            assert float(np.sum(np.abs(gen.w_star))) == pytest.approx(1.0 - noise, rel=1e-12)
 
     def test_doubled_features_negate(self):
         gen = sparse_generator(16, 2, seed=43)
@@ -393,7 +393,7 @@ class TestSparseGenerator:
 
     def test_fold_roundtrip_risk(self):
         gen = sparse_generator(16, 2, seed=45)
-        doubled = np.concatenate([np.maximum(gen.w0, 0), np.maximum(-gen.w0, 0)])
+        doubled = np.concatenate([np.maximum(gen.w_star, 0), np.maximum(-gen.w_star, 0)])
         assert gen.true_risk(doubled) == pytest.approx(gen.l_star, abs=1e-15)
 
     def test_support_features_uncorrelated_unit_variance(self):

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
 import pytest
@@ -86,6 +87,7 @@ BAD_CONFIGS = [
     ({"experiment": "sparse", "eta_scale": -1}, "eta_scale must be positive"),
     # the default budget is 2 sqrt(k)
     ({"experiment": "sparse", "sparsity_k": -1}, "sparsity_k must be >= 1, got -1"),
+    ({"experiment": "sparse", "sparsity_k": 10**400}, "sparsity_k must be at most dim = 256"),
     # the step the run plays is eta_scale times the formula's, which rounds to 0 here
     ({"experiment": "sparse", "eta_scale": 1e-323},
      r"eta_scale 1e-323: scaled step size 0 at \(H, F, n, Lbar\) = \(1, "),
@@ -235,6 +237,28 @@ BAD_CONFIGS = [
 ]
 
 
+# the values each numeric config key takes in the sweep below: zero and
+# negative, the float range's ends, a fraction, large counts, and an
+# integer beyond the float range
+SWEEP_VALUES = (0, -1, 1e-323, 1e-200, 0.5, 10**6, 10**12, 1e200, 10**400)
+
+
+def numeric_sweep() -> list:
+    """(experiment, key, value) for each numeric key each experiment reads,
+    at each of SWEEP_VALUES; a tuple key takes the value as its one entry.
+    Read off ExperimentConfig's annotations, so a new key is swept too."""
+    kinds = {f.name: (get_args(f.type) or (f.type,))[0]
+             for f in dataclasses.fields(ExperimentConfig)}
+    cases = []
+    for name, spec in EXPERIMENTS.items():
+        for key in spec.defaults:
+            kind = kinds[key]
+            entry = get_args(kind)[0] if get_origin(kind) is tuple else kind
+            if entry in (int, float):
+                cases += [(name, key, [v] if entry is not kind else v) for v in SWEEP_VALUES]
+    return cases
+
+
 class TestConfig:
     def test_flat_grammar(self):
         text = """
@@ -321,6 +345,25 @@ class TestConfig:
         for raw, fragment in BAD_CONFIGS:
             with pytest.raises(ConfigError, match=fragment):
                 make_cfg(**raw)
+
+    def test_swept_configs_are_configs_or_config_errors(self, monkeypatch):
+        # with_defaults costs O(grid), never O(replicates), draws nothing,
+        # and rejects what it rejects as a ConfigError, never a traceback
+        def draw(*args, **kwargs):
+            raise AssertionError("with_defaults drew")
+
+        monkeypatch.setattr(np.random, "default_rng", draw)
+        cases = numeric_sweep()
+        assert ("sparse", "replicates", 10**12) in cases and ("margin", "gamma_grid", [0]) in cases
+        failures = []
+        for experiment, key, value in cases:
+            try:
+                make_cfg(experiment=experiment, **{key: value})
+            except ConfigError:
+                pass
+            except Exception as exc:  # noqa: BLE001 -- every other kind is the failure
+                failures.append(f"{experiment} {key}={value!r}: {type(exc).__name__}: {exc}")
+        assert failures == []
 
     @pytest.mark.parametrize("lbar_mode", ["exact", "auto"])
     def test_regret_zero_comparator_streams_run_in_a_small_ball(self, lbar_mode):
@@ -445,9 +488,8 @@ class TestSeedDiscipline:
 
     @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
     def test_premises_take_any_master_seed(self, experiment):
-        # seed_for takes any integer: the sparse plan builds the run's own
-        # generators from seed_for's seeds, and the other plans' trial
-        # constructions do not use the master seed as a constructor seed
+        # seed_for takes any integer, and no plan draws: none passes the
+        # master seed to a constructor or a generator
         assert make_cfg(experiment=experiment, seed=-1).seed == -1
 
     def test_a_negative_master_seed_runs(self):
@@ -1024,13 +1066,15 @@ class TestOneBatchPerGridPoint:
         cfg = make_cfg(experiment="sparse", dim=11, n_grid=[40], replicates=3, noise=0.2)
         run_sparse_experiment(cfg)
         ((ys, eta, run),) = calls
+        (_, _, ((_, step, _),)) = EXPERIMENTS["sparse"].premises(cfg)
+        assert eta == step  # one step for every replicate
         for j in range(3):
             gen = sparse_generator(
                 11, cfg.sparsity_k, seed_for(cfg.seed, "sparse-gen", 0, j), noise=0.2
             )
             data = gen.sample_doubled(40, seed_for(cfg.seed, "sparse-data", 0, j))
             alone = run_mirror_descent_batch(
-                entropy_setup(22, cfg.budget), gen.loss, data.ys, eta[j], xs=data.dense_xs()
+                entropy_setup(22, cfg.budget), gen.loss, data.ys, step, xs=data.dense_xs()
             )
             assert np.array_equal(ys[j], data.ys)
             assert np.array_equal(run.averages[j], alone.averages)
@@ -1051,7 +1095,12 @@ class TestPlans:
     """Each run reads its constants from its experiment's premises hook,
     the plan that with_defaults checks."""
 
-    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    # the golden configs, and sparse at a k whose supports' Bregman distances
+    # from the start, summed in their own order, differ by an ulp
+    PLAYED = {**GOLDEN, "sparse_k7": {"experiment": "sparse", "dim": 64, "sparsity_k": 7,
+                                      "n_grid": [32, 64, 128], "replicates": 3}}
+
+    @pytest.mark.parametrize("name", sorted(PLAYED))
     def test_runs_play_the_steps_and_lambdas_of_their_plan(self, name, monkeypatch):
         # every eta given to run_mirror_descent_batch and every λ given to
         # solve_regularized_erm (also through stability_probe), in order
@@ -1071,7 +1120,7 @@ class TestPlans:
         monkeypatch.setattr(experiments, "run_mirror_descent_batch", play)
         monkeypatch.setattr(experiments, "solve_regularized_erm", solve)
         monkeypatch.setattr(batch, "solve_regularized_erm", solve)
-        cfg = make_cfg(**GOLDEN[name])
+        cfg = make_cfg(**self.PLAYED[name])
         spec = EXPERIMENTS[cfg.experiment]
         plan = spec.premises(cfg)
         spec.run(cfg)
@@ -1086,10 +1135,10 @@ class TestPlans:
                 assert etas == lams == [] and all(step is None for _, step in steps)
             else:  # stability: one grid point, its probe's every solve at its λ
                 assert etas == [] and lams and set(lams) == {step for _, step in steps}
-        elif cfg.experiment == "sparse":  # each replicate's own step and λ
-            _, points = plan
-            assert etas == [(n, [eta for _, eta, _ in point]) for n, point in points]
-            assert lams == [lam for _, point in points for _, _, lam in point]
+        elif cfg.experiment == "sparse":  # one step and one λ per n, for every replicate
+            _, _, points = plan
+            assert etas == [(n, eta) for n, eta, _ in points]
+            assert lams == [lam for _, _, lam in points for _ in range(reps)]
         elif cfg.experiment == "regime":  # each replicate solves every candidate
             _, points = plan
             assert etas == []
@@ -1104,10 +1153,10 @@ class TestPlans:
                              for lbar in (loss.range_bound_b, 0.0))
                 assert all(low <= e <= high for e in np.ravel(eta))
 
-    @pytest.mark.parametrize("name", sorted(set(GOLDEN) - {"sparse"}))
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_plans_draw_nothing(self, name, monkeypatch):
-        # each constant a plan reads is a closed form; only sparse's plan
-        # builds the run's generators, since its steps read each one's w0
+        # each constant a plan reads is a closed form, sparse's Bregman
+        # distance too: every member of its family shares it
         def draw(*args, **kwargs):
             raise AssertionError("the plan drew")
 
