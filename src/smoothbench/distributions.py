@@ -190,32 +190,33 @@ def hard_absolute(n_design: int, seed: int) -> AbsoluteSeparable:
     )
 
 
-def hard_gaussian_dim(n_design: int, sigma: float, dim: int | None = None) -> int:
-    """hardB's dim: `dim`, else ceil(sqrt(n_design)/sigma), after the rules
-    that its L* = sigma^2 and that default need (sigma = 0 needs a `dim`)."""
+def hard_gaussian_constants(
+    n_design: int, sigma: float, dim: int | None = None
+) -> tuple[int, LossSpec, float]:
+    """hardB's (dim, loss, L* = sigma^2) at these args, drawing nothing: dim is
+    `dim`, else ceil(sqrt(n_design)/sigma) (sigma = 0 needs a `dim`)."""
     if n_design < 1:
         raise ValueError("n_design must be >= 1")
     if not (0 <= sigma and sigma * sigma < math.inf):
         raise ValueError(f"sigma must be nonnegative with a finite square, got {sigma}")
-    if dim is not None:
-        return dim
-    if sigma == 0:
-        raise ValueError("sigma = 0 needs an explicit dim")
-    if not math.sqrt(n_design) / sigma <= np.iinfo(np.intp).max:
-        raise ValueError(f"sigma {sigma} gives dim ceil(sqrt(n)/sigma) beyond the largest "
-                         f"array size at n = {n_design}")
-    return math.ceil(math.sqrt(n_design) / sigma)
+    if dim is None:
+        if sigma == 0:
+            raise ValueError("sigma = 0 needs an explicit dim")
+        if not math.sqrt(n_design) / sigma <= np.iinfo(np.intp).max:
+            raise ValueError(f"sigma {sigma} gives dim ceil(sqrt(n)/sigma) beyond the largest "
+                             f"array size at n = {n_design}")
+        dim = math.ceil(math.sqrt(n_design) / sigma)
+    return dim, make_squared_unhalved(), sigma**2
 
 
 def hard_gaussian(
     n_design: int, sigma: float, seed: int, dim: int | None = None
 ) -> GaussianSquared:
-    """Noisy orthogonal-design squared-loss family of `hard_gaussian_dim`'s dim."""
-    dim = hard_gaussian_dim(n_design, sigma, dim)
+    """Noisy orthogonal-design squared-loss family of `hard_gaussian_constants`."""
+    dim, loss, l_star = hard_gaussian_constants(n_design, sigma, dim)
     signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=dim)
     return GaussianSquared(
-        dim=dim, loss=make_squared_unhalved(), w_star=signs / (2.0 * math.sqrt(dim)),
-        l_star=sigma**2, sigma=sigma,
+        dim=dim, loss=loss, w_star=signs / (2.0 * math.sqrt(dim)), l_star=l_star, sigma=sigma,
     )
 
 
@@ -398,10 +399,7 @@ class RegimeGenerator:
     sigma: float
     w_star: np.ndarray
     loss: LossSpec
-
-    @property
-    def l_star(self) -> float:
-        return self.sigma**2
+    l_star: float
 
     def sample(self, n: int, seed: int) -> Dataset:
         rng = np.random.default_rng(seed)
@@ -422,13 +420,14 @@ class RegimeGenerator:
         terms = {
             "random": b2,
             "low_noise": b2 / n + self.x_scale * self.sigma / math.sqrt(n),
-            "asymptotic": self.dim * self.sigma**2 / n,
+            "asymptotic": self.dim * self.l_star / n,
         }
         name = min(terms, key=terms.get)
         return terms[name], name
 
 
-def regime_rules(dim: int, x_scale: float, sigma: float) -> None:
+def regime_constants(dim: int, x_scale: float, sigma: float) -> tuple[LossSpec, float]:
+    """Every regime generator's (loss, L* = sigma^2) at these args."""
     # the risk reads x_scale^2 and sigma^2: neither may overflow, nor x_scale^2 round to 0
     if not (dim >= 1 and x_scale > 0 and sigma >= 0) or not (
         0 < x_scale * x_scale < math.inf and sigma * sigma < math.inf
@@ -436,11 +435,13 @@ def regime_rules(dim: int, x_scale: float, sigma: float) -> None:
         raise ValueError(f"regime generator needs dim >= 1, x_scale > 0, sigma >= 0 with "
                          f"0 < x_scale^2 < inf and sigma^2 < inf, got dim {dim}, "
                          f"x_scale {x_scale}, sigma {sigma}")
+    return make_squared_unhalved(), sigma**2
 
 
 def regime_generator(dim: int, x_scale: float, sigma: float, seed: int) -> RegimeGenerator:
-    regime_rules(dim, x_scale, sigma)
+    loss, l_star = regime_constants(dim, x_scale, sigma)
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(dim)
     w /= float(np.linalg.norm(w))
-    return RegimeGenerator(dim=dim, x_scale=x_scale, sigma=sigma, w_star=w, loss=make_squared_unhalved())
+    return RegimeGenerator(dim=dim, x_scale=x_scale, sigma=sigma, w_star=w, loss=loss,
+                           l_star=l_star)

@@ -16,9 +16,9 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Literal, get_args, get_origin
 
-from ..distributions import hard_absolute, hard_gaussian, hard_gaussian_dim, hard_quadlin
+from ..distributions import hard_absolute, hard_gaussian, hard_gaussian_constants, hard_quadlin
 from ..distributions import separable_synthetic
-from ..losses import make_absolute, make_squared, make_squared_unhalved
+from ..losses import make_absolute, make_squared
 
 
 _MAX_N = sys.maxsize // 8  # the most float64 entries an array can hold
@@ -89,8 +89,7 @@ FAMILIES = {
         {"learner": "erm", "n_grid": tuple(2**k for k in range(4, 11))}, (1.0, -0.65, -0.35)),
     "hardB": Family(
         lambda n, arg, dim, seed: hard_gaussian(n, arg, seed),
-        lambda n, arg, dim: (hard_gaussian_dim(n, arg), make_squared_unhalved(), arg**2),
-        0.1, None, 1.0 / math.sqrt(2.0),
+        lambda n, arg, dim: hard_gaussian_constants(n, arg), 0.1, None, 1.0 / math.sqrt(2.0),
         {"learner": "erm", "n_grid": tuple(2**k for k in range(6, 14))}, (0.5, -0.65, -0.35)),
     "hardC": Family(  # its construction draws nothing
         lambda n, arg, dim, seed: hard_quadlin(n, arg),

@@ -45,19 +45,12 @@ from ..distributions import (
     erm_exact,
     lower_bound_applies,
     lower_bound_value,
+    regime_constants,
     regime_generator,
-    regime_rules,
     sparse_constants,
     sparse_generator,
 )
-from ..geometry import (
-    ball_radius,
-    bregman_divergence,
-    default_start,
-    entropy_setup,
-    euclidean_setup,
-    is_feasible,
-)
+from ..geometry import ball_radius, entropy_setup, euclidean_setup, is_feasible
 from ..losses import make_smooth_ramp, make_squared
 from ..online import _in_range, regret_bound, run_mirror_descent_batch, stepsize_for
 from .config import (
@@ -611,16 +604,15 @@ def sparse_slopes(rows) -> dict:
 def _sparse_plan(cfg: ExperimentConfig) -> tuple:
     """(setup, L*, [(n, entropy_md step, entropy_regerm λ)]); None for a method
     that does not run. The step is eta_scale times the formula's at the comparator's
-    Bregman distance from the start (oracle knowledge, like Lbar), which every member
-    shares with the one on the first k coordinates; ||x||_inf = 1: H is the loss's."""
+    Bregman distance from the uniform start B/2d (oracle knowledge, like Lbar). Every
+    member's doubled w0 has k entries w = (1 - noise)/k and 2d - k zeros, so that
+    distance is B [(1 - noise) ln(2dw/B) - (1 - noise) + B]; ||x||_inf = 1: H is the loss's."""
     weight, loss, l_star = sparse_constants(cfg.dim, cfg.sparsity_k, cfg.noise)
+    _premise("dim", _fits, cfg.replicates, 2 * cfg.dim)  # the entropy iterates, one per replicate
     setup = entropy_setup(2 * cfg.dim, cfg.budget)
     _certifiable(cfg.tol, l_star)
-    h = loss.smoothness_H
-    if "entropy_md" in cfg.methods:  # the doubled comparator: w0's nonzeros, all positive
-        _fits(setup.dim)
-        w0_doubled = np.pad(np.full(cfg.sparsity_k, weight), (0, setup.dim - cfg.sparsity_k))
-        u1 = bregman_divergence(setup, w0_doubled, default_start(setup))
+    h, b, mass = loss.smoothness_H, setup.budget, 1.0 - cfg.noise  # mass: ||w0||_1
+    u1 = b * (mass * math.log(weight * setup.dim / b) - mass + b)
     plan = []
     for n in cfg.n_grid:
         _fits(cfg.replicates, n)  # the batch's targets
@@ -644,10 +636,15 @@ def _sparse_rules(cfg: ExperimentConfig) -> None:
         raise ConfigError(str(exc)) from exc
 
 
+def _sparse_fits_slope(cfg: ExperimentConfig) -> bool:
+    """Whether `sparse --check` fits a slope: entropy_md's, and only without noise."""
+    return cfg.noise == 0 and "entropy_md" in cfg.methods
+
+
 def _check_sparse(cfg: ExperimentConfig, rows) -> list:
     failures = _max_iters_failures(rows, lambda r: f"{r.method} n={r.n}")
     online = [r for r in rows if r.method == "entropy_md"]  # in n order
-    if cfg.noise == 0 and online:
+    if _sparse_fits_slope(cfg):
         try:  # a slope that cannot be fitted fails the check
             slope = fit_slope([r.n for r in online], [r.mean_excess for r in online])[0]
         except ValueError as exc:
@@ -713,20 +710,21 @@ def run_regime_experiment(cfg: ExperimentConfig) -> list:
 
 
 def _regime_plan(cfg: ExperimentConfig) -> tuple:
-    """(setup, [(n, the λ candidates at n)]): the rule's value at
-    H = 2 E||X||^2 and L* = sigma^2, then, for the oracle policy, a
-    geometric grid below it."""
-    regime_rules(cfg.dim, cfg.x_scale, cfg.sigma)
+    """(setup, [(n, the λ candidates at n)]): the rule's value at the
+    family's L* and H = the loss's times E||X||^2 = x_scale^2, then, for the
+    oracle policy, a geometric grid below it."""
+    loss, l_star = regime_constants(cfg.dim, cfg.x_scale, cfg.sigma)
+    h = loss.smoothness_H * cfg.x_scale**2
     setup = euclidean_setup(cfg.dim, cfg.budget)
     plan = []
     for n in cfg.n_grid:
         _fits(n, cfg.dim)  # a replicate's design
-        lam = lambda_for(2.0 * cfg.x_scale**2, setup.f_max, n, cfg.sigma**2)
+        lam = lambda_for(h, setup.f_max, n, l_star)
         candidates = [lam * 4.0 ** (-k) for k in range(1 if cfg.lambda_policy == "formula" else 12)]
         if not candidates[-1] > 0:
             raise ValueError(f"the least lambda candidate {lam:g} / 4^11 rounds to 0 at n = {n}")
         plan.append((n, candidates))
-    _certifiable(cfg.tol, cfg.sigma**2)  # L*
+    _certifiable(cfg.tol, l_star)
     return setup, plan
 
 
@@ -862,7 +860,7 @@ class Experiment:
     # cfg -> None: fills the defaults that depend on other fields and
     # enforces the experiment's own config rules (ConfigError)
     prepare: Callable = lambda cfg: None
-    fits_slope: bool = False  # whether `check` fits a log-log slope over n_grid
+    fits_slope: Callable = lambda cfg: False  # cfg -> whether `check` fits a slope over n_grid
 
 
 # the CLI's experiments, in its order; the hooks look the constructors up
@@ -876,7 +874,7 @@ EXPERIMENTS = {
         {"distribution": "separable", "learner": None, "n_grid": None,
          "replicates": 50, "dim": None, "budget": None, "tol": 1e-10},
         check=_check_rate, prepare=lambda cfg: fill_unset(cfg, _family_defaults(cfg).rate),
-        fits_slope=True),
+        fits_slope=lambda cfg: True),
     "regret": Experiment(
         run_regret_experiment, RegretRow, _regret_plan,
         {"n_grid": (10, 100, 1000, 10000), "replicates": 10, "dim": 8, "budget": 1.0,
@@ -901,8 +899,7 @@ EXPERIMENTS = {
         {"dim": 256, "sparsity_k": 4, "noise": 0.0, "n_grid": tuple(2**k for k in range(7, 13)),
          "replicates": 20, "budget": None, "methods": ("entropy_md", "entropy_regerm", "l1_erm"),
          "tol": 1e-8, "eta_scale": 8.0},
-        check=_check_sparse, prepare=_sparse_rules,
-        fits_slope=True),
+        check=_check_sparse, prepare=_sparse_rules, fits_slope=_sparse_fits_slope),
     "regime": Experiment(
         run_regime_experiment, RegimeRow, _regime_plan,
         {"dim": 50, "x_scale": 5.0, "sigma": 0.5, "n_grid": tuple(2**k for k in range(3, 13)),
@@ -991,7 +988,7 @@ def run_experiment(cfg: ExperimentConfig) -> list:
 def require_checkable(cfg: ExperimentConfig) -> None:
     """Raise ConfigError when `check_result` could not judge the rows of
     this (defaulted) config, before anything runs."""
-    if EXPERIMENTS[cfg.experiment].fits_slope and len(cfg.n_grid) < _SLOPE_MIN_ROWS:
+    if EXPERIMENTS[cfg.experiment].fits_slope(cfg) and len(cfg.n_grid) < _SLOPE_MIN_ROWS:
         raise ConfigError(
             f"--check fits a slope over n_grid and needs at least {_SLOPE_MIN_ROWS} "
             f"grid points, got {len(cfg.n_grid)}"

@@ -61,6 +61,9 @@ MUTANTS = [
     Mutant("excess x(1 + 1e-4)", "batch.py",
            "return dist.excess(w)",
            "return dist.excess(w) * (1.0 + 1e-4)"),
+    Mutant("comparator radius x2", "harness/experiments.py",
+           "u1 = b * (mass * math.log(weight * setup.dim / b) - mass + b)",
+           "u1 = 2.0 * b * (mass * math.log(weight * setup.dim / b) - mass + b)"),
 ]
 
 # experiment -> a config small enough for seconds, on which --check passes

@@ -207,6 +207,10 @@ BAD_CONFIGS = [
      r"an array of shape \(50, 100000000000000000\) would hold more than"),
     ({"experiment": "sparse", "n_grid": [128, 10**17]},
      r"an array of shape \(20, 100000000000000000\) would hold more than"),
+    # each replicate's entropy iterate has 2 dim entries, whatever the methods
+    ({"experiment": "sparse", "dim": 10**400}, r"sparse: dim: an array of shape \(20, 2000"),
+    ({"experiment": "sparse", "dim": 10**400, "methods": ["l1_erm"]},
+     r"sparse: dim: an array of shape \(20, 2000"),
     ({"experiment": "margin", "n_grid": [10**18]},
      r"an array of shape \(1000000000000000000, 10\) would hold more than"),
     # the probe holds one value per replicate on each side
@@ -1095,8 +1099,8 @@ class TestPlans:
     """Each run reads its constants from its experiment's premises hook,
     the plan that with_defaults checks."""
 
-    # the golden configs, and sparse at a k whose supports' Bregman distances
-    # from the start, summed in their own order, differ by an ulp
+    # the golden configs, and sparse at a k = 7 whose comparator weight 1/7 is
+    # inexact: its closed-form radius still equals the summed Bregman distance
     PLAYED = {**GOLDEN, "sparse_k7": {"experiment": "sparse", "dim": 64, "sparsity_k": 7,
                                       "n_grid": [32, 64, 128], "replicates": 3}}
 
@@ -1165,20 +1169,87 @@ class TestPlans:
 
     def test_a_plan_holds_no_family(self):
         # hardB:1e-6 has dim ceil(sqrt(n)/sigma) = 8e6 at n = 64 and 1.1e7 at
-        # n = 128: a w* of 61 and 86 MiB, which the plan sizes without drawing
-        script = (
-            "from smoothbench.harness import config_from_dict, with_defaults\n"
-            "from smoothbench.harness.experiments import _peak_rss_mb\n"
-            "cfg = config_from_dict({'experiment': 'rate', 'distribution': 'hardB:1e-6',\n"
-            "                        'n_grid': [64, 128], 'replicates': 1})\n"
-            "before = _peak_rss_mb()\n"
-            "with_defaults(cfg)\n"
-            "print(_peak_rss_mb() - before)\n"
+        # n = 128: a w* of 61 and 86 MiB, which the plan sizes without drawing;
+        # sparse at dim 1e6 has a doubled comparator of 15 MiB, which it never builds
+        for raw in ({"experiment": "rate", "distribution": "hardB:1e-6", "n_grid": [64, 128],
+                     "replicates": 1},
+                    {"experiment": "sparse", "dim": 10**6, "n_grid": [128, 256, 512],
+                     "replicates": 1}):
+            script = (
+                "from smoothbench.harness import config_from_dict, with_defaults\n"
+                "from smoothbench.harness.experiments import _peak_rss_mb\n"
+                f"cfg = config_from_dict({raw!r})\n"
+                "before = _peak_rss_mb()\n"
+                "with_defaults(cfg)\n"
+                "print(_peak_rss_mb() - before)\n"
+            )
+            src = Path(experiments.__file__).resolve().parents[2]
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                  env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+            assert float(proc.stdout) < 16.0, raw
+
+    def test_sparse_comparator_radius_is_the_bregman_distance(self, monkeypatch):
+        # the plan's closed form against the entropy Bregman distance of the
+        # materialized doubled comparator (k entries (1 - noise)/k, then zeros)
+        # from the uniform start: within 4 ulps, and exact at the stored configs
+        from smoothbench.distributions import sparse_constants
+        from smoothbench.geometry import bregman_divergence, default_start, entropy_setup
+
+        radii, formula = [], experiments.stepsize_for
+
+        def stepsize_for(h, f, n, lbar):
+            radii.append(f)
+            return formula(h, f, n, lbar)
+
+        monkeypatch.setattr(experiments, "stepsize_for", stepsize_for)
+
+        def ulps(dim, k, noise, budget=None):
+            """How far the plan's radius lies from the oracle's, in ulps of the oracle."""
+            radii.clear()
+            raw = {"experiment": "sparse", "dim": dim, "sparsity_k": k, "noise": noise,
+                   "n_grid": [128], "replicates": 1, "methods": ["entropy_md"]}
+            cfg = make_cfg(**raw, **({} if budget is None else {"budget": budget}))
+            setup = entropy_setup(2 * dim, cfg.budget)
+            w0 = np.zeros(setup.dim)
+            w0[:k] = sparse_constants(dim, k, noise)[0]
+            want = bregman_divergence(setup, w0, default_start(setup))
+            (radius,) = radii
+            return abs(radius - want) / np.spacing(want)
+
+        # the golden file's, the CLI default's and the benchmark's, and PLAYED's sparse_k7
+        assert ulps(32, 4, 0.0) == ulps(256, 4, 0.0) == ulps(64, 7, 0.0) == 0
+        grid = [(dim, k, noise, budget)
+                for dim in (1, 3, 32, 100, 777, 3000)
+                for k in (1, 2, 7, 50, dim) if k <= dim
+                for noise in (0.0, 0.1, 0.37, 0.9)
+                for budget in (None, 1.0, 3.7, 100.0)]
+        assert max(ulps(*point) for point in grid if point[1] <= 50) <= 4
+        # at k = dim = 100 the oracle's pairwise sums over 2 dim entries sit up to
+        # 6 ulps from a 200-bit evaluation of the same formula, the closed form within 1
+        assert max(ulps(*point) for point in grid if point[1] > 50) <= 8
+
+    @pytest.mark.parametrize("name", sorted(config.FAMILIES))
+    def test_family_constants_are_the_built_family_s(self, name):
+        family = config.FAMILIES[name]
+        args = {"separable": [None], "hardA": [None], "hardB": [0.1, 0.37, 1.0, 1e-3],
+                "hardC": [0.5, 0.05, 1.0]}[name]
+        dims = [16, 5, 1] if family.dim is not None else [None]
+        for n, arg, dim in ((n, arg, dim) for n in (4, 64, 1000) for arg in args for dim in dims):
+            built = family.build(n, arg, dim, seed_for(1, name, n, 0))
+            assert family.constants(n, arg, dim) == (built.dim, built.loss, built.l_star)
+
+    def test_regime_and_sparse_constants_are_their_generators(self):
+        from smoothbench.distributions import (
+            regime_constants, regime_generator, sparse_constants, sparse_generator,
         )
-        src = Path(experiments.__file__).resolve().parents[2]
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=dict(os.environ, PYTHONPATH=str(src)), check=True)
-        assert float(proc.stdout) < 16.0
+
+        for dim, x_scale, sigma in ((1, 1.0, 0.0), (50, 5.0, 0.5), (7, 0.3, 1e8)):
+            gen = regime_generator(dim, x_scale, sigma, seed=dim)
+            assert regime_constants(dim, x_scale, sigma) == (gen.loss, gen.l_star)
+        for dim, k, noise in ((1, 1, 0.0), (32, 4, 0.0), (64, 7, 0.1), (256, 256, 0.9)):
+            gen = sparse_generator(dim, k, seed=k, noise=noise)
+            weights = set(np.abs(gen.w_star[gen.w_star != 0]).tolist())
+            assert sparse_constants(dim, k, noise) == (*weights, gen.loss, gen.l_star)
 
 
 class TestRegimeExperiment:
@@ -1434,6 +1505,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1, err
         assert "at least 3 grid points, got 2" in err
+
+    @pytest.mark.parametrize("text", ["noise = 0.1\n", "methods = l1_erm\n"])
+    def test_sparse_check_fits_no_slope_with_noise_or_without_entropy_md(
+        self, text, tmp_path, capsys
+    ):
+        # the check fits entropy_md's slope only without noise: two grid points are enough here
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("dim = 32\nn_grid = 128, 256\nreplicates = 2\n" + text)
+        assert cli_main(["sparse", "--config", str(cfg), "--check"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "# checks passed" in captured.out
 
     def test_check_failure_exit_three(self, tmp_path, capsys, monkeypatch):
         # an impossible slope threshold forces the rate check to fail
