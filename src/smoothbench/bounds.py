@@ -17,20 +17,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import draw_signs
+
 LINEAR_L2_BALL = "linear_l2_ball"
 LINEAR_L1_BALL = "linear_l1_ball"
 
 _EXACT_LIMIT = 20
 _ENUM_CHUNK = 1 << 14
 # Monte Carlo sign rows scored at a time (1 MiB of signs at n = 2048), in
-# one reused block that rng.choice fills _SIGN_CHUNK rows at a time. The
-# last block is zero-padded, so every `signs @ xs` product has the one shape
-# (_SIGN_BLOCK, n), OpenBLAS takes one kernel for all of them, and a row's
-# sum does not depend on the number of draws. (OpenBLAS 0.3.31 multiplies
-# 16- to 48-row blocks of the margin study's (2048, 10) shape with another
-# kernel than 64-row ones, 1 ulp apart.)
+# one reused block. The last block is zero-padded, so every `signs @ xs`
+# product has the one shape (_SIGN_BLOCK, n), OpenBLAS takes one kernel for
+# all of them, and a row's sum does not depend on the number of draws.
+# (OpenBLAS 0.3.31 multiplies 16- to 48-row blocks of the margin study's
+# (2048, 10) shape with another kernel than 64-row ones, 1 ulp apart.)
 _SIGN_BLOCK = 64
-_SIGN_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,10 @@ def empirical_rademacher(
     Exact enumeration over all 2^n sign vectors when n <= 20 (stderr 0);
     Monte Carlo with a standard error otherwise, which then requires
     draws >= 1. The Monte Carlo signs fill one reused (_SIGN_BLOCK, n)
-    block, _SIGN_CHUNK rows per draw, and only each row's supremum is kept;
-    the blocks draw the same signs as one (draws, n) draw. The last block's
-    unused rows are zeros, and their suprema are dropped (2,000 draws: 31
-    full blocks and one of 16 rows and 48 zeros).
+    block, and only each row's supremum is kept; the blocks draw the same
+    signs as one (draws, n) draw. The last block's unused rows are zeros,
+    and their suprema are dropped (2,000 draws: 31 full blocks and one of
+    16 rows and 48 zeros).
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[0] < 1:
@@ -108,9 +108,7 @@ def empirical_rademacher(
     signs = np.zeros((_SIGN_BLOCK, n))
     for start, stop in _sign_blocks(draws):
         rows = stop - start
-        for a in range(0, rows, _SIGN_CHUNK):
-            b = min(a + _SIGN_CHUNK, rows)
-            signs[a:b] = rng.choice([-1.0, 1.0], size=(b - a, n))
+        draw_signs(rng, (rows, n), out=signs[:rows])
         signs[rows:] = 0.0
         vals[start:stop] = _sup_values(cls, signs, xs)[:rows]
     stderr = float(vals.std(ddof=1) / math.sqrt(draws)) if draws > 1 else math.inf

@@ -20,6 +20,9 @@ Family overview (d standard basis vectors, Y conditioned on X = e_i):
   onedim_quadlin      scalar X in {0, 1}, P(X=1) = q, Y|X=1 = +1 with
                       probability p = 1/2 + 0.2/sqrt(q n); quadratic-then-
                       linear loss on w in [-1, 1]; w* and L* in closed form.
+
+The module owns the shared draws: draw_signs (every +-1 array: hidden signs, sign
+designs, Rademacher signs), draw_unit_vector and the basis-design _basis_sample.
 """
 
 from __future__ import annotations
@@ -38,7 +41,39 @@ from .losses import (
     make_squared_unhalved,
 )
 
-_DRAW_ROWS = 64  # sparse design rows drawn at a time
+_DRAW_CHUNK = 1 << 13  # signs per integers() call: a 64 KiB int64 temporary
+
+
+def draw_signs(rng: np.random.Generator, shape, out: np.ndarray | None = None) -> np.ndarray:
+    """i.i.d. uniform +-1.0 of `shape`, into `out` (C-contiguous) when given: integers(0, 2)
+    mapped to 2 i - 1, _DRAW_CHUNK at a time. They and rng's next state are those of one
+    rng.choice of `shape` from (-1.0, 1.0): consecutive integers() draws equal one draw."""
+    out = np.empty(shape) if out is None else out
+    flat = out.reshape(-1, copy=False)
+    for start in range(0, flat.size, _DRAW_CHUNK):
+        part = flat[start : start + _DRAW_CHUNK]
+        np.multiply(rng.integers(0, 2, size=part.size), 2.0, out=part)
+        part -= 1.0
+    return out
+
+
+def draw_unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A uniform unit vector of R^dim: a standard normal one, normalized."""
+    w = rng.standard_normal(dim)
+    w /= float(np.linalg.norm(w))
+    return w
+
+
+def _basis_sample(rng, n: int, w_star: np.ndarray, sigma: float = 0.0) -> Dataset:
+    """n draws of x uniform over R^len(w*)'s basis and y = <w*, x> + Normal(0, sigma)."""
+    idx = rng.integers(w_star.size, size=n)
+    ys = w_star[idx] if sigma == 0 else rng.normal(w_star[idx], sigma)
+    return Dataset(ys=ys, basis_idx=idx, dim=w_star.size)
+
+
+def _check_dim(dim) -> None:
+    if not (isinstance(dim, (int, np.integer)) and dim >= 1):
+        raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
 
 
 @dataclass(frozen=True)
@@ -75,8 +110,7 @@ class HardDistribution:
 @dataclass(frozen=True)
 class AbsoluteSeparable(HardDistribution):
     def _draw(self, n: int, rng: np.random.Generator) -> Dataset:
-        idx = rng.integers(self.dim, size=n)
-        return Dataset(ys=self.w_star[idx], basis_idx=idx, dim=self.dim)
+        return _basis_sample(rng, n, self.w_star)
 
     def _risk(self, w: np.ndarray) -> float:
         return float(np.mean(np.abs(w - self.w_star)))
@@ -97,9 +131,7 @@ class GaussianSquared(HardDistribution):
     sigma: float
 
     def _draw(self, n: int, rng: np.random.Generator) -> Dataset:
-        idx = rng.integers(self.dim, size=n)
-        ys = self.w_star[idx] if self.sigma == 0 else rng.normal(self.w_star[idx], self.sigma)
-        return Dataset(ys=ys, basis_idx=idx, dim=self.dim)
+        return _basis_sample(rng, n, self.w_star, self.sigma)
 
     def excess(self, w: np.ndarray) -> float:
         diff = np.asarray(w, dtype=float) - self.w_star
@@ -184,7 +216,7 @@ def hard_absolute(n_design: int, seed: int) -> AbsoluteSeparable:
     from the seed and then treated as fixed by nature."""
     if n_design < 1:
         raise ValueError("n_design must be >= 1")
-    signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=2 * n_design)
+    signs = draw_signs(np.random.default_rng(seed), 2 * n_design)
     return AbsoluteSeparable(
         dim=2 * n_design, loss=make_absolute(), w_star=signs / math.sqrt(n_design), l_star=0.0,
     )
@@ -206,6 +238,7 @@ def hard_gaussian_constants(
             raise ValueError(f"sigma {sigma} gives dim ceil(sqrt(n)/sigma) beyond the largest "
                              f"array size at n = {n_design}")
         dim = math.ceil(math.sqrt(n_design) / sigma)
+    _check_dim(dim)
     return dim, make_squared_unhalved(), sigma**2
 
 
@@ -214,7 +247,7 @@ def hard_gaussian(
 ) -> GaussianSquared:
     """Noisy orthogonal-design squared-loss family of `hard_gaussian_constants`."""
     dim, loss, l_star = hard_gaussian_constants(n_design, sigma, dim)
-    signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=dim)
+    signs = draw_signs(np.random.default_rng(seed), dim)
     return GaussianSquared(
         dim=dim, loss=loss, w_star=signs / (2.0 * math.sqrt(dim)), l_star=l_star, sigma=sigma,
     )
@@ -284,9 +317,7 @@ class SeparableSynthetic:
     l_star: float = 0.0
 
     def sample(self, n: int, seed: int) -> Dataset:
-        rng = np.random.default_rng(seed)
-        idx = rng.integers(self.dim, size=n)
-        return Dataset(ys=self.w_star[idx], basis_idx=idx, dim=self.dim)
+        return _basis_sample(np.random.default_rng(seed), n, self.w_star)
 
     def excess(self, w: np.ndarray) -> float:
         diff = np.asarray(w, dtype=float) - self.w_star
@@ -297,9 +328,8 @@ class SeparableSynthetic:
 
 
 def separable_synthetic(dim: int, seed: int) -> SeparableSynthetic:
-    rng = np.random.default_rng(seed)
-    w = rng.standard_normal(dim)
-    w /= float(np.linalg.norm(w))
+    _check_dim(dim)
+    w = draw_unit_vector(np.random.default_rng(seed), dim)
     return SeparableSynthetic(dim=dim, w_star=w, loss=make_squared())
 
 
@@ -322,14 +352,9 @@ class SparseGenerator:
     l_star: float
 
     def _draw(self, n: int, seed: int):
-        """n rows of +-1 features and their targets. The rows are drawn
-        _DRAW_ROWS at a time, which draws the same signs as one (n, dim0)
-        draw without its full-size index array."""
+        """n rows of +-1 features and their targets."""
         rng = np.random.default_rng(seed)
-        xs = np.empty((n, self.dim0))
-        for start in range(0, n, _DRAW_ROWS):
-            stop = min(start + _DRAW_ROWS, n)
-            xs[start:stop] = rng.choice([-1.0, 1.0], size=(stop - start, self.dim0))
+        xs = draw_signs(rng, (n, self.dim0))
         ys = xs @ self.w_star
         if self.noise > 0:
             ys = ys + rng.uniform(-self.noise, self.noise, size=n)
@@ -381,7 +406,7 @@ def sparse_generator(dim0: int, k: int, seed: int, noise: float = 0.0) -> Sparse
     rng = np.random.default_rng(seed)
     support = rng.choice(dim0, size=k, replace=False)
     w0 = np.zeros(dim0)
-    w0[support] = rng.choice([-1.0, 1.0], size=k) * weight
+    w0[support] = draw_signs(rng, k) * weight
     return SparseGenerator(dim0=dim0, w_star=w0, noise=noise, loss=loss, l_star=l_star)
 
 
@@ -440,8 +465,6 @@ def regime_constants(dim: int, x_scale: float, sigma: float) -> tuple[LossSpec, 
 
 def regime_generator(dim: int, x_scale: float, sigma: float, seed: int) -> RegimeGenerator:
     loss, l_star = regime_constants(dim, x_scale, sigma)
-    rng = np.random.default_rng(seed)
-    w = rng.standard_normal(dim)
-    w /= float(np.linalg.norm(w))
+    w = draw_unit_vector(np.random.default_rng(seed), dim)
     return RegimeGenerator(dim=dim, x_scale=x_scale, sigma=sigma, w_star=w, loss=loss,
                            l_star=l_star)

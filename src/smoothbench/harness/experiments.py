@@ -42,6 +42,8 @@ from ..bounds import (
     margin_empirical_error,
 )
 from ..distributions import (
+    draw_signs,
+    draw_unit_vector,
     erm_exact,
     lower_bound_applies,
     lower_bound_value,
@@ -342,8 +344,7 @@ def run_regret_experiment(cfg: ExperimentConfig) -> list:
         def draws(j):
             """Replicate j's generator, after it has drawn the unit comparator."""
             rng = np.random.default_rng(seed_for(cfg.seed, "regret", i, j))
-            w_star = rng.standard_normal(dim)
-            return rng, w_star / float(np.linalg.norm(w_star))
+            return rng, draw_unit_vector(rng, dim)
 
         by_kind = []  # one list of replicate rows per stream kind
         if "iid_separable" in kinds:
@@ -362,7 +363,7 @@ def run_regret_experiment(cfg: ExperimentConfig) -> list:
             for j in range(reps):
                 rng, _ = draws(j)
                 _sphere_rows(rng, n, dim, out=xs[j])
-                ys[j] = rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.2, 1.0, size=n)
+                ys[j] = draw_signs(rng, n) * rng.uniform(0.2, 1.0, size=n)
             hindsight = loss.value(0.0, ys).mean(axis=-1).tolist()  # the zero vector's
             if cfg.lbar_mode == "auto":
                 by_kind.append(_doubling_lbar_rows(setup, loss, xs, ys, hindsight))
@@ -744,8 +745,7 @@ def run_margin_experiment(cfg: ExperimentConfig) -> list:
     dim = cfg.dim
     setup, ramp, eta = _margin_plan(cfg)
     rng = np.random.default_rng(seed_for(cfg.seed, "margin", 0, 0))
-    w_true = rng.standard_normal(dim)
-    w_true /= float(np.linalg.norm(w_true))
+    w_true = draw_unit_vector(rng, dim)
 
     def clean_labels(rows):
         """sign(<x, w_true>) with 0 read as +1."""
@@ -761,8 +761,7 @@ def run_margin_experiment(cfg: ExperimentConfig) -> list:
     ys = flipped(clean_labels(xs))
     # the ramp is flat at non-positive margins, so the zero vector is a
     # stationary start; begin from a random unit vector instead
-    w_start = rng.standard_normal(dim)
-    w_start /= float(np.linalg.norm(w_start))
+    w_start = draw_unit_vector(rng, dim)
     w_hat = run_mirror_descent_batch(
         setup, ramp, ys, eta, xs=xs, w_start=w_start, record_losses=False
     ).averages

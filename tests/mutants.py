@@ -64,6 +64,9 @@ MUTANTS = [
     Mutant("comparator radius x2", "harness/experiments.py",
            "u1 = b * (mass * math.log(weight * setup.dim / b) - mass + b)",
            "u1 = 2.0 * b * (mass * math.log(weight * setup.dim / b) - mass + b)"),
+    Mutant("signs in {0, 1} (draw_signs)", "distributions.py",
+           "part -= 1.0",
+           "part *= 0.5"),
 ]
 
 # experiment -> a config small enough for seconds, on which --check passes

@@ -19,7 +19,14 @@ from smoothbench import (
     sparse_generator,
 )
 from smoothbench.batch import Dataset
-from smoothbench.distributions import AbsoluteSeparable, GaussianSquared, OnedimQuadlin
+from smoothbench.distributions import (
+    _DRAW_CHUNK,
+    AbsoluteSeparable,
+    GaussianSquared,
+    OnedimQuadlin,
+    draw_signs,
+    draw_unit_vector,
+)
 
 # how far a binding hardB ERM's norm may sit from 1: four ulp of 1.0, for the
 # rounding of w and of its norm
@@ -494,3 +501,72 @@ class TestHardFamilyClasses:
             lower_bound_value(dist, 16)
         with pytest.raises(ValueError, match="not a hard family"):
             lower_bound_applies(dist, 16)
+
+
+class TestDrawHelpers:
+    """The shared draws equal the one-shot numpy expressions they replace,
+    and leave the generator where those leave it."""
+
+    @staticmethod
+    def _same_stream(a, b):
+        assert a.integers(0, 2**62) == b.integers(0, 2**62)
+        assert a.random() == b.random()
+
+    @pytest.mark.parametrize("shape", [
+        0, 1, 7, 8, 513, (1, 5), (3, 7), (4, 6), (64, 2048), (5, _DRAW_CHUNK + 3),
+        (2 * _DRAW_CHUNK + 1,),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 97, 1234])
+    def test_signs_equal_one_choice_draw(self, shape, seed):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        signs = draw_signs(a, shape)
+        reference = b.choice([-1.0, 1.0], size=shape)
+        assert signs.dtype == reference.dtype and signs.shape == reference.shape
+        assert signs.tobytes() == reference.tobytes()
+        self._same_stream(a, b)
+
+    @pytest.mark.parametrize("rows, n", [(16, 2048), (3, _DRAW_CHUNK - 1), (64, 7)])
+    def test_signs_into_a_row_slice(self, rows, n):
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        block = np.full((rows + 2, n), 7.0)
+        out = draw_signs(a, (rows, n), out=block[:rows])
+        assert np.shares_memory(out, block)
+        assert block[:rows].tobytes() == b.choice([-1.0, 1.0], size=(rows, n)).tobytes()
+        assert np.all(block[rows:] == 7.0)
+        self._same_stream(a, b)
+
+    def test_signs_refuse_an_out_they_cannot_fill_in_place(self):
+        with pytest.raises(ValueError):
+            draw_signs(np.random.default_rng(0), (4, 3), out=np.zeros((4, 6))[:, :3])
+
+    def test_chunked_draws_equal_one_draw(self):
+        # consecutive draws continue one stream: row blocks of any height
+        # draw what one whole-matrix draw does
+        a, b = np.random.default_rng(11), np.random.default_rng(11)
+        whole = draw_signs(a, (100, 33))
+        parts = np.vstack([draw_signs(b, (k, 33)) for k in (1, 17, 64, 18)])
+        assert whole.tobytes() == parts.tobytes()
+        self._same_stream(a, b)
+
+    @pytest.mark.parametrize("dim", [1, 2, 8, 10, 50, 257])
+    def test_unit_vector_equals_the_inline_draw(self, dim):
+        a, b = np.random.default_rng(dim), np.random.default_rng(dim)
+        w = draw_unit_vector(a, dim)
+        reference = b.standard_normal(dim)
+        reference /= float(np.linalg.norm(reference))
+        assert w.tobytes() == reference.tobytes()
+        self._same_stream(a, b)
+
+    @pytest.mark.parametrize("make", [
+        lambda: hard_absolute(16, 3), lambda: hard_gaussian(64, 0.1, 3),
+        lambda: hard_gaussian(64, 0.0, 3, dim=9), lambda: separable_synthetic(12, 3),
+    ])
+    def test_basis_samples_equal_the_inline_draw(self, make):
+        dist = make()
+        data = dist.sample(40, 8)
+        rng = np.random.default_rng(8)
+        idx = rng.integers(dist.dim, size=40)
+        sigma = getattr(dist, "sigma", 0.0)
+        ys = dist.w_star[idx] if sigma == 0 else rng.normal(dist.w_star[idx], sigma)
+        assert np.array_equal(data.basis_idx, idx) and data.dim == dist.dim
+        assert data.ys.tobytes() == ys.tobytes()

@@ -7,6 +7,7 @@ smoothness, objective or bound back instead of an error naming the argument.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from smoothbench import (
     regime_generator,
     regret_bound,
     run_mirror_descent_batch,
+    separable_synthetic,
     smooth_risk_bound,
     solve_regularized_erm,
     stepsize_for,
@@ -133,6 +135,12 @@ CASES = {
     "run_mirror_descent_batch eta inf": (lambda: _play(INF), "step sizes must be positive"),
     "run_mirror_descent_batch one eta inf": (
         lambda: _play(np.array([0.1, INF])), "step sizes must be positive"),
+    # a dim that is no integer >= 1, named before numpy meets it
+    **{f"{name} dim {dim}": (lambda make=make, dim=dim: make(dim),
+                             rf"dim must be an integer >= 1, got {re.escape(repr(dim))}")
+       for name, make in [("separable_synthetic", lambda dim: separable_synthetic(dim, 1)),
+                          ("hard_gaussian", lambda dim: hard_gaussian(64, 0.1, 1, dim=dim))]
+       for dim in (0, -1, 2.5, 1.0)},
 }
 
 

@@ -7,7 +7,6 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-from typing import get_args, get_origin
 
 import numpy as np
 import pytest
@@ -45,6 +44,7 @@ from smoothbench.batch import (
     _project_l1_ball,
     solve_regularized_erm,
 )
+from sweep import numeric_sweep
 from test_golden import GOLDEN
 
 
@@ -239,28 +239,6 @@ BAD_CONFIGS = [
     ({"experiment": "sparse", "noise": 0.9, "tol": 1e-17},
      r"tol 1e-17 is at or below 2.77556e-17, one ulp of L\* = 0.135"),
 ]
-
-
-# the values each numeric config key takes in the sweep below: zero and
-# negative, the float range's ends, a fraction, large counts, and an
-# integer beyond the float range
-SWEEP_VALUES = (0, -1, 1e-323, 1e-200, 0.5, 10**6, 10**12, 1e200, 10**400)
-
-
-def numeric_sweep() -> list:
-    """(experiment, key, value) for each numeric key each experiment reads,
-    at each of SWEEP_VALUES; a tuple key takes the value as its one entry.
-    Read off ExperimentConfig's annotations, so a new key is swept too."""
-    kinds = {f.name: (get_args(f.type) or (f.type,))[0]
-             for f in dataclasses.fields(ExperimentConfig)}
-    cases = []
-    for name, spec in EXPERIMENTS.items():
-        for key in spec.defaults:
-            kind = kinds[key]
-            entry = get_args(kind)[0] if get_origin(kind) is tuple else kind
-            if entry in (int, float):
-                cases += [(name, key, [v] if entry is not kind else v) for v in SWEEP_VALUES]
-    return cases
 
 
 class TestConfig:
