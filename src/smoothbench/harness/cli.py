@@ -51,7 +51,7 @@ def main(argv=None) -> int:
     try:
         result, wall = run_and_emit(cfg)
     except MemoryError as exc:  # arrays that fit the size rules but not this machine
-        print(f"config error: {exc or 'out of memory'}", file=sys.stderr)
+        print(f"config error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
     header, records = csv_table(cfg.experiment, result)

@@ -329,90 +329,85 @@ def run_regret_experiment(cfg: ExperimentConfig) -> list:
     the zero vector's exact loss on a fixed one, and 1/2 against the
     adversary. A row's regret is the run's average loss minus it.
 
-    The replicates of the i.i.d. and fixed streams at one n run as one
-    batch each. The adaptive adversary is deterministic (it has no seed),
-    so every replicate would play the same run: it is played once per n,
-    and each replicate's row carries that run's regret. Rows come out per
-    replicate, in stream order.
+    Each kind of stored stream (i.i.d., fixed) fills one (R, n, d) stack
+    per n, allocated before any draw, and _scored_streams plays it as one
+    batch: the exact Lbar is the one-candidate case of the doubling search.
+    The adaptive adversary is deterministic (it has no seed), so it is
+    played once per n, and each replicate's row carries that run's regret.
+    Rows come out per replicate, in stream order.
     """
     setup, loss = _regret_plan(cfg)
+    h, f = loss.smoothness_H, setup.f_max
     dim, reps = cfg.dim, cfg.replicates
-    kinds = cfg.methods
+    doubling = np.array([[float(loss.range_bound_b) / 2**k for k in range(12)]])
     rows = []
     for i, n in enumerate(cfg.n_grid):
-
-        def draws(j):
-            """Replicate j's generator, after it has drawn the unit comparator."""
-            rng = np.random.default_rng(seed_for(cfg.seed, "regret", i, j))
-            return rng, draw_unit_vector(rng, dim)
-
-        by_kind = []  # one list of replicate rows per stream kind
-        if "iid_separable" in kinds:
-            w_stars = np.array([draws(j)[1] for j in range(reps)])
+        by_kind = []  # (stream, regrets, Lbars) per stream kind, one entry per replicate
+        for kind in ("iid_separable", "fixed_adversarial"):
+            if kind not in cfg.methods:
+                continue
+            iid = kind == "iid_separable"
             xs, ys = np.empty((reps, n, dim)), np.empty((reps, n))
             for j in range(reps):
-                rng = np.random.default_rng(seed_for(cfg.seed, "regret-iid", i, j))
-                _sphere_rows(rng, n, dim, out=xs[j])
-                ys[j] = xs[j] @ w_stars[j]
-            measured = _measured_regret(setup, loss, xs, ys, [0.0] * reps, 0.0)
-            by_kind.append(_regret_rows("iid_separable", setup, loss, n, measured, [0.0] * reps))
+                rng = np.random.default_rng(seed_for(cfg.seed, "regret", i, j))
+                w_star = draw_unit_vector(rng, dim)  # the i.i.d. comparator; fixed draws past it
+                if iid:  # rows from their own generator, labels from w*
+                    _sphere_rows(np.random.default_rng(seed_for(cfg.seed, "regret-iid", i, j)),
+                                 n, dim, out=xs[j])
+                    ys[j] = xs[j] @ w_star
+                else:
+                    _sphere_rows(rng, n, dim, out=xs[j])
+                    ys[j] = draw_signs(rng, n) * rng.uniform(0.2, 1.0, size=n)
+            # w* pays 0 on its own labels; the zero vector its exact loss
+            hindsight = np.zeros(reps) if iid else loss.value(0.0, ys).mean(axis=-1)
+            auto = not iid and cfg.lbar_mode == "auto"
+            lbars = doubling if auto else hindsight[:, None]
+            stream = f"{kind}:auto_lbar" if auto else kind
+            by_kind.append((stream, *_scored_streams(setup, loss, xs, ys, lbars, hindsight)))
             del xs, ys  # one stacked design alive at a time
 
-        if "fixed_adversarial" in kinds:
-            xs, ys = np.empty((reps, n, dim)), np.empty((reps, n))
-            for j in range(reps):
-                rng, _ = draws(j)
-                _sphere_rows(rng, n, dim, out=xs[j])
-                ys[j] = draw_signs(rng, n) * rng.uniform(0.2, 1.0, size=n)
-            hindsight = loss.value(0.0, ys).mean(axis=-1).tolist()  # the zero vector's
-            if cfg.lbar_mode == "auto":
-                by_kind.append(_doubling_lbar_rows(setup, loss, xs, ys, hindsight))
-            else:
-                measured = _measured_regret(setup, loss, xs, ys, hindsight, hindsight)
-                by_kind.append(
-                    _regret_rows("fixed_adversarial", setup, loss, n, measured, hindsight)
-                )
-            del xs, ys
-
-        if "adaptive" in kinds:
+        if "adaptive" in cfg.methods:
             # e_(i mod d) against the sign of w_i[i mod d]; the zero vector pays 1/2 a round
-            eta = stepsize_for(loss.smoothness_H, setup.f_max, n, 0.5)
+            eta = stepsize_for(h, f, n, 0.5)
             rounds = np.arange(n)
             design = np.zeros((n, dim))
             design[rounds, rounds % dim] = 1.0
             run = run_mirror_descent_batch(
                 setup, loss, lambda pred: np.where(pred >= 0, -1.0, 1.0), eta, xs=design,
             )
-            measured = [run.losses.mean() - 0.5] * reps
-            by_kind.append(_regret_rows("adaptive", setup, loss, n, measured, [0.5] * reps))
+            by_kind.append(("adaptive", np.full(reps, run.losses.mean() - 0.5), np.full(reps, 0.5)))
         for j in range(reps):
-            rows.extend(kind_rows[j] for kind_rows in by_kind)
+            rows.extend(
+                RegretRow(stream, n, j, float(regrets[j]), regret_bound(h, f, n, float(lbars[j])),
+                          float(lbars[j]))
+                for stream, regrets, lbars in by_kind
+            )
     return rows
 
 
-def _measured_regret(setup, loss, xs, ys, lbars, hindsight) -> np.ndarray:
-    """Average regret of one mirror-descent run per stream, played at the
-    theory step for its Lbar (the Lbars broadcast against the streams'
-    leading axes; H is the loss's: ||x||_2 = 1 rows), against a
-    comparator whose hindsight loss is known before the run."""
-    eta = [stepsize_for(loss.smoothness_H, setup.f_max, ys.shape[-1], lbar) for lbar in lbars]
+def _scored_streams(setup, loss, xs, ys, lbars, hindsight) -> tuple[np.ndarray, np.ndarray]:
+    """(regret, Lbar) of each stream of the (R, n, d) stack xs, ys. Each
+    stream is played with mirror descent at the theory step of each Lbar
+    candidate (H is the loss's: ||x||_2 = 1 rows), and keeps the first
+    lowest regret among the candidates at or above its comparator's
+    hindsight loss, known before the run. `lbars` is (R, 1), one candidate
+    per stream, played as a batch of shape (R,); or (1, K), a grid shared
+    by every stream, played as a batch of (R, K') over a broadcast view of
+    the stack, K' the most candidates that fit one stream."""
+    reps, n, dim = xs.shape
+    hindsight = hindsight[:, None]
+    fits = hindsight <= lbars  # a prefix of each row: the candidates fall
+    if not fits[:, 0].all():
+        raise ValueError("no Lbar candidate fits the hindsight loss")
+    width = int(fits.sum(axis=1).max())
+    lanes = lbars[:, 0] if lbars.shape[1] == 1 else lbars[0, :width]
+    if lbars.shape[1] > 1:
+        xs, ys = (np.broadcast_to(a[:, None], (reps, width) + a.shape[1:]) for a in (xs, ys))
+    eta = [stepsize_for(loss.smoothness_H, setup.f_max, n, lbar) for lbar in lanes.tolist()]
     run = run_mirror_descent_batch(setup, loss, ys, eta, xs=xs)
-    return run.losses.mean(axis=-1) - np.asarray(hindsight)
-
-
-def _regret_rows(stream_kind, setup, loss, n, measured, lbars) -> list:
-    """One row per replicate j, with its measured regret and its Lbar."""
-    return [
-        RegretRow(
-            stream=stream_kind,
-            n=n,
-            seed_index=j,
-            measured=float(m),
-            bound=regret_bound(loss.smoothness_H, setup.f_max, n, lbar),
-            lbar=lbar,
-        )
-        for j, (m, lbar) in enumerate(zip(measured, lbars))
-    ]
+    regret = run.losses.mean(axis=-1).reshape(reps, -1) - hindsight
+    best = np.arange(reps), np.where(fits[:, :width], regret, np.inf).argmin(axis=1)
+    return regret[best], np.broadcast_to(lbars, fits.shape)[best]  # the first lowest
 
 
 def _regret_plan(cfg: ExperimentConfig):
@@ -439,32 +434,6 @@ def _unit_vectors_fit(cfg: ExperimentConfig, setup) -> None:
             f"budget {cfg.budget} gives a ball of radius {ball_radius(setup):.6g} that "
             f"excludes unit-norm vectors"
         )
-
-
-def _doubling_lbar_rows(setup, loss, xs, ys, hindsight) -> list:
-    """Doubling search over Lbar candidates for each fixed sequence (zero
-    comparator, hindsight loss `hindsight`); keeps the best run whose
-    comparator hindsight loss actually fits the candidate. The candidates
-    are the columns of one batch over all sequences."""
-    candidates = [float(loss.range_bound_b) / 2**k for k in range(12)]
-    hindsight = np.array(hindsight)[:, None]
-    fits = hindsight <= np.array(candidates)  # a prefix of each row
-    if not fits[:, 0].all():
-        raise ValueError("no Lbar candidate fits the hindsight loss")
-    width = int(fits.sum(axis=1).max())
-    reps, n, dim = xs.shape
-    regret = _measured_regret(
-        setup, loss,
-        np.broadcast_to(xs[:, None], (reps, width, n, dim)),
-        np.broadcast_to(ys[:, None], (reps, width, n)),
-        candidates[:width],
-        hindsight,
-    )
-    best = np.where(fits[:, :width], regret, np.inf).argmin(axis=1)  # the first lowest
-    return _regret_rows(
-        "fixed_adversarial:auto_lbar", setup, loss, n,
-        regret[np.arange(reps), best], [candidates[k] for k in best],
-    )
 
 
 @dataclass(frozen=True)

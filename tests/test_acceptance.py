@@ -341,9 +341,27 @@ def test_criterion_09_rademacher_oracle():
             se = float(vals.std(ddof=1) / math.sqrt(draws))
             if abs(mc - exact.value) > 4 * se:
                 failures += 1
+    # just above the exact limit the program draws its own Monte Carlo
+    # signs: held to an enumeration of all 2^n sign vectors made here
+    worst = 0.0
+    for n in (21, 22):
+        xs = rng.standard_normal((n, int(rng.integers(1, 6))))
+        sums, bits, chunk = np.zeros(2), np.arange(n), 1 << 16
+        for first in range(0, 1 << n, chunk):
+            block = np.arange(first, first + chunk)
+            combos = (((block[:, None] >> bits) & 1) * 2.0 - 1.0) @ xs
+            sums += [np.linalg.norm(combos, axis=1).sum(), np.abs(combos).max(axis=1).sum()]
+        for k, kind in enumerate(("linear_l2_ball", "linear_l1_ball")):
+            cls = sb.FunctionClassSpec(kind, float(rng.uniform(0.5, 3.0)))
+            exact = cls.budget * sums[k] / n / (1 << n)
+            mc = sb.empirical_rademacher(cls, xs, draws=4000, seed=MASTER_SEED + 10 * n + k)
+            assert not mc.exact and mc.draws == 4000
+            worst = max(worst, abs(mc.value - exact) / mc.stderr)
+            failures += abs(mc.value - exact) > 4 * mc.stderr
     elapsed = time.perf_counter() - start
     ok = failures == 0 and elapsed < 30.0
-    report(9, ok, f"20 samples x 2 geometries, {failures} beyond 4 stderr", elapsed, 30)
+    report(9, ok, f"20 samples x 2 geometries and Monte Carlo at n = 21, 22 (worst "
+                  f"{worst:.2f} stderr), {failures} beyond 4 stderr", elapsed, 30)
     assert failures == 0
     assert elapsed < 30.0
 

@@ -544,6 +544,50 @@ class TestRegretExperiment:
         assert len(auto) == 1
         assert auto[0].lbar > 0
 
+    @pytest.mark.parametrize("lbar_mode", ["exact", "auto"])
+    def test_fixed_rows_replay_each_stream_alone(self, lbar_mode):
+        # each fixed stream, redrawn and played alone at each candidate's
+        # step: exact keeps the run at the zero vector's hindsight loss, auto
+        # the first lowest regret among the doubling candidates at or above it
+        from smoothbench import (
+            euclidean_setup, fixed_stream, make_squared, regret_bound, run_mirror_descent,
+            stepsize_for,
+        )
+        from smoothbench.distributions import draw_signs, draw_unit_vector
+
+        cfg = make_cfg(experiment="regret", dim=2, n_grid=[5, 10], replicates=4,
+                       lbar_mode=lbar_mode, methods=["fixed_adversarial"])
+        rows = run_regret_experiment(cfg)
+        loss, setup = make_squared(), euclidean_setup(cfg.dim, cfg.budget)
+        h, f = loss.smoothness_H, setup.f_max
+        kept = []  # the index of each row's candidate among those that fit
+        for i, n in enumerate(cfg.n_grid):
+            for j in range(cfg.replicates):
+                rng = np.random.default_rng(seed_for(cfg.seed, "regret", i, j))
+                draw_unit_vector(rng, cfg.dim)  # the i.i.d. stream's comparator
+                xs = rng.standard_normal((n, cfg.dim))
+                xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+                ys = draw_signs(rng, n) * rng.uniform(0.2, 1.0, size=n)
+                hindsight = float(np.mean(loss.value(0.0, ys)))
+                if lbar_mode == "exact":
+                    fits = [hindsight]
+                else:
+                    grid = [loss.range_bound_b / 2**k for k in range(12)]
+                    fits = [c for c in grid if c >= hindsight]
+                regrets = [
+                    float(np.mean(run_mirror_descent(
+                        setup, loss, fixed_stream(xs, ys), stepsize_for(h, f, n, lbar)
+                    ).losses)) - hindsight
+                    for lbar in fits
+                ]
+                k = regrets.index(min(regrets))
+                (row,) = [r for r in rows if (r.n, r.seed_index) == (n, j)]
+                assert (row.measured, row.lbar) == (regrets[k], fits[k])
+                assert row.bound == regret_bound(h, f, n, fits[k])
+                kept.append((k, len(fits)))
+        if lbar_mode == "auto":  # some row keeps a candidate other than the first that fits
+            assert any(k > 0 for k, _ in kept) and max(width for _, width in kept) > 1
+
     def test_adaptive_stream_is_played_once_per_n(self, monkeypatch):
         from smoothbench import (
             adaptive_stream, average_regret, euclidean_setup, make_squared,
@@ -1528,6 +1572,16 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1, captured.err
         assert captured.err.startswith("config error: Unable to allocate 6.94 EiB")
+
+    def test_a_bare_memory_error_prints_the_fallback(self, capsys, monkeypatch):
+        # a MemoryError with no text is still an exception, and so truthy
+        def exhausted(cfg):
+            raise MemoryError()
+
+        monkeypatch.setattr("smoothbench.harness.cli.run_and_emit", exhausted)
+        assert cli_main(["margin"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "config error: out of memory\n"
 
     def test_check_pass_exit_zero(self, tmp_path):
         cfg = tmp_path / "cfg.txt"

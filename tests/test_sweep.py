@@ -5,6 +5,8 @@ experiment a small grid, and runs a cheap case in a child process."""
 import time
 from pathlib import Path
 
+import pytest
+
 from smoothbench.harness import EXPERIMENTS, config_from_dict, with_defaults
 
 import sweep
@@ -33,6 +35,19 @@ def test_a_config_error_is_a_pass_in_a_child(tmp_path: Path):
     outcome = sweep.run_case("regret", sweep.case_config("regret", "replicates", 0), tmp_path)
     assert time.perf_counter() - start < 2.0
     assert outcome == sweep.Outcome(2, False, False) and outcome.failure() is None
+
+
+@pytest.mark.parametrize("methods", [None, ["adaptive"]])
+def test_regret_too_large_to_allocate_exits_two_at_once(tmp_path: Path, methods):
+    # 10**12 replicates pass the entry-count rules; the run's first stack,
+    # or the adaptive rows' regrets, cannot be allocated, before any draw
+    config = {"n_grid": [10, 100], "replicates": 10**12}
+    if methods:
+        config["methods"] = methods
+    start = time.perf_counter()
+    outcome = sweep.run_case("regret", config, tmp_path)
+    assert time.perf_counter() - start < 5.0
+    assert outcome == sweep.Outcome(2, True, False)
 
 
 def test_outcomes_are_judged_by_exit_traceback_and_progress():
