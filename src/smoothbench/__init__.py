@@ -1,6 +1,6 @@
 """Smoothness-adaptive online/stochastic convex optimization toolkit.
 
-Loss catalog with self-bounding residuals, euclidean/entropy mirror
+Loss catalog with smoothness constants, euclidean/entropy mirror
 geometries, online mirror descent with theory step sizes, certified
 regularized ERM with a stability probe, hard lower-bound distributions,
 Rademacher/bound calculators, and a CLI experiment harness.
@@ -14,8 +14,6 @@ from .losses import (
     make_smooth_ramp,
     make_squared,
     make_squared_unhalved,
-    pair_bound_residual,
-    self_bound_residual,
 )
 from .geometry import (
     MirrorSetup,

@@ -1,4 +1,4 @@
-"""Rademacher-complexity estimation and closed-form risk/margin bound evaluators.
+"""Rademacher estimation, closed-form bound evaluators and the experiments' theory columns.
 
 The complexity estimator exploits the closed-form inner supremum for
 norm-ball linear classes: sup over the l2 ball is B ||sum_i s_i x_i||_2 / n
@@ -195,6 +195,35 @@ def margin_bound(
         return 1.01 * err + bound_K * (2.0 * quad + 2.0 * conf)
     sqrt_part = math.sqrt(err) * ((log_n**1.5 / gamma) * r + math.sqrt(conf))
     return err + bound_K * (sqrt_part + quad + conf)
+
+
+def regularized_erm_bound(smoothness_H: float, f_max: float, n: int, l_star: float) -> float:
+    """256 H F/n + sqrt(2048 H F L*/n): `rate`'s bound column for the regularized ERM.
+    Statement (arXiv 1009.3896): stable regularized ERM's expected excess risk at lambda_for.
+    Premise: an H-smooth non-negative loss of <w, x>, a 1-strongly convex regularizer <= F."""
+    return 256.0 * smoothness_H * f_max / n + math.sqrt(2048.0 * smoothness_H * f_max * l_star / n)
+
+
+def sparse_rate_reference(n: int, dim0: int, k: int, l_star: float) -> float:
+    """k ln(2d)/n + sqrt(k L* ln(2d)/n), d = dim0: `sparse`'s bound column.
+    Statement (arXiv 1009.3896): mirror descent's rate H D/n + sqrt(H D L*/n), H = 1, D ~ k ln(2d).
+    Premise: none; a rate reference without constants (entropy_md can exceed it), no guarantee."""
+    return k * math.log(2 * dim0) / n + math.sqrt(k * l_star * math.log(2 * dim0) / n)
+
+
+def regime_envelope(n: int, dim: int, x_scale: float, sigma: float) -> tuple[float, str]:
+    """min(B^2, B^2/n + B sigma/sqrt(n), d sigma^2/n), B = x_scale, and the least term's name.
+    Statement (arXiv 1009.3896): ERM's low-noise rate H R_n^2 + sqrt(H L*) R_n, for ridge B^2/n +
+    B sigma/sqrt(n) ("low_noise"), beside the trivial B^2 and least squares' d sigma^2/n.
+    Premise: none; a reference without constants, not a guarantee."""
+    b2 = x_scale**2
+    terms = {
+        "random": b2,
+        "low_noise": b2 / n + x_scale * sigma / math.sqrt(n),
+        "asymptotic": dim * sigma**2 / n,
+    }
+    name = min(terms, key=terms.get)
+    return terms[name], name
 
 
 def margin_empirical_error(scores, labels, gamma: float) -> float:

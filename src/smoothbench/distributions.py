@@ -22,7 +22,7 @@ Family overview (d standard basis vectors, Y conditioned on X = e_i):
                       linear loss on w in [-1, 1]; w* and L* in closed form.
 
 The module owns the shared draws: draw_signs (every +-1 array: hidden signs, sign
-designs, Rademacher signs), draw_unit_vector and the basis-design _basis_sample.
+designs, Rademacher signs), draw_unit_vector, draw_unit_rows and the basis-design sample.
 """
 
 from __future__ import annotations
@@ -62,6 +62,14 @@ def draw_unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     w = rng.standard_normal(dim)
     w /= float(np.linalg.norm(w))
     return w
+
+
+def draw_unit_rows(rng: np.random.Generator, n: int, dim: int, out=None) -> np.ndarray:
+    """n uniform unit vectors of R^dim as rows, written into `out` when given. A row's
+    norm sums in another order than draw_unit_vector's, so the two differ in the last bit."""
+    xs = rng.standard_normal((n, dim), out=out)
+    xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+    return xs
 
 
 def _basis_sample(rng, n: int, w_star: np.ndarray, sigma: float = 0.0) -> Dataset:
@@ -438,17 +446,6 @@ class RegimeGenerator:
 
     def true_risk(self, w: np.ndarray) -> float:
         return self.l_star + self.excess(w)
-
-    def envelope(self, n: int) -> tuple[float, str]:
-        """min(B^2, B^2/n + B sigma/sqrt(n), d sigma^2/n) and the active term."""
-        b2 = self.x_scale**2
-        terms = {
-            "random": b2,
-            "low_noise": b2 / n + self.x_scale * self.sigma / math.sqrt(n),
-            "asymptotic": self.dim * self.l_star / n,
-        }
-        name = min(terms, key=terms.get)
-        return terms[name], name
 
 
 def regime_constants(dim: int, x_scale: float, sigma: float) -> tuple[LossSpec, float]:

@@ -40,9 +40,13 @@ from ..bounds import (
     empirical_rademacher,
     margin_bound,
     margin_empirical_error,
+    regime_envelope,
+    regularized_erm_bound,
+    sparse_rate_reference,
 )
 from ..distributions import (
     draw_signs,
+    draw_unit_rows,
     draw_unit_vector,
     erm_exact,
     lower_bound_applies,
@@ -205,7 +209,7 @@ def _family_plan(cfg: ExperimentConfig, learner: str) -> list:
                 bound = regret_bound(h, f, n, l_star)
             else:
                 step = _premise(f"budget {cfg.budget}", lambda_for, h, f, n, l_star)
-                bound = 256.0 * h * f / n + math.sqrt(2048.0 * h * f * l_star / n)
+                bound = regularized_erm_bound(h, f, n, l_star)
         plan.append((n, setup, step, bound))
     return plan
 
@@ -305,13 +309,6 @@ class RegretRow:
     lbar: float
 
 
-def _sphere_rows(rng: np.random.Generator, n: int, dim: int, out=None) -> np.ndarray:
-    """n uniform unit vectors, written into `out` when given."""
-    xs = rng.standard_normal((n, dim), out=out)
-    xs /= np.linalg.norm(xs, axis=1, keepdims=True)
-    return xs
-
-
 def run_regret_experiment(cfg: ExperimentConfig) -> list:
     """Measured average regret vs the theory bound, per stream kind / n / seed.
 
@@ -352,11 +349,11 @@ def run_regret_experiment(cfg: ExperimentConfig) -> list:
                 rng = np.random.default_rng(seed_for(cfg.seed, "regret", i, j))
                 w_star = draw_unit_vector(rng, dim)  # the i.i.d. comparator; fixed draws past it
                 if iid:  # rows from their own generator, labels from w*
-                    _sphere_rows(np.random.default_rng(seed_for(cfg.seed, "regret-iid", i, j)),
-                                 n, dim, out=xs[j])
+                    draw_unit_rows(np.random.default_rng(seed_for(cfg.seed, "regret-iid", i, j)),
+                                   n, dim, out=xs[j])
                     ys[j] = xs[j] @ w_star
                 else:
-                    _sphere_rows(rng, n, dim, out=xs[j])
+                    draw_unit_rows(rng, n, dim, out=xs[j])
                     ys[j] = draw_signs(rng, n) * rng.uniform(0.2, 1.0, size=n)
             # w* pays 0 on its own labels; the zero vector its exact loss
             hindsight = np.zeros(reps) if iid else loss.value(0.0, ys).mean(axis=-1)
@@ -481,9 +478,8 @@ def _stability_rules(cfg: ExperimentConfig) -> None:
 
 @dataclass(frozen=True)
 class SparseRow:
-    """One method at one n. `bound` is k·ln(2d)/n + sqrt(k·L(w0)·ln(2d)/n)
-    with no constants: a rate reference, not a guarantee (entropy_md can
-    sit above it at moderate n)."""
+    """One method at one n. `bound` is `bounds.sparse_rate_reference`, with
+    d = dim and L* = L(w0): a rate reference, not a guarantee."""
 
     method: str
     n: int
@@ -549,7 +545,7 @@ def run_sparse_experiment(cfg: ExperimentConfig) -> list:
             ).averages
             per_method["entropy_md"] = [excess_risk(g, w) for g, w in zip(gens, ws)]
         del bits  # before the next n's stack
-        bound = k * math.log(2 * d0) / n + math.sqrt(k * l_star * math.log(2 * d0) / n)
+        bound = sparse_rate_reference(n, d0, k, l_star)
         for method, ex in per_method.items():
             mean, stderr = mean_stderr(ex)
             rows.append(
@@ -613,10 +609,9 @@ def _sparse_fits_slope(cfg: ExperimentConfig) -> bool:
 
 def _check_sparse(cfg: ExperimentConfig, rows) -> list:
     failures = _max_iters_failures(rows, lambda r: f"{r.method} n={r.n}")
-    online = [r for r in rows if r.method == "entropy_md"]  # in n order
     if _sparse_fits_slope(cfg):
         try:  # a slope that cannot be fitted fails the check
-            slope = fit_slope([r.n for r in online], [r.mean_excess for r in online])[0]
+            slope = sparse_slopes([r for r in rows if r.method == "entropy_md"])["entropy_md"]
         except ValueError as exc:
             return failures + [f"entropy_md slope: {exc}"]
         if slope > SPARSE_SLOPE_MAX:
@@ -668,7 +663,7 @@ def run_regime_experiment(cfg: ExperimentConfig) -> list:
             mean, stderr = mean_stderr(ex)
             if best is None or mean < best[0]:
                 best = (mean, stderr, lam)
-        envelope, term = gen.envelope(n)  # the same for every replicate's w*
+        envelope, term = regime_envelope(n, d, xb, sigma)
         rows.append(
             RegimeRow(
                 n=n, mean_excess=best[0], stderr=best[1],
@@ -726,7 +721,7 @@ def run_margin_experiment(cfg: ExperimentConfig) -> list:
         """values, each negated with probability label_noise."""
         return np.where(rng.random(values.size) < cfg.label_noise, -values, values)
 
-    xs = _sphere_rows(rng, n, dim)
+    xs = draw_unit_rows(rng, n, dim)
     ys = flipped(clean_labels(xs))
     # the ramp is flat at non-positive margins, so the zero vector is a
     # stationary start; begin from a random unit vector instead
@@ -746,7 +741,7 @@ def run_margin_experiment(cfg: ExperimentConfig) -> list:
     blocks = [(start, min(start + _HOLDOUT_BLOCK, m)) for start in range(0, m, _HOLDOUT_BLOCK)]
     signs = np.empty(m, dtype=np.int8)
     for start, stop in blocks:
-        block = _sphere_rows(rng, stop - start, dim)
+        block = draw_unit_rows(rng, stop - start, dim)
         signs[start:stop] = np.sign(clean_labels(block) * (block @ w_hat))
     wrong = sum(int(np.count_nonzero(flipped(signs[a:b]) <= 0)) for a, b in blocks)
     holdout = wrong / m  # np.mean of the 0/1 errors, exactly

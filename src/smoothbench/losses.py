@@ -1,11 +1,12 @@
-"""Scalar loss catalog with smoothness metadata and self-bounding residuals.
+"""Scalar loss catalog with smoothness metadata.
 
 Each loss is a plain (t, y) -> value / derivative pair that operates
 elementwise on numpy arrays (t is the prediction, y the target; derivatives
 are always w.r.t. t). The declared smoothness constant H is the Lipschitz
 constant of the derivative in t and feeds the step-size and regularization
 formulas downstream, so it must be an honest upper bound: the test
-suite's smoothness probe (tests/probes.py) checks that on grids.
+suite's probes (tests/probes.py) check that and the self-bounding
+residuals on grids.
 
 The factories build each spec once per process (per gamma for the ramp),
 since a LossSpec is frozen. The difference losses are functions of
@@ -144,23 +145,3 @@ def make_absolute() -> LossSpec:
     minimizers deterministic. Querying smoothness_H raises.
     """
     return _difference_loss("absolute", np.abs, np.sign)
-
-
-def self_bound_residual(loss: LossSpec, t, y):
-    """sqrt(4 H phi(t, y)) - |phi'(t, y)|.
-
-    Nonnegative everywhere on the domain for a smooth nonnegative loss:
-    the derivative is small wherever the value is small.
-    """
-    H = loss.smoothness_H
-    return np.sqrt(4.0 * H * loss.value(t, y)) - np.abs(loss.derivative(t, y))
-
-
-def pair_bound_residual(loss: LossSpec, t, r, y):
-    """6 H (phi(t,y) + phi(r,y)) (t - r)^2 - (phi(t,y) - phi(r,y))^2, >= 0."""
-    H = loss.smoothness_H
-    ft = loss.value(t, y)
-    fr = loss.value(r, y)
-    d = np.asarray(t, dtype=float) - np.asarray(r, dtype=float)
-    return 6.0 * H * (ft + fr) * d * d - (ft - fr) ** 2
-

@@ -67,6 +67,15 @@ MUTANTS = [
     Mutant("signs in {0, 1} (draw_signs)", "distributions.py",
            "part -= 1.0",
            "part *= 0.5"),
+    Mutant("regularized-ERM bound x0.5", "bounds.py",
+           "return 256.0 * smoothness_H * f_max / n + math.sqrt(2048.0 * smoothness_H * f_max * l_star / n)",
+           "return 0.5 * (256.0 * smoothness_H * f_max / n + math.sqrt(2048.0 * smoothness_H * f_max * l_star / n))"),
+    Mutant("sparse rate reference x0.5", "bounds.py",
+           "return k * math.log(2 * dim0) / n + math.sqrt(k * l_star * math.log(2 * dim0) / n)",
+           "return 0.5 * (k * math.log(2 * dim0) / n + math.sqrt(k * l_star * math.log(2 * dim0) / n))"),
+    Mutant("regime envelope x0.5", "bounds.py",
+           "return terms[name], name",
+           "return 0.5 * terms[name], name"),
 ]
 
 # experiment -> a config small enough for seconds, on which --check passes

@@ -1,8 +1,9 @@
 """Test-side probes of the constants the library declares.
 
-`probe_smoothness` checks a loss's declared smoothness H on a grid, and
+`probe_smoothness` checks a loss's declared smoothness H on a grid, the two
+self-bounding residuals check what H implies for a non-negative loss, and
 `random_feasible` draws points of a mirror setup's constraint set for the
-geometry and online tests. Neither is part of the library: nothing there
+geometry and online tests. None is part of the library: nothing there
 calls them.
 """
 
@@ -31,6 +32,25 @@ def probe_smoothness(loss: LossSpec, grid_points: int) -> float:
         d = loss.derivative(t, yv)
         best = max(best, float(np.max(np.abs(np.diff(d)) / dt)))
     return best
+
+
+def self_bound_residual(loss: LossSpec, t, y):
+    """sqrt(4 H phi(t, y)) - |phi'(t, y)|.
+
+    Nonnegative everywhere on the domain for a smooth nonnegative loss:
+    the derivative is small wherever the value is small.
+    """
+    H = loss.smoothness_H
+    return np.sqrt(4.0 * H * loss.value(t, y)) - np.abs(loss.derivative(t, y))
+
+
+def pair_bound_residual(loss: LossSpec, t, r, y):
+    """6 H (phi(t,y) + phi(r,y)) (t - r)^2 - (phi(t,y) - phi(r,y))^2, >= 0."""
+    H = loss.smoothness_H
+    ft = loss.value(t, y)
+    fr = loss.value(r, y)
+    d = np.asarray(t, dtype=float) - np.asarray(r, dtype=float)
+    return 6.0 * H * (ft + fr) * d * d - (ft - fr) ** 2
 
 
 def random_feasible(

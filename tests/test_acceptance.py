@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 import smoothbench as sb
+from probes import pair_bound_residual, self_bound_residual
 from smoothbench.harness import (
     config_from_dict,
     rate_slope,
@@ -51,8 +52,8 @@ def test_criterion_01_self_bounding_suite():
         t = rng.uniform(*loss.t_domain, size=10_000)
         y = rng.uniform(*loss.y_domain, size=10_000)
         r = rng.uniform(*loss.t_domain, size=10_000)
-        worst_self = min(worst_self, float(np.min(sb.self_bound_residual(loss, t, y))))
-        worst_pair = min(worst_pair, float(np.min(sb.pair_bound_residual(loss, t, r, y))))
+        worst_self = min(worst_self, float(np.min(self_bound_residual(loss, t, y))))
+        worst_pair = min(worst_pair, float(np.min(pair_bound_residual(loss, t, r, y))))
     elapsed = time.perf_counter() - start
     ok = worst_self >= -1e-9 and worst_pair >= -1e-9 and elapsed < 1.0
     report(1, ok, f"min self residual {worst_self:.2e}, min pair residual {worst_pair:.2e}", elapsed, 1)

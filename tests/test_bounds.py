@@ -14,7 +14,7 @@ from smoothbench import (
     margin_empirical_error,
     smooth_risk_bound,
 )
-from smoothbench.bounds import _sign_blocks
+from smoothbench.bounds import _sign_blocks, regime_envelope
 
 
 def rademacher_bruteforce(cls, xs):
@@ -160,6 +160,15 @@ def margin_reference(err, b, r, n, delta, K, gamma, simplified=False):
     if simplified:
         return 1.01 * err + K * (2 * quad + 2 * cc)
     return err + K * (math.sqrt(err) * (ln(n) ** 1.5 * r / gamma + cc**0.5) + quad + cc)
+
+
+class TestRegimeEnvelope:
+    def test_envelope_terms(self):
+        env, term = regime_envelope(2, 50, 5.0, 0.5)
+        assert env == pytest.approx(min(25.0, 25 / 2 + 5 * 0.5 / math.sqrt(2), 50 * 0.25 / 2))
+        env_big, term_big = regime_envelope(10**6, 50, 5.0, 0.5)
+        assert term_big == "asymptotic"
+        assert env_big == pytest.approx(50 * 0.25 / 10**6, rel=1e-12)
 
 
 class TestBoundFormulas:

@@ -418,14 +418,6 @@ class TestSparseGenerator:
 
 
 class TestRegimeGenerator:
-    def test_envelope_terms(self):
-        gen = regime_generator(50, 5.0, 0.5, seed=51)
-        env, term = gen.envelope(2)
-        assert env == pytest.approx(min(25.0, 25 / 2 + 5 * 0.5 / math.sqrt(2), 50 * 0.25 / 2))
-        env_big, term_big = gen.envelope(10**6)
-        assert term_big == "asymptotic"
-        assert env_big == pytest.approx(50 * 0.25 / 10**6, rel=1e-12)
-
     def test_mean_feature_norm(self):
         gen = regime_generator(50, 5.0, 0.5, seed=53)
         data = gen.sample(20_000, seed=54)

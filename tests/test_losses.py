@@ -13,11 +13,9 @@ from smoothbench import (
     make_smooth_ramp,
     make_squared,
     make_squared_unhalved,
-    pair_bound_residual,
-    self_bound_residual,
 )
 
-from probes import probe_smoothness
+from probes import pair_bound_residual, probe_smoothness, self_bound_residual
 
 SMOOTH_LOSSES = [
     make_squared(),
