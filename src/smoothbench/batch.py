@@ -153,6 +153,8 @@ def lambda_for(smoothness_H: float, f_max: float, n: int, lbar: float) -> float:
 
     Always exceeds 32 H / n (in fact lambda n >= 128 H), which keeps the
     stability-based excess-risk denominator 1 - 32 H / (lambda n) positive.
+    Statement (arXiv 1009.3896): stable regularized ERM's lambda, for regularized_erm_bound.
+    Premise: an H-smooth non-negative loss of <w, x>, a 1-strongly convex regularizer <= F.
     """
     _check_formula_args(smoothness_H, f_max, n, lbar)
     base = 128.0 * smoothness_H / n

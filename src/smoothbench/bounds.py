@@ -3,7 +3,7 @@
 The complexity estimator exploits the closed-form inner supremum for
 norm-ball linear classes: sup over the l2 ball is B ||sum_i s_i x_i||_2 / n
 and over the l1 ball B ||sum_i s_i x_i||_inf / n, so only the sign average
-needs enumeration (exact up to n = 20) or Monte Carlo.
+needs Monte Carlo.
 
 All bound evaluators are plain arithmetic in natural logarithms; log^1.5 n
 means (ln n)^(3/2). The leading constant K defaults to 1e5 and is not
@@ -22,8 +22,6 @@ from .distributions import draw_signs
 LINEAR_L2_BALL = "linear_l2_ball"
 LINEAR_L1_BALL = "linear_l1_ball"
 
-_EXACT_LIMIT = 20
-_ENUM_CHUNK = 1 << 14
 # Monte Carlo sign rows scored at a time (1 MiB of signs at n = 2048), in
 # one reused block. The last block is zero-padded, so every `signs @ xs`
 # product has the one shape (_SIGN_BLOCK, n), OpenBLAS takes one kernel for
@@ -51,7 +49,6 @@ class FunctionClassSpec:
 class RademacherEstimate:
     value: float
     stderr: float
-    exact: bool
     draws: int
 
 
@@ -78,31 +75,19 @@ def empirical_rademacher(
     draws: int = 2000,
     seed: int | None = None,
 ) -> RademacherEstimate:
-    """E_sigma sup_h |(1/n) sum_i h(x_i) sigma_i| on the given sample.
-
-    Exact enumeration over all 2^n sign vectors when n <= 20 (stderr 0);
-    Monte Carlo with a standard error otherwise, which then requires
-    draws >= 1. The Monte Carlo signs fill one reused (_SIGN_BLOCK, n)
-    block, and only each row's supremum is kept; the blocks draw the same
-    signs as one (draws, n) draw. The last block's unused rows are zeros,
-    and their suprema are dropped (2,000 draws: 31 full blocks and one of
-    16 rows and 48 zeros).
+    """E_sigma sup_h |(1/n) sum_i h(x_i) sigma_i| on the given sample, by Monte
+    Carlo over draws >= 1 sign vectors, with its standard error (inf at one
+    draw). The signs fill one reused (_SIGN_BLOCK, n) block, and only each
+    row's supremum is kept; the blocks draw the same signs as one (draws, n)
+    draw. The last block's unused rows are zeros, and their suprema are
+    dropped (2,000 draws: 31 full blocks and one of 16 rows and 48 zeros).
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[0] < 1:
         raise ValueError("xs must have shape (n, d) with n >= 1")
-    n = xs.shape[0]
-    if n <= _EXACT_LIMIT:
-        total = 0.0
-        m = 1 << n
-        bit_cols = np.arange(n)
-        for start in range(0, m, _ENUM_CHUNK):
-            block = np.arange(start, min(start + _ENUM_CHUNK, m))
-            signs = (((block[:, None] >> bit_cols) & 1) * 2.0 - 1.0)
-            total += float(np.sum(_sup_values(cls, signs, xs)))
-        return RademacherEstimate(value=total / m, stderr=0.0, exact=True, draws=m)
     if draws < 1:
-        raise ValueError("Monte Carlo estimation needs draws >= 1 when n > 20")
+        raise ValueError("Monte Carlo estimation needs draws >= 1")
+    n = xs.shape[0]
     rng = np.random.default_rng(seed)
     vals = np.empty(draws)
     signs = np.zeros((_SIGN_BLOCK, n))
@@ -112,7 +97,7 @@ def empirical_rademacher(
         signs[rows:] = 0.0
         vals[start:stop] = _sup_values(cls, signs, xs)[:rows]
     stderr = float(vals.std(ddof=1) / math.sqrt(draws)) if draws > 1 else math.inf
-    return RademacherEstimate(value=float(vals.mean()), stderr=stderr, exact=False, draws=draws)
+    return RademacherEstimate(value=float(vals.mean()), stderr=stderr, draws=draws)
 
 
 def _check_nonnegative(**values: float) -> None:
@@ -132,7 +117,9 @@ def _check_sample(n: int, delta: float, bound_K: float) -> None:
 
 
 def lipschitz_excess_bound(l_star: float, lipschitz_D: float, rademacher: float) -> float:
-    """L* + 2 D R_n: the classical Lipschitz-composition excess-risk bound."""
+    """L* + 2 D R_n: the classical Lipschitz-composition excess-risk bound.
+    Statement (Bartlett & Mendelson, JMLR 2002): ERM's Lipschitz rate, which 1009.3896 improves.
+    Premise: a D-Lipschitz loss of <w, x>, R_n the class's Rademacher complexity; in expectation."""
     _check_nonnegative(l_star=l_star, lipschitz_D=lipschitz_D, rademacher=rademacher)
     return l_star + 2.0 * lipschitz_D * rademacher
 
@@ -150,6 +137,8 @@ def smooth_risk_bound(
 
     Lhat + K (sqrt(Lhat) (sqrt(H) (ln n)^1.5 R + sqrt(b ln(1/delta)/n))
               + H (ln n)^3 R^2 + b ln(1/delta)/n)
+    Statement (arXiv 1009.3896): the main theorem, every predictor's risk from its empirical loss.
+    Premise: an H-smooth loss in [0, b], R the class's Rademacher complexity; w.p. 1 - delta.
     """
     _check_sample(n, delta, bound_K)
     _check_nonnegative(empirical_loss=empirical_loss, smoothness_H=smoothness_H,
@@ -179,6 +168,8 @@ def margin_bound(
 
     simplified=True returns the display variant
     1.01 err_g + K (2 (ln n)^3/g^2 R^2 + 2 ln(ln(4b/g)/delta)/n).
+    Statement (arXiv 1009.3896): the margin bound, the main theorem through a smooth ramp.
+    Premise: |h(x)| <= b, R the class's Rademacher complexity, 0 < g < 4b/e; w.p. 1 - delta.
     """
     _check_sample(n, delta, bound_K)
     _check_nonnegative(empirical_loss=empirical_loss, range_b=range_b, rademacher=rademacher)

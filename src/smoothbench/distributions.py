@@ -300,7 +300,10 @@ def erm_exact(dist: HardDistribution, data: Dataset) -> np.ndarray:
 
 
 def lower_bound_value(dist: HardDistribution, n: int) -> float:
-    """The theoretical risk floor quoted for each family, for report columns."""
+    """The theoretical risk floor quoted for each family, for report columns.
+    Statement (arXiv 1009.3896): the lower bounds, Omega(1/sqrt(n)) for a non-smooth loss even
+    if separable (hardA) and Omega(sqrt(L*/n)) for a smooth one (hardB, hardC).
+    Premise: the family's exact ERM at size n, where lower_bound_applies."""
     if n < 1:
         raise ValueError("n must be >= 1")
     return _hard(dist)._floor(n)

@@ -489,7 +489,7 @@ class SparseRow:
     stderr: float
     bound: float
     # entropy_regerm solves of this row that stopped at max_iters (the l1
-    # solve near n = d runs to its cap by design and is not counted)
+    # solve's stops at its cap near n = d are not counted: ROADMAP item 1)
     max_iters_hits: int = _column(None)
 
 

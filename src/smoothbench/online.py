@@ -23,9 +23,10 @@ ADAPTIVE = "adaptive"
 
 
 def stepsize_for(smoothness_H: float, f_max: float, n: int, lbar: float) -> float:
-    """eta = 1 / (H F + sqrt(H^2 F^2 + H F n Lbar)), with F = sup of the
-    regularizer over the set and Lbar a bound on the comparator's average
-    loss in hindsight."""
+    """eta = 1 / (H F + sqrt(H^2 F^2 + H F n Lbar)), F = sup of the regularizer over the set
+    and Lbar a bound on the comparator's average loss in hindsight.
+    Statement (arXiv 1009.3896): online mirror descent's step for its optimistic regret bound.
+    Premise: an H-smooth non-negative loss, a 1-strongly convex regularizer <= F, Lbar known."""
     _check_formula_args(smoothness_H, f_max, n, lbar)
     hf = smoothness_H * f_max  # eta is 0 once H^2 F^2 overflows, inf once H F is subnormal
     eta = 1.0 / (hf + math.sqrt(hf * hf + hf * n * lbar)) if hf else math.inf
@@ -33,8 +34,9 @@ def stepsize_for(smoothness_H: float, f_max: float, n: int, lbar: float) -> floa
 
 
 def regret_bound(smoothness_H: float, f_max: float, n: int, lbar: float) -> float:
-    """Average-regret guarantee 4 H F / n + 2 sqrt(H F Lbar / n) for mirror
-    descent run at stepsize_for(H, F, n, Lbar)."""
+    """Average-regret guarantee 4 H F / n + 2 sqrt(H F Lbar / n) at stepsize_for(H, F, n, Lbar).
+    Statement (arXiv 1009.3896): online mirror descent's optimistic regret on a smooth loss.
+    Premise: stepsize_for's; whether it also needs 2 eta H < 1 is open (ROADMAP item 5)."""
     _check_formula_args(smoothness_H, f_max, n, lbar)
     hf = smoothness_H * f_max
     return 4.0 * hf / n + 2.0 * math.sqrt(hf * lbar / n)

@@ -19,7 +19,10 @@ passed, so a child still going at the timeout is told apart: one that never
 announced hung inside config checking (a failure), one that did is a long
 accepted run (listed, not failed).
 
-The script writes only to a temporary directory, prints the failures and
+The script prints three counts, none of which moves with host speed: the
+cases rejected at config checking, the cases whose run started (whether it
+ended with exit 0, 2 or 3 or was still going at the timeout) and the
+failures. It writes only to a temporary directory, prints the failures and
 the long runs, and exits 1 if any case failed. It is not part of the suite
 (it takes minutes); `tests/test_sweep.py` keeps it runnable.
 """
@@ -111,6 +114,12 @@ class Outcome:
             return None if self.started else f"hang in config checking ({TIMEOUT_S} s)"
         return None if self.exit in (0, 2, 3) else f"exit {self.exit}"
 
+    def count(self) -> str:
+        """The count the case goes to: a failure, or else whether its run started."""
+        if self.failure():
+            return "failures"
+        return "run started" if self.started else "rejected at config checking"
+
 
 def run_case(experiment: str, config: dict, workdir: Path) -> Outcome:
     """Run one config on the CLI in a child process."""
@@ -141,9 +150,9 @@ def main() -> int:
             ThreadPoolExecutor(max_workers=JOBS) as pool:
         outcomes = list(pool.map(
             lambda case: run_case(case[0], case_config(*case), Path(tmp)), cases))
-    counts = Counter("running at timeout" if o.exit is None else f"exit {o.exit}"
-                     for o in outcomes)
-    print(f"{len(cases)} cases: " + ", ".join(f"{n} {k}" for k, n in sorted(counts.items())))
+    counts = Counter(o.count() for o in outcomes)
+    print(f"{len(cases)} cases: " + ", ".join(
+        f"{counts[k]} {k}" for k in ("rejected at config checking", "run started", "failures")))
     failures = [(case, o.failure()) for case, o in zip(cases, outcomes) if o.failure()]
     long_runs = [case for case, o in zip(cases, outcomes) if o.exit is None and o.started]
     for (experiment, key, value), why in failures:

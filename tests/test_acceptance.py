@@ -11,7 +11,12 @@ import numpy as np
 
 import smoothbench as sb
 from probes import pair_bound_residual, self_bound_residual
+from references import margin_reference, smooth_risk_reference
+from smoothbench.bounds import regime_envelope, regularized_erm_bound, sparse_rate_reference
+from smoothbench.distributions import hard_gaussian_constants
+from smoothbench.geometry import default_start
 from smoothbench.harness import (
+    EXPERIMENTS,
     config_from_dict,
     rate_slope,
     run_margin_experiment,
@@ -149,7 +154,7 @@ def test_criterion_05_smooth_nonseparable_slow_rate():
     rows = run_rate_experiment(cfg)
     floor_ns, floor_failures, exact_failures = [], [], []
     for r in rows:
-        d = sb.hard_gaussian(r.n, sigma, seed=MASTER_SEED).dim
+        d = hard_gaussian_constants(r.n, sigma)[0]
         if r.n >= d:
             floor_ns.append(r.n)
             if r.mean < 0.5 * r.lower_bound:
@@ -189,41 +194,22 @@ def test_criterion_05_smooth_nonseparable_slow_rate():
     )
 
 
-def _regularized_bound_grid(dist_factory, smoothness, budget, label, replicates=200):
-    failures = []
-    for i, n in enumerate((64, 256, 1024)):
-        excesses = []
-        for j in range(replicates):
-            dist = dist_factory(n, 1_000_000 * i + j)
-            setup = sb.euclidean_setup(dist.dim, budget)
-            lam = sb.lambda_for(smoothness, setup.f_max, n, dist.l_star)
-            data = dist.sample(n, 2_000_000 * i + j)
-            rep = sb.solve_regularized_erm(setup, dist.loss, data, lam, tol=1e-10)
-            excesses.append(sb.excess_risk(dist, rep.w))
-        mean = float(np.mean(excesses))
-        stderr = float(np.std(excesses, ddof=1) / math.sqrt(replicates))
-        bound = 256.0 * smoothness * setup.f_max / n + math.sqrt(
-            2048.0 * smoothness * setup.f_max * dist.l_star / n
-        )
-        if mean > bound + 2 * stderr:
-            failures.append((label, n, mean, bound))
-    return failures
-
-
 def test_criterion_06_regularized_erm_bound():
+    """The program's `rate` run with learner regularized_erm (lambda_for's
+    λ, the default tol) on hardB:0.1 and on separable at dim 16, 200
+    replicates at n = 64, 256, 1024: each row's mean excess is at most its
+    bound column plus 2 standard errors."""
     start = time.perf_counter()
-    failures = _regularized_bound_grid(
-        lambda n, s: sb.hard_gaussian(n, 0.1, seed=MASTER_SEED + s),
-        smoothness=2.0,
-        budget=1.0 / math.sqrt(2.0),
-        label="hardB",
-    )
-    failures += _regularized_bound_grid(
-        lambda n, s: sb.separable_synthetic(16, seed=MASTER_SEED + s),
-        smoothness=1.0,
-        budget=1.0,
-        label="separable",
-    )
+    failures = []
+    for distribution, extra in (("hardB:0.1", {}), ("separable", {"dim": 16})):
+        cfg = make_cfg(
+            experiment="rate", distribution=distribution, learner="regularized_erm",
+            n_grid=[64, 256, 1024], replicates=200, **extra,
+        )
+        failures += [
+            (distribution, r.n, r.mean, r.bound)
+            for r in run_rate_experiment(cfg) if r.mean > r.bound + 2 * r.stderr
+        ]
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 300.0
     report(6, ok, f"6 grid points x 200 replicates, {len(failures)} violations", elapsed, 300)
@@ -247,13 +233,35 @@ def test_criterion_07_stability():
     assert elapsed < 180.0
 
 
+def _sparse_step(rng, member, k: int, n: int) -> tuple[float, float]:
+    """(the step in the plan of `sparse` at the sparse generator `member`'s
+    dim, k and noise, its reference eta_scale * stepsize_for(1, D, n, L*)):
+    D the entropy Bregman distance of the member's doubled w0 from the
+    uniform start, L* = noise^2/6 the risk of w0 under uniform noise."""
+    d0, noise = member.dim0, member.noise
+    cfg = make_cfg(experiment="sparse", dim=d0, sparsity_k=k, noise=noise, n_grid=[n],
+                   replicates=1, methods=["entropy_md"], eta_scale=float(rng.uniform(1, 10)))
+    setup, _, [(_, eta, _)] = EXPERIMENTS["sparse"].premises(cfg)
+    doubled = np.concatenate([np.maximum(member.w_star, 0.0), np.maximum(-member.w_star, 0.0)])
+    distance = sb.bregman_divergence(setup, doubled, default_start(setup))
+    return eta, cfg.eta_scale * sb.stepsize_for(1.0, distance, n, noise**2 / 6.0)
+
+
 def test_criterion_08_formula_exactness():
+    """Each formula a theory column or a run reads, at random points, against
+    a written-out reference: the step, regret, λ, bound, envelope and floor
+    formulas, each family's excess risk against its quadratic form, and the
+    step in `sparse`'s plan."""
     start = time.perf_counter()
     rng = np.random.default_rng(MASTER_SEED)
-    worst = 0.0
+    worst = {}
 
-    def rel_err(a, b):
-        return abs(a - b) / max(1e-300, abs(b))
+    def check(name, value, reference):
+        deviation = abs(value - reference) / max(1e-300, abs(reference))
+        worst[name] = max(worst.get(name, 0.0), deviation)
+
+    def sq_dist(w, w_star):
+        return float(np.sum(np.square(w - w_star)))
 
     for _ in range(20):
         H = float(rng.uniform(0.1, 10))
@@ -261,12 +269,14 @@ def test_criterion_08_formula_exactness():
         n = int(rng.integers(1, 10**6))
         lbar = float(rng.uniform(0, 10))
         hf = H * f
-        eta_ref = 1.0 / (hf * (1.0 + math.sqrt(1.0 + n * lbar / hf)))
-        worst = max(worst, rel_err(sb.stepsize_for(H, f, n, lbar), eta_ref))
-        rb_ref = (4.0 * hf + 2.0 * math.sqrt(hf * lbar * n)) / n
-        worst = max(worst, rel_err(sb.regret_bound(H, f, n, lbar), rb_ref))
-        lam_ref = (128.0 * H / n) * (1.0 + math.sqrt(1.0 + lbar * n / (128.0 * H * f)))
-        worst = max(worst, rel_err(sb.lambda_for(H, f, n, lbar), lam_ref))
+        check("stepsize_for", sb.stepsize_for(H, f, n, lbar),
+              1.0 / (hf * (1.0 + math.sqrt(1.0 + n * lbar / hf))))
+        check("regret_bound", sb.regret_bound(H, f, n, lbar),
+              (4.0 * hf + 2.0 * math.sqrt(hf * lbar * n)) / n)
+        check("lambda_for", sb.lambda_for(H, f, n, lbar),
+              (128.0 * H / n) * (1.0 + math.sqrt(1.0 + lbar * n / (128.0 * H * f))))
+        check("regularized_erm_bound", regularized_erm_bound(H, f, n, lbar),
+              (256.0 * hf + math.sqrt(2048.0 * hf * lbar * n)) / n)
 
         lhat = float(rng.uniform(0, 1))
         b = float(rng.uniform(0.1, 5))
@@ -274,94 +284,108 @@ def test_criterion_08_formula_exactness():
         delta = float(rng.uniform(0.001, 0.999))
         K = float(rng.uniform(1, 1e5))
         n2 = int(rng.integers(2, 10**6))
-        conf = b * math.log(1 / delta) / n2
-        t1_ref = lhat + K * (
-            math.sqrt(lhat) * (math.sqrt(H) * math.log(n2) ** 1.5 * r + math.sqrt(conf))
-            + H * math.log(n2) ** 3 * r * r
-            + conf
-        )
-        t1 = sb.smooth_risk_bound(
+        check("smooth_risk_bound", sb.smooth_risk_bound(
             empirical_loss=lhat, smoothness_H=H, range_b=b, rademacher=r,
             n=n2, delta=delta, bound_K=K,
-        )
-        worst = max(worst, rel_err(t1, t1_ref))
-
+        ), smooth_risk_reference(lhat, H, b, r, n2, delta, K))
         gamma = float(rng.uniform(0.01, 4 * b / math.e * 0.99))
-        cc = math.log(math.log(4 * b / gamma) / delta) / n2
-        mg_ref = lhat + K * (
-            math.sqrt(lhat) * (math.log(n2) ** 1.5 / gamma * r + math.sqrt(cc))
-            + math.log(n2) ** 3 / gamma**2 * r * r
-            + cc
-        )
-        mg = sb.margin_bound(
-            empirical_loss=lhat, range_b=b, rademacher=r, n=n2,
-            delta=delta, bound_K=K, margin=gamma,
-        )
-        worst = max(worst, rel_err(mg, mg_ref))
+        for simplified in (False, True):
+            check(f"margin_bound simplified={simplified}", sb.margin_bound(
+                empirical_loss=lhat, range_b=b, rademacher=r, n=n2,
+                delta=delta, bound_K=K, margin=gamma, simplified=simplified,
+            ), margin_reference(lhat, b, r, n2, delta, K, gamma, simplified))
 
         lstar = float(rng.uniform(0, 1))
         D = float(rng.uniform(0.1, 5))
-        lip_ref = lstar + 2 * D * r
-        worst = max(
-            worst,
-            rel_err(
-                sb.lipschitz_excess_bound(l_star=lstar, lipschitz_D=D, rademacher=r),
-                lip_ref,
-            ),
-        )
+        check("lipschitz_excess_bound",
+              sb.lipschitz_excess_bound(l_star=lstar, lipschitz_D=D, rademacher=r),
+              lstar + 2 * D * r)
+
+        d0 = int(rng.integers(1, 300))
+        k = int(rng.integers(1, d0 + 1))
+        check("sparse_rate_reference", sparse_rate_reference(n, d0, k, lstar),
+              (k * math.log(2 * d0) + math.sqrt(k * lstar * math.log(2 * d0) * n)) / n)
+        dim = int(rng.integers(1, 300))
+        x_scale, sigma = float(rng.uniform(0.1, 10)), float(rng.uniform(0, 2))
+        terms = {"random": x_scale**2,
+                 "low_noise": (x_scale**2 + x_scale * sigma * math.sqrt(n)) / n,
+                 "asymptotic": dim * sigma**2 / n}
+        envelope, term = regime_envelope(n, dim, x_scale, sigma)
+        check("regime_envelope", envelope, min(terms.values()))
+        check("regime_envelope active term", float(term == min(terms, key=terms.get)), 1.0)
+
+        # each hard family's floor at a size n2 other than its design's
+        seed, n_design = int(rng.integers(2**31)), int(rng.integers(2, 1000))
+        noise_sd, q = float(rng.uniform(0.05, 1)), float(rng.uniform(0.1, 1))
+        hard_b = sb.hard_gaussian(n_design, noise_sd, seed=seed)
+        hard_c = sb.hard_quadlin(n_design, q)
+        check("lower_bound_value hardA",
+              sb.lower_bound_value(sb.hard_absolute(n_design, seed), n2), 1 / (2 * math.sqrt(n2)))
+        check("lower_bound_value hardB", sb.lower_bound_value(hard_b, n2), noise_sd / math.sqrt(n2))
+        check("lower_bound_value hardC", sb.lower_bound_value(hard_c, n2),
+              math.sqrt(0.32 * hard_c.l_star / n2))
+
+        # each family's excess against its quadratic form, at a random w
+        w = rng.standard_normal(hard_b.dim)
+        check("excess_risk hardB", sb.excess_risk(hard_b, w),
+              sq_dist(w, hard_b.w_star) / hard_b.dim)
+        separable = sb.separable_synthetic(dim, seed)
+        w = rng.standard_normal(dim)
+        check("excess_risk separable", sb.excess_risk(separable, w),
+              sq_dist(w, separable.w_star) / (2 * dim))
+        regime = sb.regime_generator(dim, x_scale, sigma, seed)
+        check("excess_risk regime", sb.excess_risk(regime, w),
+              x_scale**2 * sq_dist(w, regime.w_star) / dim)
+        noise = float(rng.uniform(0, 0.9))
+        sparse = sb.sparse_generator(d0, k, seed, noise=noise)
+        w = rng.standard_normal(2 * d0)
+        check("excess_risk sparse", sb.excess_risk(sparse, w[:d0]),
+              sq_dist(w[:d0], sparse.w_star) / 2)
+        check("excess_risk sparse doubled", sb.excess_risk(sparse, w),
+              sq_dist(w[:d0] - w[d0:], sparse.w_star) / 2)
+        check("sparse plan step", *_sparse_step(rng, sparse, k, n))
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-12 and elapsed < 1.0
-    report(8, ok, f"max relative deviation {worst:.2e} over 6 formulas x 20 points", elapsed, 1)
-    assert worst <= 1e-12
+    deviation = max(worst.values())
+    ok = deviation <= 1e-12 and elapsed < 1.0
+    report(8, ok, f"max relative deviation {deviation:.2e} over {len(worst)} formulas x 20 points",
+           elapsed, 1)
+    assert deviation <= 1e-12, {name: d for name, d in worst.items() if d > 1e-12}
     assert elapsed < 1.0
 
 
+def _enumerated_norm_means(xs: np.ndarray) -> np.ndarray:
+    """The means of ||sum_i s_i x_i||_2 and of ||sum_i s_i x_i||_inf over
+    all 2^n sign vectors s, enumerated in blocks of at most 2^16."""
+    n = xs.shape[0]
+    sums, bits, chunk = np.zeros(2), np.arange(n), min(1 << 16, 1 << n)
+    for first in range(0, 1 << n, chunk):
+        block = np.arange(first, first + chunk)
+        combos = (((block[:, None] >> bits) & 1) * 2.0 - 1.0) @ xs
+        sums += [np.linalg.norm(combos, axis=1).sum(), np.abs(combos).max(axis=1).sum()]
+    return sums / (1 << n)
+
+
 def test_criterion_09_rademacher_oracle():
+    """The program's Monte Carlo Rademacher estimate (4,000 draws) within 4
+    standard errors of an enumeration of all 2^n sign vectors made here, in
+    both geometries: at 20 random samples with n = 2..16, and at n = 21, 22."""
     start = time.perf_counter()
     rng = np.random.default_rng(MASTER_SEED + 9)
-    failures = 0
-    for trial in range(20):
-        n = int(rng.integers(2, 17))
-        d = int(rng.integers(1, 6))
-        xs = rng.standard_normal((n, d))
-        for kind in ("linear_l2_ball", "linear_l1_ball"):
-            cls = sb.FunctionClassSpec(kind, float(rng.uniform(0.5, 3.0)))
-            exact = sb.empirical_rademacher(cls, xs)
-            draws = 4000
-            signs = np.random.default_rng(MASTER_SEED + trial).choice(
-                [-1.0, 1.0], size=(draws, n)
-            )
-            combos = signs @ xs
-            norms = (
-                np.linalg.norm(combos, axis=1)
-                if kind == "linear_l2_ball"
-                else np.max(np.abs(combos), axis=1)
-            )
-            vals = cls.budget * norms / n
-            mc = float(vals.mean())
-            se = float(vals.std(ddof=1) / math.sqrt(draws))
-            if abs(mc - exact.value) > 4 * se:
-                failures += 1
-    # just above the exact limit the program draws its own Monte Carlo
-    # signs: held to an enumeration of all 2^n sign vectors made here
-    worst = 0.0
-    for n in (21, 22):
+    sizes = [int(rng.integers(2, 17)) for _ in range(20)] + [21, 22]
+    failures, worst = 0, 0.0
+    for trial, n in enumerate(sizes):
         xs = rng.standard_normal((n, int(rng.integers(1, 6))))
-        sums, bits, chunk = np.zeros(2), np.arange(n), 1 << 16
-        for first in range(0, 1 << n, chunk):
-            block = np.arange(first, first + chunk)
-            combos = (((block[:, None] >> bits) & 1) * 2.0 - 1.0) @ xs
-            sums += [np.linalg.norm(combos, axis=1).sum(), np.abs(combos).max(axis=1).sum()]
+        means = _enumerated_norm_means(xs)
         for k, kind in enumerate(("linear_l2_ball", "linear_l1_ball")):
             cls = sb.FunctionClassSpec(kind, float(rng.uniform(0.5, 3.0)))
-            exact = cls.budget * sums[k] / n / (1 << n)
-            mc = sb.empirical_rademacher(cls, xs, draws=4000, seed=MASTER_SEED + 10 * n + k)
-            assert not mc.exact and mc.draws == 4000
+            exact = cls.budget * means[k] / n
+            mc = sb.empirical_rademacher(cls, xs, draws=4000, seed=MASTER_SEED + 10 * trial + k)
+            assert mc.draws == 4000
             worst = max(worst, abs(mc.value - exact) / mc.stderr)
             failures += abs(mc.value - exact) > 4 * mc.stderr
     elapsed = time.perf_counter() - start
     ok = failures == 0 and elapsed < 30.0
-    report(9, ok, f"20 samples x 2 geometries and Monte Carlo at n = 21, 22 (worst "
+    report(9, ok, f"{len(sizes)} samples x 2 geometries, n = 2..16 and 21, 22 (worst "
                   f"{worst:.2f} stderr), {failures} beyond 4 stderr", elapsed, 30)
     assert failures == 0
     assert elapsed < 30.0

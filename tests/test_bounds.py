@@ -15,6 +15,7 @@ from smoothbench import (
     smooth_risk_bound,
 )
 from smoothbench.bounds import _sign_blocks, regime_envelope
+from references import margin_reference, smooth_risk_reference
 
 
 def rademacher_bruteforce(cls, xs):
@@ -39,57 +40,44 @@ def rademacher_bruteforce(cls, xs):
 class TestEmpiricalRademacher:
     def test_hand_values(self):
         cls = FunctionClassSpec("linear_l2_ball", 1.0)
-        assert empirical_rademacher(cls, np.array([[1.0]])).value == 1.0
-        assert empirical_rademacher(cls, np.array([[1.0], [1.0]])).value == 0.5
+        # one row: every sign vector scores |x| = 1, so the estimate is exact
+        one = empirical_rademacher(cls, np.array([[1.0]]), draws=2000, seed=1)
+        assert (one.value, one.stderr) == (1.0, 0.0)
+        # two equal rows: 1 on equal signs, 0 on opposite ones; mean 1/2
+        two = empirical_rademacher(cls, np.array([[1.0], [1.0]]), draws=2000, seed=1)
+        assert two.stderr == pytest.approx(0.5 / math.sqrt(2000), rel=0.01)
+        assert abs(two.value - 0.5) <= 4 * two.stderr
 
     def test_budget_homogeneity(self):
+        # the same seed draws the same signs, and a doubled budget doubles each value
         rng = np.random.default_rng(1)
         xs = rng.standard_normal((6, 3))
-        one = empirical_rademacher(FunctionClassSpec("linear_l2_ball", 1.0), xs)
-        two = empirical_rademacher(FunctionClassSpec("linear_l2_ball", 2.0), xs)
+        one = empirical_rademacher(FunctionClassSpec("linear_l2_ball", 1.0), xs, seed=2)
+        two = empirical_rademacher(FunctionClassSpec("linear_l2_ball", 2.0), xs, seed=2)
         assert two.value == pytest.approx(2 * one.value, rel=1e-12)
-
-    @pytest.mark.parametrize("kind", ["linear_l2_ball", "linear_l1_ball"])
-    def test_exact_enumeration_matches_bruteforce(self, kind):
-        rng = np.random.default_rng(3)
-        for n in (1, 2, 5, 8):
-            xs = rng.standard_normal((n, 3))
-            cls = FunctionClassSpec(kind, 1.3)
-            est = empirical_rademacher(cls, xs)
-            assert est.exact and est.stderr == 0.0
-            assert est.value == pytest.approx(rademacher_bruteforce(cls, xs), rel=1e-12)
+        assert two.stderr == pytest.approx(2 * one.stderr, rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["linear_l2_ball", "linear_l1_ball"])
     def test_monte_carlo_within_4_stderr_of_exact(self, kind):
+        # the program's estimate against the literal enumeration of all 2^n signs
         rng = np.random.default_rng(5)
-        for trial in range(5):
-            n = int(rng.integers(4, 17))
-            xs = rng.standard_normal((n, 4))
-            cls = FunctionClassSpec(kind, 1.0)
-            exact = empirical_rademacher(cls, xs)
-            # force the Monte Carlo path by a fresh sampler on n > 20 rule:
-            # estimate by drawing signs directly
-            draws = 4000
-            signs = np.random.default_rng(100 + trial).choice([-1.0, 1.0], size=(draws, n))
-            combos = signs @ xs
-            norms = (
-                np.linalg.norm(combos, axis=1)
-                if kind == "linear_l2_ball"
-                else np.max(np.abs(combos), axis=1)
-            )
-            vals = cls.budget * norms / n
-            mc = float(vals.mean())
-            se = float(vals.std(ddof=1) / math.sqrt(draws))
-            assert abs(mc - exact.value) <= 4 * se
+        for trial, n in enumerate((2, 5, 8, *rng.integers(4, 13, size=5))):
+            xs = rng.standard_normal((int(n), 4))
+            cls = FunctionClassSpec(kind, 1.3)
+            est = empirical_rademacher(cls, xs, draws=4000, seed=100 + trial)
+            assert est.draws == 4000 and est.stderr > 0
+            assert abs(est.value - rademacher_bruteforce(cls, xs)) <= 4 * est.stderr
 
     def test_monte_carlo_path_reports_stderr(self):
         rng = np.random.default_rng(7)
         xs = rng.standard_normal((25, 3))
         cls = FunctionClassSpec("linear_l2_ball", 1.0)
         est = empirical_rademacher(cls, xs, draws=500, seed=8)
-        assert not est.exact and est.stderr > 0 and est.draws == 500
-        with pytest.raises(ValueError):
-            empirical_rademacher(cls, xs, draws=0, seed=8)
+        assert est.stderr > 0 and est.draws == 500
+        # one draw has no standard error, and no draw no estimate, at any n
+        assert empirical_rademacher(cls, xs[:3], draws=1, seed=8).stderr == math.inf
+        with pytest.raises(ValueError, match="draws >= 1"):
+            empirical_rademacher(cls, xs[:3], draws=0, seed=8)
 
     @pytest.mark.parametrize("kind", ["linear_l2_ball", "linear_l1_ball"])
     @pytest.mark.parametrize("draws", [2000, 1000])  # last block 208 / 232 rows
@@ -126,40 +114,23 @@ class TestEmpiricalRademacher:
         xs = np.random.default_rng(2).standard_normal((2048, 10))
         cls = FunctionClassSpec("linear_l2_ball", 1.0)
         est, peak = traced_peak(empirical_rademacher, cls, xs, draws=2000, seed=3)
-        assert est.draws == 2000 and not est.exact
+        assert est.draws == 2000
         assert peak <= 2 * 2**20
 
     def test_classical_norm_bound(self):
-        # R-hat(l2 ball) <= B max||x|| / sqrt(n)
+        # R-hat(l2 ball) <= B max||x|| / sqrt(n), which the estimate meets within 4 stderr
         rng = np.random.default_rng(9)
-        for _ in range(10):
+        for trial in range(10):
             n = int(rng.integers(2, 12))
             xs = rng.standard_normal((n, 3))
             cls = FunctionClassSpec("linear_l2_ball", 1.7)
-            est = empirical_rademacher(cls, xs)
+            est = empirical_rademacher(cls, xs, seed=200 + trial)
             cap = 1.7 * float(np.max(np.linalg.norm(xs, axis=1))) / math.sqrt(n)
-            assert est.value <= cap * (1 + 1e-9)
+            assert est.value <= cap + 4 * est.stderr
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             FunctionClassSpec("rbf", 1.0)
-
-
-def smooth_risk_reference(lhat, H, b, r, n, delta, K):
-    """Independent arrangement of the same display (factored differently)."""
-    ln = math.log
-    conf = b * ln(1 / delta) / n
-    inner = math.sqrt(H) * ln(n) ** 1.5 * r + conf**0.5
-    return lhat + K * (math.sqrt(lhat) * inner + H * ln(n) ** 3 * r**2 + conf)
-
-
-def margin_reference(err, b, r, n, delta, K, gamma, simplified=False):
-    ln = math.log
-    cc = ln(ln(4 * b / gamma) / delta) / n
-    quad = ln(n) ** 3 * r**2 / gamma**2
-    if simplified:
-        return 1.01 * err + K * (2 * quad + 2 * cc)
-    return err + K * (math.sqrt(err) * (ln(n) ** 1.5 * r / gamma + cc**0.5) + quad + cc)
 
 
 class TestRegimeEnvelope:

@@ -57,3 +57,13 @@ def test_outcomes_are_judged_by_exit_traceback_and_progress():
     assert judge(2, False, True) == "traceback (exit 2)"
     assert judge(None, True, False) is None  # a long accepted run is listed, not failed
     assert judge(None, False, False).startswith("hang in config checking")
+
+
+def test_each_outcome_goes_to_one_host_independent_count():
+    # a run that started counts the same whether it ended before the timeout or not
+    count = lambda *args: sweep.Outcome(*args).count()  # noqa: E731
+    assert count(2, False, False) == "rejected at config checking"
+    for code in (0, 2, 3, None):
+        assert count(code, True, False) == "run started"
+    assert count(None, False, False) == count(1, True, False) == "failures"
+    assert count(2, False, True) == count(0, True, True) == "failures"
