@@ -1,8 +1,11 @@
-"""Written-out references of the bound formulas, shared by `tests/test_bounds.py`
-and acceptance criterion 8. Each arranges the display differently from the
-program (factored another way), so the two agree only if both are right."""
+"""Written-out references shared by `tests/test_bounds.py` and the acceptance
+criteria. The bound formulas (criterion 8) arrange each display differently from
+the program (factored another way), so the two agree only if both are right; the
+sign enumeration is criterion 9's exact Rademacher reference."""
 
 import math
+
+import numpy as np
 
 
 def smooth_risk_reference(lhat, H, b, r, n, delta, K):
@@ -21,3 +24,15 @@ def margin_reference(err, b, r, n, delta, K, gamma, simplified=False):
     if simplified:
         return 1.01 * err + K * (2 * quad + 2 * cc)
     return err + K * (math.sqrt(err) * (ln(n) ** 1.5 * r / gamma + cc**0.5) + quad + cc)
+
+
+def enumerated_norm_means(xs: np.ndarray) -> np.ndarray:
+    """The means of ||sum_i s_i x_i||_2 and of ||sum_i s_i x_i||_inf over
+    all 2^n sign vectors s, enumerated in blocks of at most 2^16."""
+    n = xs.shape[0]
+    sums, bits, chunk = np.zeros(2), np.arange(n), min(1 << 16, 1 << n)
+    for first in range(0, 1 << n, chunk):
+        block = np.arange(first, first + chunk)
+        combos = (((block[:, None] >> bits) & 1) * 2.0 - 1.0) @ xs
+        sums += [np.linalg.norm(combos, axis=1).sum(), np.abs(combos).max(axis=1).sum()]
+    return sums / (1 << n)

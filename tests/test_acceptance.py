@@ -11,7 +11,7 @@ import numpy as np
 
 import smoothbench as sb
 from probes import pair_bound_residual, self_bound_residual
-from references import margin_reference, smooth_risk_reference
+from references import enumerated_norm_means, margin_reference, smooth_risk_reference
 from smoothbench.bounds import regime_envelope, regularized_erm_bound, sparse_rate_reference
 from smoothbench.distributions import hard_gaussian_constants
 from smoothbench.geometry import default_start
@@ -353,18 +353,6 @@ def test_criterion_08_formula_exactness():
     assert elapsed < 1.0
 
 
-def _enumerated_norm_means(xs: np.ndarray) -> np.ndarray:
-    """The means of ||sum_i s_i x_i||_2 and of ||sum_i s_i x_i||_inf over
-    all 2^n sign vectors s, enumerated in blocks of at most 2^16."""
-    n = xs.shape[0]
-    sums, bits, chunk = np.zeros(2), np.arange(n), min(1 << 16, 1 << n)
-    for first in range(0, 1 << n, chunk):
-        block = np.arange(first, first + chunk)
-        combos = (((block[:, None] >> bits) & 1) * 2.0 - 1.0) @ xs
-        sums += [np.linalg.norm(combos, axis=1).sum(), np.abs(combos).max(axis=1).sum()]
-    return sums / (1 << n)
-
-
 def test_criterion_09_rademacher_oracle():
     """The program's Monte Carlo Rademacher estimate (4,000 draws) within 4
     standard errors of an enumeration of all 2^n sign vectors made here, in
@@ -375,7 +363,7 @@ def test_criterion_09_rademacher_oracle():
     failures, worst = 0, 0.0
     for trial, n in enumerate(sizes):
         xs = rng.standard_normal((n, int(rng.integers(1, 6))))
-        means = _enumerated_norm_means(xs)
+        means = enumerated_norm_means(xs)
         for k, kind in enumerate(("linear_l2_ball", "linear_l1_ball")):
             cls = sb.FunctionClassSpec(kind, float(rng.uniform(0.5, 3.0)))
             exact = cls.budget * means[k] / n

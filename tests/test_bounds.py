@@ -15,7 +15,7 @@ from smoothbench import (
     smooth_risk_bound,
 )
 from smoothbench.bounds import _sign_blocks, regime_envelope
-from references import margin_reference, smooth_risk_reference
+from references import enumerated_norm_means, margin_reference, smooth_risk_reference
 
 
 def rademacher_bruteforce(cls, xs):
@@ -56,6 +56,17 @@ class TestEmpiricalRademacher:
         two = empirical_rademacher(FunctionClassSpec("linear_l2_ball", 2.0), xs, seed=2)
         assert two.value == pytest.approx(2 * one.value, rel=1e-12)
         assert two.stderr == pytest.approx(2 * one.stderr, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["linear_l2_ball", "linear_l1_ball"])
+    def test_exact_enumeration_matches_bruteforce(self, kind):
+        # criterion 9's block enumeration of all 2^n signs against the literal one
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 5, 8):
+            xs = rng.standard_normal((n, 3))
+            cls = FunctionClassSpec(kind, 1.3)
+            mean = enumerated_norm_means(xs)[("linear_l2_ball", "linear_l1_ball").index(kind)]
+            exact = cls.budget * mean / n
+            assert exact == pytest.approx(rademacher_bruteforce(cls, xs), rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["linear_l2_ball", "linear_l1_ball"])
     def test_monte_carlo_within_4_stderr_of_exact(self, kind):
